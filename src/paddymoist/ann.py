@@ -17,7 +17,18 @@ node and enters the backprop derivative (d sigma/dy = g * sigma * (1 -
 sigma)) so the computed gradient is the exact gradient of the loss at the
 applied gain.
 
-All types are value types: training and update steps return new objects and
+The arithmetic runs on plain Python floats.  At this size (an 8 x 4 hidden
+matrix) numpy's per-call overhead costs far more than the arithmetic, so one
+list kernel, ``_forward`` plus the in-place ``_update``, serves every caller:
+:func:`train`, :func:`backprop_step`, :func:`forward` and
+:func:`sigmoid_gain`.  Each dot product is summed left to right in an explicit
+loop, never through BLAS or the builtin ``sum`` (whose float algorithm changed
+in Python 3.12), so results do not depend on the BLAS build or the Python
+version.
+
+The kernel mutates only lists it owns: :func:`train` copies the weights into
+lists of rows once and builds one :class:`Mlp` at the end.  All public types
+are still value types: training and update steps return new objects and
 never mutate their inputs, so models can be shared freely across threads.
 """
 
@@ -25,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import exp
+from operator import mul
 
 import numpy as np
 
@@ -118,8 +131,10 @@ class Pattern:
         for name, vec in (("input", self.input), ("target", self.target)):
             if vec.ndim != 1:
                 raise DimensionError(f"pattern {name} must be one-dimensional")
-            if vec.size and (vec.min() < 0.0 or vec.max() > 1.0):
-                raise ValueError(f"pattern {name} components must lie in [0, 1]")
+            # written so that NaN, whose comparisons are all False, fails too
+            if vec.size and not (vec.min() >= 0.0 and vec.max() <= 1.0):
+                raise ValueError(
+                    f"pattern {name} components must be finite and lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -164,9 +179,18 @@ class GainTrace:
     gain: float
 
 
-def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    z = np.clip(z, -_EXP_CAP, _EXP_CAP)
-    return np.clip(1.0 / (1.0 + np.exp(-z)), _SIG_LO, _SIG_HI)
+def _sigma(z: float) -> float:
+    """Logistic of an already-gained input, with both clamps applied."""
+    if z > _EXP_CAP:
+        z = _EXP_CAP
+    elif z < -_EXP_CAP:
+        z = -_EXP_CAP
+    y = 1.0 / (1.0 + exp(-z))
+    if y < _SIG_LO:
+        return _SIG_LO
+    if y > _SIG_HI:
+        return _SIG_HI
+    return y
 
 
 def sigmoid_gain(y: float, g: float) -> float:
@@ -175,21 +199,81 @@ def sigmoid_gain(y: float, g: float) -> float:
         raise ValueError(f"activation input must be finite, got {y}")
     if not (math.isfinite(g) and g > 0.0):
         raise ValueError(f"gain must be a positive finite real, got {g}")
-    z = min(max(g * y, -_EXP_CAP), _EXP_CAP)
-    return min(max(1.0 / (1.0 + math.exp(-z)), _SIG_LO), _SIG_HI)
+    return _sigma(g * y)
 
 
-def _forward_full(net: Mlp, x: np.ndarray, gain: float):
-    """Forward pass returning every intermediate needed by backprop."""
-    xa = np.empty(x.size + 1)
-    xa[0] = 1.0
-    xa[1:] = x
-    h = _sigmoid_vec(gain * (net.w_hidden @ xa))
-    ha = np.empty(h.size + 1)
-    ha[0] = 1.0
-    ha[1:] = h
-    o = _sigmoid_vec(gain * (net.w_output @ ha))
-    return xa, h, ha, o
+def _layer(rows: "list[list[float]]", a: "list[float]", g: float,
+           out: "list[float]") -> "list[float]":
+    """Append sigma(g * row . a) for every weight row to ``out``.
+
+    Each dot product is accumulated left to right, so the result does not
+    depend on the BLAS build or on the Python version.
+    """
+    for row in rows:
+        s = 0.0
+        for p in map(mul, row, a):
+            s += p
+        out.append(_sigma(g * s))
+    return out
+
+
+def _forward(wh: "list[list[float]]", wo: "list[list[float]]", xa: "list[float]",
+             g: float) -> "tuple[list[float], list[float]]":
+    """Forward pass on list weights; ``xa`` and the returned hidden activations
+    ``ha`` both lead with the constant bias input 1.0.  Returns (ha, o)."""
+    ha = _layer(wh, xa, g, [1.0])
+    return ha, _layer(wo, ha, g, [])
+
+
+def _update(wh: "list[list[float]]", wo: "list[list[float]]", xa: "list[float]",
+            target: "list[float]", lr: float, gain: float):
+    """One online update of ``wh``/``wo`` in place.  Returns (sse, e_p, g).
+
+    A first forward pass at the network's current gain measures how far the
+    pattern is off; that error fixes the gain applied to this update.  The
+    loss differentiated is 0.5 * sum((t - o)^2) at the applied gain, so the
+    weights take an exact gradient step; the reported error is the plain
+    summed square sum((t - o)^2) before the update.
+    """
+    ha, o = _forward(wh, wo, xa, gain)
+    e_p = 0.0
+    for ok, tk in zip(o, target):
+        d = abs(tk - ok)
+        if d > e_p or d != d:  # a NaN error is kept, and adaptive_gain rejects it
+            e_p = d
+    g = adaptive_gain(e_p)
+    if g != gain:
+        ha, o = _forward(wh, wo, xa, g)
+    sse = 0.0
+    d_out = []
+    for ok, tk in zip(o, target):
+        r = tk - ok
+        sse += r * r
+        d_out.append((ok - tk) * (g * ok * (1.0 - ok)))
+    # back[j] = sum over k of w_output[k][j] * d_out[k], summed in k order
+    # from the output weights as they were before this update.  Weights are
+    # updated element by element: on Python 3.11 a list comprehension per row
+    # costs a function call, which made the whole step a third slower.
+    back = [0.0] * len(ha)
+    for row, dk in zip(wo, d_out):
+        for j, a in enumerate(ha):
+            w = row[j]
+            back[j] += w * dk
+            row[j] = w - lr * (dk * a)
+    for j, row in enumerate(wh, 1):
+        h = ha[j]
+        dj = back[j] * (g * h * (1.0 - h))
+        for i, v in enumerate(xa):
+            row[i] -= lr * (dj * v)
+    return sse, e_p, g
+
+
+def _check_pattern(t: MlpTopology, p: Pattern, label: str) -> None:
+    if p.input.shape != (t.n_inputs,) or p.target.shape != (t.n_outputs,):
+        raise DimensionError(
+            f"{label} dims ({p.input.size} in, {p.target.size} out) do not match "
+            f"topology ({t.n_inputs} in, {t.n_outputs} out)"
+        )
 
 
 def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
@@ -199,7 +283,9 @@ def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
         raise DimensionError(
             f"input length {x.size} does not match n_inputs {net.topology.n_inputs}"
         )
-    return _forward_full(net, x, net.gain)[3]
+    _, o = _forward(net.w_hidden.tolist(), net.w_output.tolist(), [1.0, *x.tolist()],
+                    net.gain)
+    return np.array(o)
 
 
 def pattern_error(target, output) -> float:
@@ -213,50 +299,27 @@ def pattern_error(target, output) -> float:
 
 def adaptive_gain(e_p: float) -> float:
     """Gain for the next update from the pattern error; always in (0, 1]."""
-    if e_p < 0.0:
-        raise ValueError(f"pattern error must be >= 0, got {e_p}")
+    if not e_p >= 0.0:
+        raise ValueError(f"pattern error must be a number >= 0, got {e_p}")
     ap = 2.0 * e_p
     return 1.0 / ap if ap > 1.0 else 1.0
-
-
-def _step(net: Mlp, p: Pattern, lr: float):
-    """One online update.  Returns (new net, sse, e_p, applied gain).
-
-    A first forward pass at the network's current gain measures how far the
-    pattern is off; that error fixes the gain applied to this update.  The
-    loss differentiated is 0.5 * sum((t - o)^2) at the applied gain, so the
-    returned weights are an exact gradient step; the reported error is the
-    plain summed square sum((t - o)^2) before the update.
-    """
-    t = net.topology
-    if p.input.shape != (t.n_inputs,) or p.target.shape != (t.n_outputs,):
-        raise DimensionError(
-            f"pattern dims ({p.input.size} in, {p.target.size} out) do not match "
-            f"topology ({t.n_inputs} in, {t.n_outputs} out)"
-        )
-    xa, h, ha, o = _forward_full(net, p.input, net.gain)
-    e_p = float(np.max(np.abs(p.target - o)))
-    g = adaptive_gain(e_p)
-    if g != net.gain:
-        xa, h, ha, o = _forward_full(net, p.input, g)
-    sse = float(np.sum((p.target - o) ** 2))
-    d_out = (o - p.target) * (g * o * (1.0 - o))
-    d_hid = (net.w_output[:, 1:].T @ d_out) * (g * h * (1.0 - h))
-    w_output = net.w_output - lr * np.outer(d_out, ha)
-    w_hidden = net.w_hidden - lr * np.outer(d_hid, xa)
-    return Mlp(t, w_hidden, w_output, gain=g), sse, e_p, g
 
 
 def backprop_step(net: Mlp, p: Pattern, lr: float) -> tuple[Mlp, float]:
     """One forward/backward pass plus weight update for a single pattern.
 
     The updated network carries the gain that was applied; the returned
-    error is the pattern's summed squared error before the update.
+    error is the pattern's summed squared error before the update.  ``net``
+    is left unchanged.
     """
     if lr < 0.0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    new_net, sse, _, _ = _step(net, p, lr)
-    return new_net, sse
+    t = net.topology
+    _check_pattern(t, p, "pattern")
+    wh, wo = net.w_hidden.tolist(), net.w_output.tolist()
+    sse, _, g = _update(wh, wo, [1.0, *p.input.tolist()], p.target.tolist(), lr,
+                        net.gain)
+    return Mlp(t, wh, wo, gain=g), sse
 
 
 def train(net: Mlp, patterns: "list[Pattern]", cfg: TrainConfig,
@@ -273,27 +336,28 @@ def train(net: Mlp, patterns: "list[Pattern]", cfg: TrainConfig,
         raise ValueError("cannot train on an empty pattern set")
     t = net.topology
     for i, p in enumerate(patterns):
-        if p.input.shape != (t.n_inputs,) or p.target.shape != (t.n_outputs,):
-            raise DimensionError(
-                f"pattern {i} dims ({p.input.size} in, {p.target.size} out) do not "
-                f"match topology ({t.n_inputs} in, {t.n_outputs} out)"
-            )
-    rng = np.random.default_rng(cfg.seed)
-    current = Mlp.random(t, rng, cfg.init_half_width)
+        _check_pattern(t, p, f"pattern {i}")
+    init = Mlp.random(t, np.random.default_rng(cfg.seed), cfg.init_half_width)
+    wh, wo, gain = init.w_hidden.tolist(), init.w_output.tolist(), init.gain
+    inputs = [[1.0, *p.input.tolist()] for p in patterns]
+    targets = [p.target.tolist() for p in patterns]
+    lr = cfg.learning_rate
     loss_history: list[float] = []
     for epoch in range(cfg.epochs):
         total = 0.0
-        for i, p in enumerate(patterns):
-            current, sse, e_p, g = _step(current, p, cfg.learning_rate)
+        for i, (xa, target) in enumerate(zip(inputs, targets)):
+            sse, e_p, gain = _update(wh, wo, xa, target, lr, gain)
             total += sse
             if trace is not None:
-                trace.append(GainTrace(epoch, i, e_p, g))
+                trace.append(GainTrace(epoch, i, e_p, gain))
         loss_history.append(total / len(patterns))
-    return current, loss_history
+    return Mlp(t, wh, wo, gain=gain), loss_history
 
 
 def normalize(x: float, nz: Normalizer) -> float:
-    """Map x into [0, 1] against the fixed bounds; out-of-range x is clamped."""
+    """Map x into [0, 1] against the fixed bounds; out-of-range finite x is clamped."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot normalize the non-finite value {x}")
     u = (x - nz.lo) / (nz.hi - nz.lo)
     return min(max(u, 0.0), 1.0)
 

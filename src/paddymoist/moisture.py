@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from . import ann
 from .ann import Mlp, MlpTopology, Normalizer, Pattern, TrainConfig
 from .errors import DimensionError, InsufficientHistoryError
+from .evapo import DEFAULT_ET0_NORM
 
-DEFAULT_ET0_NORM = Normalizer(0.0, 10.0)     # mm/day
 DEFAULT_PRECIP_NORM = Normalizer(0.0, 100.0)  # mm/day
 DEFAULT_KC_NORM = Normalizer(0.0, 1.5)       # dimensionless
 DEFAULT_THETA_NORM = Normalizer(0.0, 1.0)    # m3/m3, full physical range

@@ -118,6 +118,10 @@ class TestAdaptiveGain:
         with pytest.raises(ValueError):
             adaptive_gain(-0.1)
 
+    def test_nan_error_rejected(self):
+        with pytest.raises(ValueError):
+            adaptive_gain(float("nan"))
+
 
 def _loss_at(topology, w_hidden, w_output, gain, pattern):
     """0.5 * SSE of the network at a pinned gain (the differentiated loss)."""
@@ -194,6 +198,12 @@ class TestBackpropStep:
         net = Mlp.zeros(MlpTopology(3, 8, 1))
         with pytest.raises(DimensionError):
             backprop_step(net, Pattern([0.1, 0.2], [0.5]), lr=0.2)
+
+    def test_nan_output_rejected_by_gain_rule(self):
+        # a NaN output must reach adaptive_gain, not be skipped by the max
+        net = Mlp(MlpTopology(2, 8, 1), np.full((8, 3), np.nan), np.zeros((1, 9)))
+        with pytest.raises(ValueError):
+            backprop_step(net, Pattern([0.3, 0.6], [0.5]), lr=0.2)
 
 
 class TestTrain:
@@ -277,6 +287,12 @@ class TestNormalizer:
         for u in rng.uniform(0.0, 1.0, 200):
             assert normalize(denormalize(float(u), nz), nz) == pytest.approx(u, abs=1e-12)
 
+    def test_non_finite_rejected(self):
+        nz = Normalizer(0.0, 10.0)
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                normalize(x, nz)
+
     def test_denormalize_not_clamped(self):
         nz = Normalizer(0.0, 10.0)
         assert denormalize(1.5, nz) == 15.0
@@ -313,6 +329,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             Pattern([0.5], [-0.1])
 
+    def test_pattern_non_finite_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for inp, tgt in (([nan, 0.5, 0.5], [0.5]), ([0.5], [nan]),
+                         ([0.5, inf], [0.5]), ([0.5], [-inf])):
+            with pytest.raises(ValueError):
+                Pattern(inp, tgt)
+
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(seed=1, epochs=0)
@@ -320,3 +343,94 @@ class TestTypes:
             TrainConfig(seed=1, learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
+
+
+# Reference implementation: the original numpy forward pass and online
+# update (BLAS matrix-vector products, vectorised clamps).  The list kernel
+# in paddymoist.ann sums in a fixed order instead, so the two agree to
+# rounding, not bit for bit.
+
+_SIG_LO = math.nextafter(0.0, 1.0)
+_SIG_HI = math.nextafter(1.0, 0.0)
+_EXP_CAP = 709.0
+
+
+def _ref_sigmoid_vec(z):
+    z = np.clip(z, -_EXP_CAP, _EXP_CAP)
+    return np.clip(1.0 / (1.0 + np.exp(-z)), _SIG_LO, _SIG_HI)
+
+
+def _ref_forward_full(net, x, gain):
+    xa = np.empty(x.size + 1)
+    xa[0] = 1.0
+    xa[1:] = x
+    h = _ref_sigmoid_vec(gain * (net.w_hidden @ xa))
+    ha = np.empty(h.size + 1)
+    ha[0] = 1.0
+    ha[1:] = h
+    o = _ref_sigmoid_vec(gain * (net.w_output @ ha))
+    return xa, h, ha, o
+
+
+def _ref_step(net, p, lr):
+    """Returns (new net, sse, e_p, applied gain)."""
+    xa, h, ha, o = _ref_forward_full(net, p.input, net.gain)
+    e_p = float(np.max(np.abs(p.target - o)))
+    ap = 2.0 * e_p
+    g = 1.0 / ap if ap > 1.0 else 1.0
+    if g != net.gain:
+        xa, h, ha, o = _ref_forward_full(net, p.input, g)
+    sse = float(np.sum((p.target - o) ** 2))
+    d_out = (o - p.target) * (g * o * (1.0 - o))
+    d_hid = (net.w_output[:, 1:].T @ d_out) * (g * h * (1.0 - h))
+    w_output = net.w_output - lr * np.outer(d_out, ha)
+    w_hidden = net.w_hidden - lr * np.outer(d_hid, xa)
+    return Mlp(net.topology, w_hidden, w_output, gain=g), sse, e_p, g
+
+
+def _ref_train(topology, patterns, cfg):
+    current = Mlp.random(topology, np.random.default_rng(cfg.seed), cfg.init_half_width)
+    gains = []
+    for _ in range(cfg.epochs):
+        for p in patterns:
+            current, _, _, g = _ref_step(current, p, cfg.learning_rate)
+            gains.append(g)
+    return current, gains
+
+
+class TestReferenceEquivalence:
+    """The list kernel against the original numpy implementation."""
+
+    @pytest.mark.parametrize("half_width", [0.5, 20.0])
+    @pytest.mark.parametrize("shape", [(3, 8, 1), (4, 8, 1), (4, 8, 3)])
+    def test_train_matches_reference(self, shape, half_width):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(sum(shape) + int(half_width))
+        patterns = [Pattern(rng.uniform(0, 1, topo.n_inputs),
+                            rng.uniform(0, 1, topo.n_outputs)) for _ in range(30)]
+        cfg = TrainConfig(seed=3, epochs=6, init_half_width=half_width)
+        trace: list[GainTrace] = []
+        trained, _ = train(Mlp.zeros(topo), patterns, cfg, trace=trace)
+        ref, ref_gains = _ref_train(topo, patterns, cfg)
+        gains = np.array([e.gain for e in trace])
+        ref_gains = np.array(ref_gains)
+        np.testing.assert_array_equal(gains < 1.0, ref_gains < 1.0)
+        np.testing.assert_allclose(gains, ref_gains, rtol=1e-12, atol=0.0)
+        assert float(np.max(np.abs(trained.w_hidden - ref.w_hidden))) <= 1e-12
+        assert float(np.max(np.abs(trained.w_output - ref.w_output))) <= 1e-12
+        assert trained.gain == trace[-1].gain
+        if half_width == 20.0:
+            # wide initial weights miss often enough to run the shrink branch
+            assert int(np.sum(gains < 1.0)) >= 10
+
+    @pytest.mark.parametrize("shape", [(3, 8, 1), (4, 8, 1), (4, 8, 3), (3, 8, 2)])
+    def test_forward_matches_reference(self, shape):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(sum(shape))
+        for half_width in (0.5, 20.0):
+            for _ in range(25):
+                net = Mlp.random(topo, rng, half_width)
+                net.gain = float(rng.uniform(0.1, 1.0))
+                x = rng.uniform(0, 1, topo.n_inputs)
+                ref = _ref_forward_full(net, x, net.gain)[3]
+                assert float(np.max(np.abs(forward(net, x) - ref))) <= 1e-13
