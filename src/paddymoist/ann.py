@@ -18,26 +18,37 @@ sigma)) so the computed gradient is the exact gradient of the loss at the
 applied gain.
 
 The arithmetic runs on plain Python floats.  At this size (an 8 x 4 hidden
-matrix) numpy's per-call overhead costs far more than the arithmetic, so one
-list kernel, ``_forward`` plus the in-place ``_update``, serves every caller:
-:func:`train`, :func:`backprop_step`, :func:`forward` and
-:func:`sigmoid_gain`.  Each dot product is summed left to right in an explicit
-loop, never through BLAS or the builtin ``sum`` (whose float algorithm changed
-in Python 3.12), so results do not depend on the BLAS build or the Python
-version.
+matrix) numpy's per-call overhead costs far more than the arithmetic, and
+so, in a generic loop over lists, does the interpreter: indexing, iterators,
+a call per node and a new list per visit.  So the one kernel is generated:
+:func:`_kernel` writes the Python source of a straight-line epoch loop and
+forward pass for a topology, with every weight, activation and delta a
+local variable, compiles it once per topology per process, and caches the
+two functions.  The weights are unpacked into locals once per call and
+returned as lists at the end, so a pattern visit indexes no list.
+:func:`train`, :func:`backprop_step` (one pattern, one epoch) and
+:func:`forward` all run this code; :func:`sigmoid_gain` keeps ``_sigma``.
 
-The kernel mutates only lists it owns: :func:`train` copies the weights into
-lists of rows once and builds one :class:`Mlp` at the end.  All public types
-are still value types: training and update steps return new objects and
-never mutate their inputs, so models can be shared freely across threads.
+The generated code performs exactly the floating-point operations of the
+plain loop, in the same order: every dot product is ``0.0 + w0 + w1*x1 +
+...`` left to right, never through BLAS or the builtin ``sum`` (whose float
+algorithm changed in Python 3.12), the backward sums read the output weights
+from before the update, and the clamps of ``_sigma`` and the gain rule are
+inlined.  Results therefore do not depend on the BLAS build or the Python
+version, and ``tests/test_ann.py`` keeps the plain loop to check this bit
+for bit.  The source is formatted only from the topology's integers.
+
+All public types are value types: training and update steps return new
+objects and never mutate their inputs, so models can be shared freely
+across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from math import exp
-from operator import mul
 
 import numpy as np
 
@@ -202,70 +213,134 @@ def sigmoid_gain(y: float, g: float) -> float:
     return _sigma(g * y)
 
 
-def _layer(rows: "list[list[float]]", a: "list[float]", g: float,
-           out: "list[float]") -> "list[float]":
-    """Append sigma(g * row . a) for every weight row to ``out``.
+# CPython's compiler recurses once per chained binary operator, so a long
+# generated sum is continued in further statements (same order) past this.
+_SUM_TERMS = 64
 
-    Each dot product is accumulated left to right, so the result does not
-    depend on the BLAS build or on the Python version.
+
+def _sum(target: str, terms: "list[str]") -> "list[str]":
+    """Source lines setting ``target`` to 0.0 + terms[0] + terms[1] + ...,
+    added strictly left to right."""
+    lines, acc = [], "0.0"
+    for k in range(0, len(terms), _SUM_TERMS):
+        lines.append(f"{target} = {' + '.join([acc, *terms[k:k + _SUM_TERMS]])}")
+        acc = target
+    return lines
+
+
+def _sigma_lines(target: str, z: str) -> "list[str]":
+    """Source lines setting ``target`` to ``_sigma(z)``, clamps included."""
+    return [f"z = {z}",
+            f"if z > {_EXP_CAP!r}: z = {_EXP_CAP!r}",
+            f"elif z < {-_EXP_CAP!r}: z = {-_EXP_CAP!r}",
+            f"{target} = 1.0 / (1.0 + exp(-z))",
+            f"if {target} < {_SIG_LO!r}: {target} = {_SIG_LO!r}",
+            f"elif {target} > {_SIG_HI!r}: {target} = {_SIG_HI!r}"]
+
+
+def _kernel_source(n: int, h: int, o: int) -> str:
+    """Python source of ``train_loop`` and ``forward`` for an n-h-o network.
+
+    Every name is formatted from ``range`` indices only.  Weights live in
+    locals: ``wh{j}_{i}`` feeds input i (0 is the bias) into hidden node j
+    (1..h), ``wo{k}_{j}`` feeds hidden node j (0 is the bias) into output k.
+    The bias input is 1.0 and ``w * 1.0 == w`` exactly, so bias terms carry
+    no product.
+
+    One step: a forward pass at the network's current gain measures how far
+    the pattern is off, and that error fixes the gain applied to this update
+    (a second pass runs if it differs).  The loss differentiated is
+    0.5 * sum((t - o)^2) at the applied gain, so the weights take an exact
+    gradient step; the reported error is sum((t - o)^2) before the update.
     """
-    for row in rows:
-        s = 0.0
-        for p in map(mul, row, a):
-            s += p
-        out.append(_sigma(g * s))
-    return out
+    H, I, K = range(1, h + 1), range(1, n + 1), range(o)
+    wh = [f"wh{j}_{i}" for j in H for i in range(n + 1)]
+    wo = [f"wo{k}_{j}" for k in K for j in range(h + 1)]
+    xs = [f"x{i}" for i in I]
+    ts = [f"t{k}" for k in K]
+    unpack = [f"{', '.join(wh)}, = wh", f"{', '.join(wo)}, = wo"]
+    sums = []  # hidden pre-activations do not depend on the gain
+    for j in H:
+        sums += _sum(f"s{j}", [f"wh{j}_0", *(f"wh{j}_{i} * x{i}" for i in I)])
+
+    def activate(g):
+        lines = []
+        for j in H:
+            lines += _sigma_lines(f"h{j}", f"{g} * s{j}")
+        for k in K:
+            lines += _sum("u", [f"wo{k}_0", *(f"wo{k}_{j} * h{j}" for j in H)])
+            lines += _sigma_lines(f"o{k}", f"{g} * u")
+        return lines
+
+    step = [*sums, *activate("g"), "e_p = abs(t0 - o0)"]
+    for k in K[1:]:  # e_p = max |t - o|, keeping a NaN for the gain rule to reject
+        step += [f"d = abs(t{k} - o{k})", "if d > e_p or d != d: e_p = d"]
+    step += ["ap = 2.0 * e_p",
+             "if ap > 1.0: g_new = 1.0 / ap",
+             "elif ap == ap: g_new = 1.0",
+             "else: g_new = adaptive_gain(e_p)",
+             "if g_new != g:",
+             "    g = g_new",
+             *("    " + line for line in activate("g"))]
+    step += [f"r{k} = t{k} - o{k}" for k in K]
+    step += _sum("sse", [f"r{k} * r{k}" for k in K])
+    step += [f"d{k} = (o{k} - t{k}) * (g * o{k} * (1.0 - o{k}))" for k in K]
+    # back-propagated sums read the output weights from before this update
+    for j in H:
+        step += _sum(f"back{j}", [f"wo{k}_{j} * d{k}" for k in K])
+    for k in K:
+        step.append(f"wo{k}_0 = wo{k}_0 - lr * d{k}")
+        step += [f"wo{k}_{j} = wo{k}_{j} - lr * (d{k} * h{j})" for j in H]
+    for j in H:
+        step.append(f"dh{j} = back{j} * (g * h{j} * (1.0 - h{j}))")
+        step.append(f"wh{j}_0 = wh{j}_0 - lr * dh{j}")
+        step += [f"wh{j}_{i} = wh{j}_{i} - lr * (dh{j} * x{i})" for i in I]
+    step += ["total += sse",
+             "if trace is not None:",
+             "    trace.append(GainTrace(epoch, p, e_p, g))"]
+
+    def rows_of(names, width):
+        return ", ".join("[" + ", ".join(names[r:r + width]) + "]"
+                         for r in range(0, len(names), width))
+
+    train_loop = ["def train_loop(wh, wo, g, rows, lr, epochs, trace):",
+                  "    exp = _exp",
+                  *("    " + line for line in unpack),
+                  "    losses = []",
+                  "    for epoch in range(epochs):",
+                  "        total = 0.0",
+                  f"        for p, ({', '.join(xs + ts)},) in enumerate(rows):",
+                  *("            " + line for line in step),
+                  "        losses.append(total / len(rows))",
+                  f"    return [{rows_of(wh, n + 1)}], [{rows_of(wo, h + 1)}], g, losses"]
+    forward = ["def forward(wh, wo, x, g):",
+               "    exp = _exp",
+               *("    " + line for line in unpack),
+               f"    {', '.join(xs)}, = x",
+               *("    " + line for line in [*sums, *activate("g")]),
+               f"    return [{', '.join(f'o{k}' for k in K)}]"]
+    return "\n".join(train_loop + forward) + "\n"
 
 
-def _forward(wh: "list[list[float]]", wo: "list[list[float]]", xa: "list[float]",
-             g: float) -> "tuple[list[float], list[float]]":
-    """Forward pass on list weights; ``xa`` and the returned hidden activations
-    ``ha`` both lead with the constant bias input 1.0.  Returns (ha, o)."""
-    ha = _layer(wh, xa, g, [1.0])
-    return ha, _layer(wo, ha, g, [])
+@functools.cache
+def _kernel(t: MlpTopology):
+    """Compiled ``(train_loop, forward)`` for one topology, built once per process.
 
-
-def _update(wh: "list[list[float]]", wo: "list[list[float]]", xa: "list[float]",
-            target: "list[float]", lr: float, gain: float):
-    """One online update of ``wh``/``wo`` in place.  Returns (sse, e_p, g).
-
-    A first forward pass at the network's current gain measures how far the
-    pattern is off; that error fixes the gain applied to this update.  The
-    loss differentiated is 0.5 * sum((t - o)^2) at the applied gain, so the
-    weights take an exact gradient step; the reported error is the plain
-    summed square sum((t - o)^2) before the update.
+    ``train_loop(wh, wo, g, rows, lr, epochs, trace)`` takes the flattened
+    weight matrices, the starting gain and one ``(*input, *target)`` tuple per
+    pattern; it returns the trained weights as lists of rows, the last applied
+    gain and the per-epoch mean squared errors.  ``forward(wh, wo, x, g)``
+    returns the output list.
     """
-    ha, o = _forward(wh, wo, xa, gain)
-    e_p = 0.0
-    for ok, tk in zip(o, target):
-        d = abs(tk - ok)
-        if d > e_p or d != d:  # a NaN error is kept, and adaptive_gain rejects it
-            e_p = d
-    g = adaptive_gain(e_p)
-    if g != gain:
-        ha, o = _forward(wh, wo, xa, g)
-    sse = 0.0
-    d_out = []
-    for ok, tk in zip(o, target):
-        r = tk - ok
-        sse += r * r
-        d_out.append((ok - tk) * (g * ok * (1.0 - ok)))
-    # back[j] = sum over k of w_output[k][j] * d_out[k], summed in k order
-    # from the output weights as they were before this update.  Weights are
-    # updated element by element: on Python 3.11 a list comprehension per row
-    # costs a function call, which made the whole step a third slower.
-    back = [0.0] * len(ha)
-    for row, dk in zip(wo, d_out):
-        for j, a in enumerate(ha):
-            w = row[j]
-            back[j] += w * dk
-            row[j] = w - lr * (dk * a)
-    for j, row in enumerate(wh, 1):
-        h = ha[j]
-        dj = back[j] * (g * h * (1.0 - h))
-        for i, v in enumerate(xa):
-            row[i] -= lr * (dj * v)
-    return sse, e_p, g
+    n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
+    code = compile(_kernel_source(n, h, o), f"<ann kernel {n}-{h}-{o}>", "exec")
+    namespace = {"_exp": exp, "adaptive_gain": adaptive_gain, "GainTrace": GainTrace}
+    exec(code, namespace)
+    return namespace["train_loop"], namespace["forward"]
+
+
+def _row(p: Pattern) -> "tuple[float, ...]":
+    return (*p.input.tolist(), *p.target.tolist())
 
 
 def _check_pattern(t: MlpTopology, p: Pattern, label: str) -> None:
@@ -283,9 +358,9 @@ def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
         raise DimensionError(
             f"input length {x.size} does not match n_inputs {net.topology.n_inputs}"
         )
-    _, o = _forward(net.w_hidden.tolist(), net.w_output.tolist(), [1.0, *x.tolist()],
-                    net.gain)
-    return np.array(o)
+    fwd = _kernel(net.topology)[1]
+    return np.array(fwd(net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(),
+                        x.tolist(), net.gain))
 
 
 def pattern_error(target, output) -> float:
@@ -316,9 +391,10 @@ def backprop_step(net: Mlp, p: Pattern, lr: float) -> tuple[Mlp, float]:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     t = net.topology
     _check_pattern(t, p, "pattern")
-    wh, wo = net.w_hidden.tolist(), net.w_output.tolist()
-    sse, _, g = _update(wh, wo, [1.0, *p.input.tolist()], p.target.tolist(), lr,
-                        net.gain)
+    train_loop = _kernel(t)[0]
+    wh, wo, g, (sse,) = train_loop(net.w_hidden.ravel().tolist(),
+                                   net.w_output.ravel().tolist(), net.gain, [_row(p)],
+                                   lr, 1, None)
     return Mlp(t, wh, wo, gain=g), sse
 
 
@@ -338,19 +414,10 @@ def train(net: Mlp, patterns: "list[Pattern]", cfg: TrainConfig,
     for i, p in enumerate(patterns):
         _check_pattern(t, p, f"pattern {i}")
     init = Mlp.random(t, np.random.default_rng(cfg.seed), cfg.init_half_width)
-    wh, wo, gain = init.w_hidden.tolist(), init.w_output.tolist(), init.gain
-    inputs = [[1.0, *p.input.tolist()] for p in patterns]
-    targets = [p.target.tolist() for p in patterns]
-    lr = cfg.learning_rate
-    loss_history: list[float] = []
-    for epoch in range(cfg.epochs):
-        total = 0.0
-        for i, (xa, target) in enumerate(zip(inputs, targets)):
-            sse, e_p, gain = _update(wh, wo, xa, target, lr, gain)
-            total += sse
-            if trace is not None:
-                trace.append(GainTrace(epoch, i, e_p, gain))
-        loss_history.append(total / len(patterns))
+    train_loop = _kernel(t)[0]
+    wh, wo, gain, loss_history = train_loop(
+        init.w_hidden.ravel().tolist(), init.w_output.ravel().tolist(), init.gain,
+        [_row(p) for p in patterns], cfg.learning_rate, cfg.epochs, trace)
     return Mlp(t, wh, wo, gain=gain), loss_history
 
 

@@ -278,7 +278,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return args.fn(args)
     except Exception as exc:  # mapped to stable exit codes for scripting
         code = exit_code_for(exc)
-        print(f"error: {exc}", file=sys.stderr)
+        tag = getattr(exc, "stage_tag", None)
+        print(f"error: {tag} {exc}" if tag else f"error: {exc}", file=sys.stderr)
         return code
 
 

@@ -55,6 +55,10 @@ class DailyWeather:
     precip: float
 
     def __post_init__(self):
+        for name in ("tmax", "tavg", "tmin", "precip"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value} on {self.date}")
         if not (self.tmin <= self.tavg <= self.tmax):
             raise ValueError(
                 f"need tmin <= tavg <= tmax, got {self.tmin}/{self.tavg}/{self.tmax} "

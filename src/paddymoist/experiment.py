@@ -367,15 +367,24 @@ def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) ->
 
 @contextmanager
 def _stage(name: str):
-    """Prefix any failure with the pipeline stage it came from."""
+    """Tag any failure with the pipeline stage it came from.
+
+    The original exception object is re-raised, so its type and attributes
+    (an OSError's errno and filename, say) survive.  When the message is the
+    exception's only argument, ``[stage: name]`` is prefixed to it in place;
+    any other exception, such as an OSError whose text is built from errno
+    and filename, keeps its arguments and carries the tag as ``stage_tag``,
+    which the CLI prints before the message.
+    """
     try:
         yield
     except Exception as exc:
-        try:
-            tagged = type(exc)(f"[stage: {name}] {exc}")
-        except Exception:
-            raise exc from None
-        raise tagged from exc
+        tag = f"[stage: {name}]"
+        if exc.args == (str(exc),):
+            exc.args = (f"{tag} {exc}",)
+        else:
+            exc.stage_tag = tag
+        raise
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date as Date, datetime
 
@@ -111,9 +112,12 @@ def daily_aggregate(records: "list[HalfHourRecord]",
 
 def _parse_float(text: str, what: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataFormatError(f"line {line_no}: cannot parse {what} from {text!r}") from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"line {line_no}: {what} must be finite, got {text!r}")
+    return value
 
 
 def read_half_hourly_csv(path) -> list[HalfHourRecord]:

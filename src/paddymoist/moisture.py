@@ -19,6 +19,7 @@ diverge, whatever the weights.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from . import ann
@@ -47,6 +48,10 @@ class ForcingDay:
     kc: float
 
     def __post_init__(self):
+        for name in ("et0", "precip", "kc"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.et0 < 0.0:
             raise ValueError(f"et0 must be >= 0, got {self.et0}")
         if self.precip < 0.0:

@@ -1,6 +1,8 @@
 """Core network tests: activation, gain rule, gradients, training contract."""
 
 import math
+from math import exp
+from operator import mul
 
 import numpy as np
 import pytest
@@ -204,6 +206,12 @@ class TestBackpropStep:
         net = Mlp(MlpTopology(2, 8, 1), np.full((8, 3), np.nan), np.zeros((1, 9)))
         with pytest.raises(ValueError):
             backprop_step(net, Pattern([0.3, 0.6], [0.5]), lr=0.2)
+        # also when it is not the first output
+        w_output = np.zeros((2, 9))
+        w_output[1] = np.nan
+        net = Mlp(MlpTopology(2, 8, 2), np.zeros((8, 3)), w_output)
+        with pytest.raises(ValueError):
+            backprop_step(net, Pattern([0.3, 0.6], [0.9, 0.5]), lr=0.2)
 
 
 class TestTrain:
@@ -434,3 +442,174 @@ class TestReferenceEquivalence:
                 x = rng.uniform(0, 1, topo.n_inputs)
                 ref = _ref_forward_full(net, x, net.gain)[3]
                 assert float(np.max(np.abs(forward(net, x) - ref))) <= 1e-13
+
+
+# Second reference: the plain-float list kernel that preceded the generated
+# one, kept verbatim.  The generated kernel performs the same floating-point
+# operations in the same order, so the two must agree bit for bit.
+
+def _sigma(z: float) -> float:
+    """Logistic of an already-gained input, with both clamps applied."""
+    if z > _EXP_CAP:
+        z = _EXP_CAP
+    elif z < -_EXP_CAP:
+        z = -_EXP_CAP
+    y = 1.0 / (1.0 + exp(-z))
+    if y < _SIG_LO:
+        return _SIG_LO
+    if y > _SIG_HI:
+        return _SIG_HI
+    return y
+
+
+def _layer(rows: "list[list[float]]", a: "list[float]", g: float,
+           out: "list[float]") -> "list[float]":
+    """Append sigma(g * row . a) for every weight row to ``out``.
+
+    Each dot product is accumulated left to right, so the result does not
+    depend on the BLAS build or on the Python version.
+    """
+    for row in rows:
+        s = 0.0
+        for p in map(mul, row, a):
+            s += p
+        out.append(_sigma(g * s))
+    return out
+
+
+def _forward(wh: "list[list[float]]", wo: "list[list[float]]", xa: "list[float]",
+             g: float) -> "tuple[list[float], list[float]]":
+    """Forward pass on list weights; ``xa`` and the returned hidden activations
+    ``ha`` both lead with the constant bias input 1.0.  Returns (ha, o)."""
+    ha = _layer(wh, xa, g, [1.0])
+    return ha, _layer(wo, ha, g, [])
+
+
+def _update(wh: "list[list[float]]", wo: "list[list[float]]", xa: "list[float]",
+            target: "list[float]", lr: float, gain: float):
+    """One online update of ``wh``/``wo`` in place.  Returns (sse, e_p, g).
+
+    A first forward pass at the network's current gain measures how far the
+    pattern is off; that error fixes the gain applied to this update.  The
+    loss differentiated is 0.5 * sum((t - o)^2) at the applied gain, so the
+    weights take an exact gradient step; the reported error is the plain
+    summed square sum((t - o)^2) before the update.
+    """
+    ha, o = _forward(wh, wo, xa, gain)
+    e_p = 0.0
+    for ok, tk in zip(o, target):
+        d = abs(tk - ok)
+        if d > e_p or d != d:  # a NaN error is kept, and adaptive_gain rejects it
+            e_p = d
+    g = adaptive_gain(e_p)
+    if g != gain:
+        ha, o = _forward(wh, wo, xa, g)
+    sse = 0.0
+    d_out = []
+    for ok, tk in zip(o, target):
+        r = tk - ok
+        sse += r * r
+        d_out.append((ok - tk) * (g * ok * (1.0 - ok)))
+    # back[j] = sum over k of w_output[k][j] * d_out[k], summed in k order
+    # from the output weights as they were before this update.  Weights are
+    # updated element by element: on Python 3.11 a list comprehension per row
+    # costs a function call, which made the whole step a third slower.
+    back = [0.0] * len(ha)
+    for row, dk in zip(wo, d_out):
+        for j, a in enumerate(ha):
+            w = row[j]
+            back[j] += w * dk
+            row[j] = w - lr * (dk * a)
+    for j, row in enumerate(wh, 1):
+        h = ha[j]
+        dj = back[j] * (g * h * (1.0 - h))
+        for i, v in enumerate(xa):
+            row[i] -= lr * (dj * v)
+    return sse, e_p, g
+
+
+def _list_train(topology, patterns, cfg):
+    """The list kernel's train loop.  Returns (wh, wo, gain, losses, trace)."""
+    init = Mlp.random(topology, np.random.default_rng(cfg.seed), cfg.init_half_width)
+    wh, wo, gain = init.w_hidden.tolist(), init.w_output.tolist(), init.gain
+    losses, trace = [], []
+    for epoch in range(cfg.epochs):
+        total = 0.0
+        for i, p in enumerate(patterns):
+            sse, e_p, gain = _update(wh, wo, [1.0, *p.input.tolist()], p.target.tolist(),
+                                     cfg.learning_rate, gain)
+            total += sse
+            trace.append(GainTrace(epoch, i, e_p, gain))
+        losses.append(total / len(patterns))
+    return wh, wo, gain, losses, trace
+
+
+_EXACT_SHAPES = [(1, 1, 1), (3, 8, 1), (4, 8, 1), (4, 8, 3), (3, 8, 2)]
+
+
+def _random_patterns(topo, rng, count=30):
+    return [Pattern(rng.uniform(0, 1, topo.n_inputs), rng.uniform(0, 1, topo.n_outputs))
+            for _ in range(count)]
+
+
+class TestListKernelBitExact:
+    """The generated kernel against the list kernel, compared with ==."""
+
+    @pytest.mark.parametrize("half_width", [0.5, 20.0])
+    @pytest.mark.parametrize("shape", _EXACT_SHAPES)
+    def test_train_bit_exact(self, shape, half_width):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(sum(shape) + int(half_width))
+        patterns = _random_patterns(topo, rng)
+        cfg = TrainConfig(seed=3, epochs=6, init_half_width=half_width)
+        trace: list[GainTrace] = []
+        trained, losses = train(Mlp.zeros(topo), patterns, cfg, trace=trace)
+        wh, wo, gain, ref_losses, ref_trace = _list_train(topo, patterns, cfg)
+        assert trained.w_hidden.tolist() == wh
+        assert trained.w_output.tolist() == wo
+        assert losses == ref_losses
+        assert trained.gain == gain
+        assert trace == ref_trace
+        if half_width == 20.0:
+            # wide initial weights miss often enough to run the shrink branch
+            assert sum(1 for e in trace if e.gain < 1.0) >= 10
+
+    @pytest.mark.parametrize("shape", _EXACT_SHAPES)
+    def test_backprop_step_bit_exact(self, shape):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(100 + sum(shape))
+        for half_width in (0.5, 20.0):
+            for _ in range(25):
+                net = Mlp.random(topo, rng, half_width)
+                net.gain = float(rng.uniform(0.1, 1.0))
+                p = _random_patterns(topo, rng, 1)[0]
+                updated, sse = backprop_step(net, p, lr=0.2)
+                wh, wo = net.w_hidden.tolist(), net.w_output.tolist()
+                ref_sse, _, ref_gain = _update(wh, wo, [1.0, *p.input.tolist()],
+                                               p.target.tolist(), 0.2, net.gain)
+                assert (updated.w_hidden.tolist(), updated.w_output.tolist()) == (wh, wo)
+                assert (sse, updated.gain) == (ref_sse, ref_gain)
+
+    @pytest.mark.parametrize("shape", _EXACT_SHAPES)
+    def test_forward_bit_exact(self, shape):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(200 + sum(shape))
+        for half_width in (0.5, 20.0):
+            for _ in range(25):
+                net = Mlp.random(topo, rng, half_width)
+                net.gain = float(rng.uniform(0.1, 1.0))
+                x = rng.uniform(0, 1, topo.n_inputs)
+                _, ref = _forward(net.w_hidden.tolist(), net.w_output.tolist(),
+                                  [1.0, *x.tolist()], net.gain)
+                assert forward(net, x).tolist() == ref
+
+    def test_long_dot_products_sum_in_order(self):
+        # sums longer than one generated expression continue left to right
+        topo = MlpTopology(150, 3, 1)
+        rng = np.random.default_rng(9)
+        patterns = _random_patterns(topo, rng, 5)
+        cfg = TrainConfig(seed=4, epochs=2)
+        trained, losses = train(Mlp.zeros(topo), patterns, cfg)
+        wh, wo, _, ref_losses, _ = _list_train(topo, patterns, cfg)
+        assert (trained.w_hidden.tolist(), trained.w_output.tolist()) == (wh, wo)
+        assert losses == ref_losses

@@ -140,6 +140,30 @@ class TestExitCodes:
                      "--model", str(et0_path), "--et0-model", str(et0_path),
                      "--out", str(tmp_path / "est.csv")]) == 5
 
+    def test_non_finite_daily_cell_is_data_error(self, tmp_path, quick_config_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        path = data / "period1_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[5].split(",")
+        cells[5] = "nan"  # precip_mm
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train-et0", "--config", quick_config_path, "--data", str(path),
+                     "--out", str(tmp_path / "et0.model")]) == 4
+        assert "line 6: precip_mm must be finite" in capsys.readouterr().err
+
+    def test_stage_tag_kept_on_os_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "csv.cfg"
+        missing = tmp_path / "missing.csv"
+        cfg.write_text(f"period1.source = csv\nperiod1.data = {missing}\n",
+                       encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: load period1] [Errno 2]")
+        assert str(missing) in err
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         src = tmp_path / "hh.csv"
         src.write_text("wrong,header,row\n1,2,3\n", encoding="utf-8")

@@ -102,6 +102,14 @@ class TestDailyWeather:
         with pytest.raises(ValueError):
             DailyWeather(0, date(2011, 1, 1), tmax=30.0, tavg=25.0, tmin=18.0, precip=-1.0)
 
+    @pytest.mark.parametrize("field", ["tmax", "tavg", "tmin", "precip"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(tmax=30.0, tavg=25.0, tmin=18.0, precip=1.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            DailyWeather(0, date(2011, 1, 1), **values)
+
 
 class TestEt0Surrogate:
 

@@ -1,5 +1,7 @@
 """Config document, two-period experiment, report and plot-data files."""
 
+import errno
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -7,8 +9,9 @@ import pytest
 from conftest import quick_config
 from paddymoist.errors import DataFormatError
 from paddymoist.experiment import (default_config, export_plot_data, format_config,
-                                   load_period, parse_config, run_experiment,
-                                   write_report_files, write_synth_periods)
+                                   format_report_text, load_period, parse_config,
+                                   run_experiment, write_report_files,
+                                   write_synth_periods)
 from paddymoist.ingest import read_daily_csv
 from paddymoist.moisture import SimMode
 
@@ -124,6 +127,26 @@ class TestRunExperiment:
         with pytest.raises(ScheduleMismatchError) as exc:
             run_experiment(cfg)
         assert "[stage: " in str(exc.value)
+
+    def test_stage_keeps_os_error_intact(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        cfg = replace(quick_config(), period1=replace(quick_config().period1, source="csv",
+                                                      data_path=str(missing)))
+        with pytest.raises(FileNotFoundError) as exc:
+            run_experiment(cfg)
+        assert exc.value.errno == errno.ENOENT
+        assert exc.value.filename == str(missing)
+        assert exc.value.stage_tag == "[stage: load period1]"
+
+    def test_default_report_is_pinned(self, default_report):
+        # the bit-level trajectory of the default experiment: a change that
+        # moves any of these has to say so
+        cells = {name: c.r_squared for name, c in default_report.cells.items()}
+        assert cells == {"et0_train": 0.9872494396757201, "et0_val": 0.9638270366423602,
+                         "theta_train": 0.9854966253204749,
+                         "theta_val": 0.9618766947332298}
+        digest = hashlib.sha256(format_report_text(default_report).encode()).hexdigest()
+        assert digest == "80fe823d95b2cec74908acef70053d0eb0f667ac44ba91cdede7522862a38555"
 
 
 class TestReportFiles:

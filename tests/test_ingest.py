@@ -122,6 +122,15 @@ class TestHalfHourlyCsv:
         with pytest.raises(DataFormatError):
             read_half_hourly_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_reports_line(self, tmp_path, bad):
+        path = tmp_path / "hh.csv"
+        path.write_text("timestamp_iso8601,temp_c,precip_mm\n"
+                        "2011-01-05T00:00:00,20.0,0.0\n"
+                        f"2011-01-05T00:30:00,20.0,{bad}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: precip_mm must be finite"):
+            read_half_hourly_csv(path)
+
 
 class TestDailyCsv:
 
@@ -156,6 +165,18 @@ class TestDailyCsv:
     def test_theta_length_mismatch(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_daily_csv(tmp_path / "daily.csv", self._days(), [0.4])
+
+    @pytest.mark.parametrize("column", [2, 3, 4, 5, 6])
+    def test_non_finite_cell_rejected(self, tmp_path, column):
+        path = tmp_path / "daily.csv"
+        write_daily_csv(path, self._days(), [0.41, 0.435])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[column] = "nan"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3: .* must be finite"):
+            read_daily_csv(path)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "daily.csv"

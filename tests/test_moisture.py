@@ -172,6 +172,14 @@ class TestForcingDay:
         with pytest.raises(ValueError):
             ForcingDay(et0=1.0, precip=0.0, kc=0.0)
 
+    @pytest.mark.parametrize("field", ["et0", "precip", "kc"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(et0=1.0, precip=0.0, kc=1.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=field):
+            ForcingDay(**values)
+
 
 class TestCrossPeriodProtocol:
     """Moisture agreement cells on the default experiment."""
