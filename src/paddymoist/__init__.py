@@ -18,7 +18,8 @@ from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      OutOfSeasonError, PaddymoistError, ScheduleMismatchError,
                      UndefinedMetricError)
 from .evapo import (DailyWeather, Et0Model, SiteLocation, extraterrestrial_radiation,
-                    hargreaves_et0, hargreaves_series, predict_et0, train_et0_model)
+                    hargreaves_et0, hargreaves_series, predict_et0, predict_et0_series,
+                    train_et0_model)
 from .experiment import (ExperimentConfig, ExperimentReport, default_config,
                          export_plot_data, format_config, parse_config,
                          run_experiment, write_report_files)

@@ -29,14 +29,30 @@ returned as lists at the end, so a pattern visit indexes no list.
 :func:`train`, :func:`backprop_step` (one pattern, one epoch) and
 :func:`forward` all run this code; :func:`sigmoid_gain` keeps ``_sigma``.
 
+Inference over a series goes through :func:`bind`, which converts a net's
+weight matrices to flat float lists once and returns the generated forward
+pass over plain float lists.  :func:`forward` is ``bind`` plus the numpy
+conversions of one input and one output; a caller that runs a net day by
+day binds it once per series instead and pays neither conversion per day.
+The bound function holds a snapshot of the weights and gain taken at bind
+time: changing the net afterwards does not change it.
+
 The generated code performs exactly the floating-point operations of the
 plain loop, in the same order: every dot product is ``0.0 + w0 + w1*x1 +
 ...`` left to right, never through BLAS or the builtin ``sum`` (whose float
 algorithm changed in Python 3.12), the backward sums read the output weights
-from before the update, and the clamps of ``_sigma`` and the gain rule are
+from before the update, and the activation clamps and the gain rule are
 inlined.  Results therefore do not depend on the BLAS build or the Python
 version, and ``tests/test_ann.py`` keeps the plain loop to check this bit
 for bit.  The source is formatted only from the topology's integers.
+
+The activation keeps two clamps, the only two that can change a result.  A
+gained input below -709 is raised to -709, because ``exp`` overflows past
+it; the output is then at least 1 / (1 + e^709), about 1.2e-308, so no clamp
+is needed at the low end.  Above +37 the logistic rounds to exactly 1.0,
+which is lowered to the largest float below 1.0, so outputs stay in the open
+interval (0, 1).  A gained input above +709 needs no clamp of its own:
+``exp(-z)`` merely underflows to 0.0 and the output to the same 1.0.
 
 All public types are value types: training and update steps return new
 objects and never mutate their inputs, so models can be shared freely
@@ -47,19 +63,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import exp
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError
 
-# Open-interval bounds for the activation output.  float64 saturates the
-# logistic to exactly 0.0 / 1.0 for |g*y| > ~37; clamping keeps the
-# documented (0, 1) range without measurable effect elsewhere.
-_SIG_LO = math.nextafter(0.0, 1.0)
+# The activation's two clamps (see the module docstring): float64 rounds the
+# logistic to exactly 1.0 for g*y > ~37, and exp(-z) overflows for z < -709.
 _SIG_HI = math.nextafter(1.0, 0.0)
-_EXP_CAP = 709.0  # largest |z| before exp overflows
+_EXP_CAP = 709.0
 
 
 @dataclass(frozen=True)
@@ -192,13 +207,9 @@ class GainTrace:
 
 def _sigma(z: float) -> float:
     """Logistic of an already-gained input, with both clamps applied."""
-    if z > _EXP_CAP:
-        z = _EXP_CAP
-    elif z < -_EXP_CAP:
+    if z < -_EXP_CAP:
         z = -_EXP_CAP
     y = 1.0 / (1.0 + exp(-z))
-    if y < _SIG_LO:
-        return _SIG_LO
     if y > _SIG_HI:
         return _SIG_HI
     return y
@@ -231,11 +242,9 @@ def _sum(target: str, terms: "list[str]") -> "list[str]":
 def _sigma_lines(target: str, z: str) -> "list[str]":
     """Source lines setting ``target`` to ``_sigma(z)``, clamps included."""
     return [f"z = {z}",
-            f"if z > {_EXP_CAP!r}: z = {_EXP_CAP!r}",
-            f"elif z < {-_EXP_CAP!r}: z = {-_EXP_CAP!r}",
+            f"if z < {-_EXP_CAP!r}: z = {-_EXP_CAP!r}",
             f"{target} = 1.0 / (1.0 + exp(-z))",
-            f"if {target} < {_SIG_LO!r}: {target} = {_SIG_LO!r}",
-            f"elif {target} > {_SIG_HI!r}: {target} = {_SIG_HI!r}"]
+            f"if {target} > {_SIG_HI!r}: {target} = {_SIG_HI!r}"]
 
 
 def _kernel_source(n: int, h: int, o: int) -> str:
@@ -351,6 +360,24 @@ def _check_pattern(t: MlpTopology, p: Pattern, label: str) -> None:
         )
 
 
+def bind(net: Mlp) -> "Callable[[list[float]], list[float]]":
+    """The forward pass of ``net`` over plain float lists.
+
+    The weights and gain are converted once, here, and the returned function
+    keeps that snapshot: changing ``net`` later does not change it.  It maps
+    a list of ``n_inputs`` floats to a new list of ``n_outputs`` floats, each
+    strictly in (0, 1), bit for bit as :func:`forward` does; an input of the
+    wrong length raises ``ValueError``.
+    """
+    fwd = _kernel(net.topology)[1]
+    wh, wo, g = net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(), net.gain
+
+    def bound(x: "list[float]") -> "list[float]":
+        return fwd(wh, wo, x, g)
+
+    return bound
+
+
 def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
     """Run the network on one input vector; outputs lie strictly in (0, 1)."""
     x = np.asarray(input, dtype=float)
@@ -358,9 +385,7 @@ def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
         raise DimensionError(
             f"input length {x.size} does not match n_inputs {net.topology.n_inputs}"
         )
-    fwd = _kernel(net.topology)[1]
-    return np.array(fwd(net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(),
-                        x.tolist(), net.gain))
+    return np.array(bind(net)(x.tolist()))
 
 
 def pattern_error(target, output) -> float:
@@ -426,7 +451,12 @@ def normalize(x: float, nz: Normalizer) -> float:
     if not math.isfinite(x):
         raise ValueError(f"cannot normalize the non-finite value {x}")
     u = (x - nz.lo) / (nz.hi - nz.lo)
-    return min(max(u, 0.0), 1.0)
+    # two comparisons rather than min(max(...)), which is two calls: same value, -0.0 too
+    if u < 0.0:
+        return 0.0
+    if u > 1.0:
+        return 1.0
+    return u
 
 
 def denormalize(u: float, nz: Normalizer) -> float:

@@ -21,15 +21,16 @@ from pathlib import Path
 
 from . import persist
 from .ann import TrainConfig
-from .crop import kc_at, validate_schedule
+from .crop import validate_schedule
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
-from .evapo import predict_et0, train_et0_model
+from .evapo import train_et0_model
 from .experiment import (build_forcing, default_config, export_plot_data,
                          load_period, parse_config, run_experiment,
                          weather_params_for, write_report_files,
                          write_synth_periods, PeriodData)
-from .ingest import daily_aggregate, read_daily_csv, read_half_hourly_csv, write_daily_csv
+from .ingest import (check_consecutive, daily_aggregate, read_daily_csv,
+                     read_half_hourly_csv, write_daily_csv)
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import SimMode, simulate_moisture, train_moisture_model
 
@@ -49,12 +50,18 @@ def _replace_seed(cfg: TrainConfig, seed: "int | None") -> TrainConfig:
                        init_half_width=cfg.init_half_width)
 
 
-def _period_days(cfg, which: str, data: "str | None"):
-    """Resolve a daily series for a standalone verb: --data wins over config."""
+def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
+    """Resolve a daily series for a standalone verb: --data wins over config.
+
+    ``consecutive`` rejects a --data file that skips a date, as every verb
+    that steps through the series day by day must.
+    """
     if data is not None:
         days, theta = read_daily_csv(data)
         if not days:
             raise DataFormatError(f"{data} holds no days")
+        if consecutive:
+            check_consecutive(days, data)
         return days, theta
     spec = cfg.period1 if which == "period1" else cfg.period2
     period = load_period(cfg, spec, which)
@@ -87,7 +94,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train_et0(args) -> int:
     cfg = _load_config(args.config)
-    days, _ = _period_days(cfg, "period1", args.data)
+    days, _ = _period_days(cfg, "period1", args.data, consecutive=False)
     train_cfg = _replace_seed(cfg.et0_train, args.seed)
     model, losses = train_et0_model(days, cfg.site, train_cfg,
                                     temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm)

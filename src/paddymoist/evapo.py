@@ -82,6 +82,11 @@ class Et0Model:
             raise ValueError(f"ET0 surrogate must be 3-n-1, got {t}")
 
 
+def day_of_year(day: Date) -> int:
+    """Day of the year, 1 on 1 January; ``day.timetuple().tm_yday`` without the tuple."""
+    return day.toordinal() - Date(day.year, 1, 1).toordinal() + 1
+
+
 def extraterrestrial_radiation(site: SiteLocation, doy: int) -> float:
     """Daily top-of-atmosphere radiation Ra in MJ m-2 day-1 (FAO-56 eq. 21).
 
@@ -117,7 +122,7 @@ def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[fl
     """Hargreaves ET0 for each day, with Ra from the day's calendar date."""
     return [
         hargreaves_et0(d.tmax, d.tavg, d.tmin,
-                       extraterrestrial_radiation(site, d.date.timetuple().tm_yday))
+                       extraterrestrial_radiation(site, day_of_year(d.date)))
         for d in days
     ]
 
@@ -147,14 +152,21 @@ def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainCo
     return Et0Model(net, temp_norm, et0_norm), losses
 
 
-def predict_et0(model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
-    """Surrogate ET0 in mm/day; always inside the model's ET0 bounds."""
+def _predict(fwd, model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
+    """Surrogate ET0 for one day through ``fwd``, the model's bound net."""
     if tmax < tmin:
         raise ValueError(f"tmax ({tmax}) must be >= tmin ({tmin})")
-    x = [
-        ann.normalize(tmax, model.temp_norm),
-        ann.normalize(tavg, model.temp_norm),
-        ann.normalize(tmin, model.temp_norm),
-    ]
-    out = ann.forward(model.net, x)
-    return ann.denormalize(float(out[0]), model.et0_norm)
+    tn = model.temp_norm
+    (u,) = fwd([ann.normalize(tmax, tn), ann.normalize(tavg, tn), ann.normalize(tmin, tn)])
+    return ann.denormalize(u, model.et0_norm)
+
+
+def predict_et0(model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
+    """Surrogate ET0 in mm/day; always inside the model's ET0 bounds."""
+    return _predict(ann.bind(model.net), model, tmax, tavg, tmin)
+
+
+def predict_et0_series(model: Et0Model, days: "list[DailyWeather]") -> list[float]:
+    """:func:`predict_et0` for each day, binding the net once for the series."""
+    fwd = ann.bind(model.net)
+    return [_predict(fwd, model, d.tmax, d.tavg, d.tmin) for d in days]

@@ -26,9 +26,9 @@ from .ann import Normalizer, TrainConfig
 from .crop import KcSchedule, kc_at, validate_schedule
 from .errors import DataFormatError
 from .evapo import (DEFAULT_LATITUDE_RAD, DailyWeather, Et0Model, SiteLocation,
-                    hargreaves_series, predict_et0, train_et0_model)
+                    hargreaves_series, predict_et0_series, train_et0_model)
 from .hydro import FieldParams, WeatherGenParams, generate_truth, generate_weather
-from .ingest import read_daily_csv, write_daily_csv
+from .ingest import check_consecutive, read_daily_csv, write_daily_csv
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import (ForcingDay, MoistureModel, MoistureNormalizers, SimMode,
                        simulate_moisture, train_moisture_model)
@@ -225,14 +225,35 @@ def default_config() -> ExperimentConfig:
     return parse_config("")
 
 
+def _latitude_text(rad: float) -> str:
+    """Degrees text that parses back to exactly ``rad`` radians.
+
+    ``math.degrees`` does not invert ``math.radians`` exactly (3.0 comes back
+    as 3.0000000000000004), so the neighbouring float is tried too.  Any
+    latitude that ``parse_config`` produced is one of the two; for other
+    radian values that no float in degrees maps to, the nearest degrees are
+    written.
+    """
+    deg = math.degrees(rad)
+    if math.radians(deg) != rad:
+        near = math.nextafter(deg, math.inf if math.radians(deg) < rad else -math.inf)
+        if math.radians(near) == rad:
+            deg = near
+    return repr(deg)
+
+
 def format_config(cfg: ExperimentConfig) -> str:
-    """Echo every effective setting as a canonical config document."""
+    """Echo every effective setting as a canonical config document.
+
+    Parsing the document gives back ``cfg`` exactly when ``cfg`` came from
+    :func:`parse_config`.
+    """
 
     def norm(nz: Normalizer) -> str:
         return f"{nz.lo!r} {nz.hi!r}"
 
     pairs = [
-        ("site.latitude_deg", repr(math.degrees(cfg.site.latitude))),
+        ("site.latitude_deg", _latitude_text(cfg.site.latitude)),
         ("site.altitude_m", repr(cfg.site.altitude_m)),
         ("normalizer.temp_c", norm(cfg.temp_norm)),
         ("normalizer.et0_mm", norm(cfg.et0_norm)),
@@ -300,7 +321,11 @@ class PeriodData:
 
 
 def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
-    """Generate a synthetic period or read a daily CSV with observed theta."""
+    """Generate a synthetic period or read a daily CSV with observed theta.
+
+    A CSV period must hold consecutive days: the crop calendar and the
+    moisture lags step one list entry per day.
+    """
     if spec.source == "synth":
         weather = generate_weather(weather_params_for(cfg, spec))
         theta, _ = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
@@ -310,6 +335,7 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     days, theta = read_daily_csv(spec.data_path)
     if not days:
         raise DataFormatError(f"{name}: {spec.data_path} holds no days")
+    check_consecutive(days, f"{name}: {spec.data_path}")
     if any(v is None for v in theta):
         raise DataFormatError(
             f"{name}: {spec.data_path} must carry theta_vwc on every day"
@@ -358,11 +384,9 @@ def _cell(obs, est) -> MetricCell:
 
 def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) -> list[ForcingDay]:
     """Moisture forcing with the surrogate's (not Hargreaves') ET0, as deployed."""
-    forcing = []
-    for d, day in enumerate(period.days):
-        et0 = predict_et0(model, day.tmax, day.tavg, day.tmin)
-        forcing.append(ForcingDay(et0=et0, precip=day.precip, kc=kc_at(cfg.kc, d)))
-    return forcing
+    et0 = predict_et0_series(model, period.days)
+    return [ForcingDay(et0=e, precip=day.precip, kc=kc_at(cfg.kc, d))
+            for d, (e, day) in enumerate(zip(et0, period.days))]
 
 
 @contextmanager
@@ -408,8 +432,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     with _stage("predict et0"):
         harg1 = hargreaves_series(p1.days, cfg.site)
         harg2 = hargreaves_series(p2.days, cfg.site)
-        pred1 = [predict_et0(et0_model, d.tmax, d.tavg, d.tmin) for d in p1.days]
-        pred2 = [predict_et0(et0_model, d.tmax, d.tavg, d.tmin) for d in p2.days]
+        pred1 = predict_et0_series(et0_model, p1.days)
+        pred2 = predict_et0_series(et0_model, p2.days)
 
     with _stage("train moisture"):
         forcing1 = build_forcing(cfg, et0_model, p1)

@@ -22,7 +22,8 @@ from datetime import date as Date, timedelta
 import numpy as np
 
 from .crop import KcSchedule, kc_at, validate_schedule
-from .evapo import DailyWeather, SiteLocation, extraterrestrial_radiation, hargreaves_et0
+from .evapo import (DailyWeather, SiteLocation, day_of_year, extraterrestrial_radiation,
+                    hargreaves_et0)
 from .moisture import ForcingDay
 
 # Generator constants: day-to-day scatter of the mean temperature (deg C),
@@ -155,7 +156,7 @@ def generate_weather(g: WeatherGenParams) -> list[DailyWeather]:
     days = []
     for d in range(g.n_days):
         day_date = g.start_date + timedelta(days=d)
-        doy = day_date.timetuple().tm_yday
+        doy = day_of_year(day_date)
         tavg = (g.tavg_mean
                 + g.tavg_amplitude * math.cos(2.0 * math.pi * (doy - _SEASON_PEAK_DOY) / 365.0)
                 + rng.normal(0.0, _TAVG_NOISE_SD))
@@ -163,7 +164,9 @@ def generate_weather(g: WeatherGenParams) -> list[DailyWeather]:
         j_down = rng.lognormal(mu, _RANGE_JITTER_SIGMA)
         tmax = tavg + 0.5 * g.diurnal_range_mean * j_up
         tmin = tavg - 0.5 * g.diurnal_range_mean * j_down
-        wet = rng.uniform() < g.wet_day_prob
+        # random() is uniform()'s draw without its 0.0 + 1.0 * u scaling:
+        # the same value from the same stream, without the argument parsing
+        wet = rng.random() < g.wet_day_prob
         precip = float(rng.exponential(g.precip_mean_wet)) if wet else 0.0
         days.append(DailyWeather(day_index=d, date=day_date, tmax=tmax,
                                  tavg=tavg, tmin=tmin, precip=precip))
@@ -189,7 +192,7 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
     theta_series: list[float] = []
     forcing: list[ForcingDay] = []
     for d, day in enumerate(weather):
-        ra = extraterrestrial_radiation(site, day.date.timetuple().tm_yday)
+        ra = extraterrestrial_radiation(site, day_of_year(day.date))
         et0 = hargreaves_et0(day.tmax, day.tavg, day.tmin, ra)
         kc_d = kc_at(kc, d)
         theta, _ = water_balance_step(theta, p, day.precip, irrig.get(d, 0.0), kc_d * et0)

@@ -9,9 +9,12 @@ and daily files one row per day:
     date,day_index,tmax_c,tavg_c,tmin_c,precip_mm[,theta_vwc]
 
 Both are comma-separated UTF-8 with a mandatory header row and dot
-decimals.  Aggregation never fills gaps: a day with fewer than the required
-number of intervals is dropped and reported, so missing data stays visible
-all the way to the experiment report.
+decimals, and rows in strictly increasing time order.  Aggregation never
+fills gaps: a day with fewer than the required number of intervals is
+dropped and reported, so missing data stays visible all the way to the
+experiment report.  A daily file may therefore skip dates; a consumer that
+steps day by day (the crop calendar, lagged moisture) rejects it with
+:func:`check_consecutive`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
-from datetime import date as Date, datetime
+from datetime import date as Date, datetime, timedelta
 
 from .errors import DataFormatError, OrderingError
 from .evapo import DailyWeather
@@ -172,7 +175,11 @@ def write_half_hourly_csv(path, records: "list[HalfHourRecord]") -> None:
 
 
 def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
-    """Read a daily file; returns (days, theta list aligned with days)."""
+    """Read a daily file; returns (days, theta list aligned with days).
+
+    Dates must be strictly increasing: a repeated or earlier date raises
+    :class:`OrderingError` with its line number.  Skipped dates are allowed.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -195,6 +202,11 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
                 day = Date.fromisoformat(row[0])
             except ValueError:
                 raise DataFormatError(f"line {line_no}: cannot parse date from {row[0]!r}") from None
+            if days and day <= days[-1].date:
+                raise OrderingError(
+                    f"line {line_no}: dates must be strictly increasing; {day} "
+                    f"follows {days[-1].date}"
+                )
             try:
                 day_index = int(row[1])
             except ValueError:
@@ -212,6 +224,17 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
             else:
                 theta.append(None)
     return days, theta
+
+
+def check_consecutive(days: "list[DailyWeather]", source: str) -> None:
+    """Raise DataFormatError naming the first missing date in a strictly
+    increasing series of days (as :func:`read_daily_csv` returns)."""
+    for prev, cur in zip(days, days[1:]):
+        if cur.date.toordinal() - prev.date.toordinal() != 1:
+            raise DataFormatError(
+                f"{source}: no row for {(prev.date + timedelta(days=1)).isoformat()}; "
+                f"the days must be consecutive"
+            )
 
 
 def write_daily_csv(path, days: "list[DailyWeather]", theta: "list | None" = None) -> None:

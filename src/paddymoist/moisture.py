@@ -159,6 +159,7 @@ def simulate_moisture(m: MoistureModel, forcing: "list[ForcingDay]",
             raise DimensionError(
                 f"theta_obs has {len(theta_obs)} days but forcing has {len(forcing)}"
             )
+    fwd = ann.bind(m.net)
     estimates: list[float] = []
     source = theta_obs if mode is SimMode.TEACHER_FORCED else estimates
     for t, f in enumerate(forcing):
@@ -166,6 +167,6 @@ def simulate_moisture(m: MoistureModel, forcing: "list[ForcingDay]",
         for k in range(1, m.lag + 1):
             i = t - k
             lags.append(source[i] if i >= 0 else theta_init[m.lag + i])
-        out = ann.forward(m.net, _input_vector(f, lags, m.norms))
-        estimates.append(ann.denormalize(float(out[0]), m.norms.theta))
+        (u,) = fwd(_input_vector(f, lags, m.norms))
+        estimates.append(ann.denormalize(u, m.norms.theta))
     return estimates

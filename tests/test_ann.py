@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from paddymoist.ann import (GainTrace, Mlp, MlpTopology, Normalizer, Pattern,
-                            TrainConfig, adaptive_gain, backprop_step, denormalize,
-                            forward, normalize, pattern_error, sigmoid_gain, train)
+                            TrainConfig, adaptive_gain, backprop_step, bind,
+                            denormalize, forward, normalize, pattern_error,
+                            sigmoid_gain, train)
 from paddymoist.errors import DimensionError
 
 
@@ -613,3 +614,90 @@ class TestListKernelBitExact:
         wh, wo, _, ref_losses, _ = _list_train(topo, patterns, cfg)
         assert (trained.w_hidden.tolist(), trained.w_output.tolist()) == (wh, wo)
         assert losses == ref_losses
+
+
+class TestBind:
+    """The bound forward pass against forward(), compared with ==."""
+
+    @pytest.mark.parametrize("shape", _EXACT_SHAPES)
+    def test_bound_equals_forward(self, shape):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(300 + sum(shape))
+        for half_width in (0.5, 20.0):
+            for _ in range(10):
+                net = Mlp.random(topo, rng, half_width)
+                net.gain = float(rng.uniform(0.1, 1.0))
+                fwd = bind(net)
+                for _ in range(5):
+                    x = rng.uniform(0, 1, topo.n_inputs)
+                    out = fwd(x.tolist())
+                    assert type(out) is list and all(type(v) is float for v in out)
+                    assert out == forward(net, x).tolist()
+
+    def test_weights_are_a_snapshot(self):
+        rng = np.random.default_rng(8)
+        net = Mlp.random(MlpTopology(3, 8, 1), rng)
+        x = [0.2, 0.5, 0.7]
+        fwd = bind(net)
+        before = fwd(x)
+        net.w_hidden[0, 1] += 1.0
+        net.w_output[0, 0] -= 1.0
+        net.gain = 0.5
+        assert fwd(x) == before
+        assert bind(net)(x) == forward(net, x).tolist() != before
+
+    def test_wrong_length_raises(self):
+        fwd = bind(Mlp.zeros(MlpTopology(3, 8, 1)))
+        for x in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4]):
+            with pytest.raises(ValueError):
+                fwd(x)
+
+
+# gained inputs on both sides of the -709 clamp, past exp's overflow, and at
+# the ends of the float range
+_EXTREME_Z = [709.5, -709.5, 800.0, -800.0, 1e308, -1e308]
+
+
+class TestExtremePreActivations:
+    """The two remaining clamps give what the four clamps of the list kernel
+    gave, compared with == at pre-activations far outside the usual range."""
+
+    def test_sigmoid_gain(self):
+        for y in _EXTREME_Z:
+            for g in (1.0, 0.5, 7.3, 1e-300):  # 7.3 * 1e308 overflows to inf
+                assert sigmoid_gain(y, g) == _sigma(g * y)
+                assert 0.0 < sigmoid_gain(y, g) < 1.0
+
+    @pytest.mark.parametrize("gain", [1.0, 0.25])
+    def test_forward(self, gain):
+        # hidden node 1 sees z through its input weight; hidden node 2 sums
+        # two huge weights to +inf or -inf; the output node sees z as its bias
+        cases = []
+        for z in _EXTREME_Z:
+            cases.append(([[0.0, z], [0.0, 0.0]], [[0.0, 1.0, 1.0]]))
+            cases.append(([[0.0, 0.0], [0.0, 0.0]], [[z, 0.0, 0.0]]))
+        for big in (1e308, -1e308):
+            cases.append(([[0.0, 0.0], [big, big]], [[0.0, 1.0, -1.0]]))
+            cases.append(([[big, big], [0.0, 0.0]], [[big, big, 0.0]]))
+        for wh, wo in cases:
+            net = Mlp(MlpTopology(1, 2, 1), np.array(wh), np.array(wo), gain=gain)
+            _, ref = _forward(wh, wo, [1.0, 1.0], gain)
+            assert forward(net, [1.0]).tolist() == ref
+            assert bind(net)([1.0]) == ref
+            assert 0.0 < ref[0] < 1.0
+
+
+class TestNormalizeClamp:
+
+    def test_same_value_as_min_max(self):
+        nz = Normalizer(0.0, 50.0)
+        for x in (-1e300, -3.5, -0.0, 0.0, 12.25, 50.0, 50.5, 1e300):
+            u = (x - nz.lo) / (nz.hi - nz.lo)
+            expected = min(max(u, 0.0), 1.0)
+            got = normalize(x, nz)
+            assert got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+    def test_keeps_the_sign_of_negative_zero(self):
+        got = normalize(-0.0, Normalizer(0.0, 1.0))
+        assert got == 0.0 and math.copysign(1.0, got) == -1.0

@@ -1,6 +1,7 @@
 """CLI verbs, wired through main(argv), and the exit-code contract."""
 
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,37 @@ class TestExitCodes:
         assert main(["train-et0", "--config", quick_config_path, "--data", str(path),
                      "--out", str(tmp_path / "et0.model")]) == 4
         assert "line 6: precip_mm must be finite" in capsys.readouterr().err
+
+    def test_unordered_or_gapped_daily_file_is_data_error(self, tmp_path,
+                                                          quick_config_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        path = data / "period1_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        swapped = lines[:]
+        swapped[5], swapped[6] = swapped[6], swapped[5]
+        path.write_text("\n".join(swapped) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train-et0", "--config", quick_config_path, "--data", str(path),
+                     "--out", str(tmp_path / "et0.model")]) == 4
+        assert ("line 7: dates must be strictly increasing; 2010-10-18 follows 2010-10-19"
+                in capsys.readouterr().err)
+
+        del lines[5]  # 2010-10-18
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(Path(quick_config_path).read_text(encoding="utf-8")
+                       .replace("period1.source = synth", "period1.source = csv")
+                       .replace("period1.data = ", f"period1.data = {path}"),
+                       encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: [stage: load period1]")
+        assert "no row for 2010-10-18" in err
+        assert main(["simulate", "--config", quick_config_path, "--data", str(path),
+                     "--model", "unused", "--et0-model", "unused",
+                     "--out", str(tmp_path / "est.csv")]) == 4
+        assert "no row for 2010-10-18" in capsys.readouterr().err
 
     def test_stage_tag_kept_on_os_errors(self, tmp_path, capsys):
         cfg = tmp_path / "csv.cfg"

@@ -1,16 +1,18 @@
 """Hargreaves oracle, extraterrestrial radiation, and the ET0 surrogate."""
 
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from paddymoist.ann import Mlp, MlpTopology, TrainConfig
+from paddymoist.ann import (Mlp, MlpTopology, TrainConfig, denormalize, forward,
+                            normalize)
 from paddymoist.errors import DimensionError
 from paddymoist.evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, DailyWeather,
-                              Et0Model, SiteLocation, extraterrestrial_radiation,
-                              hargreaves_et0, hargreaves_series, predict_et0,
+                              Et0Model, SiteLocation, day_of_year,
+                              extraterrestrial_radiation, hargreaves_et0,
+                              hargreaves_series, predict_et0, predict_et0_series,
                               train_et0_model)
 from paddymoist.experiment import default_config, weather_params_for
 from paddymoist.hydro import generate_weather
@@ -68,6 +70,15 @@ class TestExtraterrestrialRadiation:
     def test_latitude_bound(self):
         with pytest.raises(ValueError):
             SiteLocation(latitude=math.pi / 2)
+
+
+class TestDayOfYear:
+
+    def test_matches_timetuple_every_day_1999_to_2030(self):
+        day = date(1999, 1, 1)
+        while day <= date(2030, 12, 31):
+            assert day_of_year(day) == day.timetuple().tm_yday, day
+            day += timedelta(days=1)
 
 
 class TestHargreaves:
@@ -134,6 +145,26 @@ class TestEt0Surrogate:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             train_et0_model([], SiteLocation(), TrainConfig(seed=1))
+
+    def test_series_equals_per_day_and_numpy_forward(self):
+        rng = np.random.default_rng(17)
+        net = Mlp.random(MlpTopology(3, 8, 1), rng, 3.0)
+        net.gain = 0.7
+        model = Et0Model(net)
+        cfg = default_config()
+        days = generate_weather(weather_params_for(cfg, cfg.period2))
+        days.append(DailyWeather(len(days), date(2012, 1, 1), tmax=60.0, tavg=-1.0,
+                                 tmin=-5.0, precip=0.0))  # clamped on both sides
+        series = predict_et0_series(model, days)
+        assert series == [predict_et0(model, d.tmax, d.tavg, d.tmin) for d in days]
+        # the per-day path through numpy that the bound net replaced
+        tn = model.temp_norm
+        assert series == [
+            denormalize(float(forward(model.net, [normalize(d.tmax, tn), normalize(d.tavg, tn),
+                                                  normalize(d.tmin, tn)])[0]),
+                        model.et0_norm)
+            for d in days]
+        assert predict_et0_series(model, []) == []
 
     def test_loss_history_has_epochs_entries(self):
         cfg = default_config()

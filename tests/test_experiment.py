@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import quick_config
-from paddymoist.errors import DataFormatError
+from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.experiment import (default_config, export_plot_data, format_config,
                                    format_report_text, load_period, parse_config,
                                    run_experiment, write_report_files,
@@ -112,6 +112,31 @@ class TestRunExperiment:
         write_daily_csv(path, weather)  # no theta column
         spec = replace(cfg.period1, source="csv", data_path=str(path))
         with pytest.raises(DataFormatError):
+            load_period(cfg, spec, "period1")
+
+    def _edited_period(self, tmp_path, edit):
+        cfg = quick_config()
+        write_synth_periods(cfg, tmp_path)
+        path = tmp_path / "period1_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return cfg, replace(cfg.period1, source="csv", data_path=str(path))
+
+    def test_csv_period_with_missing_days_rejected(self, tmp_path):
+        # lines[i] is day i - 1 from 2010-10-14: drop 2010-10-25 and 2010-10-26
+        cfg, spec = self._edited_period(tmp_path, lambda lines: lines.__delitem__(slice(12, 14)))
+        with pytest.raises(DataFormatError, match="no row for 2010-10-25"):
+            load_period(cfg, spec, "period1")
+        with pytest.raises(DataFormatError, match=r"\[stage: load period1\] period1: .*"
+                                                  r"no row for 2010-10-25"):
+            run_experiment(replace(cfg, period1=spec))
+
+    def test_csv_period_with_swapped_days_rejected(self, tmp_path):
+        def swap(lines):
+            lines[12], lines[13] = lines[13], lines[12]
+        cfg, spec = self._edited_period(tmp_path, swap)
+        with pytest.raises(OrderingError, match="line 14: .*2010-10-25 follows 2010-10-26"):
             load_period(cfg, spec, "period1")
 
     def test_teacher_forced_validation_mode(self):

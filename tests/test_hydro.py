@@ -118,6 +118,17 @@ class TestGenerateWeather:
         mean = sum(d.tavg for d in days) / len(days)
         assert abs(mean - 24.0) < 1.0
 
+    def test_wet_day_draw_is_the_uniform_draw(self):
+        # the generator draws the wet-day test with random(), which must give
+        # what uniform() gives and leave the stream where uniform() leaves it
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                assert a.normal(0.0, 0.5) == b.normal(0.0, 0.5)
+                assert a.lognormal(-0.15, 0.55) == b.lognormal(-0.15, 0.55)
+                assert a.random() == b.uniform()
+                assert a.exponential(15.0) == b.exponential(15.0)
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             WeatherGenParams(seed=1, n_days=0)

@@ -6,8 +6,8 @@ import pytest
 
 from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.evapo import DailyWeather
-from paddymoist.ingest import (HalfHourRecord, daily_aggregate, read_daily_csv,
-                               read_half_hourly_csv, write_daily_csv,
+from paddymoist.ingest import (HalfHourRecord, check_consecutive, daily_aggregate,
+                               read_daily_csv, read_half_hourly_csv, write_daily_csv,
                                write_half_hourly_csv)
 
 
@@ -183,6 +183,46 @@ class TestDailyCsv:
         path.write_text("a,b,c\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             read_daily_csv(path)
+
+    def _rewrite_dates(self, path, dates):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, day in enumerate(dates, start=1):
+            lines[i] = day + lines[i][10:]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def _three_days(self, tmp_path, dates):
+        days = [DailyWeather(i, date(2011, 1, 5 + i), tmax=30.0, tavg=25.0, tmin=20.0,
+                             precip=0.0) for i in range(3)]
+        path = tmp_path / "daily.csv"
+        write_daily_csv(path, days, [0.4, 0.41, 0.42])
+        self._rewrite_dates(path, dates)
+        return path
+
+    @pytest.mark.parametrize("dates, line, follows", [
+        (["2011-01-05", "2011-01-05", "2011-01-06"], 3, "2011-01-05 follows 2011-01-05"),
+        (["2011-01-05", "2011-01-07", "2011-01-06"], 4, "2011-01-06 follows 2011-01-07"),
+        (["2011-01-06", "2011-01-05", "2011-01-07"], 3, "2011-01-05 follows 2011-01-06"),
+    ])
+    def test_repeated_or_earlier_date_rejected(self, tmp_path, dates, line, follows):
+        path = self._three_days(tmp_path, dates)
+        with pytest.raises(OrderingError, match=f"line {line}: .*{follows}"):
+            read_daily_csv(path)
+
+    def test_gapped_increasing_dates_read(self, tmp_path):
+        # aggregation drops under-covered days, so a daily file may skip dates
+        path = self._three_days(tmp_path, ["2011-01-05", "2011-01-08", "2011-01-09"])
+        days, theta = read_daily_csv(path)
+        assert [d.date for d in days] == [date(2011, 1, 5), date(2011, 1, 8),
+                                          date(2011, 1, 9)]
+        assert theta == [0.4, 0.41, 0.42]
+
+    def test_check_consecutive_names_first_missing_date(self, tmp_path):
+        path = self._three_days(tmp_path, ["2011-01-05", "2011-01-06", "2011-01-07"])
+        check_consecutive(read_daily_csv(path)[0], "ok")
+        path = self._three_days(tmp_path, ["2011-01-05", "2011-01-08", "2011-01-10"])
+        with pytest.raises(DataFormatError, match="^src: no row for 2011-01-06;"):
+            check_consecutive(read_daily_csv(path)[0], "src")
+        assert check_consecutive([], "empty") is None
 
     def test_write_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from paddymoist.ann import Mlp, MlpTopology, TrainConfig, forward
+from paddymoist.ann import (Mlp, MlpTopology, Normalizer, TrainConfig, denormalize,
+                            forward, normalize)
 from paddymoist.errors import DimensionError, InsufficientHistoryError
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,
                                  SimMode, build_patterns, simulate_moisture,
@@ -136,6 +137,29 @@ class TestSimulateMoisture:
         for t, p in enumerate(patterns, start=1):
             one_step = float(forward(model.net, p.input)[0])  # theta norm is identity
             assert est[t] == one_step
+
+    @pytest.mark.parametrize("lag", [1, 2])
+    @pytest.mark.parametrize("mode", list(SimMode))
+    def test_matches_per_day_numpy_forward(self, lag, mode):
+        # the net is bound once per call; the estimates must be those of the
+        # per-day numpy forward pass it replaced, bit for bit
+        rng = np.random.default_rng(20 + lag)
+        norms = MoistureNormalizers(theta=Normalizer(0.1, 0.6))
+        net = Mlp.random(MlpTopology(3 + lag, 8, 1), rng, 4.0)
+        net.gain = 0.6
+        model = MoistureModel(net, lag, norms)
+        forcing, theta = _forcing(rng, 30), _theta(rng, 30)
+        init = _theta(rng, lag)
+        est = simulate_moisture(model, forcing, init, mode,
+                                theta_obs=theta if mode is SimMode.TEACHER_FORCED else None)
+        ref: list = []
+        source = theta if mode is SimMode.TEACHER_FORCED else ref
+        for t, f in enumerate(forcing):
+            lags = [source[t - k] if t >= k else init[lag + t - k] for k in range(1, lag + 1)]
+            x = [normalize(f.et0, norms.et0), normalize(f.precip, norms.precip),
+                 normalize(f.kc, norms.kc), *(normalize(v, norms.theta) for v in lags)]
+            ref.append(denormalize(float(forward(model.net, x)[0]), norms.theta))
+        assert est == ref
 
     def test_closed_loop_matches_scalar_iteration_oracle(self):
         # hand-set weights so the output depends only on the lagged theta;

@@ -1,0 +1,157 @@
+"""Property tests over random inputs: the bucket's ledger, closed-loop bounds,
+and the config document's round trip."""
+
+import math
+import string
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from paddymoist.ann import Mlp, MlpTopology, Normalizer  # noqa: E402
+from paddymoist.experiment import format_config, parse_config  # noqa: E402
+from paddymoist.hydro import FieldParams, water_balance_step  # noqa: E402
+from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
+                                 SimMode, simulate_moisture)
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def field_params(draw):
+    res = draw(_floats(0.0, 0.5))
+    sat = draw(_floats(res, 0.9, exclude_min=True))
+    return FieldParams(
+        root_depth=draw(_floats(0.05, 2.0)),
+        theta_sat=sat,
+        theta_res=res,
+        theta_init=draw(_floats(res, sat, exclude_min=True)),
+        runoff_threshold=draw(_floats(res, sat, exclude_min=True)),
+        perc_rate=draw(_floats(0.0, 50.0)),
+    )
+
+
+class TestWaterBalanceProperties:
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=field_params(), data=st.data(),
+           precip=_floats(0.0, 500.0), irrig=_floats(0.0, 100.0), etc=_floats(0.0, 30.0))
+    def test_ledger_closes_and_theta_stays_physical(self, p, data, precip, irrig, etc):
+        theta = data.draw(_floats(p.theta_res, p.theta_sat), label="theta")
+        theta_next, fx = water_balance_step(theta, p, precip, irrig, etc)
+        delta = (theta_next - theta) * (p.root_depth * 1000.0)
+        budget = precip + irrig - fx.etc_mm - fx.runoff_mm - fx.perc_mm
+        assert abs(delta - budget) <= 1e-9
+        assert p.theta_res <= theta_next <= p.theta_sat
+        assert min(fx.etc_mm, fx.runoff_mm, fx.perc_mm) >= 0.0
+        assert fx.etc_mm <= etc and fx.perc_mm <= p.perc_rate
+
+
+@st.composite
+def normalizers(draw):
+    lo = draw(_floats(-1e3, 1e3))
+    return Normalizer(lo, draw(_floats(lo, 2e3, exclude_min=True)))
+
+
+class TestClosedLoopProperties:
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), half_width=_floats(0.01, 200.0),
+           lag=st.integers(1, 3), theta_norm=normalizers(), data=st.data())
+    def test_estimates_stay_inside_theta_normalizer(self, seed, half_width, lag,
+                                                    theta_norm, data):
+        rng = np.random.default_rng(seed)
+        net = Mlp.random(MlpTopology(3 + lag, 8, 1), rng, half_width)
+        model = MoistureModel(net, lag, MoistureNormalizers(theta=theta_norm))
+        forcing = data.draw(st.lists(
+            st.builds(ForcingDay, et0=_floats(0.0, 20.0), precip=_floats(0.0, 300.0),
+                      kc=_floats(0.01, 2.0)),
+            min_size=1, max_size=40), label="forcing")
+        theta_init = data.draw(st.lists(_floats(-1e4, 1e4), min_size=lag, max_size=lag),
+                               label="theta_init")
+        est = simulate_moisture(model, forcing, theta_init, SimMode.CLOSED_LOOP)
+        assert len(est) == len(forcing)
+        assert all(theta_norm.lo <= v <= theta_norm.hi for v in est)
+
+
+def _real(lo, hi):
+    return _floats(lo, hi).map(repr)
+
+
+def _pair(lo, hi):
+    return st.tuples(_floats(lo, hi), _floats(lo, hi)).filter(
+        lambda p: p[0] < p[1]).map(lambda p: f"{p[0]!r} {p[1]!r}")
+
+
+# "#" starts a comment and a newline ends the line, so no config value holds them
+_PATH_CHARS = string.ascii_letters + string.digits + "/._-= "
+
+
+@st.composite
+def config_texts(draw):
+    """A config document setting every key to a random valid value."""
+    res = draw(_floats(0.0, 0.5))
+    sat = draw(_floats(res, 0.9, exclude_min=True))
+    above_res = _floats(res, sat, exclude_min=True).map(repr)
+    values = {
+        "site.latitude_deg": _real(-89.9, 89.9),
+        "site.altitude_m": _real(-400.0, 5000.0),
+        "normalizer.temp_c": _pair(-60.0, 80.0),
+        "normalizer.et0_mm": _pair(0.0, 30.0),
+        "normalizer.precip_mm": _pair(0.0, 500.0),
+        "normalizer.kc": _pair(0.0, 3.0),
+        "normalizer.theta_vwc": _pair(0.0, 1.0),
+        "kc.stage_lengths": st.lists(st.integers(1, 200), min_size=4, max_size=4).map(
+            lambda xs: " ".join(map(str, xs))),
+        "kc.values": st.lists(_floats(0.01, 2.0), min_size=3, max_size=3).map(
+            lambda xs: " ".join(map(repr, xs))),
+        "moisture.lag": st.integers(1, 5).map(str),
+        "moisture.sim_mode": st.sampled_from([m.value for m in SimMode]),
+        "moisture.theta_init": _real(0.0, 1.0),
+        "weather.tavg_mean_c": _real(-10.0, 40.0),
+        "weather.tavg_amplitude_c": _real(0.0, 10.0),
+        "weather.diurnal_range_c": _real(0.1, 30.0),
+        "weather.wet_day_prob": _real(0.0, 1.0),
+        "weather.precip_mean_wet_mm": _real(0.0, 60.0),
+        "field.root_depth_m": _real(0.05, 2.0),
+        "field.theta_sat": st.just(repr(sat)),
+        "field.theta_res": st.just(repr(res)),
+        "field.theta_init": above_res,
+        "field.runoff_threshold": above_res,
+        "field.percolation_mm_day": _real(0.0, 50.0),
+    }
+    for model in ("et0", "moisture"):
+        values[f"train.{model}.epochs"] = st.integers(1, 10**6).map(str)
+        values[f"train.{model}.learning_rate"] = _real(1e-6, 10.0)
+        values[f"train.{model}.seed"] = st.integers(0, 2**63).map(str)
+        values[f"train.{model}.init_half_width"] = _real(1e-6, 100.0)
+    for period in ("period1", "period2"):
+        values[f"{period}.planting"] = st.dates().map(lambda d: d.isoformat())
+        values[f"{period}.days"] = st.integers(1, 10**4).map(str)
+        values[f"{period}.source"] = st.sampled_from(["synth", "csv"])
+        values[f"{period}.seed"] = st.integers(0, 2**63).map(str)
+        values[f"{period}.data"] = st.text(_PATH_CHARS, max_size=30).map(str.strip)
+    return "".join(f"{key} = {draw(strategy)}\n" for key, strategy in values.items())
+
+
+class TestConfigRoundTrip:
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=config_texts())
+    def test_format_then_parse_gives_the_same_config(self, text):
+        cfg = parse_config(text)
+        echoed = format_config(cfg)
+        assert parse_config(echoed) == cfg
+        assert format_config(parse_config(echoed)) == echoed
+
+    @settings(max_examples=300, deadline=None)
+    @given(lat_deg=_floats(-89.99, 89.99))
+    @example(lat_deg=3.0)  # math.degrees(math.radians(3.0)) == 3.0000000000000004
+    def test_latitude_round_trips_exactly(self, lat_deg):
+        cfg = parse_config(f"site.latitude_deg = {lat_deg!r}\n")
+        assert parse_config(format_config(cfg)).site.latitude == cfg.site.latitude
+        assert math.isfinite(cfg.site.latitude)
