@@ -4,8 +4,8 @@ Verbs mirror the pipeline stages: ``synth`` writes two synthetic seasons,
 ``ingest`` collapses half-hourly station files to daily, ``train-et0`` /
 ``train-moisture`` fit and save the two models, ``simulate`` runs a saved
 moisture model over a season, ``evaluate`` scores two CSV columns,
-``run`` executes the whole two-period experiment, and ``export-plots``
-regenerates the tidy plot CSVs for a config.
+and ``run`` executes the whole two-period experiment, writing the report,
+the metrics and the tidy plot CSVs.
 
 Exit codes: 0 success, 2 usage, 3 invalid values or dimensions, 4 malformed
 data or config, 5 unsupported artifact version, 6 I/O failure, 1 anything
@@ -17,37 +17,27 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import persist
-from .ann import TrainConfig
 from .crop import validate_schedule
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
 from .evapo import train_et0_model
 from .experiment import (build_forcing, default_config, export_plot_data,
                          load_period, parse_config, run_experiment,
-                         weather_params_for, write_report_files,
-                         write_synth_periods, PeriodData)
+                         write_report_files, write_synth_periods, PeriodData)
 from .ingest import (check_consecutive, daily_aggregate, read_daily_csv,
                      read_half_hourly_csv, write_daily_csv)
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import SimMode, simulate_moisture, train_moisture_model
-
-logger = logging.getLogger("paddymoist")
 
 
 def _load_config(path: "str | None"):
     if path is None:
         return default_config()
     return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
-def _replace_seed(cfg: TrainConfig, seed: "int | None") -> TrainConfig:
-    if seed is None:
-        return cfg
-    return TrainConfig(seed=seed, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                       init_half_width=cfg.init_half_width)
 
 
 def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
@@ -71,7 +61,6 @@ def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
 def cmd_synth(args) -> int:
     cfg = _load_config(args.config)
     if args.seed1 is not None or args.seed2 is not None:
-        from dataclasses import replace
         p1 = replace(cfg.period1, seed=args.seed1) if args.seed1 is not None else cfg.period1
         p2 = replace(cfg.period2, seed=args.seed2) if args.seed2 is not None else cfg.period2
         cfg = replace(cfg, period1=p1, period2=p2)
@@ -95,7 +84,7 @@ def cmd_ingest(args) -> int:
 def cmd_train_et0(args) -> int:
     cfg = _load_config(args.config)
     days, _ = _period_days(cfg, "period1", args.data, consecutive=False)
-    train_cfg = _replace_seed(cfg.et0_train, args.seed)
+    train_cfg = cfg.et0_train if args.seed is None else replace(cfg.et0_train, seed=args.seed)
     model, losses = train_et0_model(days, cfg.site, train_cfg,
                                     temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm)
     digest = persist.data_digest([d.tmax for d in days], [d.tavg for d in days],
@@ -118,7 +107,8 @@ def cmd_train_moisture(args) -> int:
     et0_model = persist.et0_from_artifact(persist.load_model(args.et0_model))
     period = PeriodData(name="train", days=days, theta_obs=theta)
     forcing = build_forcing(cfg, et0_model, period)
-    train_cfg = _replace_seed(cfg.moisture_train, args.seed)
+    train_cfg = (cfg.moisture_train if args.seed is None
+                 else replace(cfg.moisture_train, seed=args.seed))
     model, losses = train_moisture_model(forcing, theta, train_cfg, lag=cfg.lag,
                                          norms=cfg.moisture_norms)
     digest = persist.data_digest([f.et0 for f in forcing], [f.precip for f in forcing],
@@ -200,14 +190,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_export_plots(args) -> int:
-    cfg = _load_config(args.config)
-    report = run_experiment(cfg)
-    for p in export_plot_data(report, args.out):
-        print(p)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paddymoist",
@@ -257,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est-col", default="estimated_theta_vwc")
 
     p = add("run", cmd_run, "full two-period experiment: report, metrics, plot data")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = add("export-plots", cmd_export_plots, "write tidy plot CSVs for a config")
     p.add_argument("--out", required=True, help="output directory")
 
     return parser

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date
+from operator import attrgetter
+from pathlib import Path
+from typing import get_type_hints
 
 from .ann import Normalizer, TrainConfig
 from .crop import KcSchedule, kc_at, validate_schedule
@@ -49,6 +52,11 @@ class PeriodSpec:
             raise DataFormatError(f"period source must be synth or csv, got {self.source!r}")
         if self.n_days < 1:
             raise ValueError(f"period needs at least 1 day, got {self.n_days}")
+        # A config line ends at a newline and its value at "#", and is stripped.
+        if (any(c in self.data_path for c in "#\n\r")
+                or self.data_path != self.data_path.strip()):
+            raise DataFormatError(f"period data path cannot hold '#', a line break or "
+                                  f"leading or trailing space: {self.data_path!r}")
 
 
 @dataclass(frozen=True)
@@ -80,149 +88,19 @@ class ExperimentConfig:
                                    kc=self.kc_norm, theta=self.theta_norm)
 
 
-# Canonical defaults: Table-like planting dates two cultivation periods
-# apart, 118-day seasons, and generator/bucket values chosen so the
-# synthetic analog lands near the protocol's expected agreement levels.
-_DEFAULTS: "dict[str, str]" = {
-    "site.latitude_deg": repr(math.degrees(DEFAULT_LATITUDE_RAD)),
-    "site.altitude_m": "536.0",
-    "normalizer.temp_c": "0 50",
-    "normalizer.et0_mm": "0 10",
-    "normalizer.precip_mm": "0 100",
-    "normalizer.kc": "0 1.5",
-    "normalizer.theta_vwc": "0 1",
-    "kc.stage_lengths": "20 30 40 28",
-    "kc.values": "1.05 1.2 0.9",
-    "train.et0.epochs": "1000",
-    "train.et0.learning_rate": "0.5",
-    "train.et0.seed": "42",
-    "train.et0.init_half_width": "0.5",
-    "train.moisture.epochs": "1000",
-    "train.moisture.learning_rate": "0.5",
-    "train.moisture.seed": "7",
-    "train.moisture.init_half_width": "0.5",
-    "moisture.lag": "1",
-    "moisture.sim_mode": "closed_loop",
-    "moisture.theta_init": "0.45",
-    "period1.planting": "2010-10-14",
-    "period1.days": "118",
-    "period1.source": "synth",
-    "period1.seed": "101",
-    "period1.data": "",
-    "period2.planting": "2011-08-20",
-    "period2.days": "118",
-    "period2.source": "synth",
-    "period2.seed": "202",
-    "period2.data": "",
-    "weather.tavg_mean_c": "24.0",
-    "weather.tavg_amplitude_c": "0.5",
-    "weather.diurnal_range_c": "10.0",
-    "weather.wet_day_prob": "0.55",
-    "weather.precip_mean_wet_mm": "15.0",
-    "field.root_depth_m": "0.2",
-    "field.theta_sat": "0.55",
-    "field.theta_res": "0.15",
-    "field.theta_init": "0.45",
-    "field.runoff_threshold": "0.52",
-    "field.percolation_mm_day": "3.0",
-}
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
 
 
-def _parse_pair(raw: str, key: str) -> Normalizer:
-    parts = raw.split()
-    if len(parts) != 2:
-        raise DataFormatError(f"{key}: expected 'lo hi', got {raw!r}")
-    return Normalizer(float(parts[0]), float(parts[1]))
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a config document; unknown keys are rejected, missing ones default."""
-    values = dict(_DEFAULTS)
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise DataFormatError(f"config line {line_no}: expected 'key = value', got {line!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip()
-        if key not in values:
-            raise DataFormatError(f"config line {line_no}: unknown key {key!r}")
-        values[key] = raw.strip()
-
+def _sim_mode(raw: str) -> SimMode:
     try:
-        lengths = [int(v) for v in values["kc.stage_lengths"].split()]
-        kc_vals = [float(v) for v in values["kc.values"].split()]
-        if len(lengths) != 4 or len(kc_vals) != 3:
-            raise DataFormatError(
-                "kc.stage_lengths needs 4 integers and kc.values 3 numbers"
-            )
-        mode_raw = values["moisture.sim_mode"]
-        try:
-            sim_mode = SimMode(mode_raw)
-        except ValueError:
-            raise DataFormatError(
-                f"moisture.sim_mode must be one of "
-                f"{[m.value for m in SimMode]}, got {mode_raw!r}"
-            ) from None
-
-        def period(prefix: str) -> PeriodSpec:
-            return PeriodSpec(
-                planting=Date.fromisoformat(values[f"{prefix}.planting"]),
-                n_days=int(values[f"{prefix}.days"]),
-                source=values[f"{prefix}.source"],
-                seed=int(values[f"{prefix}.seed"] or 0),
-                data_path=values[f"{prefix}.data"],
-            )
-
-        def train_cfg(prefix: str) -> TrainConfig:
-            return TrainConfig(
-                seed=int(values[f"{prefix}.seed"]),
-                epochs=int(values[f"{prefix}.epochs"]),
-                learning_rate=float(values[f"{prefix}.learning_rate"]),
-                init_half_width=float(values[f"{prefix}.init_half_width"]),
-            )
-
-        return ExperimentConfig(
-            site=SiteLocation(latitude=math.radians(float(values["site.latitude_deg"])),
-                              altitude_m=float(values["site.altitude_m"])),
-            temp_norm=_parse_pair(values["normalizer.temp_c"], "normalizer.temp_c"),
-            et0_norm=_parse_pair(values["normalizer.et0_mm"], "normalizer.et0_mm"),
-            precip_norm=_parse_pair(values["normalizer.precip_mm"], "normalizer.precip_mm"),
-            kc_norm=_parse_pair(values["normalizer.kc"], "normalizer.kc"),
-            theta_norm=_parse_pair(values["normalizer.theta_vwc"], "normalizer.theta_vwc"),
-            kc=KcSchedule(len_ini=lengths[0], len_dev=lengths[1], len_mid=lengths[2],
-                          len_late=lengths[3], kc_ini=kc_vals[0], kc_mid=kc_vals[1],
-                          kc_end=kc_vals[2]),
-            et0_train=train_cfg("train.et0"),
-            moisture_train=train_cfg("train.moisture"),
-            lag=int(values["moisture.lag"]),
-            sim_mode=sim_mode,
-            theta_init_sim=float(values["moisture.theta_init"]),
-            period1=period("period1"),
-            period2=period("period2"),
-            weather_tavg_mean=float(values["weather.tavg_mean_c"]),
-            weather_tavg_amplitude=float(values["weather.tavg_amplitude_c"]),
-            weather_diurnal_range=float(values["weather.diurnal_range_c"]),
-            weather_wet_day_prob=float(values["weather.wet_day_prob"]),
-            weather_precip_mean_wet=float(values["weather.precip_mean_wet_mm"]),
-            field=FieldParams(
-                root_depth=float(values["field.root_depth_m"]),
-                theta_sat=float(values["field.theta_sat"]),
-                theta_res=float(values["field.theta_res"]),
-                theta_init=float(values["field.theta_init"]),
-                runoff_threshold=float(values["field.runoff_threshold"]),
-                perc_rate=float(values["field.percolation_mm_day"]),
-            ),
-        )
-    except DataFormatError:
-        raise
-    except ValueError as exc:
-        raise DataFormatError(f"config value error: {exc}") from exc
-
-
-def default_config() -> ExperimentConfig:
-    return parse_config("")
+        return SimMode(raw)
+    except ValueError:
+        raise ValueError(f"must be one of {[m.value for m in SimMode]}, "
+                         f"got {raw!r}") from None
 
 
 def _latitude_text(rad: float) -> str:
@@ -242,60 +120,126 @@ def _latitude_text(rad: float) -> str:
     return repr(deg)
 
 
+# Value kinds: the (parse, format) pair for a value, or for each word of a
+# value that sets several attributes.
+_INT = (int, str)
+_FLOAT = (_finite_float, repr)
+_TEXT = (str, str)
+_DATE = (Date.fromisoformat, Date.isoformat)
+_SEED = (lambda raw: int(raw or 0), str)  # an empty period seed reads as 0
+_MODE = (_sim_mode, attrgetter("value"))
+_LATITUDE = (lambda raw: math.radians(_finite_float(raw)), _latitude_text)
+
+# Every config key: its default text, the ExperimentConfig attribute each of
+# its space-separated words sets, and its value kind.  The defaults are
+# Table-like planting dates two cultivation periods apart, 118-day seasons,
+# and generator/bucket values chosen so the synthetic analog lands near the
+# protocol's expected agreement levels.
+_SCHEMA = (
+    ("site.latitude_deg", repr(math.degrees(DEFAULT_LATITUDE_RAD)), "site.latitude", _LATITUDE),
+    ("site.altitude_m", "536.0", "site.altitude_m", _FLOAT),
+    ("normalizer.temp_c", "0 50", "temp_norm.lo temp_norm.hi", _FLOAT),
+    ("normalizer.et0_mm", "0 10", "et0_norm.lo et0_norm.hi", _FLOAT),
+    ("normalizer.precip_mm", "0 100", "precip_norm.lo precip_norm.hi", _FLOAT),
+    ("normalizer.kc", "0 1.5", "kc_norm.lo kc_norm.hi", _FLOAT),
+    ("normalizer.theta_vwc", "0 1", "theta_norm.lo theta_norm.hi", _FLOAT),
+    ("kc.stage_lengths", "20 30 40 28", "kc.len_ini kc.len_dev kc.len_mid kc.len_late", _INT),
+    ("kc.values", "1.05 1.2 0.9", "kc.kc_ini kc.kc_mid kc.kc_end", _FLOAT),
+    ("train.et0.epochs", "1000", "et0_train.epochs", _INT),
+    ("train.et0.learning_rate", "0.5", "et0_train.learning_rate", _FLOAT),
+    ("train.et0.seed", "42", "et0_train.seed", _INT),
+    ("train.et0.init_half_width", "0.5", "et0_train.init_half_width", _FLOAT),
+    ("train.moisture.epochs", "1000", "moisture_train.epochs", _INT),
+    ("train.moisture.learning_rate", "0.5", "moisture_train.learning_rate", _FLOAT),
+    ("train.moisture.seed", "7", "moisture_train.seed", _INT),
+    ("train.moisture.init_half_width", "0.5", "moisture_train.init_half_width", _FLOAT),
+    ("moisture.lag", "1", "lag", _INT),
+    ("moisture.sim_mode", "closed_loop", "sim_mode", _MODE),
+    ("moisture.theta_init", "0.45", "theta_init_sim", _FLOAT),
+    ("period1.planting", "2010-10-14", "period1.planting", _DATE),
+    ("period1.days", "118", "period1.n_days", _INT),
+    ("period1.source", "synth", "period1.source", _TEXT),
+    ("period1.seed", "101", "period1.seed", _SEED),
+    ("period1.data", "", "period1.data_path", _TEXT),
+    ("period2.planting", "2011-08-20", "period2.planting", _DATE),
+    ("period2.days", "118", "period2.n_days", _INT),
+    ("period2.source", "synth", "period2.source", _TEXT),
+    ("period2.seed", "202", "period2.seed", _SEED),
+    ("period2.data", "", "period2.data_path", _TEXT),
+    ("weather.tavg_mean_c", "24.0", "weather_tavg_mean", _FLOAT),
+    ("weather.tavg_amplitude_c", "0.5", "weather_tavg_amplitude", _FLOAT),
+    ("weather.diurnal_range_c", "10.0", "weather_diurnal_range", _FLOAT),
+    ("weather.wet_day_prob", "0.55", "weather_wet_day_prob", _FLOAT),
+    ("weather.precip_mean_wet_mm", "15.0", "weather_precip_mean_wet", _FLOAT),
+    ("field.root_depth_m", "0.2", "field.root_depth", _FLOAT),
+    ("field.theta_sat", "0.55", "field.theta_sat", _FLOAT),
+    ("field.theta_res", "0.15", "field.theta_res", _FLOAT),
+    ("field.theta_init", "0.45", "field.theta_init", _FLOAT),
+    ("field.runoff_threshold", "0.52", "field.runoff_threshold", _FLOAT),
+    ("field.percolation_mm_day", "3.0", "field.perc_rate", _FLOAT),
+)
+
+# The class each dotted attribute's first part is built as.
+_PART_TYPES = get_type_hints(ExperimentConfig)
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse a config document; unknown keys are rejected, missing ones default."""
+    values = {key: default for key, default, _, _ in _SCHEMA}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise DataFormatError(f"config line {line_no}: expected 'key = value', got {line!r}")
+        key, raw = body.split("=", 1)
+        key = key.strip()
+        if key not in values:
+            raise DataFormatError(f"config line {line_no}: unknown key {key!r}")
+        values[key] = raw.strip()
+
+    parts: dict = {}
+    for key, _, attrs, (parse, _) in _SCHEMA:
+        names = attrs.split()
+        raw = values[key]
+        words = raw.split() if len(names) > 1 else [raw]
+        if len(words) != len(names):
+            raise DataFormatError(f"{key}: expected {len(names)} values, got {raw!r}")
+        for name, word in zip(names, words):
+            try:
+                value = parse(word)
+            except ValueError as exc:
+                raise DataFormatError(f"{key}: {exc}") from exc
+            part, _, leaf = name.partition(".")
+            if leaf:
+                parts.setdefault(part, {})[leaf] = value
+            else:
+                parts[part] = value
+    try:
+        return ExperimentConfig(**{
+            part: _PART_TYPES[part](**value) if isinstance(value, dict) else value
+            for part, value in parts.items()})
+    except DataFormatError:
+        raise
+    except ValueError as exc:
+        raise DataFormatError(f"config value error: {exc}") from exc
+
+
+def default_config() -> ExperimentConfig:
+    return parse_config("")
+
+
 def format_config(cfg: ExperimentConfig) -> str:
     """Echo every effective setting as a canonical config document.
 
     Parsing the document gives back ``cfg`` exactly when ``cfg`` came from
     :func:`parse_config`.
     """
-
-    def norm(nz: Normalizer) -> str:
-        return f"{nz.lo!r} {nz.hi!r}"
-
-    pairs = [
-        ("site.latitude_deg", _latitude_text(cfg.site.latitude)),
-        ("site.altitude_m", repr(cfg.site.altitude_m)),
-        ("normalizer.temp_c", norm(cfg.temp_norm)),
-        ("normalizer.et0_mm", norm(cfg.et0_norm)),
-        ("normalizer.precip_mm", norm(cfg.precip_norm)),
-        ("normalizer.kc", norm(cfg.kc_norm)),
-        ("normalizer.theta_vwc", norm(cfg.theta_norm)),
-        ("kc.stage_lengths", f"{cfg.kc.len_ini} {cfg.kc.len_dev} {cfg.kc.len_mid} {cfg.kc.len_late}"),
-        ("kc.values", f"{cfg.kc.kc_ini!r} {cfg.kc.kc_mid!r} {cfg.kc.kc_end!r}"),
-        ("train.et0.epochs", str(cfg.et0_train.epochs)),
-        ("train.et0.learning_rate", repr(cfg.et0_train.learning_rate)),
-        ("train.et0.seed", str(cfg.et0_train.seed)),
-        ("train.et0.init_half_width", repr(cfg.et0_train.init_half_width)),
-        ("train.moisture.epochs", str(cfg.moisture_train.epochs)),
-        ("train.moisture.learning_rate", repr(cfg.moisture_train.learning_rate)),
-        ("train.moisture.seed", str(cfg.moisture_train.seed)),
-        ("train.moisture.init_half_width", repr(cfg.moisture_train.init_half_width)),
-        ("moisture.lag", str(cfg.lag)),
-        ("moisture.sim_mode", cfg.sim_mode.value),
-        ("moisture.theta_init", repr(cfg.theta_init_sim)),
-        ("period1.planting", cfg.period1.planting.isoformat()),
-        ("period1.days", str(cfg.period1.n_days)),
-        ("period1.source", cfg.period1.source),
-        ("period1.seed", str(cfg.period1.seed)),
-        ("period1.data", cfg.period1.data_path),
-        ("period2.planting", cfg.period2.planting.isoformat()),
-        ("period2.days", str(cfg.period2.n_days)),
-        ("period2.source", cfg.period2.source),
-        ("period2.seed", str(cfg.period2.seed)),
-        ("period2.data", cfg.period2.data_path),
-        ("weather.tavg_mean_c", repr(cfg.weather_tavg_mean)),
-        ("weather.tavg_amplitude_c", repr(cfg.weather_tavg_amplitude)),
-        ("weather.diurnal_range_c", repr(cfg.weather_diurnal_range)),
-        ("weather.wet_day_prob", repr(cfg.weather_wet_day_prob)),
-        ("weather.precip_mean_wet_mm", repr(cfg.weather_precip_mean_wet)),
-        ("field.root_depth_m", repr(cfg.field.root_depth)),
-        ("field.theta_sat", repr(cfg.field.theta_sat)),
-        ("field.theta_res", repr(cfg.field.theta_res)),
-        ("field.theta_init", repr(cfg.field.theta_init)),
-        ("field.runoff_threshold", repr(cfg.field.runoff_threshold)),
-        ("field.percolation_mm_day", repr(cfg.field.perc_rate)),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    lines = []
+    for key, _, attrs, (_, fmt) in _SCHEMA:
+        words = [fmt(attrgetter(name)(cfg)) for name in attrs.split()]
+        lines.append(f"{key} = {' '.join(words)}\n")
+    return "".join(lines)
 
 
 def weather_params_for(cfg: ExperimentConfig, spec: PeriodSpec) -> WeatherGenParams:
@@ -522,8 +466,6 @@ def format_metrics_csv(report: ExperimentReport) -> str:
 
 def write_report_files(report: ExperimentReport, out_dir) -> list:
     """Write report.txt and metrics.csv; returns the written paths."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -545,8 +487,6 @@ def _monthly_rows(period: PeriodResult):
 
 def export_plot_data(report: ExperimentReport, out_dir) -> list:
     """Write tidy per-figure CSVs; byte-identical for the same report."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -586,15 +526,12 @@ def export_plot_data(report: ExperimentReport, out_dir) -> list:
 
 def write_synth_periods(cfg: ExperimentConfig, out_dir) -> list:
     """Generate both synthetic periods and write their daily CSVs."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for spec, name in ((cfg.period1, "period1"), (cfg.period2, "period2")):
-        weather = generate_weather(weather_params_for(cfg, spec))
-        theta, _ = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
+        period = load_period(cfg, replace(spec, source="synth"), name)
         p = out / f"{name}_daily.csv"
-        write_daily_csv(p, weather, theta)
+        write_daily_csv(p, period.days, period.theta_obs)
         written.append(p)
     return written

@@ -103,13 +103,6 @@ class TestVerbs:
         for p in a.iterdir():
             assert p.read_bytes() == (b / p.name).read_bytes(), p.name
 
-    def test_export_plots(self, tmp_path, quick_config_path):
-        out = tmp_path / "plots"
-        assert main(["export-plots", "--config", quick_config_path,
-                     "--out", str(out)]) == 0
-        assert (out / "scatter_theta_period2.csv").exists()
-        assert not (out / "report.txt").exists()
-
     def test_default_config_available(self, tmp_path):
         # no --config falls back to built-in defaults (smoke: synth only)
         assert main(["synth", "--out", str(tmp_path / "d")]) == 0
@@ -121,6 +114,13 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense.key = 1\n", encoding="utf-8")
         assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 4
+
+    def test_non_finite_config_value_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("train.et0.learning_rate = inf\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        assert "train.et0.learning_rate: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv"),

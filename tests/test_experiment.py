@@ -2,16 +2,25 @@
 
 import errno
 import hashlib
-from dataclasses import replace
+import math
+from collections import Counter
+from dataclasses import fields, is_dataclass, replace
+from datetime import date, timedelta
+from operator import attrgetter
 
 import pytest
 
 from conftest import quick_config
+from paddymoist.ann import Normalizer, TrainConfig
+from paddymoist.crop import KcSchedule
 from paddymoist.errors import DataFormatError, OrderingError
-from paddymoist.experiment import (default_config, export_plot_data, format_config,
+from paddymoist.evapo import SiteLocation
+from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, default_config,
+                                   export_plot_data, format_config,
                                    format_report_text, load_period, parse_config,
                                    run_experiment, write_report_files,
                                    write_synth_periods)
+from paddymoist.hydro import FieldParams
 from paddymoist.ingest import read_daily_csv
 from paddymoist.moisture import SimMode
 
@@ -53,6 +62,22 @@ class TestConfigDocument:
         with pytest.raises(DataFormatError):
             parse_config("moisture.sim_mode = sideways\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key, text", [("field.percolation_mm_day", "{}"),
+                                           ("normalizer.temp_c", "0 {}")])
+    def test_non_finite_number_rejected(self, key, text, value):
+        with pytest.raises(DataFormatError, match=f"^{key}: must be finite"):
+            parse_config(f"{key} = {text.format(value)}\n")
+
+    def test_data_path_the_echo_cannot_carry_rejected(self):
+        cfg = default_config()
+        for path in ("data/field#2.csv", "data/a\nb.csv", "data/a\rb.csv",
+                     " data/field.csv", "data/field.csv "):
+            with pytest.raises(DataFormatError):
+                replace(cfg.period1, data_path=path)
+        cfg = replace(cfg, period1=replace(cfg.period1, data_path="data/field 2.csv"))
+        assert parse_config(format_config(cfg)) == cfg
+
     def test_table_shaped_defaults(self):
         cfg = default_config()
         assert cfg.period1.planting.isoformat() == "2010-10-14"
@@ -60,6 +85,128 @@ class TestConfigDocument:
         assert cfg.period1.n_days == cfg.period2.n_days == 118
         assert cfg.kc.total_days == 118
         assert cfg.et0_train.epochs == 1000
+
+
+# Every key at a value unlike its default and unlike the other keys' values,
+# and the object it means, written without the schema table.
+_EVERY_KEY = """\
+site.latitude_deg = 10.0
+site.altitude_m = 12.5
+normalizer.temp_c = -5.0 45.0
+normalizer.et0_mm = 0.5 12.0
+normalizer.precip_mm = 1.0 150.0
+normalizer.kc = 0.25 1.75
+normalizer.theta_vwc = 0.05 0.95
+kc.stage_lengths = 10 20 30 40
+kc.values = 1.1 1.3 0.8
+train.et0.epochs = 11
+train.et0.learning_rate = 0.25
+train.et0.seed = 12
+train.et0.init_half_width = 0.75
+train.moisture.epochs = 13
+train.moisture.learning_rate = 0.125
+train.moisture.seed = 14
+train.moisture.init_half_width = 0.375
+moisture.lag = 3
+moisture.sim_mode = teacher_forced
+moisture.theta_init = 0.35
+period1.planting = 2001-02-03
+period1.days = 100
+period1.source = csv
+period1.seed = 15
+period1.data = a.csv
+period2.planting = 2004-05-06
+period2.days = 101
+period2.source = synth
+period2.seed = 16
+period2.data = b.csv
+weather.tavg_mean_c = 20.5
+weather.tavg_amplitude_c = 1.5
+weather.diurnal_range_c = 8.5
+weather.wet_day_prob = 0.45
+weather.precip_mean_wet_mm = 12.75
+field.root_depth_m = 0.3
+field.theta_sat = 0.6
+field.theta_res = 0.1
+field.theta_init = 0.4
+field.runoff_threshold = 0.5
+field.percolation_mm_day = 2.5
+"""
+_EVERY_KEY_CONFIG = ExperimentConfig(
+    site=SiteLocation(latitude=math.radians(10.0), altitude_m=12.5),
+    temp_norm=Normalizer(-5.0, 45.0), et0_norm=Normalizer(0.5, 12.0),
+    precip_norm=Normalizer(1.0, 150.0), kc_norm=Normalizer(0.25, 1.75),
+    theta_norm=Normalizer(0.05, 0.95),
+    kc=KcSchedule(len_ini=10, len_dev=20, len_mid=30, len_late=40,
+                  kc_ini=1.1, kc_mid=1.3, kc_end=0.8),
+    et0_train=TrainConfig(seed=12, epochs=11, learning_rate=0.25, init_half_width=0.75),
+    moisture_train=TrainConfig(seed=14, epochs=13, learning_rate=0.125,
+                               init_half_width=0.375),
+    lag=3, sim_mode=SimMode.TEACHER_FORCED, theta_init_sim=0.35,
+    period1=PeriodSpec(planting=date(2001, 2, 3), n_days=100, source="csv", seed=15,
+                       data_path="a.csv"),
+    period2=PeriodSpec(planting=date(2004, 5, 6), n_days=101, source="synth", seed=16,
+                       data_path="b.csv"),
+    weather_tavg_mean=20.5, weather_tavg_amplitude=1.5, weather_diurnal_range=8.5,
+    weather_wet_day_prob=0.45, weather_precip_mean_wet=12.75,
+    field=FieldParams(root_depth=0.3, theta_sat=0.6, theta_res=0.1, theta_init=0.4,
+                      runoff_threshold=0.5, perc_rate=2.5),
+)
+
+
+def _leaves(obj, prefix=""):
+    """Every non-dataclass attribute under ``obj``, by dotted path."""
+    if not is_dataclass(obj):
+        return {prefix: obj}
+    leaves = {}
+    for f in fields(obj):
+        leaves.update(_leaves(getattr(obj, f.name), prefix + "." * bool(prefix) + f.name))
+    return leaves
+
+
+def _moved(word: str, kind) -> str:
+    """A valid config word other than ``word``, of the same kind."""
+    parse, fmt = kind
+    value = parse(word)
+    if isinstance(value, str):
+        return {"synth": "csv", "": "elsewhere.csv"}[value]
+    if isinstance(value, SimMode):
+        return fmt(next(m for m in SimMode if m is not value))
+    return fmt(value + {int: 1, float: 0.001, date: timedelta(days=1)}[type(value)])
+
+
+class TestConfigSchema:
+
+    def test_every_field_set_by_exactly_one_key(self):
+        keys = [key for key, _, _, _ in _SCHEMA]
+        assert len(set(keys)) == len(keys)
+        attrs = Counter(name for _, _, names, _ in _SCHEMA for name in names.split())
+        assert set(attrs.values()) == {1}
+        leaves = set(_leaves(default_config()))
+        assert set(attrs) <= leaves
+        assert leaves - set(attrs) == {"field.irrigation"}
+
+    def test_every_key_sets_the_field_it_names(self):
+        # the table checked against a hand-built config: this catches two
+        # rows whose attributes are swapped, which no check on the table can
+        assert parse_config(_EVERY_KEY) == _EVERY_KEY_CONFIG
+        assert format_config(_EVERY_KEY_CONFIG) == _EVERY_KEY
+
+    def test_each_word_sets_its_own_field_and_echo_line(self):
+        base = default_config()
+        base_leaves = _leaves(base)
+        base_lines = format_config(base).splitlines()
+        for line_no, (key, default, names, kind) in enumerate(_SCHEMA):
+            words = default.split() or [""]
+            for i, name in enumerate(names.split()):
+                moved = words[:i] + [_moved(words[i], kind)] + words[i + 1:]
+                cfg = parse_config(f"{key} = {' '.join(moved)}\n")
+                leaves = _leaves(cfg)
+                assert {n for n in leaves if leaves[n] != base_leaves[n]} == {name}, key
+                assert attrgetter(name)(cfg) != attrgetter(name)(base), key
+                lines = format_config(cfg).splitlines()
+                assert [n for n, (a, b) in enumerate(zip(lines, base_lines))
+                        if a != b] == [line_no], key
 
 
 class TestRunExperiment:
@@ -236,3 +383,9 @@ class TestSynthOutput:
         days, theta = read_daily_csv(files[0])
         assert len(days) == 118
         assert all(v is not None for v in theta)
+
+    def test_synth_periods_ignore_the_configured_source(self, tmp_path):
+        cfg = default_config()
+        csv_cfg = replace(cfg, period1=replace(cfg.period1, source="csv"))
+        a, b = write_synth_periods(cfg, tmp_path / "a"), write_synth_periods(csv_cfg, tmp_path / "b")
+        assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
