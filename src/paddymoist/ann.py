@@ -65,6 +65,7 @@ import functools
 import math
 from dataclasses import dataclass
 from math import exp
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -462,3 +463,13 @@ def normalize(x: float, nz: Normalizer) -> float:
 def denormalize(u: float, nz: Normalizer) -> float:
     """Inverse of :func:`normalize` on [0, 1]; not clamped."""
     return nz.lo + u * (nz.hi - nz.lo)
+
+
+def left_sum(values) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added strictly left to right.
+
+    This is the float the builtin ``sum`` gives on Python 3.11 and earlier.
+    Python 3.12 made ``sum`` of floats a compensated sum, so an average that
+    must not depend on the Python version is taken with this instead.
+    """
+    return functools.reduce(add, values, 0.0)

@@ -25,7 +25,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
-from .ann import Normalizer, TrainConfig
+from .ann import Normalizer, TrainConfig, left_sum
 from .crop import KcSchedule, kc_at, validate_schedule
 from .errors import DataFormatError
 from .evapo import (DEFAULT_LATITUDE_RAD, DailyWeather, Et0Model, SiteLocation,
@@ -216,13 +216,18 @@ def parse_config(text: str) -> ExperimentConfig:
             else:
                 parts[part] = value
     try:
-        return ExperimentConfig(**{
+        cfg = ExperimentConfig(**{
             part: _PART_TYPES[part](**value) if isinstance(value, dict) else value
             for part, value in parts.items()})
     except DataFormatError:
         raise
     except ValueError as exc:
         raise DataFormatError(f"config value error: {exc}") from exc
+    # moisture training needs at least one day after the lagged ones
+    if not 1 <= cfg.lag < cfg.period1.n_days:
+        raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "
+                              f"({cfg.period1.n_days}), got {cfg.lag}")
+    return cfg
 
 
 def default_config() -> ExperimentConfig:
@@ -416,8 +421,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         sim_mode=cfg.sim_mode,
         et0_final_loss=et0_losses[-1],
         moisture_final_loss=m_losses[-1],
-        et0_mean_residual=sum(residuals) / len(residuals),
-        et0_mean_residual_top_quartile=sum(residuals[i] for i in top) / len(top),
+        et0_mean_residual=left_sum(residuals) / len(residuals),
+        et0_mean_residual_top_quartile=left_sum(residuals[i] for i in top) / len(top),
         et0_model=et0_model,
         moisture_model=moisture_model,
     )
@@ -494,14 +499,14 @@ def export_plot_data(report: ExperimentReport, out_dir) -> list:
     lines = ["period,month,tavg_mean_c,n_days"]
     for period in (report.period1, report.period2):
         for month, days in _monthly_rows(period):
-            mean = sum(d.tavg for d in days) / len(days)
+            mean = left_sum(d.tavg for d in days) / len(days)
             lines.append(f"{period.name},{month},{mean!r},{len(days)}")
     files.append(("monthly_temperature.csv", lines))
 
     lines = ["period,month,precip_total_mm,n_days"]
     for period in (report.period1, report.period2):
         for month, days in _monthly_rows(period):
-            total = sum(d.precip for d in days)
+            total = left_sum(d.precip for d in days)
             lines.append(f"{period.name},{month},{total!r},{len(days)}")
     files.append(("monthly_precipitation.csv", lines))
 

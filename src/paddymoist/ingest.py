@@ -15,6 +15,22 @@ dropped and reported, so missing data stays visible all the way to the
 experiment report.  A daily file may therefore skip dates; a consumer that
 steps day by day (the crop calendar, lagged moisture) rejects it with
 :func:`check_consecutive`.
+
+A :class:`HalfHourRecord` is a ``NamedTuple``: a two-year station file is
+some 35000 of them, and a tuple is several times cheaper to build than a
+frozen dataclass.  The reader checks each row's values inline and builds
+the record straight from them, without the constructor's second check.  A
+row that fails a check is parsed again by a slow path that names the fault.
+
+Every fault in a station or daily file is a :class:`DataFormatError` naming
+its line (an :class:`OrderingError` for a repeated or earlier timestamp or
+date), which the CLI maps to exit code 4: a missing or wrong header, too few
+fields, an unparseable or non-finite number, a negative precipitation, a
+``theta_vwc`` outside [0, 1], and, in a daily file, a day with
+``tmin <= tavg <= tmax`` broken.
+
+Daily means and totals are summed left to right (:func:`ann.left_sum`), so
+the aggregated bits do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -24,7 +40,9 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
+from typing import NamedTuple
 
+from .ann import left_sum
 from .errors import DataFormatError, OrderingError
 from .evapo import DailyWeather
 
@@ -37,18 +55,31 @@ _DAILY_COLUMNS = ("date", "day_index", "tmax_c", "tavg_c", "tmin_c", "precip_mm"
 _THETA_COLUMN = "theta_vwc"
 
 
-@dataclass(frozen=True)
-class HalfHourRecord:
-    """One 30-minute station reading; ``theta`` is present only where measured."""
-
+class _HalfHourFields(NamedTuple):
     timestamp: datetime
     temp: float
     precip: float
     theta: "float | None" = None
 
-    def __post_init__(self):
-        if self.precip < 0.0:
-            raise ValueError(f"precip must be >= 0, got {self.precip} at {self.timestamp}")
+
+class HalfHourRecord(_HalfHourFields):
+    """One 30-minute station reading; ``theta`` is present only where measured.
+
+    A tuple ``(timestamp, temp, precip, theta)``; a negative ``precip`` is
+    rejected on construction.  :func:`read_half_hourly_csv` checks every
+    value itself and builds records with ``tuple.__new__``, past this check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp, temp, precip, theta=None):
+        if precip < 0.0:
+            raise ValueError(f"precip must be >= 0, got {precip} at {timestamp}")
+        return tuple.__new__(cls, (timestamp, temp, precip, theta))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -68,6 +99,33 @@ class DailyAggregation:
     gaps: list
 
 
+def _day_runs(records: "list[HalfHourRecord]"):
+    """Yield (date, that date's records) for each calendar day present.
+
+    One pass that also checks the timestamps strictly increase, so each day
+    is one contiguous run of the list.
+    """
+    if not records:
+        return
+    prev = records[0][0]
+    day, start = prev.date(), 0
+    for i in range(1, len(records)):
+        ts = records[i][0]
+        if ts <= prev:
+            raise OrderingError(
+                f"timestamps must be strictly increasing; {ts} follows {prev}"
+            )
+        prev = ts
+        date = ts.date()
+        if date != day:
+            if date < day:  # a later instant at an earlier UTC offset
+                raise OrderingError(f"local dates must not go backwards; {ts} "
+                                    f"follows a record dated {day}")
+            yield day, records[start:i]
+            day, start = date, i
+    yield day, records[start:]
+
+
 def daily_aggregate(records: "list[HalfHourRecord]",
                     min_coverage: int = 40) -> DailyAggregation:
     """Collapse half-hourly records into daily weather.
@@ -78,38 +136,30 @@ def daily_aggregate(records: "list[HalfHourRecord]",
     intervals are excluded and reported in ``gaps`` (and logged).
     Timestamps must be strictly increasing.
     """
-    for prev, cur in zip(records, records[1:]):
-        if cur.timestamp <= prev.timestamp:
-            raise OrderingError(
-                f"timestamps must be strictly increasing; {cur.timestamp} "
-                f"follows {prev.timestamp}"
-            )
-    by_day: dict[Date, list[HalfHourRecord]] = {}
-    for rec in records:
-        by_day.setdefault(rec.timestamp.date(), []).append(rec)
-
     days: list[DailyWeather] = []
     theta: list = []
     gaps: list[DayGap] = []
-    first_date = records[0].timestamp.date() if records else None
-    for day in sorted(by_day):
-        recs = by_day[day]
-        if len(recs) < min_coverage:
-            gaps.append(DayGap(day, len(recs)))
-            logger.warning("excluding %s: only %d of %d intervals present",
-                           day, len(recs), INTERVALS_PER_DAY)
+    first_date = records[0][0].date() if records else None
+    for day, run in _day_runs(records):
+        n = len(run)
+        if n < min_coverage:
+            gaps.append(DayGap(day, n))
             continue
-        temps = [r.temp for r in recs]
-        thetas = [r.theta for r in recs if r.theta is not None]
+        _, temps, precips, thetas = zip(*run)
+        present = [v for v in thetas if v is not None]
         days.append(DailyWeather(
             day_index=(day - first_date).days,
             date=day,
             tmax=max(temps),
-            tavg=sum(temps) / len(temps),
+            tavg=left_sum(temps) / n,
             tmin=min(temps),
-            precip=sum(r.precip for r in recs),
+            precip=left_sum(precips),
         ))
-        theta.append(sum(thetas) / len(thetas) if thetas else None)
+        theta.append(left_sum(present) / len(present) if present else None)
+    # logged once the whole series is known to be ordered
+    for gap in gaps:
+        logger.warning("excluding %s: only %d of %d intervals present",
+                       gap.date, gap.n_records, INTERVALS_PER_DAY)
     return DailyAggregation(days=days, theta=theta, gaps=gaps)
 
 
@@ -123,8 +173,48 @@ def _parse_float(text: str, what: str, line_no: int) -> float:
     return value
 
 
+def _parse_theta(text: str, line_no: int) -> float:
+    value = _parse_float(text, _THETA_COLUMN, line_no)
+    if not 0.0 <= value <= 1.0:
+        raise DataFormatError(f"line {line_no}: {_THETA_COLUMN} must be in [0, 1], got {text!r}")
+    return value
+
+
+def _checked_record(row: list, line_no: int, has_theta: bool,
+                    prev: "datetime | None") -> HalfHourRecord:
+    """Parse one station row with every check, raising DataFormatError
+    with its line number at the first fault."""
+    if len(row) < 3:
+        raise DataFormatError(f"line {line_no}: expected at least 3 fields, got {len(row)}")
+    try:
+        ts = datetime.fromisoformat(row[0])
+    except ValueError:
+        raise DataFormatError(f"line {line_no}: cannot parse timestamp from {row[0]!r}") from None
+    theta = None
+    if has_theta and len(row) > 3 and row[3] != "":
+        theta = _parse_theta(row[3], line_no)
+    temp = _parse_float(row[1], "temp_c", line_no)
+    precip = _parse_float(row[2], "precip_mm", line_no)
+    if precip < 0.0:
+        raise DataFormatError(f"line {line_no}: precip_mm must be >= 0, got {row[2]!r}")
+    try:
+        ordered = prev is None or prev < ts
+    except TypeError:  # one timestamp has a UTC offset, the other has none
+        raise DataFormatError(f"line {line_no}: timestamp {row[0]!r} cannot be ordered "
+                              f"after {prev}: mixed UTC offset and none") from None
+    if not ordered:
+        raise OrderingError(
+            f"line {line_no}: timestamps must be strictly increasing; {ts} follows {prev}"
+        )
+    return HalfHourRecord(ts, temp, precip, theta)
+
+
 def read_half_hourly_csv(path) -> list[HalfHourRecord]:
-    """Read a half-hourly station file; raises DataFormatError with line context."""
+    """Read a half-hourly station file; raises DataFormatError with line context.
+
+    Rejects, naming the line, a row :class:`HalfHourRecord` would reject,
+    a repeated or earlier timestamp, and a ``theta_vwc`` outside [0, 1].
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -138,26 +228,31 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
             )
         has_theta = len(header) > 3 and header[3] == _THETA_COLUMN
         records = []
+        append, make = records.append, tuple.__new__
+        parse_ts, inf = datetime.fromisoformat, math.inf
+        prev = None
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) < 3:
-                raise DataFormatError(f"line {line_no}: expected at least 3 fields, got {len(row)}")
+            # The same checks as _checked_record, inlined; any fault sends the
+            # row there for its error message.
             try:
-                ts = datetime.fromisoformat(row[0])
-            except ValueError:
-                raise DataFormatError(
-                    f"line {line_no}: cannot parse timestamp from {row[0]!r}"
-                ) from None
-            theta = None
-            if has_theta and len(row) > 3 and row[3] != "":
-                theta = _parse_float(row[3], "theta_vwc", line_no)
-            records.append(HalfHourRecord(
-                timestamp=ts,
-                temp=_parse_float(row[1], "temp_c", line_no),
-                precip=_parse_float(row[2], "precip_mm", line_no),
-                theta=theta,
-            ))
+                ts = parse_ts(row[0])
+                temp = float(row[1])
+                precip = float(row[2])
+                theta = (float(row[3]) if has_theta and len(row) > 3 and row[3] != ""
+                         else None)
+                ok = (-inf < temp < inf and 0.0 <= precip < inf
+                      and (theta is None or 0.0 <= theta <= 1.0)
+                      and (prev is None or prev < ts))
+            except (ValueError, IndexError, TypeError):
+                ok = False
+            if ok:
+                append(make(HalfHourRecord, (ts, temp, precip, theta)))
+            else:
+                append(_checked_record(row, line_no, has_theta, prev))
+                ts = records[-1][0]
+            prev = ts
     return records
 
 
@@ -179,6 +274,8 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
 
     Dates must be strictly increasing: a repeated or earlier date raises
     :class:`OrderingError` with its line number.  Skipped dates are allowed.
+    A day :class:`DailyWeather` rejects, or a ``theta_vwc`` outside [0, 1],
+    raises :class:`DataFormatError` with its line number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -211,16 +308,17 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
                 day_index = int(row[1])
             except ValueError:
                 raise DataFormatError(f"line {line_no}: cannot parse day_index from {row[1]!r}") from None
-            days.append(DailyWeather(
-                day_index=day_index,
-                date=day,
-                tmax=_parse_float(row[2], "tmax_c", line_no),
-                tavg=_parse_float(row[3], "tavg_c", line_no),
-                tmin=_parse_float(row[4], "tmin_c", line_no),
-                precip=_parse_float(row[5], "precip_mm", line_no),
-            ))
+            tmax = _parse_float(row[2], "tmax_c", line_no)
+            tavg = _parse_float(row[3], "tavg_c", line_no)
+            tmin = _parse_float(row[4], "tmin_c", line_no)
+            precip = _parse_float(row[5], "precip_mm", line_no)
+            try:
+                days.append(DailyWeather(day_index=day_index, date=day, tmax=tmax,
+                                         tavg=tavg, tmin=tmin, precip=precip))
+            except ValueError as exc:
+                raise DataFormatError(f"line {line_no}: {exc}") from None
             if has_theta and len(row) > 6 and row[6] != "":
-                theta.append(_parse_float(row[6], "theta_vwc", line_no))
+                theta.append(_parse_theta(row[6], line_no))
             else:
                 theta.append(None)
     return days, theta

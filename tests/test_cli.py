@@ -201,3 +201,39 @@ class TestExitCodes:
         src.write_text("wrong,header,row\n1,2,3\n", encoding="utf-8")
         assert main(["ingest", "--input", str(src),
                      "--output", str(tmp_path / "out.csv")]) == 4
+
+    @pytest.mark.parametrize("row, message", [
+        ("2011-01-05T00:30:00,20.0,-0.5,0.4", "line 3: precip_mm must be >= 0, got '-0.5'"),
+        ("2011-01-05T00:00:00,20.0,0.0,0.4", "line 3: timestamps must be strictly increasing"),
+        ("2011-01-05T00:30:00,20.0,0.0,7.5", "line 3: theta_vwc must be in [0, 1], got '7.5'"),
+    ], ids=["negative-precip", "repeated-timestamp", "theta-out-of-range"])
+    def test_bad_half_hourly_row_is_data_error(self, tmp_path, capsys, row, message):
+        src = tmp_path / "hh.csv"
+        src.write_text("timestamp_iso8601,temp_c,precip_mm,theta_vwc\n"
+                       f"2011-01-05T00:00:00,20.0,0.0,0.4\n{row}\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["ingest", "--input", str(src), "--output", str(out)]) == 4
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cells, message", [
+        ("30.0,18.0,19.0,0.0,0.4", "line 3: need tmin <= tavg <= tmax"),
+        ("30.0,25.0,19.0,-2.5,0.4", "line 3: precip must be >= 0"),
+        ("30.0,25.0,19.0,0.0,7.5", "line 3: theta_vwc must be in [0, 1]"),
+    ], ids=["tmin-above-tavg", "negative-precip", "theta-out-of-range"])
+    def test_bad_daily_row_is_data_error(self, tmp_path, capsys, cells, message):
+        data = tmp_path / "daily.csv"
+        data.write_text("date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc\n"
+                        f"2011-01-05,0,30.0,25.0,19.0,0.0,0.4\n2011-01-06,1,{cells}\n",
+                        encoding="utf-8")
+        assert main(["train-et0", "--data", str(data),
+                     "--out", str(tmp_path / "et0.model")]) == 4
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_lag_without_a_training_day_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("moisture.lag = 0\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        assert "error: moisture.lag: need 1 <= lag < period1.days (118), got 0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -62,6 +62,16 @@ class TestConfigDocument:
         with pytest.raises(DataFormatError):
             parse_config("moisture.sim_mode = sideways\n")
 
+    @pytest.mark.parametrize("text", ["moisture.lag = 0\n", "moisture.lag = -1\n",
+                                      "moisture.lag = 118\n", "moisture.lag = 200\n",
+                                      "moisture.lag = 5\nperiod1.days = 5\n"])
+    def test_lag_without_a_training_day_rejected(self, text):
+        with pytest.raises(DataFormatError, match=r"^moisture.lag: need 1 <= lag < period1\.days"):
+            parse_config(text)
+
+    def test_lag_one_below_period1_days_accepted(self):
+        assert parse_config("moisture.lag = 117\n").lag == 117
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key, text", [("field.percolation_mm_day", "{}"),
                                            ("normalizer.temp_c", "0 {}")])

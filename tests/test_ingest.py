@@ -1,14 +1,17 @@
 """Half-hourly ingestion, gap handling, and CSV round trips."""
 
+import logging
+import random
 from datetime import date, datetime, timedelta
 
 import pytest
 
+from paddymoist.ann import left_sum
 from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.evapo import DailyWeather
-from paddymoist.ingest import (HalfHourRecord, check_consecutive, daily_aggregate,
-                               read_daily_csv, read_half_hourly_csv, write_daily_csv,
-                               write_half_hourly_csv)
+from paddymoist.ingest import (INTERVALS_PER_DAY, DailyAggregation, DayGap, HalfHourRecord,
+                               check_consecutive, daily_aggregate, read_daily_csv,
+                               read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
 
 
 def _day_records(day, temps, precip=0.0, theta=None, n=48):
@@ -236,3 +239,229 @@ class TestHalfHourRecord:
     def test_negative_precip_rejected(self):
         with pytest.raises(ValueError):
             HalfHourRecord(datetime(2011, 1, 5), temp=20.0, precip=-0.1)
+
+    def test_keyword_and_positional_construction_agree(self):
+        ts = datetime(2011, 1, 5, 0, 30)
+        by_keyword = HalfHourRecord(timestamp=ts, temp=20.5, precip=0.25, theta=0.4)
+        assert by_keyword == HalfHourRecord(ts, 20.5, 0.25, 0.4)
+        assert (by_keyword.timestamp, by_keyword.temp, by_keyword.precip,
+                by_keyword.theta) == (ts, 20.5, 0.25, 0.4)
+        assert HalfHourRecord(ts, 20.5, 0.25).theta is None
+        assert HalfHourRecord._fields == ("timestamp", "temp", "precip", "theta")
+
+    def test_replace_and_make_check_precip(self):
+        record = HalfHourRecord(datetime(2011, 1, 5), 20.0, 0.5)
+        assert record._replace(precip=0.0) == HalfHourRecord(datetime(2011, 1, 5), 20.0, 0.0)
+        with pytest.raises(ValueError):
+            record._replace(precip=-0.1)
+        with pytest.raises(ValueError):
+            HalfHourRecord._make([datetime(2011, 1, 5), 20.0, -0.1, None])
+
+
+# The aggregation that preceded the one-pass version, kept verbatim as the
+# reference it must equal, except that it sums with _plain_sum: on Python
+# 3.11 and earlier that is the float the builtin sum() gave, and on 3.12
+# and later, whose sum() is compensated, it is still the float daily_aggregate
+# must give.
+_reference_logger = logging.getLogger("paddymoist.ingest")
+
+
+def _plain_sum(values):
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def _reference_daily_aggregate(records, min_coverage=40):
+    for prev, cur in zip(records, records[1:]):
+        if cur.timestamp <= prev.timestamp:
+            raise OrderingError(
+                f"timestamps must be strictly increasing; {cur.timestamp} "
+                f"follows {prev.timestamp}"
+            )
+    by_day = {}
+    for rec in records:
+        by_day.setdefault(rec.timestamp.date(), []).append(rec)
+
+    days = []
+    theta = []
+    gaps = []
+    first_date = records[0].timestamp.date() if records else None
+    for day in sorted(by_day):
+        recs = by_day[day]
+        if len(recs) < min_coverage:
+            gaps.append(DayGap(day, len(recs)))
+            _reference_logger.warning("excluding %s: only %d of %d intervals present",
+                                      day, len(recs), INTERVALS_PER_DAY)
+            continue
+        temps = [r.temp for r in recs]
+        thetas = [r.theta for r in recs if r.theta is not None]
+        days.append(DailyWeather(
+            day_index=(day - first_date).days,
+            date=day,
+            tmax=max(temps),
+            tavg=_plain_sum(temps) / len(temps),
+            tmin=min(temps),
+            precip=_plain_sum(r.precip for r in recs),
+        ))
+        theta.append(_plain_sum(thetas) / len(thetas) if thetas else None)
+    return DailyAggregation(days=days, theta=theta, gaps=gaps)
+
+
+def _station(seed, n_days=60):
+    """Random half-hourly records: whole days missing, short days, partly
+    covered days, days without theta, and rain on some intervals."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(n_days):
+        fate = rng.random()
+        if fate < 0.05:
+            continue
+        keep = (rng.randint(1, 39) if fate < 0.2 else rng.randint(40, 47) if fate < 0.35
+                else 48)
+        sensed = rng.random()
+        midnight = datetime(2010, 1, 1) + timedelta(days=k)
+        for slot in sorted(rng.sample(range(48), keep)):
+            out.append(HalfHourRecord(
+                midnight + timedelta(minutes=30 * slot),
+                temp=rng.uniform(15.0, 35.0),
+                precip=rng.expovariate(2.0) if rng.random() < 0.2 else 0.0,
+                theta=rng.uniform(0.2, 0.5) if rng.random() < sensed else None))
+    return out
+
+
+class TestOnePassAggregate:
+
+    @pytest.mark.parametrize("min_coverage", [1, 40, 48])
+    @pytest.mark.parametrize("records", [
+        _station(1), _station(2), _station(3, n_days=400),
+        _day_records(date(2011, 1, 5), [15.0 + 0.25 * i for i in range(48)], 0.3, 0.41)
+        + _day_records(date(2011, 1, 6), 20.0),
+        [],
+    ], ids=["gapped-1", "gapped-2", "gapped-400-days", "full", "empty"])
+    def test_equals_the_reference(self, records, min_coverage, caplog):
+        with caplog.at_level(logging.WARNING, logger="paddymoist.ingest"):
+            expected = _reference_daily_aggregate(records, min_coverage)
+            reference_log = caplog.messages[:]
+            caplog.clear()
+            agg = daily_aggregate(records, min_coverage)
+        assert agg == expected
+        assert repr(agg) == repr(expected)  # bit for bit, the sign of zero too
+        assert caplog.messages == reference_log
+
+    def test_inputs_cover_gaps_and_missing_theta(self):
+        agg = daily_aggregate(_station(3, n_days=400))
+        assert len(agg.gaps) > 20 and None in agg.theta and len(agg.days) > 300
+        assert any(b.day_index - a.day_index > 1 for a, b in zip(agg.days, agg.days[1:]))
+
+    @pytest.mark.parametrize("i, j", [(5, 6), (0, 1), (47, 48), (100, 400)])
+    def test_ordering_error_equals_the_reference(self, i, j):
+        records = _station(1)
+        records[i], records[j] = records[j], records[i]
+        with pytest.raises(OrderingError) as expected:
+            _reference_daily_aggregate(records)
+        with pytest.raises(OrderingError, match=f"^{expected.value}$"):
+            daily_aggregate(records)
+
+    def test_local_date_going_backwards_rejected(self):
+        # instants increase, but the last record's local date is a day earlier
+        stamps = ["2011-01-05T23:30:00+00:00", "2011-01-06T00:10:00+00:00",
+                  "2011-01-05T23:50:00-01:00"]
+        records = [HalfHourRecord(datetime.fromisoformat(s), 20.0, 0.0) for s in stamps]
+        with pytest.raises(OrderingError, match="local dates must not go backwards"):
+            daily_aggregate(records, min_coverage=1)
+
+
+def _compensated_sum(values):
+    """The builtin sum() of floats on Python 3.12 and later (Neumaier)."""
+    total = compensation = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+class TestVersionIndependentSums:
+
+    VALUES = [1e16, 1.0, -1e16]
+
+    def test_left_sum_adds_left_to_right(self):
+        assert left_sum(self.VALUES) == 0.0 == _plain_sum(self.VALUES)
+        assert _compensated_sum(self.VALUES) == 1.0
+        assert left_sum([]) == 0.0 and left_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_daily_mean_and_total_are_summed_left_to_right(self):
+        temps = self.VALUES * 16
+        precip = [1e16 if i % 3 == 0 else 1.0 for i in range(48)]
+        start = datetime(2011, 1, 5)
+        records = [HalfHourRecord(start + timedelta(minutes=30 * i), temps[i], precip[i])
+                   for i in range(48)]
+        day = daily_aggregate(records).days[0]
+        assert day.tavg == 0.0 != _compensated_sum(temps) / 48
+        assert day.precip == _plain_sum(precip) != _compensated_sum(precip)
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestBoundaryErrors:
+
+    HEADER = "timestamp_iso8601,temp_c,precip_mm,theta_vwc"
+
+    @pytest.mark.parametrize("row, error, message", [
+        ("2011-01-05T00:30:00,20.0,-0.5,0.4", DataFormatError,
+         "line 3: precip_mm must be >= 0, got '-0.5'"),
+        ("2011-01-05T00:30:00,20.0,0.0,7.5", DataFormatError,
+         "line 3: theta_vwc must be in [0, 1], got '7.5'"),
+        ("2011-01-05T00:30:00,20.0,0.0,-0.1", DataFormatError,
+         "line 3: theta_vwc must be in [0, 1], got '-0.1'"),
+        ("2011-01-05T00:00:00,20.0,0.0,0.4", OrderingError,
+         "line 3: timestamps must be strictly increasing; "
+         "2011-01-05 00:00:00 follows 2011-01-05 00:00:00"),
+        ("2011-01-04T23:30:00,20.0,0.0,0.4", OrderingError,
+         "line 3: timestamps must be strictly increasing; "
+         "2011-01-04 23:30:00 follows 2011-01-05 00:00:00"),
+        ("2011-01-05T00:30:00+07:00,20.0,0.0,0.4", DataFormatError,
+         "line 3: timestamp '2011-01-05T00:30:00+07:00' cannot be ordered"),
+    ])
+    def test_half_hourly_row_rejected_with_its_line(self, tmp_path, row, error, message):
+        path = _write(tmp_path / "hh.csv", [self.HEADER, "2011-01-05T00:00:00,20.0,0.0,0.4",
+                                            row, "2011-01-05T01:00:00,20.0,0.0,0.4"])
+        with pytest.raises(error) as exc:
+            read_half_hourly_csv(path)
+        assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row, what", [("2011-01-05T00:30:00,{},0.0,0.4", "temp_c"),
+                                           ("2011-01-05T00:30:00,20.0,0.0,{}", "theta_vwc")])
+    def test_non_finite_temp_or_theta_reports_line(self, tmp_path, row, what, bad):
+        path = _write(tmp_path / "hh.csv", [self.HEADER, "2011-01-05T00:00:00,20.0,0.0,0.4",
+                                            row.format(bad)])
+        with pytest.raises(DataFormatError, match=f"^line 3: {what} must be finite"):
+            read_half_hourly_csv(path)
+
+    def test_half_hourly_theta_bounds_and_negative_zero_read(self, tmp_path):
+        path = _write(tmp_path / "hh.csv", [self.HEADER, "2011-01-05T00:00:00,20.0,-0.0,0",
+                                            "2011-01-05T00:30:00,20.0,0.0,1.0",
+                                            "2011-01-05T01:00:00,20.0,0.0,"])
+        assert [r.theta for r in read_half_hourly_csv(path)] == [0.0, 1.0, None]
+
+    @pytest.mark.parametrize("cells, message", [
+        ("30.0,18.0,19.0,0.0,0.4", "line 3: need tmin <= tavg <= tmax, got 19.0/18.0/30.0"),
+        ("30.0,25.0,19.0,-2.5,0.4", "line 3: precip must be >= 0, got -2.5"),
+        ("30.0,25.0,19.0,0.0,7.5", "line 3: theta_vwc must be in [0, 1], got '7.5'"),
+    ])
+    def test_daily_row_rejected_with_its_line(self, tmp_path, cells, message):
+        path = _write(tmp_path / "daily.csv", [
+            "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc",
+            "2011-01-05,0,30.0,25.0,19.0,0.0,0.4", f"2011-01-06,1,{cells}"])
+        with pytest.raises(DataFormatError) as exc:
+            read_daily_csv(path)
+        assert str(exc.value).startswith(message)

@@ -1,8 +1,10 @@
 """Property tests over random inputs: the bucket's ledger, closed-loop bounds,
-and the config document's round trip."""
+the config document's round trip and the half-hourly file's round trip."""
 
 import math
 import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from paddymoist.ann import Mlp, MlpTopology, Normalizer  # noqa: E402
 from paddymoist.experiment import format_config, parse_config  # noqa: E402
 from paddymoist.hydro import FieldParams, water_balance_step  # noqa: E402
+from paddymoist.ingest import (HalfHourRecord, read_half_hourly_csv,  # noqa: E402
+                               write_half_hourly_csv)
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
                                  SimMode, simulate_moisture)
 
@@ -95,6 +99,7 @@ _PATH_CHARS = string.ascii_letters + string.digits + "/._-= "
 def config_texts(draw):
     """A config document setting every key to a random valid value."""
     res = draw(_floats(0.0, 0.5))
+    lag = draw(st.integers(1, 5))
     sat = draw(_floats(res, 0.9, exclude_min=True))
     above_res = _floats(res, sat, exclude_min=True).map(repr)
     values = {
@@ -109,7 +114,7 @@ def config_texts(draw):
             lambda xs: " ".join(map(str, xs))),
         "kc.values": st.lists(_floats(0.01, 2.0), min_size=3, max_size=3).map(
             lambda xs: " ".join(map(repr, xs))),
-        "moisture.lag": st.integers(1, 5).map(str),
+        "moisture.lag": st.just(str(lag)),
         "moisture.sim_mode": st.sampled_from([m.value for m in SimMode]),
         "moisture.theta_init": _real(0.0, 1.0),
         "weather.tavg_mean_c": _real(-10.0, 40.0),
@@ -135,6 +140,7 @@ def config_texts(draw):
         values[f"{period}.source"] = st.sampled_from(["synth", "csv"])
         values[f"{period}.seed"] = st.integers(0, 2**63).map(str)
         values[f"{period}.data"] = st.text(_PATH_CHARS, max_size=30).map(str.strip)
+    values["period1.days"] = st.integers(lag + 1, 10**4).map(str)  # a day past the lag
     return "".join(f"{key} = {draw(strategy)}\n" for key, strategy in values.items())
 
 
@@ -155,3 +161,33 @@ class TestConfigRoundTrip:
         cfg = parse_config(f"site.latitude_deg = {lat_deg!r}\n")
         assert parse_config(format_config(cfg)).site.latitude == cfg.site.latitude
         assert math.isfinite(cfg.site.latitude)
+
+
+@st.composite
+def station_records(draw):
+    """Finite records in strictly increasing time order, theta present on
+    some, all or none of them."""
+    stamps = sorted(draw(st.lists(st.datetimes(), unique=True, max_size=40)))
+    theta = st.none() | _floats(0.0, 1.0) if draw(st.booleans()) else st.none()
+    return [HalfHourRecord(ts, draw(st.floats(allow_nan=False, allow_infinity=False)),
+                           draw(_floats(0.0, None)), draw(theta))
+            for ts in stamps]
+
+
+def _bits(record):
+    return [record.timestamp.isoformat(),
+            *(None if v is None else v.hex() for v in record[1:])]
+
+
+class TestHalfHourlyRoundTrip:
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=station_records())
+    def test_write_then_read_gives_the_same_records(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "station.csv"
+            write_half_hourly_csv(path, records)
+            back = read_half_hourly_csv(path)
+        assert back == records
+        assert [_bits(r) for r in back] == [_bits(r) for r in records]
+        assert all(type(r) is HalfHourRecord for r in back)
