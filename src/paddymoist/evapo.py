@@ -13,6 +13,7 @@ values, so ET0 can be produced where only temperature is recorded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from datetime import date as Date
@@ -55,10 +56,14 @@ class DailyWeather:
     precip: float
 
     def __post_init__(self):
-        for name in ("tmax", "tavg", "tmin", "precip"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value} on {self.date}")
+        isfinite = math.isfinite
+        # one chained test per day; the loop only finds the field to name
+        if not (isfinite(self.tmax) and isfinite(self.tavg) and isfinite(self.tmin)
+                and isfinite(self.precip)):
+            for name in ("tmax", "tavg", "tmin", "precip"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value} on {self.date}")
         if not (self.tmin <= self.tavg <= self.tmax):
             raise ValueError(
                 f"need tmin <= tavg <= tmax, got {self.tmin}/{self.tavg}/{self.tmax} "
@@ -106,6 +111,18 @@ def extraterrestrial_radiation(site: SiteLocation, doy: int) -> float:
     return max(ra, 0.0)
 
 
+@functools.lru_cache(maxsize=64)
+def ra_table(latitude: float) -> tuple[float, ...]:
+    """:func:`extraterrestrial_radiation` at ``latitude`` for each day of year.
+
+    Entry ``doy - 1`` is Ra for day of year ``doy``, 1..366.  Ra depends on
+    the site only through its latitude, so one table serves every season
+    there; its entries come from the same function, bit for bit.
+    """
+    site = SiteLocation(latitude)
+    return tuple(extraterrestrial_radiation(site, doy) for doy in range(1, 367))
+
+
 def hargreaves_et0(tmax: float, tavg: float, tmin: float, ra: float) -> float:
     """Hargreaves reference evapotranspiration in mm/day, floored at 0.
 
@@ -120,11 +137,9 @@ def hargreaves_et0(tmax: float, tavg: float, tmin: float, ra: float) -> float:
 
 def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[float]:
     """Hargreaves ET0 for each day, with Ra from the day's calendar date."""
-    return [
-        hargreaves_et0(d.tmax, d.tavg, d.tmin,
-                       extraterrestrial_radiation(site, day_of_year(d.date)))
-        for d in days
-    ]
+    ra = ra_table(site.latitude)
+    return [hargreaves_et0(d.tmax, d.tavg, d.tmin, ra[day_of_year(d.date) - 1])
+            for d in days]
 
 
 def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainConfig,

@@ -18,6 +18,7 @@ reproducible.
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date as Date
@@ -51,11 +52,11 @@ class PeriodSpec:
         if self.source not in ("synth", "csv"):
             raise DataFormatError(f"period source must be synth or csv, got {self.source!r}")
         if self.n_days < 1:
-            raise ValueError(f"period needs at least 1 day, got {self.n_days}")
+            raise ValueError(f"period needs n_days >= 1, got {self.n_days}")
         # A config line ends at a newline and its value at "#", and is stripped.
         if (any(c in self.data_path for c in "#\n\r")
                 or self.data_path != self.data_path.strip()):
-            raise DataFormatError(f"period data path cannot hold '#', a line break or "
+            raise DataFormatError(f"period data_path cannot hold '#', a line break or "
                                   f"leading or trailing space: {self.data_path!r}")
 
 
@@ -183,6 +184,17 @@ _SCHEMA = (
 _PART_TYPES = get_type_hints(ExperimentConfig)
 
 
+def _keys_of(part: str, message: str) -> str:
+    """The keys behind an error from ``part``'s constructor: those whose
+    attribute the message names, in the order it names them, or else every
+    key that feeds the part."""
+    fed = [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
+           for name in attrs.split() if name.partition(".")[0] == part]
+    named = sorted((m.start(), key) for leaf, key in fed
+                   for m in [re.search(rf"\b{leaf}\b", message)] if m)
+    return ", ".join(dict.fromkeys(key for _, key in named or fed))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a config document; unknown keys are rejected, missing ones default."""
     values = {key: default for key, default, _, _ in _SCHEMA}
@@ -215,14 +227,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 parts.setdefault(part, {})[leaf] = value
             else:
                 parts[part] = value
-    try:
-        cfg = ExperimentConfig(**{
-            part: _PART_TYPES[part](**value) if isinstance(value, dict) else value
-            for part, value in parts.items()})
-    except DataFormatError:
-        raise
-    except ValueError as exc:
-        raise DataFormatError(f"config value error: {exc}") from exc
+    for part, value in parts.items():
+        if isinstance(value, dict):
+            try:
+                parts[part] = _PART_TYPES[part](**value)
+            except ValueError as exc:
+                raise DataFormatError(f"{_keys_of(part, str(exc))}: {exc}") from exc
+    cfg = ExperimentConfig(**parts)
     # moisture training needs at least one day after the lagged ones
     if not 1 <= cfg.lag < cfg.period1.n_days:
         raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "
@@ -262,34 +273,45 @@ def weather_params_for(cfg: ExperimentConfig, spec: PeriodSpec) -> WeatherGenPar
 
 @dataclass
 class PeriodData:
-    """One period's loaded series."""
+    """One period's loaded series.
+
+    ``hargreaves`` is the Hargreaves ET0 of ``days`` at the configured site,
+    as :func:`load_period` fills it; ``None`` where it was not computed.
+    """
 
     name: str
     days: list
     theta_obs: list
+    hargreaves: "list | None" = None
 
 
 def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
     """Generate a synthetic period or read a daily CSV with observed theta.
 
-    A CSV period must hold consecutive days: the crop calendar and the
-    moisture lags step one list entry per day.
+    A CSV period must hold ``spec.n_days`` consecutive days: the crop
+    calendar and the moisture lags step one list entry per day, and the
+    report echoes the configured length as the one the run used.
     """
     if spec.source == "synth":
         weather = generate_weather(weather_params_for(cfg, spec))
-        theta, _ = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
-        return PeriodData(name=name, days=weather, theta_obs=theta)
+        theta, ledger = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
+        return PeriodData(name=name, days=weather, theta_obs=theta,
+                          hargreaves=[row.et0 for row in ledger])
     if not spec.data_path:
         raise DataFormatError(f"{name}: source is csv but no data path was given")
     days, theta = read_daily_csv(spec.data_path)
     if not days:
         raise DataFormatError(f"{name}: {spec.data_path} holds no days")
     check_consecutive(days, f"{name}: {spec.data_path}")
+    if len(days) != spec.n_days:
+        raise DataFormatError(f"{name}: {spec.data_path} holds {len(days)} days, "
+                              f"but {name}.days is {spec.n_days}")
     if any(v is None for v in theta):
         raise DataFormatError(
             f"{name}: {spec.data_path} must carry theta_vwc on every day"
         )
-    return PeriodData(name=name, days=days, theta_obs=theta)
+    return PeriodData(name=name, days=days, theta_obs=theta,
+                      hargreaves=hargreaves_series(days, cfg.site))
 
 
 @dataclass
@@ -378,9 +400,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             p1.days, cfg.site, cfg.et0_train,
             temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm,
         )
+    harg1, harg2 = p1.hargreaves, p2.hargreaves
     with _stage("predict et0"):
-        harg1 = hargreaves_series(p1.days, cfg.site)
-        harg2 = hargreaves_series(p2.days, cfg.site)
         pred1 = predict_et0_series(et0_model, p1.days)
         pred2 = predict_et0_series(et0_model, p2.days)
 

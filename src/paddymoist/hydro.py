@@ -8,23 +8,27 @@ zone whose storage changes by
 
 with crop ET taken first within a step, percolation capped at a fixed daily
 rate, and runoff as the overflow above a ponding threshold.  Every step
-reports the fluxes it actually took, so storage changes can be audited
-against the ledger to floating-point precision.  All parameter defaults are
-synthetic placeholders, not measurements of any real field.
+reports the fluxes it actually took, and :func:`generate_truth` returns them
+with each day's inputs as a ledger of :class:`LedgerDay` rows, so each
+day's storage change can be audited from its row alone to floating-point
+precision.  All parameter defaults are synthetic placeholders, not
+measurements of any real field.
+
+This module depends on the weather and crop layers only, never on the
+moisture model it provides targets for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
 from .crop import KcSchedule, kc_at, validate_schedule
-from .evapo import (DailyWeather, SiteLocation, day_of_year, extraterrestrial_radiation,
-                    hargreaves_et0)
-from .moisture import ForcingDay
+from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_et0, ra_table
 
 # Generator constants: day-to-day scatter of the mean temperature (deg C),
 # lognormal sigma of the diurnal-range jitter, and the day-of-year where the
@@ -80,6 +84,23 @@ class WaterFluxes:
     perc_mm: float
 
 
+class LedgerDay(NamedTuple):
+    """One day of ground truth: what went into the bucket and what it gave up.
+
+    ``precip`` and ``irrig_mm`` are the day's inflows in mm, ``et0`` the
+    Hargreaves ET0 (mm/day) and ``kc`` the crop coefficient whose product
+    was the crop ET demand, and ``fluxes`` the outflows actually taken.  A
+    row also serves as moisture-model forcing: it has the ``et0``,
+    ``precip`` and ``kc`` a :class:`~paddymoist.moisture.ForcingDay` has.
+    """
+
+    precip: float
+    irrig_mm: float
+    et0: float
+    kc: float
+    fluxes: WaterFluxes
+
+
 @dataclass(frozen=True)
 class WeatherGenParams:
     """Knobs for :func:`generate_weather`.
@@ -118,9 +139,10 @@ def water_balance_step(theta: float, p: FieldParams, precip_mm: float,
     (capped at ``perc_rate``, never below residual), then runoff of any
     excess above the ponding threshold.
     """
-    for name, v in (("precip_mm", precip_mm), ("irrig_mm", irrig_mm), ("etc_mm", etc_mm)):
-        if v < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+    if precip_mm < 0.0 or irrig_mm < 0.0 or etc_mm < 0.0:
+        for name, v in (("precip_mm", precip_mm), ("irrig_mm", irrig_mm), ("etc_mm", etc_mm)):
+            if v < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {v}")
     if not (p.theta_res <= theta <= p.theta_sat):
         raise ValueError(
             f"theta {theta} outside [{p.theta_res}, {p.theta_sat}]"
@@ -152,35 +174,46 @@ def generate_weather(g: WeatherGenParams) -> list[DailyWeather]:
     wet/dry process with exponential wet-day amounts.
     """
     rng = np.random.default_rng(g.seed)
+    # numpy's own formulas for normal(0, s), lognormal(mu, s), uniform() and
+    # exponential(m) over the standard draws, without the argument parsing:
+    # the same values from the same stream
+    normal, rand, expo = rng.standard_normal, rng.random, rng.standard_exponential
     mu = -0.5 * _RANGE_JITTER_SIGMA ** 2  # mean-one lognormal
     days = []
+    one_day = timedelta(days=1)
+    day_date = g.start_date
     for d in range(g.n_days):
-        day_date = g.start_date + timedelta(days=d)
+        if d:
+            day_date += one_day
         doy = day_of_year(day_date)
         tavg = (g.tavg_mean
                 + g.tavg_amplitude * math.cos(2.0 * math.pi * (doy - _SEASON_PEAK_DOY) / 365.0)
-                + rng.normal(0.0, _TAVG_NOISE_SD))
-        j_up = rng.lognormal(mu, _RANGE_JITTER_SIGMA)
-        j_down = rng.lognormal(mu, _RANGE_JITTER_SIGMA)
+                + (0.0 + _TAVG_NOISE_SD * normal()))
+        j_up = math.exp(mu + _RANGE_JITTER_SIGMA * normal())
+        j_down = math.exp(mu + _RANGE_JITTER_SIGMA * normal())
         tmax = tavg + 0.5 * g.diurnal_range_mean * j_up
         tmin = tavg - 0.5 * g.diurnal_range_mean * j_down
-        # random() is uniform()'s draw without its 0.0 + 1.0 * u scaling:
-        # the same value from the same stream, without the argument parsing
-        wet = rng.random() < g.wet_day_prob
-        precip = float(rng.exponential(g.precip_mean_wet)) if wet else 0.0
-        days.append(DailyWeather(day_index=d, date=day_date, tmax=tmax,
-                                 tavg=tavg, tmin=tmin, precip=precip))
+        wet = rand() < g.wet_day_prob
+        precip = g.precip_mean_wet * expo() if wet else 0.0
+        days.append(DailyWeather(d, day_date, tmax, tavg, tmin, precip))
     return days
 
 
 def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
                    kc: KcSchedule, p: FieldParams,
-                   ) -> tuple[list[float], list[ForcingDay]]:
+                   ) -> tuple[list[float], list[LedgerDay]]:
     """Run the water balance over a season of weather.
 
     Per day: Hargreaves ET0 from the day's temperatures and date, crop ET
     as Kc * ET0, then one bucket step.  Returns the end-of-day soil
-    moisture trajectory and the matching forcing series for model training.
+    moisture trajectory and the season's ledger, one :class:`LedgerDay` per
+    day.  Day ``d``'s row closes the balance on its own::
+
+        precip + irrig_mm - fluxes.etc_mm - fluxes.runoff_mm - fluxes.perc_mm
+            == (theta[d] - theta[d - 1]) * root depth in mm
+
+    with ``p.theta_init`` before day 0.  The rows' ``et0`` are
+    :func:`~paddymoist.evapo.hargreaves_series` of the weather, bit for bit.
     """
     if not weather:
         raise ValueError("weather series is empty")
@@ -188,14 +221,15 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
     irrig = {}
     for day_index, mm in p.irrigation:
         irrig[day_index] = irrig.get(day_index, 0.0) + mm
+    ra = ra_table(site.latitude)
     theta = p.theta_init
     theta_series: list[float] = []
-    forcing: list[ForcingDay] = []
+    ledger: list[LedgerDay] = []
     for d, day in enumerate(weather):
-        ra = extraterrestrial_radiation(site, day_of_year(day.date))
-        et0 = hargreaves_et0(day.tmax, day.tavg, day.tmin, ra)
+        et0 = hargreaves_et0(day.tmax, day.tavg, day.tmin, ra[day_of_year(day.date) - 1])
         kc_d = kc_at(kc, d)
-        theta, _ = water_balance_step(theta, p, day.precip, irrig.get(d, 0.0), kc_d * et0)
+        irrig_mm = irrig.get(d, 0.0)
+        theta, fluxes = water_balance_step(theta, p, day.precip, irrig_mm, kc_d * et0)
         theta_series.append(theta)
-        forcing.append(ForcingDay(et0=et0, precip=day.precip, kc=kc_d))
-    return theta_series, forcing
+        ledger.append(LedgerDay(day.precip, irrig_mm, et0, kc_d, fluxes))
+    return theta_series, ledger

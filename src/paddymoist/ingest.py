@@ -27,7 +27,8 @@ its line (an :class:`OrderingError` for a repeated or earlier timestamp or
 date), which the CLI maps to exit code 4: a missing or wrong header, too few
 fields, an unparseable or non-finite number, a negative precipitation, a
 ``theta_vwc`` outside [0, 1], and, in a daily file, a day with
-``tmin <= tavg <= tmax`` broken.
+``tmin <= tavg <= tmax`` broken.  The line is the physical one in the file:
+a record whose quoted field holds a line break is named by its last line.
 
 Daily means and totals are summed left to right (:func:`ann.left_sum`), so
 the aggregated bits do not depend on the Python version.
@@ -231,7 +232,7 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
         append, make = records.append, tuple.__new__
         parse_ts, inf = datetime.fromisoformat, math.inf
         prev = None
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             # The same checks as _checked_record, inlined; any fault sends the
@@ -250,7 +251,7 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
             if ok:
                 append(make(HalfHourRecord, (ts, temp, precip, theta)))
             else:
-                append(_checked_record(row, line_no, has_theta, prev))
+                append(_checked_record(row, reader.line_num, has_theta, prev))
                 ts = records[-1][0]
             prev = ts
     return records
@@ -290,9 +291,10 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
             )
         has_theta = len(header) > 6 and header[6] == _THETA_COLUMN
         days, theta = [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line_no = reader.line_num
             if len(row) < 6:
                 raise DataFormatError(f"line {line_no}: expected at least 6 fields, got {len(row)}")
             try:

@@ -48,10 +48,13 @@ class ForcingDay:
     kc: float
 
     def __post_init__(self):
-        for name in ("et0", "precip", "kc"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        isfinite = math.isfinite
+        # one chained test per day; the loop only finds the field to name
+        if not (isfinite(self.et0) and isfinite(self.precip) and isfinite(self.kc)):
+            for name in ("et0", "precip", "kc"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if self.et0 < 0.0:
             raise ValueError(f"et0 must be >= 0, got {self.et0}")
         if self.precip < 0.0:
@@ -160,13 +163,16 @@ def simulate_moisture(m: MoistureModel, forcing: "list[ForcingDay]",
                 f"theta_obs has {len(theta_obs)} days but forcing has {len(forcing)}"
             )
     fwd = ann.bind(m.net)
+    normalize, lag = ann.normalize, m.lag
+    n_et0, n_precip, n_kc, n_theta = m.norms.et0, m.norms.precip, m.norms.kc, m.norms.theta
     estimates: list[float] = []
     source = theta_obs if mode is SimMode.TEACHER_FORCED else estimates
     for t, f in enumerate(forcing):
-        lags = []
-        for k in range(1, m.lag + 1):
+        # the input vector of build_patterns, built in place
+        x = [normalize(f.et0, n_et0), normalize(f.precip, n_precip), normalize(f.kc, n_kc)]
+        for k in range(1, lag + 1):
             i = t - k
-            lags.append(source[i] if i >= 0 else theta_init[m.lag + i])
-        (u,) = fwd(_input_vector(f, lags, m.norms))
-        estimates.append(ann.denormalize(u, m.norms.theta))
+            x.append(normalize(source[i] if i >= 0 else theta_init[lag + i], n_theta))
+        (u,) = fwd(x)
+        estimates.append(ann.denormalize(u, n_theta))
     return estimates

@@ -230,6 +230,31 @@ class TestExitCodes:
                      "--out", str(tmp_path / "et0.model")]) == 4
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_csv_period_of_another_length_is_data_error(self, tmp_path, quick_config_path,
+                                                        capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        path = data / "period2_daily.csv"
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(Path(quick_config_path).read_text(encoding="utf-8")
+                       .replace("period2.days = 118", "period2.days = 100")
+                       .replace("period2.source = synth", "period2.source = csv")
+                       .replace("period2.data = ", f"period2.data = {path}"),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert (f"error: [stage: load period2] period2: {path} holds 118 days, "
+                f"but period2.days is 100") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_part_error_names_its_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("field.theta_res = 0.5\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        assert ("error: field.theta_res, field.theta_init, field.theta_sat: need theta_res "
+                "< theta_init <= theta_sat" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_lag_without_a_training_day_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("moisture.lag = 0\n", encoding="utf-8")

@@ -13,7 +13,7 @@ from paddymoist.evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, DailyWeather,
                               Et0Model, SiteLocation, day_of_year,
                               extraterrestrial_radiation, hargreaves_et0,
                               hargreaves_series, predict_et0, predict_et0_series,
-                              train_et0_model)
+                              ra_table, train_et0_model)
 from paddymoist.experiment import default_config, weather_params_for
 from paddymoist.hydro import generate_weather
 from paddymoist.metrics import r_squared
@@ -60,6 +60,25 @@ class TestExtraterrestrialRadiation:
             site = SiteLocation(latitude=math.radians(lat_deg))
             values = [extraterrestrial_radiation(site, doy) for doy in range(1, 367)]
             assert all(v >= 0.0 and math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize("lat", [0.0, -0.0, 0.12, -0.12, 1.5, -1.5])
+    def test_ra_table_is_the_function_bit_for_bit(self, lat):
+        # -0.0 shares 0.0's cached table, so this also shows the two agree
+        site = SiteLocation(latitude=lat)
+        table = ra_table(lat)
+        assert len(table) == 366
+        assert [v.hex() for v in table] == [
+            extraterrestrial_radiation(site, doy).hex() for doy in range(1, 367)]
+
+    def test_hargreaves_series_uses_each_days_ra(self):
+        site = SiteLocation(latitude=math.radians(-30.0))
+        # across a year end and a leap day
+        days = [DailyWeather(i, date(2011, 12, 1) + timedelta(days=i), tmax=31.0 - i % 7,
+                             tavg=24.0, tmin=18.5 + i % 3, precip=0.0) for i in range(120)]
+        assert hargreaves_series(days, site) == [
+            hargreaves_et0(d.tmax, d.tavg, d.tmin,
+                           extraterrestrial_radiation(site, day_of_year(d.date)))
+            for d in days]
 
     def test_doy_out_of_range(self):
         with pytest.raises(ValueError):
@@ -120,6 +139,20 @@ class TestDailyWeather:
         values[field] = bad
         with pytest.raises(ValueError, match=field):
             DailyWeather(0, date(2011, 1, 1), **values)
+
+    @pytest.mark.parametrize("field", ["tmax", "tavg", "tmin", "precip"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_message(self, field, bad):
+        values = dict(tmax=30.0, tavg=25.0, tmin=18.0, precip=1.0)
+        values[field] = bad
+        with pytest.raises(ValueError) as exc:
+            DailyWeather(0, date(2011, 1, 1), **values)
+        assert str(exc.value) == f"{field} must be finite, got {bad} on 2011-01-01"
+
+    def test_first_non_finite_field_is_named(self):
+        with pytest.raises(ValueError, match="^tavg must be finite, got nan"):
+            DailyWeather(0, date(2011, 1, 1), tmax=30.0, tavg=math.nan, tmin=math.inf,
+                         precip=-math.inf)
 
 
 class TestEt0Surrogate:

@@ -14,9 +14,9 @@ from conftest import quick_config
 from paddymoist.ann import Normalizer, TrainConfig
 from paddymoist.crop import KcSchedule
 from paddymoist.errors import DataFormatError, OrderingError
-from paddymoist.evapo import SiteLocation
-from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, default_config,
-                                   export_plot_data, format_config,
+from paddymoist.evapo import SiteLocation, hargreaves_series
+from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
+                                   default_config, export_plot_data, format_config,
                                    format_report_text, load_period, parse_config,
                                    run_experiment, write_report_files,
                                    write_synth_periods)
@@ -87,6 +87,28 @@ class TestConfigDocument:
                 replace(cfg.period1, data_path=path)
         cfg = replace(cfg, period1=replace(cfg.period1, data_path="data/field 2.csv"))
         assert parse_config(format_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("text, message", [
+        ("field.theta_res = 0.5", "field.theta_res, field.theta_init, field.theta_sat: "
+                                  "need theta_res < theta_init <= theta_sat, got 0.5/0.45/0.55"),
+        ("field.runoff_threshold = 0.1", "field.runoff_threshold, field.theta_res, "
+                                         "field.theta_sat: runoff_threshold must lie in"),
+        ("field.root_depth_m = 0", "field.root_depth_m: root_depth must be > 0"),
+        ("normalizer.kc = 2 1", "normalizer.kc: normalizer needs hi > lo, got [2.0, 1.0]"),
+        ("train.moisture.epochs = 0", "train.moisture.epochs: epochs must be >= 1"),
+        ("site.latitude_deg = 90", "site.latitude_deg: latitude must satisfy"),
+        ("period2.source = ftp", "period2.source: period source must be synth or csv"),
+        ("period2.days = 0", "period2.days: period needs n_days >= 1, got 0"),
+    ])
+    def test_part_error_names_its_keys(self, text, message):
+        with pytest.raises(DataFormatError) as exc:
+            parse_config(text + "\n")
+        assert str(exc.value).startswith(message)
+
+    def test_part_error_naming_no_attribute_names_every_key_of_the_part(self):
+        assert _keys_of("period1", "something is wrong") == (
+            "period1.planting, period1.days, period1.source, period1.seed, period1.data")
+        assert _keys_of("temp_norm", "hi and lo, then hi") == "normalizer.temp_c"
 
     def test_table_shaped_defaults(self):
         cfg = default_config()
@@ -258,6 +280,30 @@ class TestRunExperiment:
         for name in report.cells:
             assert report.cells[name].r_squared == pytest.approx(
                 synth_report.cells[name].r_squared, abs=1e-12)
+
+    def test_periods_carry_their_hargreaves_series(self, tmp_path, default_report):
+        cfg = quick_config()
+        write_synth_periods(cfg, tmp_path)
+        synth = load_period(cfg, cfg.period1, "period1")
+        from_csv = load_period(cfg, replace(cfg.period1, source="csv",
+                                            data_path=str(tmp_path / "period1_daily.csv")),
+                               "period1")
+        for period in (synth, from_csv):
+            assert period.hargreaves == hargreaves_series(period.days, cfg.site)
+        assert from_csv.hargreaves == synth.hargreaves
+        for period in (default_report.period1, default_report.period2):
+            assert period.hargreaves == hargreaves_series(period.days, cfg.site)
+
+    @pytest.mark.parametrize("days", [50, 117, 119])
+    def test_csv_period_length_must_match_the_config(self, tmp_path, days):
+        cfg = quick_config()
+        write_synth_periods(cfg, tmp_path)
+        path = tmp_path / "period1_daily.csv"
+        spec = replace(cfg.period1, source="csv", data_path=str(path), n_days=days)
+        with pytest.raises(DataFormatError) as exc:
+            run_experiment(replace(cfg, period1=spec))
+        assert str(exc.value) == (f"[stage: load period1] period1: {path} holds 118 days, "
+                                  f"but period1.days is {days}")
 
     def test_csv_period_requires_theta(self, tmp_path):
         cfg = quick_config()

@@ -1,16 +1,20 @@
 """Weather generator and bucket water balance tests."""
 
+import ast
+import math
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paddymoist import hydro
 from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import ScheduleMismatchError
-from paddymoist.evapo import (SiteLocation, extraterrestrial_radiation,
-                              hargreaves_et0)
-from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_truth,
+from paddymoist.evapo import (DailyWeather, SiteLocation, extraterrestrial_radiation,
+                              hargreaves_et0, hargreaves_series)
+from paddymoist.hydro import (FieldParams, LedgerDay, WeatherGenParams, generate_truth,
                               generate_weather, water_balance_step)
 
 SEASON_KC = KcSchedule(len_ini=20, len_dev=30, len_mid=40, len_late=28)  # 118 days
@@ -84,7 +88,42 @@ class TestWaterBalanceStep:
             FieldParams(runoff_threshold=0.6)  # above theta_sat
 
 
+def _reference_weather(g: WeatherGenParams) -> list:
+    """The generator written with numpy's normal, lognormal, uniform-range
+    random and exponential calls, one date computed per day."""
+    rng = np.random.default_rng(g.seed)
+    sigma = hydro._RANGE_JITTER_SIGMA
+    mu = -0.5 * sigma ** 2
+    days = []
+    for d in range(g.n_days):
+        day_date = g.start_date + timedelta(days=d)
+        doy = day_date.timetuple().tm_yday
+        tavg = (g.tavg_mean
+                + g.tavg_amplitude
+                * math.cos(2.0 * math.pi * (doy - hydro._SEASON_PEAK_DOY) / 365.0)
+                + rng.normal(0.0, hydro._TAVG_NOISE_SD))
+        j_up = rng.lognormal(mu, sigma)
+        j_down = rng.lognormal(mu, sigma)
+        tmax = tavg + 0.5 * g.diurnal_range_mean * j_up
+        tmin = tavg - 0.5 * g.diurnal_range_mean * j_down
+        wet = rng.random() < g.wet_day_prob
+        precip = float(rng.exponential(g.precip_mean_wet)) if wet else 0.0
+        days.append(DailyWeather(d, day_date, tmax, tavg, tmin, precip))
+    return days
+
+
 class TestGenerateWeather:
+
+    @pytest.mark.parametrize("wet_day_prob", [0.0, 0.55, 1.0])
+    def test_equals_the_numpy_distribution_calls(self, wet_day_prob):
+        for seed in range(24):
+            g = WeatherGenParams(seed=seed, n_days=150, wet_day_prob=wet_day_prob,
+                                 start_date=date(2011, 11, 1))  # across a leap day
+            got, ref = generate_weather(g), _reference_weather(g)
+            assert got == ref, seed
+            assert [(d.tmax.hex(), d.tavg.hex(), d.tmin.hex(), d.precip.hex())
+                    for d in got] == [(d.tmax.hex(), d.tavg.hex(), d.tmin.hex(),
+                                       d.precip.hex()) for d in ref], seed
 
     def test_deterministic_per_seed(self):
         g = WeatherGenParams(seed=101, n_days=118)
@@ -146,25 +185,50 @@ class TestGenerateTruth:
         self.params = FieldParams()
 
     def test_etc_composition(self):
-        theta, forcing = generate_truth(self.weather, self.site, SEASON_KC, self.params)
-        for d, (day, f) in enumerate(zip(self.weather, forcing)):
+        theta, ledger = generate_truth(self.weather, self.site, SEASON_KC, self.params)
+        assert len(ledger) == len(theta) == len(self.weather)
+        for d, (day, row) in enumerate(zip(self.weather, ledger)):
+            assert isinstance(row, LedgerDay)
             ra = extraterrestrial_radiation(self.site, day.date.timetuple().tm_yday)
-            assert f.et0 == hargreaves_et0(day.tmax, day.tavg, day.tmin, ra)
-            assert f.kc == kc_at(SEASON_KC, d)
+            assert row.et0 == hargreaves_et0(day.tmax, day.tavg, day.tmin, ra)
+            assert row.kc == kc_at(SEASON_KC, d)
+            assert (row.precip, row.irrig_mm) == (day.precip, 0.0)
+
+    def test_ledger_et0_is_the_hargreaves_series(self):
+        _, ledger = generate_truth(self.weather, self.site, SEASON_KC, self.params)
+        assert [row.et0 for row in ledger] == hargreaves_series(self.weather, self.site)
 
     def test_ledger_replay_conserves_mass(self):
-        theta_series, forcing = generate_truth(self.weather, self.site, SEASON_KC,
-                                               self.params)
+        theta_series, ledger = generate_truth(self.weather, self.site, SEASON_KC,
+                                              self.params)
         depth_mm = self.params.root_depth * 1000.0
         theta = self.params.theta_init
-        for day, f, theta_reported in zip(self.weather, forcing, theta_series):
-            theta_next, fx = water_balance_step(theta, self.params, day.precip, 0.0,
-                                                f.kc * f.et0)
+        for row, theta_reported in zip(ledger, theta_series):
+            theta_next, fx = water_balance_step(theta, self.params, row.precip, row.irrig_mm,
+                                                row.kc * row.et0)
             delta = (theta_next - theta) * depth_mm
-            budget = day.precip - fx.etc_mm - fx.runoff_mm - fx.perc_mm
+            budget = row.precip - fx.etc_mm - fx.runoff_mm - fx.perc_mm
             assert abs(delta - budget) <= 1e-9
             assert theta_next == theta_reported  # same pure code path, bit-identical
+            assert fx == row.fluxes
             theta = theta_next
+
+    def test_ledger_closes_from_each_row_alone(self):
+        events = ((5, 20.0), (40, 35.0), (40, 5.0), (90, 12.5))
+        p = replace(self.params, irrigation=events)
+        theta_series, ledger = generate_truth(self.weather, self.site, SEASON_KC, p)
+        assert [(d, row.irrig_mm) for d, row in enumerate(ledger) if row.irrig_mm] == [
+            (5, 20.0), (40, 40.0), (90, 12.5)]
+        depth_mm = p.root_depth * 1000.0
+        before = p.theta_init
+        for d, (row, after) in enumerate(zip(ledger, theta_series)):
+            fx = row.fluxes
+            budget = row.precip + row.irrig_mm - fx.etc_mm - fx.runoff_mm - fx.perc_mm
+            assert abs((after - before) * depth_mm - budget) <= 1e-9, d
+            assert fx.etc_mm <= row.kc * row.et0
+            before = after
+        assert sum(row.fluxes.runoff_mm for row in ledger) > 0.0
+        assert sum(row.fluxes.perc_mm for row in ledger) > 0.0
 
     def test_dry_season_monotone_nonincreasing(self):
         dry = [replace(d, precip=0.0) for d in self.weather]
@@ -191,3 +255,17 @@ class TestGenerateTruth:
         a = generate_truth(self.weather, self.site, SEASON_KC, self.params)
         b = generate_truth(self.weather, self.site, SEASON_KC, self.params)
         assert a == b
+
+
+def test_hydro_imports_nothing_from_moisture():
+    # the ground truth must not depend on the model it provides targets for
+    tree = ast.parse(Path(hydro.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported += [module] + [f"{module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert not [name for name in imported if "moisture" in name.split(".")]

@@ -465,3 +465,34 @@ class TestBoundaryErrors:
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(path)
         assert str(exc.value).startswith(message)
+
+
+class TestPhysicalLineNumbers:
+    """A quoted field may hold a line break; errors name the physical line."""
+
+    def test_half_hourly_fault_after_a_multi_line_record(self, tmp_path):
+        path = _write(tmp_path / "hh.csv", [
+            "timestamp_iso8601,temp_c,precip_mm,note",
+            '2011-01-05T00:00:00,20.0,0.0,"two', 'lines"',
+            "2011-01-05T00:30:00,oops,0.0,x"])
+        with pytest.raises(DataFormatError) as exc:
+            read_half_hourly_csv(path)
+        assert str(exc.value) == "line 4: cannot parse temp_c from 'oops'"
+
+    def test_half_hourly_ordering_fault_after_a_multi_line_value(self, tmp_path):
+        path = _write(tmp_path / "hh.csv", [
+            "timestamp_iso8601,temp_c,precip_mm,theta_vwc",
+            '2011-01-05T00:00:00,20.0,"0.5', '",0.4',
+            "2011-01-05T00:30:00,21.0,0.0,0.4",
+            "2011-01-05T00:00:00,22.0,0.0,0.4"])
+        with pytest.raises(OrderingError, match="^line 5: timestamps must be strictly"):
+            read_half_hourly_csv(path)
+
+    def test_daily_fault_after_a_multi_line_record(self, tmp_path):
+        path = _write(tmp_path / "daily.csv", [
+            "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,note",
+            '2011-01-05,0,30.0,25.0,19.0,0.0,"a', "b", 'c"',
+            "2011-01-06,1,30.0,oops,19.0,0.0,x"])
+        with pytest.raises(DataFormatError) as exc:
+            read_daily_csv(path)
+        assert str(exc.value) == "line 5: cannot parse tavg_c from 'oops'"

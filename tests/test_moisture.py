@@ -204,6 +204,19 @@ class TestForcingDay:
         with pytest.raises(ValueError, match=field):
             ForcingDay(**values)
 
+    @pytest.mark.parametrize("field", ["et0", "precip", "kc"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_message(self, field, bad):
+        values = dict(et0=1.0, precip=0.0, kc=1.0)
+        values[field] = bad
+        with pytest.raises(ValueError) as exc:
+            ForcingDay(**values)
+        assert str(exc.value) == f"{field} must be finite, got {bad}"
+
+    def test_first_non_finite_field_is_named(self):
+        with pytest.raises(ValueError, match="^precip must be finite, got inf"):
+            ForcingDay(et0=1.0, precip=math.inf, kc=math.nan)
+
 
 class TestCrossPeriodProtocol:
     """Moisture agreement cells on the default experiment."""
