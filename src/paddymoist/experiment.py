@@ -57,7 +57,7 @@ class PeriodSpec:
         if (any(c in self.data_path for c in "#\n\r")
                 or self.data_path != self.data_path.strip()):
             raise DataFormatError(f"period data_path cannot hold '#', a line break or "
-                                  f"leading or trailing space: {self.data_path!r}")
+                                  f"leading or trailing space, got {self.data_path!r}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,10 @@ def _keys_of(part: str, message: str) -> str:
     key that feeds the part."""
     fed = [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
            for name in attrs.split() if name.partition(".")[0] == part]
+    # only the text before the echoed value, which may spell any word
+    named_part = message.partition(", got")[0]
     named = sorted((m.start(), key) for leaf, key in fed
-                   for m in [re.search(rf"\b{leaf}\b", message)] if m)
+                   for m in [re.search(rf"\b{leaf}\b", named_part)] if m)
     return ", ".join(dict.fromkeys(key for _, key in named or fed))
 
 
@@ -273,16 +275,11 @@ def weather_params_for(cfg: ExperimentConfig, spec: PeriodSpec) -> WeatherGenPar
 
 @dataclass
 class PeriodData:
-    """One period's loaded series.
-
-    ``hargreaves`` is the Hargreaves ET0 of ``days`` at the configured site,
-    as :func:`load_period` fills it; ``None`` where it was not computed.
-    """
+    """One period's loaded series."""
 
     name: str
     days: list
     theta_obs: list
-    hargreaves: "list | None" = None
 
 
 def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
@@ -294,9 +291,8 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     """
     if spec.source == "synth":
         weather = generate_weather(weather_params_for(cfg, spec))
-        theta, ledger = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
-        return PeriodData(name=name, days=weather, theta_obs=theta,
-                          hargreaves=[row.et0 for row in ledger])
+        theta, _ = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
+        return PeriodData(name=name, days=weather, theta_obs=theta)
     if not spec.data_path:
         raise DataFormatError(f"{name}: source is csv but no data path was given")
     days, theta = read_daily_csv(spec.data_path)
@@ -310,8 +306,7 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
         raise DataFormatError(
             f"{name}: {spec.data_path} must carry theta_vwc on every day"
         )
-    return PeriodData(name=name, days=days, theta_obs=theta,
-                      hargreaves=hargreaves_series(days, cfg.site))
+    return PeriodData(name=name, days=days, theta_obs=theta)
 
 
 @dataclass
@@ -400,8 +395,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             p1.days, cfg.site, cfg.et0_train,
             temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm,
         )
-    harg1, harg2 = p1.hargreaves, p2.hargreaves
     with _stage("predict et0"):
+        harg1 = hargreaves_series(p1.days, cfg.site)
+        harg2 = hargreaves_series(p2.days, cfg.site)
         pred1 = predict_et0_series(et0_model, p1.days)
         pred2 = predict_et0_series(et0_model, p2.days)
 

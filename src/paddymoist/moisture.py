@@ -92,12 +92,12 @@ class MoistureModel:
 
 
 def _input_vector(f: ForcingDay, lags: "list[float]", norms: MoistureNormalizers) -> list[float]:
-    x = [
-        ann.normalize(f.et0, norms.et0),
-        ann.normalize(f.precip, norms.precip),
-        ann.normalize(f.kc, norms.kc),
-    ]
-    x.extend(ann.normalize(v, norms.theta) for v in lags)
+    """One day's normalized inputs: et0, precip, kc, then ``lags`` newest first."""
+    normalize, n_theta = ann.normalize, norms.theta
+    x = [normalize(f.et0, norms.et0), normalize(f.precip, norms.precip),
+         normalize(f.kc, norms.kc)]
+    for v in lags:
+        x.append(normalize(v, n_theta))
     return x
 
 
@@ -163,16 +163,14 @@ def simulate_moisture(m: MoistureModel, forcing: "list[ForcingDay]",
                 f"theta_obs has {len(theta_obs)} days but forcing has {len(forcing)}"
             )
     fwd = ann.bind(m.net)
-    normalize, lag = ann.normalize, m.lag
-    n_et0, n_precip, n_kc, n_theta = m.norms.et0, m.norms.precip, m.norms.kc, m.norms.theta
+    norms, n_theta = m.norms, m.norms.theta
+    teacher = mode is SimMode.TEACHER_FORCED
+    # theta_{t-1} .. theta_{t-lag}, newest first, as build_patterns orders them
+    lags = list(reversed(theta_init))
     estimates: list[float] = []
-    source = theta_obs if mode is SimMode.TEACHER_FORCED else estimates
     for t, f in enumerate(forcing):
-        # the input vector of build_patterns, built in place
-        x = [normalize(f.et0, n_et0), normalize(f.precip, n_precip), normalize(f.kc, n_kc)]
-        for k in range(1, lag + 1):
-            i = t - k
-            x.append(normalize(source[i] if i >= 0 else theta_init[lag + i], n_theta))
-        (u,) = fwd(x)
-        estimates.append(ann.denormalize(u, n_theta))
+        (u,) = fwd(_input_vector(f, lags, norms))
+        estimate = ann.denormalize(u, n_theta)
+        estimates.append(estimate)
+        lags = [theta_obs[t] if teacher else estimate] + lags[:-1]
     return estimates

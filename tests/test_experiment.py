@@ -14,7 +14,7 @@ from conftest import quick_config
 from paddymoist.ann import Normalizer, TrainConfig
 from paddymoist.crop import KcSchedule
 from paddymoist.errors import DataFormatError, OrderingError
-from paddymoist.evapo import SiteLocation, hargreaves_series
+from paddymoist.evapo import SiteLocation
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
                                    default_config, export_plot_data, format_config,
                                    format_report_text, load_period, parse_config,
@@ -98,6 +98,10 @@ class TestConfigDocument:
         ("train.moisture.epochs = 0", "train.moisture.epochs: epochs must be >= 1"),
         ("site.latitude_deg = 90", "site.latitude_deg: latitude must satisfy"),
         ("period2.source = ftp", "period2.source: period source must be synth or csv"),
+        # an echoed value that spells another attribute names no extra key
+        ("period2.source = seed", "period2.source: period source must be synth or csv, "
+                                  "got 'seed'"),
+        ("period1.source = planting", "period1.source: period source must be synth or csv"),
         ("period2.days = 0", "period2.days: period needs n_days >= 1, got 0"),
     ])
     def test_part_error_names_its_keys(self, text, message):
@@ -109,6 +113,11 @@ class TestConfigDocument:
         assert _keys_of("period1", "something is wrong") == (
             "period1.planting, period1.days, period1.source, period1.seed, period1.data")
         assert _keys_of("temp_norm", "hi and lo, then hi") == "normalizer.temp_c"
+
+    def test_echoed_value_names_no_key(self):
+        assert _keys_of("period1", "period data_path cannot hold '#', a line break or "
+                                   "leading or trailing space, got 'seed #2.csv'") == (
+            "period1.data")
 
     def test_table_shaped_defaults(self):
         cfg = default_config()
@@ -280,19 +289,6 @@ class TestRunExperiment:
         for name in report.cells:
             assert report.cells[name].r_squared == pytest.approx(
                 synth_report.cells[name].r_squared, abs=1e-12)
-
-    def test_periods_carry_their_hargreaves_series(self, tmp_path, default_report):
-        cfg = quick_config()
-        write_synth_periods(cfg, tmp_path)
-        synth = load_period(cfg, cfg.period1, "period1")
-        from_csv = load_period(cfg, replace(cfg.period1, source="csv",
-                                            data_path=str(tmp_path / "period1_daily.csv")),
-                               "period1")
-        for period in (synth, from_csv):
-            assert period.hargreaves == hargreaves_series(period.days, cfg.site)
-        assert from_csv.hargreaves == synth.hargreaves
-        for period in (default_report.period1, default_report.period2):
-            assert period.hargreaves == hargreaves_series(period.days, cfg.site)
 
     @pytest.mark.parametrize("days", [50, 117, 119])
     def test_csv_period_length_must_match_the_config(self, tmp_path, days):
