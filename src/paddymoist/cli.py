@@ -25,10 +25,10 @@ from .crop import validate_schedule
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
 from .evapo import train_et0_model
-from .experiment import (build_forcing, default_config, export_plot_data,
+from .experiment import (CELLS, build_forcing, default_config, export_plot_data,
                          load_period, parse_config, run_experiment,
                          write_report_files, write_synth_periods, PeriodData)
-from .ingest import (check_consecutive, daily_aggregate, read_daily_csv,
+from .ingest import (check_consecutive, daily_aggregate, read_columns, read_daily_csv,
                      read_half_hourly_csv, write_daily_csv)
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import SimMode, simulate_moisture, train_moisture_model
@@ -43,8 +43,9 @@ def _load_config(path: "str | None"):
 def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
     """Resolve a daily series for a standalone verb: --data wins over config.
 
-    ``consecutive`` rejects a --data file that skips a date, as every verb
-    that steps through the series day by day must.
+    ``consecutive`` rejects a --data file that skips a date or does not fit
+    the crop calendar, as every verb that steps through the series day by
+    day must; :func:`load_period` checks a config period the same way.
     """
     if data is not None:
         days, theta = read_daily_csv(data)
@@ -52,10 +53,20 @@ def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
             raise DataFormatError(f"{data} holds no days")
         if consecutive:
             check_consecutive(days, data)
+            validate_schedule(cfg.kc, len(days))
         return days, theta
     spec = cfg.period1 if which == "period1" else cfg.period2
     period = load_period(cfg, spec, which)
     return period.days, period.theta_obs
+
+
+def _forcing(cfg, which: str, args):
+    """A stepping verb's daily series and its forcing through the surrogate
+    saved at ``args.et0_model``."""
+    days, theta = _period_days(cfg, which, args.data)
+    et0_model = persist.et0_from_artifact(persist.load_model(args.et0_model))
+    forcing = build_forcing(cfg, et0_model, PeriodData(name=which, days=days, theta_obs=theta))
+    return days, theta, forcing
 
 
 def cmd_synth(args) -> int:
@@ -100,13 +111,9 @@ def cmd_train_et0(args) -> int:
 
 def cmd_train_moisture(args) -> int:
     cfg = _load_config(args.config)
-    days, theta = _period_days(cfg, "period1", args.data)
+    days, theta, forcing = _forcing(cfg, "period1", args)
     if any(v is None for v in theta):
         raise DataFormatError("training data must carry theta_vwc on every day")
-    validate_schedule(cfg.kc, len(days))
-    et0_model = persist.et0_from_artifact(persist.load_model(args.et0_model))
-    period = PeriodData(name="train", days=days, theta_obs=theta)
-    forcing = build_forcing(cfg, et0_model, period)
     train_cfg = (cfg.moisture_train if args.seed is None
                  else replace(cfg.moisture_train, seed=args.seed))
     model, losses = train_moisture_model(forcing, theta, train_cfg, lag=cfg.lag,
@@ -124,13 +131,9 @@ def cmd_train_moisture(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    days, theta = _period_days(cfg, "period2", args.data)
-    validate_schedule(cfg.kc, len(days))
-    et0_model = persist.et0_from_artifact(persist.load_model(args.et0_model))
+    days, theta, forcing = _forcing(cfg, "period2", args)
     moisture_model = persist.moisture_from_artifact(persist.load_model(args.model))
     mode = SimMode(args.mode) if args.mode else cfg.sim_mode
-    period = PeriodData(name="simulate", days=days, theta_obs=theta)
-    forcing = build_forcing(cfg, et0_model, period)
     theta_obs = None
     if mode is SimMode.TEACHER_FORCED:
         if any(v is None for v in theta):
@@ -155,21 +158,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import csv as _csv
-
-    with open(args.file, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"{args.file}: empty file")
-        for col in (args.obs_col, args.est_col):
-            if col not in reader.fieldnames:
-                raise DataFormatError(
-                    f"{args.file}: no column {col!r} (have {reader.fieldnames})"
-                )
-        obs, est = [], []
-        for row in reader:
-            obs.append(float(row[args.obs_col]))
-            est.append(float(row[args.est_col]))
+    obs, est = read_columns(args.file, (args.obs_col, args.est_col))
     print(f"n {len(obs)}")
     print(f"r_squared {r_squared(obs, est)!r}")
     print(f"nash_sutcliffe {nash_sutcliffe(obs, est)!r}")
@@ -184,7 +173,7 @@ def cmd_run(args) -> int:
     written += export_plot_data(report, args.out)
     for p in written:
         print(p)
-    for name in ("et0_train", "et0_val", "theta_train", "theta_val"):
+    for name in CELLS:
         c = report.cells[name]
         print(f"{name}: r_squared {c.r_squared:.4f}  rmse {c.rmse:.4f}")
     return 0
@@ -197,10 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, config=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", help="experiment config file (defaults built in)")
+        if config:
+            p.add_argument("--config", help="experiment config file (defaults built in)")
         return p
 
     p = add("synth", cmd_synth, "generate the two synthetic periods as daily CSVs")
@@ -208,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed1", type=int, help="override period 1 weather seed")
     p.add_argument("--seed2", type=int, help="override period 2 weather seed")
 
-    p = add("ingest", cmd_ingest, "aggregate a half-hourly CSV to daily")
+    p = add("ingest", cmd_ingest, "aggregate a half-hourly CSV to daily", config=False)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--min-coverage", type=int, default=40,
@@ -233,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lag source (default: config sim mode)")
     p.add_argument("--out", required=True, help="estimates CSV path")
 
-    p = add("evaluate", cmd_evaluate, "score two columns of a CSV against each other")
+    p = add("evaluate", cmd_evaluate, "score two columns of a CSV against each other",
+            config=False)
     p.add_argument("--file", required=True)
     p.add_argument("--obs-col", default="observed_theta_vwc")
     p.add_argument("--est-col", default="estimated_theta_vwc")

@@ -3,8 +3,9 @@
 Kc is constant through the initial stage, ramps linearly to its mid-season
 plateau across the development stage, and ramps linearly again to the
 end-of-season value across the late stage.  Defaults are the FAO-56
-tabulated values for paddy rice; stage lengths must be fitted to the actual
-season with :func:`validate_schedule`.
+tabulated values for paddy rice.  A :class:`KcSchedule` rejects, when
+built, a stage shorter than one day and an anchor Kc not > 0 (NaN too), so a
+config fails at parse; :func:`validate_schedule` fits the stages to a season.
 """
 
 from __future__ import annotations
@@ -26,23 +27,21 @@ class KcSchedule:
     kc_mid: float = 1.20
     kc_end: float = 0.90
 
+    def __post_init__(self):
+        for name in ("len_ini", "len_dev", "len_mid", "len_late"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"stage length {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("kc_ini", "kc_mid", "kc_end"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
     @property
     def total_days(self) -> int:
         return self.len_ini + self.len_dev + self.len_mid + self.len_late
 
 
 def validate_schedule(s: KcSchedule, season_days: int) -> None:
-    """Check stage lengths against the season and the Kc invariants.
-
-    Raises :class:`ScheduleMismatchError` when the stages do not sum to
-    ``season_days`` and ``ValueError`` for non-positive lengths or Kc values.
-    """
-    for name in ("len_ini", "len_dev", "len_mid", "len_late"):
-        if getattr(s, name) < 1:
-            raise ValueError(f"stage length {name} must be >= 1, got {getattr(s, name)}")
-    for name in ("kc_ini", "kc_mid", "kc_end"):
-        if getattr(s, name) <= 0.0:
-            raise ValueError(f"{name} must be > 0, got {getattr(s, name)}")
+    """Raise :class:`ScheduleMismatchError` unless the stages sum to ``season_days``."""
     if s.total_days != season_days:
         raise ScheduleMismatchError(
             f"stage lengths {s.len_ini}+{s.len_dev}+{s.len_mid}+{s.len_late} "

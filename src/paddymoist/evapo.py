@@ -34,7 +34,8 @@ _GSC = 0.0820  # solar constant, MJ m-2 min-1 (FAO-56 eq. 21)
 
 @dataclass(frozen=True)
 class SiteLocation:
-    """Geographic site; latitude in radians, south negative."""
+    """Geographic site; latitude in radians, south negative.  ``altitude_m``
+    is recorded and echoed in the report; Hargreaves ET0 does not use it."""
 
     latitude: float = DEFAULT_LATITUDE_RAD
     altitude_m: float = 536.0
@@ -142,6 +143,12 @@ def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[fl
             for d in days]
 
 
+def _input_vector(tmax: float, tavg: float, tmin: float, temp_norm: Normalizer) -> list[float]:
+    """One day's normalized surrogate inputs: tmax, tavg, tmin."""
+    normalize = ann.normalize
+    return [normalize(tmax, temp_norm), normalize(tavg, temp_norm), normalize(tmin, temp_norm)]
+
+
 def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainConfig,
                     temp_norm: Normalizer = DEFAULT_TEMP_NORM,
                     et0_norm: Normalizer = DEFAULT_ET0_NORM,
@@ -154,15 +161,9 @@ def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainCo
     if not days:
         raise ValueError("cannot train the ET0 surrogate on an empty series")
     targets = hargreaves_series(days, site)
-    patterns = [
-        Pattern(
-            [ann.normalize(d.tmax, temp_norm),
-             ann.normalize(d.tavg, temp_norm),
-             ann.normalize(d.tmin, temp_norm)],
-            [ann.normalize(et0, et0_norm)],
-        )
-        for d, et0 in zip(days, targets)
-    ]
+    patterns = [Pattern(_input_vector(d.tmax, d.tavg, d.tmin, temp_norm),
+                        [ann.normalize(et0, et0_norm)])
+                for d, et0 in zip(days, targets)]
     net, losses = ann.train(Mlp.zeros(MlpTopology(3, 8, 1)), patterns, cfg, trace=trace)
     return Et0Model(net, temp_norm, et0_norm), losses
 
@@ -171,8 +172,7 @@ def _predict(fwd, model: Et0Model, tmax: float, tavg: float, tmin: float) -> flo
     """Surrogate ET0 for one day through ``fwd``, the model's bound net."""
     if tmax < tmin:
         raise ValueError(f"tmax ({tmax}) must be >= tmin ({tmin})")
-    tn = model.temp_norm
-    (u,) = fwd([ann.normalize(tmax, tn), ann.normalize(tavg, tn), ann.normalize(tmin, tn)])
+    (u,) = fwd(_input_vector(tmax, tavg, tmin, model.temp_norm))
     return ann.denormalize(u, model.et0_norm)
 
 

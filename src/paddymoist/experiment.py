@@ -29,8 +29,8 @@ from typing import get_type_hints
 from .ann import Normalizer, TrainConfig, left_sum
 from .crop import KcSchedule, kc_at, validate_schedule
 from .errors import DataFormatError
-from .evapo import (DEFAULT_LATITUDE_RAD, DailyWeather, Et0Model, SiteLocation,
-                    hargreaves_series, predict_et0_series, train_et0_model)
+from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
+                    predict_et0_series, train_et0_model)
 from .hydro import FieldParams, WeatherGenParams, generate_truth, generate_weather
 from .ingest import check_consecutive, read_daily_csv, write_daily_csv
 from .metrics import nash_sutcliffe, r_squared, rmse
@@ -285,9 +285,9 @@ class PeriodData:
 def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
     """Generate a synthetic period or read a daily CSV with observed theta.
 
-    A CSV period must hold ``spec.n_days`` consecutive days: the crop
-    calendar and the moisture lags step one list entry per day, and the
-    report echoes the configured length as the one the run used.
+    A CSV period must hold ``spec.n_days`` consecutive days that fit the crop
+    calendar: the calendar and the moisture lags step one list entry per day,
+    and the report echoes the configured length as the one the run used.
     """
     if spec.source == "synth":
         weather = generate_weather(weather_params_for(cfg, spec))
@@ -302,11 +302,16 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     if len(days) != spec.n_days:
         raise DataFormatError(f"{name}: {spec.data_path} holds {len(days)} days, "
                               f"but {name}.days is {spec.n_days}")
+    validate_schedule(cfg.kc, len(days))
     if any(v is None for v in theta):
         raise DataFormatError(
             f"{name}: {spec.data_path} must carry theta_vwc on every day"
         )
     return PeriodData(name=name, days=days, theta_obs=theta)
+
+
+#: The report's metric cells, in report order.
+CELLS = ("et0_train", "et0_val", "theta_train", "theta_val")
 
 
 @dataclass
@@ -386,9 +391,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         p1 = load_period(cfg, cfg.period1, "period1")
     with _stage("load period2"):
         p2 = load_period(cfg, cfg.period2, "period2")
-    with _stage("crop schedule"):
-        validate_schedule(cfg.kc, len(p1.days))
-        validate_schedule(cfg.kc, len(p2.days))
 
     with _stage("train et0"):
         et0_model, et0_losses = train_et0_model(
@@ -398,12 +400,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     with _stage("predict et0"):
         harg1 = hargreaves_series(p1.days, cfg.site)
         harg2 = hargreaves_series(p2.days, cfg.site)
-        pred1 = predict_et0_series(et0_model, p1.days)
-        pred2 = predict_et0_series(et0_model, p2.days)
-
-    with _stage("train moisture"):
         forcing1 = build_forcing(cfg, et0_model, p1)
         forcing2 = build_forcing(cfg, et0_model, p2)
+        pred1 = [f.et0 for f in forcing1]
+        pred2 = [f.et0 for f in forcing2]
+
+    with _stage("train moisture"):
         moisture_model, m_losses = train_moisture_model(
             forcing1, p1.theta_obs, cfg.moisture_train, lag=cfg.lag,
             norms=cfg.moisture_norms,
@@ -420,12 +422,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     residuals = [p - h for p, h in zip(pred1, harg1)]
     order = sorted(range(len(harg1)), key=lambda i: harg1[i])
     top = order[-max(1, len(order) // 4):]
-    cells = {
-        "et0_train": _cell(harg1, pred1),
-        "et0_val": _cell(harg2, pred2),
-        "theta_train": _cell(p1.theta_obs, theta_est1),
-        "theta_val": _cell(p2.theta_obs, theta_est2),
-    }
+    pairs = ((harg1, pred1), (harg2, pred2), (p1.theta_obs, theta_est1),
+             (p2.theta_obs, theta_est2))
+    cells = {name: _cell(obs, est) for name, (obs, est) in zip(CELLS, pairs)}
     return ExperimentReport(
         config_text=format_config(cfg),
         period1=PeriodResult(name="period1", days=p1.days, theta_obs=p1.theta_obs,
@@ -457,7 +456,7 @@ def format_report_text(report: ExperimentReport) -> str:
         "",
         f"{'cell':<14} {'n':>4} {'r_squared':>12} {'nash_sutcliffe':>15} {'rmse':>12}",
     ]
-    for name in ("et0_train", "et0_val", "theta_train", "theta_val"):
+    for name in CELLS:
         c = report.cells[name]
         lines.append(f"{name:<14} {c.n:>4} {c.r_squared:>12.6f} "
                      f"{c.nash_sutcliffe:>15.6f} {c.rmse:>12.6f}")
@@ -480,23 +479,28 @@ def format_report_text(report: ExperimentReport) -> str:
 
 def format_metrics_csv(report: ExperimentReport) -> str:
     lines = ["cell,n,r_squared,nash_sutcliffe,rmse"]
-    for name in ("et0_train", "et0_val", "theta_train", "theta_val"):
+    for name in CELLS:
         c = report.cells[name]
         lines.append(f"{name},{c.n},{c.r_squared!r},{c.nash_sutcliffe!r},{c.rmse!r}")
     return "\n".join(lines) + "\n"
 
 
-def write_report_files(report: ExperimentReport, out_dir) -> list:
-    """Write report.txt and metrics.csv; returns the written paths."""
+def _write_files(out_dir, files) -> list:
+    """Write each ``(name, text)`` into ``out_dir``; returns the written paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for name, text in (("report.txt", format_report_text(report)),
-                       ("metrics.csv", format_metrics_csv(report))):
+    for name, text in files:
         p = out / name
         p.write_text(text, encoding="utf-8")
         paths.append(p)
     return paths
+
+
+def write_report_files(report: ExperimentReport, out_dir) -> list:
+    """Write report.txt and metrics.csv; returns the written paths."""
+    return _write_files(out_dir, (("report.txt", format_report_text(report)),
+                                  ("metrics.csv", format_metrics_csv(report))))
 
 
 def _monthly_rows(period: PeriodResult):
@@ -509,41 +513,26 @@ def _monthly_rows(period: PeriodResult):
 
 def export_plot_data(report: ExperimentReport, out_dir) -> list:
     """Write tidy per-figure CSVs; byte-identical for the same report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-
-    lines = ["period,month,tavg_mean_c,n_days"]
+    temps = ["period,month,tavg_mean_c,n_days"]
+    precips = ["period,month,precip_total_mm,n_days"]
+    scatters = []
     for period in (report.period1, report.period2):
         for month, days in _monthly_rows(period):
             mean = left_sum(d.tavg for d in days) / len(days)
-            lines.append(f"{period.name},{month},{mean!r},{len(days)}")
-    files.append(("monthly_temperature.csv", lines))
-
-    lines = ["period,month,precip_total_mm,n_days"]
-    for period in (report.period1, report.period2):
-        for month, days in _monthly_rows(period):
             total = left_sum(d.precip for d in days)
-            lines.append(f"{period.name},{month},{total!r},{len(days)}")
-    files.append(("monthly_precipitation.csv", lines))
-
-    for period in (report.period1, report.period2):
-        lines = ["date,hargreaves_et0_mm,estimated_et0_mm"]
-        for d, h, e in zip(period.days, period.hargreaves, period.et0_pred):
-            lines.append(f"{d.date.isoformat()},{h!r},{e!r}")
-        files.append((f"scatter_et0_{period.name}.csv", lines))
-
-        lines = ["date,observed_theta_vwc,estimated_theta_vwc"]
-        for d, o, e in zip(period.days, period.theta_obs, period.theta_est):
-            lines.append(f"{d.date.isoformat()},{o!r},{e!r}")
-        files.append((f"scatter_theta_{period.name}.csv", lines))
-
-    written = []
-    for name, lines in files:
-        p = out / name
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(p)
-    return written
+            temps.append(f"{period.name},{month},{mean!r},{len(days)}")
+            precips.append(f"{period.name},{month},{total!r},{len(days)}")
+        for kind, columns, obs, est in (
+                ("et0", "hargreaves_et0_mm,estimated_et0_mm", period.hargreaves, period.et0_pred),
+                ("theta", "observed_theta_vwc,estimated_theta_vwc", period.theta_obs,
+                 period.theta_est)):
+            lines = [f"date,{columns}"]
+            for d, o, e in zip(period.days, obs, est):
+                lines.append(f"{d.date.isoformat()},{o!r},{e!r}")
+            scatters.append((f"scatter_{kind}_{period.name}.csv", lines))
+    files = [("monthly_temperature.csv", temps), ("monthly_precipitation.csv", precips)]
+    return _write_files(out_dir, ((name, "\n".join(lines) + "\n")
+                                  for name, lines in files + scatters))
 
 
 def write_synth_periods(cfg: ExperimentConfig, out_dir) -> list:

@@ -326,6 +326,29 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
     return days, theta
 
 
+def read_columns(path, names: "tuple[str, ...]") -> list[list[float]]:
+    """Read the named columns of a CSV with a header row, one list per name.
+
+    Every cell must be a finite number; a blank or unparseable cell, one a
+    short row lacks, or a ``nan`` or ``inf`` raises :class:`DataFormatError`
+    naming its line and column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        for name in names:
+            if name not in header:
+                raise DataFormatError(f"{path}: no column {name!r} (have {header})")
+        where = [(name, header.index(name), []) for name in names]
+        for row in filter(None, reader):  # blank lines are skipped
+            for name, i, column in where:
+                text = row[i] if i < len(row) else ""  # a short row's missing cell is blank
+                column.append(_parse_float(text, name, reader.line_num))
+    return [column for _, _, column in where]
+
+
 def check_consecutive(days: "list[DailyWeather]", source: str) -> None:
     """Raise DataFormatError naming the first missing date in a strictly
     increasing series of days (as :func:`read_daily_csv` returns)."""

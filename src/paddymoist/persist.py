@@ -33,6 +33,7 @@ from .moisture import MoistureModel, MoistureNormalizers
 FORMAT_NAME = "paddymoist-model"
 FORMAT_VERSION = 1
 
+# Each kind's normalizers, in the order its model takes them.
 _ET0_NORM_KEYS = ("temp", "et0")
 _MOISTURE_NORM_KEYS = ("et0", "precip", "kc", "theta")
 
@@ -66,44 +67,41 @@ def data_digest(*series) -> str:
     return h.hexdigest()[:16]
 
 
+def _artifact(kind: str, net: Mlp, lag: int, keys: "tuple[str, ...]", norms,
+              provenance: "dict | None") -> ModelArtifact:
+    return ModelArtifact(kind=kind, topology=net.topology, lag=lag, gain=net.gain,
+                         norms=dict(zip(keys, norms)), provenance=dict(provenance or {}),
+                         w_hidden=np.array(net.w_hidden), w_output=np.array(net.w_output))
+
+
 def et0_artifact(model: Et0Model, provenance: "dict | None" = None) -> ModelArtifact:
-    return ModelArtifact(
-        kind="et0",
-        topology=model.net.topology,
-        lag=0,
-        gain=model.net.gain,
-        norms={"temp": model.temp_norm, "et0": model.et0_norm},
-        provenance=dict(provenance or {}),
-        w_hidden=np.array(model.net.w_hidden),
-        w_output=np.array(model.net.w_output),
-    )
+    return _artifact("et0", model.net, 0, _ET0_NORM_KEYS, (model.temp_norm, model.et0_norm),
+                     provenance)
+
+
+def _norms(a: ModelArtifact, kind: str, keys: "tuple[str, ...]") -> list:
+    """The artifact's normalizers for ``keys``, once its kind is checked."""
+    if a.kind != kind:
+        raise ArtifactParseError(f"artifact kind is {a.kind!r}, expected {kind!r}")
+    for key in keys:
+        if key not in a.norms:
+            raise ArtifactParseError(f"{kind} artifact has no 'norm {key}' line")
+    return [a.norms[key] for key in keys]
 
 
 def et0_from_artifact(a: ModelArtifact) -> Et0Model:
-    if a.kind != "et0":
-        raise ArtifactParseError(f"artifact kind is {a.kind!r}, expected 'et0'")
-    return Et0Model(a.to_mlp(), temp_norm=a.norms["temp"], et0_norm=a.norms["et0"])
+    norms = _norms(a, "et0", _ET0_NORM_KEYS)
+    return Et0Model(a.to_mlp(), *norms)
 
 
 def moisture_artifact(model: MoistureModel, provenance: "dict | None" = None) -> ModelArtifact:
     n = model.norms
-    return ModelArtifact(
-        kind="moisture",
-        topology=model.net.topology,
-        lag=model.lag,
-        gain=model.net.gain,
-        norms={"et0": n.et0, "precip": n.precip, "kc": n.kc, "theta": n.theta},
-        provenance=dict(provenance or {}),
-        w_hidden=np.array(model.net.w_hidden),
-        w_output=np.array(model.net.w_output),
-    )
+    return _artifact("moisture", model.net, model.lag, _MOISTURE_NORM_KEYS,
+                     (n.et0, n.precip, n.kc, n.theta), provenance)
 
 
 def moisture_from_artifact(a: ModelArtifact) -> MoistureModel:
-    if a.kind != "moisture":
-        raise ArtifactParseError(f"artifact kind is {a.kind!r}, expected 'moisture'")
-    norms = MoistureNormalizers(et0=a.norms["et0"], precip=a.norms["precip"],
-                                kc=a.norms["kc"], theta=a.norms["theta"])
+    norms = MoistureNormalizers(*_norms(a, "moisture", _MOISTURE_NORM_KEYS))
     return MoistureModel(a.to_mlp(), lag=a.lag, norms=norms)
 
 

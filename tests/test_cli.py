@@ -9,6 +9,7 @@ from conftest import quick_config
 from paddymoist.cli import main
 from paddymoist.experiment import format_config
 from paddymoist.ingest import read_daily_csv
+from paddymoist.metrics import nash_sutcliffe, rmse
 from paddymoist.persist import load_model
 
 
@@ -262,3 +263,152 @@ class TestExitCodes:
         assert "error: moisture.lag: need 1 <= lag < period1.days (118), got 0" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def _zero_models(tmp_path):
+    """An ET0 surrogate and a lag-1 moisture estimator with zero weights, saved."""
+    from paddymoist.ann import Mlp, MlpTopology
+    from paddymoist.evapo import Et0Model
+    from paddymoist.moisture import MoistureModel
+    from paddymoist.persist import et0_artifact, moisture_artifact, save_model
+    et0_path, moist_path = tmp_path / "et0.model", tmp_path / "moisture.model"
+    save_model(et0_artifact(Et0Model(Mlp.zeros(MlpTopology(3, 8, 1)))), et0_path)
+    save_model(moisture_artifact(MoistureModel(Mlp.zeros(MlpTopology(4, 8, 1)))), moist_path)
+    return et0_path, moist_path
+
+
+def _drop_line(path, prefix):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.remove(next(line for line in lines if line.startswith(prefix)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestEvaluateInput:
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.3,nan", "line 3: estimated_theta_vwc must be finite, got 'nan'"),
+        ("inf,0.3", "line 3: observed_theta_vwc must be finite, got 'inf'"),
+        ("0.3,", "line 3: cannot parse estimated_theta_vwc from ''"),
+        ("0.3", "line 3: cannot parse estimated_theta_vwc from ''"),
+    ], ids=["nan", "inf", "blank", "short-row"])
+    def test_bad_cell_is_data_error(self, tmp_path, capsys, row, message):
+        path = tmp_path / "est.csv"
+        path.write_text("observed_theta_vwc,estimated_theta_vwc\n0.4,0.41\n"
+                        f"{row}\n0.5,0.52\n", encoding="utf-8")
+        assert main(["evaluate", "--file", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_missing_column_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "est.csv"
+        path.write_text("observed_theta_vwc,estimate\n0.4,0.41\n", encoding="utf-8")
+        assert main(["evaluate", "--file", str(path)]) == 4
+        assert (f"error: {path}: no column 'estimated_theta_vwc' "
+                f"(have ['observed_theta_vwc', 'estimate'])") in capsys.readouterr().err
+
+    def test_columns_read_in_any_order(self, tmp_path, capsys):
+        path = tmp_path / "est.csv"
+        path.write_text("date,estimated_theta_vwc,observed_theta_vwc\n"
+                        "2011-01-05,0.5,0.4\n\n2011-01-06,0.25,0.2\n", encoding="utf-8")
+        assert main(["evaluate", "--file", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "n 2"
+        # nash_sutcliffe is not symmetric, so it shows which column is which
+        assert out[2] == f"nash_sutcliffe {nash_sutcliffe([0.4, 0.2], [0.5, 0.25])!r}"
+        assert out[3] == f"rmse {rmse([0.4, 0.2], [0.5, 0.25])!r}"
+
+
+class TestConfigOption:
+
+    @pytest.mark.parametrize("verb", [
+        ["ingest", "--input", "hh.csv", "--output", "daily.csv"],
+        ["evaluate", "--file", "est.csv"],
+    ], ids=["ingest", "evaluate"])
+    def test_verbs_without_a_config_refuse_it(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + ["--config", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("kc.values = -1 1 1", "kc.values: kc_ini must be > 0, got -1.0"),
+        ("kc.stage_lengths = 0 50 40 28",
+         "kc.stage_lengths: stage length len_ini must be >= 1, got 0"),
+    ], ids=["kc-values", "stage-lengths"])
+    @pytest.mark.parametrize("verb", ["run", "train-et0"])
+    def test_bad_calendar_fails_at_parse(self, tmp_path, capsys, monkeypatch, text, message,
+                                         verb):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a config that fails to parse must train nothing")
+        monkeypatch.setattr("paddymoist.ann.train", no_training)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(bad), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_train_et0_config_csv_period_must_fit_the_calendar(self, tmp_path,
+                                                               quick_config_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(Path(quick_config_path).read_text(encoding="utf-8")
+                       .replace("kc.stage_lengths = 20 30 40 28", "kc.stage_lengths = 20 30 40 30")
+                       .replace("period1.source = synth", "period1.source = csv")
+                       .replace("period1.data = ", f"period1.data = {data}/period1_daily.csv"),
+                       encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "et0.model"
+        assert main(["train-et0", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("error: stage lengths 20+30+40+30 = 120 days, "
+                                           "but the season has 118\n")
+        assert not out.exists()
+
+
+class TestArtifactNorms:
+
+    @pytest.mark.parametrize("verb", ["simulate", "train-moisture"])
+    def test_et0_artifact_without_a_norm_line(self, tmp_path, capsys, verb):
+        et0_path, moist_path = _zero_models(tmp_path)
+        _drop_line(et0_path, "norm temp ")
+        args = [verb, "--et0-model", str(et0_path), "--out", str(tmp_path / "out")]
+        if verb == "simulate":
+            args += ["--model", str(moist_path)]
+        assert main(args) == 4
+        assert capsys.readouterr().err == "error: et0 artifact has no 'norm temp' line\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_moisture_artifact_without_a_norm_line(self, tmp_path, capsys):
+        et0_path, moist_path = _zero_models(tmp_path)
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--model", str(moist_path), "--et0-model", str(et0_path),
+                     "--out", str(out)]) == 0  # the intact pair runs
+        _drop_line(moist_path, "norm kc ")
+        out.unlink()
+        assert main(["simulate", "--model", str(moist_path), "--et0-model", str(et0_path),
+                     "--out", str(out)]) == 4
+        assert (capsys.readouterr().err
+                == "error: moisture artifact has no 'norm kc' line\n")
+        assert not out.exists()
+
+
+class TestDataFileCalendar:
+
+    @pytest.mark.parametrize("verb", ["simulate", "train-moisture"])
+    def test_data_file_must_fit_the_calendar(self, tmp_path, quick_config_path, capsys, verb):
+        et0_path, moist_path = _zero_models(tmp_path)
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        path = data / "period1_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")  # 117 days
+        capsys.readouterr()
+        args = [verb, "--config", quick_config_path, "--data", str(path),
+                "--et0-model", str(et0_path), "--out", str(tmp_path / "out")]
+        if verb == "simulate":
+            args += ["--model", str(moist_path)]
+        assert main(args) == 3
+        assert capsys.readouterr().err == ("error: stage lengths 20+30+40+28 = 118 days, "
+                                           "but the season has 117\n")

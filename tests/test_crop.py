@@ -58,11 +58,29 @@ class TestValidateSchedule:
         assert "117" in str(exc.value) and "120" in str(exc.value)
 
     def test_nonpositive_kc(self):
-        bad = KcSchedule(kc_mid=0.0)
         with pytest.raises(ValueError):
-            validate_schedule(bad, 120)
+            validate_schedule(KcSchedule(kc_mid=0.0), 120)
 
     def test_nonpositive_stage_length(self):
-        bad = KcSchedule(len_dev=0)
         with pytest.raises(ValueError):
-            validate_schedule(bad, 90)
+            validate_schedule(KcSchedule(len_dev=0), 90)
+
+
+class TestScheduleChecksItself:
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kc_mid": float("nan")}, "kc_mid must be > 0, got nan"),
+        ({"kc_ini": -1.0}, "kc_ini must be > 0, got -1.0"),
+        ({"kc_end": 0.0}, "kc_end must be > 0, got 0.0"),
+        ({"len_ini": 0}, "stage length len_ini must be >= 1, got 0"),
+        ({"len_late": -3}, "stage length len_late must be >= 1, got -3"),
+    ], ids=["nan-kc", "negative-kc", "zero-kc", "zero-stage", "negative-stage"])
+    def test_bad_value_rejected_on_construction(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            KcSchedule(**kwargs)
+        assert str(exc.value) == message
+
+    def test_validate_schedule_checks_only_the_season_length(self):
+        validate_schedule(KcSchedule(1, 1, 1, 1), 4)
+        with pytest.raises(ScheduleMismatchError):
+            validate_schedule(KcSchedule(1, 1, 1, 1), 5)

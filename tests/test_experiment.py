@@ -13,8 +13,8 @@ import pytest
 from conftest import quick_config
 from paddymoist.ann import Normalizer, TrainConfig
 from paddymoist.crop import KcSchedule
-from paddymoist.errors import DataFormatError, OrderingError
-from paddymoist.evapo import SiteLocation
+from paddymoist.errors import DataFormatError, OrderingError, ScheduleMismatchError
+from paddymoist.evapo import SiteLocation, predict_et0_series
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
                                    default_config, export_plot_data, format_config,
                                    format_report_text, load_period, parse_config,
@@ -371,6 +371,64 @@ class TestRunExperiment:
                          "theta_val": 0.9618766947332298}
         digest = hashlib.sha256(format_report_text(default_report).encode()).hexdigest()
         assert digest == "80fe823d95b2cec74908acef70053d0eb0f667ac44ba91cdede7522862a38555"
+
+
+class TestCropCalendar:
+    """The crop calendar is checked where it is built and where a period is loaded."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("kc.values = -1 1 1", "kc.values: kc_ini must be > 0, got -1.0"),
+        ("kc.values = 1 nan 1", "kc.values: must be finite, got 'nan'"),
+        ("kc.stage_lengths = 0 50 40 28", "kc.stage_lengths: stage length len_ini must be "
+                                          ">= 1, got 0"),
+    ])
+    def test_bad_calendar_fails_at_parse(self, text, message):
+        with pytest.raises(DataFormatError) as exc:
+            parse_config(text + "\n")
+        assert str(exc.value) == message
+
+    def test_csv_period_must_fit_the_calendar(self, tmp_path):
+        cfg = quick_config()
+        write_synth_periods(cfg, tmp_path)
+        path = tmp_path / "period1_daily.csv"
+        spec = replace(cfg.period1, source="csv", data_path=str(path))
+        cfg = replace(cfg, period1=spec, kc=replace(cfg.kc, len_late=30))  # 120 days
+        with pytest.raises(ScheduleMismatchError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == ("[stage: load period1] stage lengths 20+30+40+30 = 120 "
+                                  "days, but the season has 118")
+
+    def test_synthetic_period_must_fit_the_calendar(self):
+        cfg = replace(quick_config(), kc=KcSchedule(20, 30, 40, 30))
+        with pytest.raises(ScheduleMismatchError, match=r"^\[stage: load period1\] "):
+            run_experiment(cfg)
+
+
+class TestSurrogatePasses:
+
+    def test_one_surrogate_pass_per_period(self, monkeypatch):
+        import paddymoist.experiment as experiment
+        calls = []
+
+        def counted(model, days):
+            calls.append(len(days))
+            return predict_et0_series(model, days)
+        monkeypatch.setattr(experiment, "predict_et0_series", counted)
+        report = run_experiment(quick_config(et0_epochs=5, moisture_epochs=5))
+        assert calls == [118, 118]
+        # the reported predictions are the forcing's ET0, the same floats
+        for period in (report.period1, report.period2):
+            assert period.et0_pred == predict_et0_series(report.et0_model, period.days)
+
+    def test_forcing_failure_is_tagged_predict_et0(self, monkeypatch):
+        import paddymoist.experiment as experiment
+
+        def broken(cfg, model, period):
+            raise ValueError("forcing refused")
+        monkeypatch.setattr(experiment, "build_forcing", broken)
+        with pytest.raises(ValueError) as exc:
+            run_experiment(quick_config(et0_epochs=2, moisture_epochs=2))
+        assert str(exc.value) == "[stage: predict et0] forcing refused"
 
 
 class TestReportFiles:

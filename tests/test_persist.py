@@ -129,6 +129,34 @@ class TestFormatErrors:
         with pytest.raises(ArtifactParseError):
             moisture_from_artifact(load_model(path))
 
+    @pytest.mark.parametrize("artifact, convert, key", [
+        (lambda: et0_artifact(_random_et0_model()), et0_from_artifact, "temp"),
+        (lambda: et0_artifact(_random_et0_model()), et0_from_artifact, "et0"),
+        (lambda: moisture_artifact(_random_moisture_model()), moisture_from_artifact, "precip"),
+        (lambda: moisture_artifact(_random_moisture_model()), moisture_from_artifact, "theta"),
+    ], ids=["et0-temp", "et0-et0", "moisture-precip", "moisture-theta"])
+    def test_missing_norm_line_on_conversion(self, tmp_path, artifact, convert, key):
+        art = artifact()
+        path = tmp_path / "m.model"
+        save_model(art, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.remove(next(line for line in lines if line.startswith(f"norm {key} ")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_model(path)  # a norm line is optional to the parser
+        with pytest.raises(ArtifactParseError) as exc:
+            convert(loaded)
+        assert str(exc.value) == f"{art.kind} artifact has no 'norm {key}' line"
+
+    def test_norm_lines_are_written_in_the_models_order(self, tmp_path):
+        for art in (et0_artifact(_random_et0_model()),
+                    moisture_artifact(_random_moisture_model())):
+            path = tmp_path / f"{art.kind}.model"
+            save_model(art, path)
+            norms = [line.split()[1] for line in path.read_text(encoding="utf-8").splitlines()
+                     if line.startswith("norm ")]
+            assert norms == (["temp", "et0"] if art.kind == "et0"
+                             else ["et0", "precip", "kc", "theta"])
+
 
 class TestDataDigest:
 
