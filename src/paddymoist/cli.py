@@ -25,8 +25,8 @@ from .crop import validate_schedule
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
 from .evapo import train_et0_model
-from .experiment import (CELLS, build_forcing, default_config, export_plot_data,
-                         load_period, parse_config, run_experiment,
+from .experiment import (CELLS, build_forcing, check_theta_obs, default_config,
+                         export_plot_data, load_period, parse_config, run_experiment,
                          write_report_files, write_synth_periods, PeriodData)
 from .ingest import (check_consecutive, daily_aggregate, read_columns, read_daily_csv,
                      read_half_hourly_csv, write_daily_csv)
@@ -51,6 +51,7 @@ def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
         days, theta = read_daily_csv(data)
         if not days:
             raise DataFormatError(f"{data} holds no days")
+        check_theta_obs(days, theta, cfg.theta_norm, f"{which}: {data}")
         if consecutive:
             check_consecutive(days, data)
             validate_schedule(cfg.kc, len(days))

@@ -240,6 +240,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if not 1 <= cfg.lag < cfg.period1.n_days:
         raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "
                               f"({cfg.period1.n_days}), got {cfg.lag}")
+    norm = cfg.theta_norm
+    if not norm.lo <= cfg.theta_init_sim <= norm.hi:
+        raise DataFormatError(f"moisture.theta_init, normalizer.theta_vwc: need theta_init in "
+                              f"[{norm.lo!r}, {norm.hi!r}], got {cfg.theta_init_sim!r}")
     return cfg
 
 
@@ -288,26 +292,37 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     A CSV period must hold ``spec.n_days`` consecutive days that fit the crop
     calendar: the calendar and the moisture lags step one list entry per day,
     and the report echoes the configured length as the one the run used.
+    Either way every observed theta must lie inside the theta normalizer.
     """
     if spec.source == "synth":
-        weather = generate_weather(weather_params_for(cfg, spec))
-        theta, _ = generate_truth(weather, cfg.site, cfg.kc, cfg.field)
-        return PeriodData(name=name, days=weather, theta_obs=theta)
-    if not spec.data_path:
+        days = generate_weather(weather_params_for(cfg, spec))
+        theta, _ = generate_truth(days, cfg.site, cfg.kc, cfg.field)
+    elif not spec.data_path:
         raise DataFormatError(f"{name}: source is csv but no data path was given")
-    days, theta = read_daily_csv(spec.data_path)
-    if not days:
-        raise DataFormatError(f"{name}: {spec.data_path} holds no days")
-    check_consecutive(days, f"{name}: {spec.data_path}")
-    if len(days) != spec.n_days:
-        raise DataFormatError(f"{name}: {spec.data_path} holds {len(days)} days, "
-                              f"but {name}.days is {spec.n_days}")
-    validate_schedule(cfg.kc, len(days))
-    if any(v is None for v in theta):
-        raise DataFormatError(
-            f"{name}: {spec.data_path} must carry theta_vwc on every day"
-        )
+    else:
+        days, theta = read_daily_csv(spec.data_path)
+        if not days:
+            raise DataFormatError(f"{name}: {spec.data_path} holds no days")
+        check_consecutive(days, f"{name}: {spec.data_path}")
+        if len(days) != spec.n_days:
+            raise DataFormatError(f"{name}: {spec.data_path} holds {len(days)} days, "
+                                  f"but {name}.days is {spec.n_days}")
+        validate_schedule(cfg.kc, len(days))
+        if any(v is None for v in theta):
+            raise DataFormatError(
+                f"{name}: {spec.data_path} must carry theta_vwc on every day"
+            )
+    check_theta_obs(days, theta, cfg.theta_norm, name)
     return PeriodData(name=name, days=days, theta_obs=theta)
+
+
+def check_theta_obs(days: list, theta: list, norm: Normalizer, source: str) -> None:
+    """Raise DataFormatError naming the first day whose observed theta lies
+    outside ``norm``, which would clamp it as a training target or a lag."""
+    for day, value in zip(days, theta):
+        if value is not None and not norm.lo <= value <= norm.hi:
+            raise DataFormatError(f"{source}: observed theta_vwc {value!r} on {day.date} is "
+                                  f"outside normalizer.theta_vwc [{norm.lo!r}, {norm.hi!r}]")
 
 
 #: The report's metric cells, in report order.
@@ -536,13 +551,12 @@ def export_plot_data(report: ExperimentReport, out_dir) -> list:
 
 
 def write_synth_periods(cfg: ExperimentConfig, out_dir) -> list:
-    """Generate both synthetic periods and write their daily CSVs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for spec, name in ((cfg.period1, "period1"), (cfg.period2, "period2")):
-        period = load_period(cfg, replace(spec, source="synth"), name)
-        p = out / f"{name}_daily.csv"
-        write_daily_csv(p, period.days, period.theta_obs)
-        written.append(p)
-    return written
+    """Generate both synthetic periods and write their daily CSVs; nothing
+    is written unless both periods load."""
+    periods = [load_period(cfg, replace(spec, source="synth"), name)
+               for spec, name in ((cfg.period1, "period1"), (cfg.period2, "period2"))]
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = [Path(out_dir) / f"{period.name}_daily.csv" for period in periods]
+    for path, period in zip(paths, periods):
+        write_daily_csv(path, period.days, period.theta_obs)
+    return paths

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .crop import KcSchedule, kc_at, validate_schedule
-from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_et0, ra_table
+from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_series
 
 # Generator constants: day-to-day scatter of the mean temperature (deg C),
 # lognormal sigma of the diurnal-range jitter, and the day-of-year where the
@@ -213,7 +213,7 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
             == (theta[d] - theta[d - 1]) * root depth in mm
 
     with ``p.theta_init`` before day 0.  The rows' ``et0`` are
-    :func:`~paddymoist.evapo.hargreaves_series` of the weather, bit for bit.
+    :func:`~paddymoist.evapo.hargreaves_series` of the weather.
     """
     if not weather:
         raise ValueError("weather series is empty")
@@ -221,12 +221,10 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
     irrig = {}
     for day_index, mm in p.irrigation:
         irrig[day_index] = irrig.get(day_index, 0.0) + mm
-    ra = ra_table(site.latitude)
     theta = p.theta_init
     theta_series: list[float] = []
     ledger: list[LedgerDay] = []
-    for d, day in enumerate(weather):
-        et0 = hargreaves_et0(day.tmax, day.tavg, day.tmin, ra[day_of_year(day.date) - 1])
+    for d, (day, et0) in enumerate(zip(weather, hargreaves_series(weather, site))):
         kc_d = kc_at(kc, d)
         irrig_mm = irrig.get(d, 0.0)
         theta, fluxes = water_balance_step(theta, p, day.precip, irrig_mm, kc_d * et0)

@@ -181,6 +181,20 @@ def _parse_theta(text: str, line_no: int) -> float:
     return value
 
 
+def _read_header(reader, path, columns: "tuple[str, ...]") -> bool:
+    """Read the header row, which must start with ``columns``; returns
+    whether ``theta_vwc`` follows them."""
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file, header row required")
+    n = len(columns)
+    if tuple(header[:n]) != columns:
+        raise DataFormatError(
+            f"{path}: header must start with {','.join(columns)}, got {','.join(header)}"
+        )
+    return len(header) > n and header[n] == _THETA_COLUMN
+
+
 def _checked_record(row: list, line_no: int, has_theta: bool,
                     prev: "datetime | None") -> HalfHourRecord:
     """Parse one station row with every check, raising DataFormatError
@@ -218,16 +232,7 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, header row required") from None
-        if tuple(header[:3]) != _HALF_HOURLY_COLUMNS:
-            raise DataFormatError(
-                f"{path}: header must start with {','.join(_HALF_HOURLY_COLUMNS)}, "
-                f"got {','.join(header)}"
-            )
-        has_theta = len(header) > 3 and header[3] == _THETA_COLUMN
+        has_theta = _read_header(reader, path, _HALF_HOURLY_COLUMNS)
         records = []
         append, make = records.append, tuple.__new__
         parse_ts, inf = datetime.fromisoformat, math.inf
@@ -280,16 +285,7 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, header row required") from None
-        if tuple(header[:6]) != _DAILY_COLUMNS:
-            raise DataFormatError(
-                f"{path}: header must start with {','.join(_DAILY_COLUMNS)}, "
-                f"got {','.join(header)}"
-            )
-        has_theta = len(header) > 6 and header[6] == _THETA_COLUMN
+        has_theta = _read_header(reader, path, _DAILY_COLUMNS)
         days, theta = [], []
         for row in reader:
             if not row:

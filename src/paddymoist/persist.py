@@ -4,6 +4,13 @@ The artifact is line-oriented so it diffs cleanly and survives any
 transport; floats are written with ``repr`` (shortest round-trip form), so
 a loaded model predicts bit-identically to the model that was saved.
 
+Line order is the grammar: :func:`save_model` writes the lines in the
+order shown, the kind's ``norm`` lines in the order its model takes them
+and any number of ``prov`` lines, each key once; :func:`load_model` reads
+them back in that order.  A missing, repeated, unknown or out-of-order
+line, or anything after ``end``, is an :class:`ArtifactParseError` naming
+the file and line.
+
     paddymoist-model 1
     kind et0
     topology 3 8 1
@@ -21,21 +28,21 @@ a loaded model predicts bit-identically to the model that was saved.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ann import Mlp, MlpTopology, Normalizer
-from .errors import ArtifactParseError, ArtifactVersionError
+from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError
 from .evapo import Et0Model
 from .moisture import MoistureModel, MoistureNormalizers
 
 FORMAT_NAME = "paddymoist-model"
 FORMAT_VERSION = 1
 
-# Each kind's normalizers, in the order its model takes them.
-_ET0_NORM_KEYS = ("temp", "et0")
-_MOISTURE_NORM_KEYS = ("et0", "precip", "kc", "theta")
+# Each kind's normalizers, in the order its model takes them and its
+# artifact writes them.
+_NORM_KEYS = {"et0": ("temp", "et0"), "moisture": ("et0", "precip", "kc", "theta")}
 
 
 @dataclass
@@ -67,45 +74,44 @@ def data_digest(*series) -> str:
     return h.hexdigest()[:16]
 
 
-def _artifact(kind: str, net: Mlp, lag: int, keys: "tuple[str, ...]", norms,
-              provenance: "dict | None") -> ModelArtifact:
+def _artifact(kind: str, net: Mlp, lag: int, norms, provenance: "dict | None") -> ModelArtifact:
     return ModelArtifact(kind=kind, topology=net.topology, lag=lag, gain=net.gain,
-                         norms=dict(zip(keys, norms)), provenance=dict(provenance or {}),
+                         norms=dict(zip(_NORM_KEYS[kind], norms)),
+                         provenance=dict(provenance or {}),
                          w_hidden=np.array(net.w_hidden), w_output=np.array(net.w_output))
 
 
 def et0_artifact(model: Et0Model, provenance: "dict | None" = None) -> ModelArtifact:
-    return _artifact("et0", model.net, 0, _ET0_NORM_KEYS, (model.temp_norm, model.et0_norm),
-                     provenance)
+    return _artifact("et0", model.net, 0, (model.temp_norm, model.et0_norm), provenance)
 
 
-def _norms(a: ModelArtifact, kind: str, keys: "tuple[str, ...]") -> list:
-    """The artifact's normalizers for ``keys``, once its kind is checked."""
+def _norms(a: ModelArtifact, kind: str) -> list:
+    """The artifact's normalizers in its model's order, once its kind is checked."""
     if a.kind != kind:
         raise ArtifactParseError(f"artifact kind is {a.kind!r}, expected {kind!r}")
-    for key in keys:
-        if key not in a.norms:
-            raise ArtifactParseError(f"{kind} artifact has no 'norm {key}' line")
-    return [a.norms[key] for key in keys]
+    return [a.norms[key] for key in _NORM_KEYS[kind]]
 
 
 def et0_from_artifact(a: ModelArtifact) -> Et0Model:
-    norms = _norms(a, "et0", _ET0_NORM_KEYS)
-    return Et0Model(a.to_mlp(), *norms)
+    return Et0Model(a.to_mlp(), *_norms(a, "et0"))
 
 
 def moisture_artifact(model: MoistureModel, provenance: "dict | None" = None) -> ModelArtifact:
     n = model.norms
-    return _artifact("moisture", model.net, model.lag, _MOISTURE_NORM_KEYS,
-                     (n.et0, n.precip, n.kc, n.theta), provenance)
+    return _artifact("moisture", model.net, model.lag, (n.et0, n.precip, n.kc, n.theta),
+                     provenance)
 
 
 def moisture_from_artifact(a: ModelArtifact) -> MoistureModel:
-    norms = MoistureNormalizers(*_norms(a, "moisture", _MOISTURE_NORM_KEYS))
+    norms = MoistureNormalizers(*_norms(a, "moisture"))
     return MoistureModel(a.to_mlp(), lag=a.lag, norms=norms)
 
 
 def save_model(m: ModelArtifact, path) -> None:
+    """Write ``m`` in the artifact's line order; raises ArtifactError, writing
+    nothing, for content that :func:`load_model` would not read back as it is."""
+    if tuple(m.norms) != _NORM_KEYS.get(m.kind):
+        raise ArtifactError(f"a {m.kind!r} artifact cannot carry norms {list(m.norms)}")
     lines = [f"{FORMAT_NAME} {m.version}",
              f"kind {m.kind}",
              f"topology {m.topology.n_inputs} {m.topology.n_hidden} {m.topology.n_outputs}",
@@ -114,6 +120,9 @@ def save_model(m: ModelArtifact, path) -> None:
     for name, nz in m.norms.items():
         lines.append(f"norm {name} {nz.lo!r} {nz.hi!r}")
     for key, value in m.provenance.items():
+        words = str(value).split()
+        if str(key).split() != [str(key)] or not words or " ".join(words) != str(value):
+            raise ArtifactError(f"provenance {key!r}: {value!r} does not fit one 'prov' line")
         lines.append(f"prov {key} {value}")
     for label, matrix in (("w_hidden", m.w_hidden), ("w_output", m.w_output)):
         for i, row in enumerate(matrix):
@@ -127,84 +136,65 @@ def _fail(line_no: int, msg: str):
     raise ArtifactParseError(f"line {line_no}: {msg}")
 
 
-def load_model(path) -> ModelArtifact:
-    """Parse an artifact file; malformed content reports the offending line."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ArtifactParseError(f"{path}: empty file")
-    head = raw[0].split()
-    if len(head) != 2 or head[0] != FORMAT_NAME:
-        _fail(1, f"expected {FORMAT_NAME!r} header, got {raw[0]!r}")
+def _take(raw: list, i: int, head: str, n_values: int, convert=float, make=None):
+    """Line ``i + 1``'s values read with ``convert``, passed to ``make`` if
+    given; the line must be ``head`` followed by exactly ``n_values`` values."""
+    if i >= len(raw):
+        _fail(i + 1, f"expected {head!r}, got the end of the file (truncated?)")
+    parts = raw[i].split()
+    k = len(parts) - n_values
+    if k < 1 or " ".join(parts[:k]) != head:
+        _fail(i + 1, f"expected {head!r} followed by {n_values} value(s), got {raw[i]!r}")
     try:
-        version = int(head[1])
-    except ValueError:
-        _fail(1, f"cannot parse version from {head[1]!r}")
+        values = [convert(v) for v in parts[k:]]
+        return make(*values) if make else values
+    except ValueError as exc:
+        _fail(i + 1, f"cannot parse {raw[i]!r}: {exc}")
+
+
+def _parse(raw: list) -> ModelArtifact:
+    """The artifact in ``raw``'s lines, read in the order :func:`save_model` writes them."""
+    version, = _take(raw, 0, FORMAT_NAME, 1, int)
     if version != FORMAT_VERSION:
         raise ArtifactVersionError(
             f"unsupported artifact version {version}; this build reads version "
             f"{FORMAT_VERSION}"
         )
+    kind, = _take(raw, 1, "kind", 1, str)
+    if kind not in _NORM_KEYS:
+        _fail(2, f"unknown kind {kind!r}, expected one of {list(_NORM_KEYS)}")
+    topo = _take(raw, 2, "topology", 3, int, MlpTopology)
+    lag, = _take(raw, 3, "lag", 1, int)
+    gain, = _take(raw, 4, "gain", 1)
+    norms = {key: _take(raw, 5 + j, f"norm {key}", 2, float, Normalizer)
+             for j, key in enumerate(_NORM_KEYS[kind])}
+    i = 5 + len(norms)
+    provenance = {}
+    while i < len(raw) and raw[i].startswith("prov "):
+        parts = raw[i].split()
+        if len(parts) < 3 or parts[1] in provenance:
+            _fail(i + 1, f"expected a 'prov' line with a new key and a value, got {raw[i]!r}")
+        provenance[parts[1]] = " ".join(parts[2:])
+        i += 1
+    weights = []
+    for tag, n_rows, n_cols in (("w_hidden", topo.n_hidden, topo.n_inputs + 1),
+                                ("w_output", topo.n_outputs, topo.n_hidden + 1)):
+        weights.append(np.array([_take(raw, i + r, f"{tag} {r}", n_cols)
+                                 for r in range(n_rows)]))
+        i += n_rows
+    _take(raw, i, "end", 0)
+    if i + 1 < len(raw):
+        _fail(i + 2, f"content after 'end': {raw[i + 1]!r}")
+    return ModelArtifact(kind=kind, topology=topo, lag=lag, gain=gain, norms=norms,
+                         provenance=provenance, w_hidden=weights[0], w_output=weights[1],
+                         version=version)
 
-    fields: dict = {"norms": {}, "prov": {}, "w_hidden": {}, "w_output": {}}
-    saw_end = False
-    for line_no, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        if saw_end:
-            _fail(line_no, "content after 'end' marker")
-        parts = line.split()
-        tag = parts[0]
-        try:
-            if tag == "kind" and len(parts) == 2:
-                fields["kind"] = parts[1]
-            elif tag == "topology" and len(parts) == 4:
-                fields["topology"] = MlpTopology(int(parts[1]), int(parts[2]), int(parts[3]))
-            elif tag == "lag" and len(parts) == 2:
-                fields["lag"] = int(parts[1])
-            elif tag == "gain" and len(parts) == 2:
-                fields["gain"] = float(parts[1])
-            elif tag == "norm" and len(parts) == 4:
-                fields["norms"][parts[1]] = Normalizer(float(parts[2]), float(parts[3]))
-            elif tag == "prov" and len(parts) >= 3:
-                fields["prov"][parts[1]] = " ".join(parts[2:])
-            elif tag in ("w_hidden", "w_output") and len(parts) >= 3:
-                fields[tag][int(parts[1])] = [float(v) for v in parts[2:]]
-            elif tag == "end" and len(parts) == 1:
-                saw_end = True
-            else:
-                _fail(line_no, f"unrecognized or malformed line {line!r}")
-        except ArtifactParseError:
-            raise
-        except ValueError:
-            _fail(line_no, f"cannot parse values in {line!r}")
-    if not saw_end:
-        raise ArtifactParseError(f"{path}: missing 'end' marker, file truncated?")
-    for required in ("kind", "topology", "lag", "gain"):
-        if required not in fields:
-            raise ArtifactParseError(f"{path}: missing {required!r} line")
 
-    topo: MlpTopology = fields["topology"]
-
-    def assemble(tag: str, n_rows: int, n_cols: int) -> np.ndarray:
-        rows = fields[tag]
-        if sorted(rows) != list(range(n_rows)):
-            raise ArtifactParseError(
-                f"{path}: {tag} needs rows 0..{n_rows - 1}, got {sorted(rows)}"
-            )
-        out = np.empty((n_rows, n_cols))
-        for i in range(n_rows):
-            if len(rows[i]) != n_cols:
-                raise ArtifactParseError(
-                    f"{path}: {tag} row {i} has {len(rows[i])} values, expected {n_cols}"
-                )
-            out[i] = rows[i]
-        return out
-
-    w_hidden = assemble("w_hidden", topo.n_hidden, topo.n_inputs + 1)
-    w_output = assemble("w_output", topo.n_outputs, topo.n_hidden + 1)
-    return ModelArtifact(
-        kind=fields["kind"], topology=topo, lag=fields["lag"], gain=fields["gain"],
-        norms=fields["norms"], provenance=fields["prov"],
-        w_hidden=w_hidden, w_output=w_output, version=version,
-    )
+def load_model(path) -> ModelArtifact:
+    """Parse an artifact file; malformed content reports the file and line."""
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    try:
+        return _parse(raw)
+    except ArtifactParseError as exc:
+        raise ArtifactParseError(f"{path}: {exc}") from None

@@ -377,7 +377,9 @@ class TestArtifactNorms:
         if verb == "simulate":
             args += ["--model", str(moist_path)]
         assert main(args) == 4
-        assert capsys.readouterr().err == "error: et0 artifact has no 'norm temp' line\n"
+        assert capsys.readouterr().err == (
+            f"error: {et0_path}: line 6: expected 'norm temp' followed by 2 value(s), "
+            f"got 'norm et0 0.0 10.0'\n")
         assert not (tmp_path / "out").exists()
 
     def test_moisture_artifact_without_a_norm_line(self, tmp_path, capsys):
@@ -389,10 +391,32 @@ class TestArtifactNorms:
         out.unlink()
         assert main(["simulate", "--model", str(moist_path), "--et0-model", str(et0_path),
                      "--out", str(out)]) == 4
-        assert (capsys.readouterr().err
-                == "error: moisture artifact has no 'norm kc' line\n")
+        assert capsys.readouterr().err == (
+            f"error: {moist_path}: line 8: expected 'norm kc' followed by 2 value(s), "
+            f"got 'norm theta 0.0 1.0'\n")
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("after, extra", [
+        ("gain ", "gain 0.25"),
+        ("norm et0 ", "norm temp -40.0 90.0"),
+        ("norm et0 ", "norm wind 0 1"),
+        ("w_hidden 0 ", "w_hidden 0" + " 9.0" * 4),
+        ("end", "end"),
+    ], ids=["repeated-gain", "repeated-norm", "unknown-norm", "repeated-row", "after-end"])
+    def test_malformed_et0_artifact_names_its_line(self, tmp_path, capsys, after, extra):
+        et0_path, moist_path = _zero_models(tmp_path)
+        lines = et0_path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(after)) + 1
+        lines.insert(at, extra)
+        et0_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--model", str(moist_path), "--et0-model", str(et0_path),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {et0_path}: line {at + 1}: ")
+        assert repr(extra) in err
+        assert not out.exists()
 
 class TestDataFileCalendar:
 
@@ -412,3 +436,39 @@ class TestDataFileCalendar:
         assert main(args) == 3
         assert capsys.readouterr().err == ("error: stage lengths 20+30+40+28 = 118 days, "
                                            "but the season has 117\n")
+
+
+class TestThetaNormalizer:
+
+    def test_theta_init_outside_the_normalizer_exits_4_at_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("moisture.theta_init = 5\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.startswith(
+            "error: moisture.theta_init, normalizer.theta_vwc: need theta_init in [0.0, 1.0]")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb, args, where", [
+        ("run", [], "[stage: load period1] period1"),
+        ("synth", [], "period1"),
+        ("train-et0", ["--data"], "period1: {data}"),
+        ("train-moisture", ["--data", "--et0-model"], "period1: {data}"),
+        ("simulate", ["--data", "--et0-model", "--model"], "period2: {data}"),
+    ])
+    def test_observed_theta_outside_the_normalizer_exits_4(self, tmp_path, capsys, verb,
+                                                           args, where):
+        et0_path, moist_path = _zero_models(tmp_path)
+        assert main(["synth", "--out", str(tmp_path / "d")]) == 0  # default normalizer
+        data = tmp_path / "d" / "period1_daily.csv"
+        paths = {"--data": data, "--et0-model": et0_path, "--model": moist_path}
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("normalizer.theta_vwc = 0.5 0.6\nmoisture.theta_init = 0.55\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        argv = [verb, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        for flag in args:
+            argv += [flag, str(paths[flag])]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.startswith(
+            f"error: {where.format(data=data)}: observed theta_vwc ")
+        assert not (tmp_path / "out").exists()

@@ -69,6 +69,17 @@ class TestConfigDocument:
         with pytest.raises(DataFormatError, match=r"^moisture.lag: need 1 <= lag < period1\.days"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text", ["moisture.theta_init = 5\n",
+                                      "moisture.theta_init = -0.01\n",
+                                      "normalizer.theta_vwc = 0.5 0.6\n"])
+    def test_theta_init_outside_the_theta_normalizer_rejected(self, text):
+        with pytest.raises(DataFormatError, match=r"^moisture\.theta_init, "
+                                                  r"normalizer\.theta_vwc: need theta_init in"):
+            parse_config(text)
+
+    def test_theta_init_on_a_theta_normalizer_bound_accepted(self):
+        assert parse_config("normalizer.theta_vwc = 0.45 0.9\n").theta_init_sim == 0.45
+
     def test_lag_one_below_period1_days_accepted(self):
         assert parse_config("moisture.lag = 117\n").lag == 117
 
@@ -337,6 +348,35 @@ class TestRunExperiment:
         cfg, spec = self._edited_period(tmp_path, swap)
         with pytest.raises(OrderingError, match="line 14: .*2010-10-25 follows 2010-10-26"):
             load_period(cfg, spec, "period1")
+
+    _NARROW_THETA = "normalizer.theta_vwc = 0.5 0.6\nmoisture.theta_init = 0.55\n"
+
+    def _first_theta_outside(self, lo, hi):
+        p = load_period(default_config(), default_config().period1, "period1")
+        i = next(i for i, v in enumerate(p.theta_obs) if not lo <= v <= hi)
+        return p.theta_obs[i], p.days[i].date.isoformat()
+
+    def test_synthetic_theta_outside_the_normalizer_rejected(self):
+        cfg = parse_config(self._NARROW_THETA)
+        value, day = self._first_theta_outside(0.5, 0.6)
+        with pytest.raises(DataFormatError) as exc:
+            load_period(cfg, cfg.period1, "period1")
+        assert str(exc.value) == (f"period1: observed theta_vwc {value!r} on {day} is "
+                                  f"outside normalizer.theta_vwc [0.5, 0.6]")
+        with pytest.raises(DataFormatError, match=r"^\[stage: load period1\] period1: "
+                                                  r"observed theta_vwc"):
+            run_experiment(cfg)
+
+    def test_csv_theta_outside_the_normalizer_rejected(self, tmp_path):
+        cfg = parse_config(self._NARROW_THETA)
+        write_synth_periods(default_config(), tmp_path)
+        path = tmp_path / "period1_daily.csv"
+        spec = replace(cfg.period1, source="csv", data_path=str(path))
+        value, day = self._first_theta_outside(0.5, 0.6)
+        with pytest.raises(DataFormatError) as exc:
+            load_period(cfg, spec, "period1")
+        assert str(exc.value) == (f"period1: observed theta_vwc {value!r} on {day} is "
+                                  f"outside normalizer.theta_vwc [0.5, 0.6]")
 
     def test_teacher_forced_validation_mode(self):
         cfg = quick_config(et0_epochs=40, moisture_epochs=40)

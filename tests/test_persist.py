@@ -1,10 +1,12 @@
 """Model artifact save/load: bit-exact round trips and format errors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from paddymoist.ann import Mlp, MlpTopology, Normalizer
-from paddymoist.errors import ArtifactParseError, ArtifactVersionError
+from paddymoist.errors import ArtifactError, ArtifactParseError, ArtifactVersionError
 from paddymoist.evapo import Et0Model, predict_et0
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,
                                  SimMode, simulate_moisture)
@@ -140,12 +142,13 @@ class TestFormatErrors:
         path = tmp_path / "m.model"
         save_model(art, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines.remove(next(line for line in lines if line.startswith(f"norm {key} ")))
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"norm {key} "))
+        del lines[at]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        loaded = load_model(path)  # a norm line is optional to the parser
         with pytest.raises(ArtifactParseError) as exc:
-            convert(loaded)
-        assert str(exc.value) == f"{art.kind} artifact has no 'norm {key}' line"
+            convert(load_model(path))  # the parser needs each of the kind's norm lines
+        assert str(exc.value) == (f"{path}: line {at + 1}: expected 'norm {key}' followed "
+                                  f"by 2 value(s), got {lines[at]!r}")
 
     def test_norm_lines_are_written_in_the_models_order(self, tmp_path):
         for art in (et0_artifact(_random_et0_model()),
@@ -157,6 +160,96 @@ class TestFormatErrors:
             assert norms == (["temp", "et0"] if art.kind == "et0"
                              else ["et0", "precip", "kc", "theta"])
 
+
+
+def _et0_lines(tmp_path):
+    path = tmp_path / "m.model"
+    save_model(et0_artifact(_random_et0_model(), {"seed": "42"}), path)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+def _rejected_at(path, lines, line_no):
+    """Write ``lines`` to ``path`` and check loading fails naming ``line_no``."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ArtifactParseError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: line {line_no}: ")
+    return str(exc.value)
+
+
+class TestLineOrderGrammar:
+    """Each line is read once, in the order save_model writes it."""
+
+    @pytest.mark.parametrize("after, extra", [
+        ("gain ", "gain 0.25"),
+        ("norm et0 ", "norm temp -40.0 90.0"),
+        ("norm et0 ", "norm wind 0 1"),
+        ("w_hidden 0 ", "w_hidden 0" + " 9.0" * 4),
+    ], ids=["repeated-gain", "repeated-norm", "unknown-norm", "repeated-row"])
+    def test_extra_line_is_rejected_naming_it(self, tmp_path, after, extra):
+        path, lines = _et0_lines(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith(after)) + 1
+        lines.insert(at, extra)
+        assert _rejected_at(path, lines, at + 1).endswith(f"got {extra!r}")
+
+    def test_unknown_kind(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        lines[1] = "kind wind"
+        assert "unknown kind 'wind'" in _rejected_at(path, lines, 2)
+
+    def test_line_out_of_order(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        lines[3], lines[4] = lines[4], lines[3]  # gain before lag
+        _rejected_at(path, lines, 4)
+
+    def test_provenance_after_the_weights(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        prov = lines.index("prov seed 42")
+        moved = lines.pop(prov)
+        lines.insert(len(lines) - 1, moved)  # just before 'end'
+        assert _rejected_at(path, lines, len(lines) - 1).endswith(f"got {moved!r}")
+
+    def test_repeated_provenance_key(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        prov = lines.index("prov seed 42")
+        lines.insert(prov + 1, "prov seed 43")
+        _rejected_at(path, lines, prov + 2)
+
+    @pytest.mark.parametrize("extra", ["end", "w_output 0 1.0", ""])
+    def test_content_after_end(self, tmp_path, extra):
+        path, lines = _et0_lines(tmp_path)
+        lines.append(extra)
+        assert "content after 'end'" in _rejected_at(path, lines, len(lines))
+
+    def test_missing_end(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        assert "end of the file" in _rejected_at(path, lines[:-1], len(lines))
+
+    def test_bad_normalizer_names_its_line(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        lines[5] = "norm temp 50.0 0.0"
+        assert "hi > lo" in _rejected_at(path, lines, 6)
+
+    def test_norms_not_of_the_kind_are_not_saved(self, tmp_path):
+        art = et0_artifact(_random_et0_model())
+        path = tmp_path / "m.model"
+        for norms in ({"et0": art.norms["et0"], "temp": art.norms["temp"]},
+                      {**art.norms, "wind": Normalizer(0.0, 1.0)},
+                      {"temp": art.norms["temp"]}):
+            with pytest.raises(ArtifactError):
+                save_model(replace(art, norms=norms), path)
+        with pytest.raises(ArtifactError):
+            save_model(replace(art, kind="wind"), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", ""), ("seed", "a  b"), ("seed", " a"), ("seed", "a\nb"), ("two words", "a"),
+    ])
+    def test_provenance_one_line_cannot_carry_is_not_saved(self, tmp_path, key, value):
+        path = tmp_path / "m.model"
+        with pytest.raises(ArtifactError):
+            save_model(et0_artifact(_random_et0_model(), {key: value}), path)
+        assert not path.exists()
 
 class TestDataDigest:
 

@@ -1,5 +1,6 @@
 """Property tests over random inputs: the bucket's ledger, closed-loop bounds,
-the config document's round trip and the half-hourly file's round trip."""
+the config document's round trip, the half-hourly file's round trip and the
+model artifact's round trip."""
 
 import math
 import string
@@ -19,6 +20,7 @@ from paddymoist.ingest import (HalfHourRecord, read_half_hourly_csv,  # noqa: E4
                                write_half_hourly_csv)
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
                                  SimMode, simulate_moisture)
+from paddymoist.persist import ModelArtifact, load_model, save_model  # noqa: E402
 
 
 def _floats(lo, hi, **kw):
@@ -100,6 +102,8 @@ def config_texts(draw):
     """A config document setting every key to a random valid value."""
     res = draw(_floats(0.0, 0.5))
     lag = draw(st.integers(1, 5))
+    theta_lo, theta_hi = draw(st.tuples(_floats(0.0, 1.0), _floats(0.0, 1.0)).filter(
+        lambda p: p[0] < p[1]))
     sat = draw(_floats(res, 0.9, exclude_min=True))
     above_res = _floats(res, sat, exclude_min=True).map(repr)
     values = {
@@ -109,14 +113,14 @@ def config_texts(draw):
         "normalizer.et0_mm": _pair(0.0, 30.0),
         "normalizer.precip_mm": _pair(0.0, 500.0),
         "normalizer.kc": _pair(0.0, 3.0),
-        "normalizer.theta_vwc": _pair(0.0, 1.0),
+        "normalizer.theta_vwc": st.just(f"{theta_lo!r} {theta_hi!r}"),
         "kc.stage_lengths": st.lists(st.integers(1, 200), min_size=4, max_size=4).map(
             lambda xs: " ".join(map(str, xs))),
         "kc.values": st.lists(_floats(0.01, 2.0), min_size=3, max_size=3).map(
             lambda xs: " ".join(map(repr, xs))),
         "moisture.lag": st.just(str(lag)),
         "moisture.sim_mode": st.sampled_from([m.value for m in SimMode]),
-        "moisture.theta_init": _real(0.0, 1.0),
+        "moisture.theta_init": _real(theta_lo, theta_hi),  # inside the normalizer
         "weather.tavg_mean_c": _real(-10.0, 40.0),
         "weather.tavg_amplitude_c": _real(0.0, 10.0),
         "weather.diurnal_range_c": _real(0.1, 30.0),
@@ -191,3 +195,58 @@ class TestHalfHourlyRoundTrip:
         assert back == records
         assert [_bits(r) for r in back] == [_bits(r) for r in records]
         assert all(type(r) is HalfHourRecord for r in back)
+
+
+# one word of a provenance entry: no whitespace, no line break, no control character
+_WORDS = st.text(st.characters(exclude_categories=("Z", "C")), min_size=1, max_size=8)
+
+
+def _matrix(draw, n_rows, n_cols):
+    return np.array([draw(st.lists(_floats(None, None), min_size=n_cols, max_size=n_cols))
+                     for _ in range(n_rows)])
+
+
+@st.composite
+def model_artifacts(draw):
+    """An artifact of either kind with random sizes, weights and provenance."""
+    kind, keys = draw(st.sampled_from([("et0", ("temp", "et0")),
+                                       ("moisture", ("et0", "precip", "kc", "theta"))]))
+    topo = MlpTopology(draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 3)))
+    return ModelArtifact(
+        kind=kind, topology=topo,
+        lag=0 if kind == "et0" else draw(st.integers(1, 10)),
+        gain=draw(_floats(0.0, 1.0, exclude_min=True)),
+        norms={key: draw(normalizers()) for key in keys},
+        provenance=draw(st.dictionaries(_WORDS, st.lists(_WORDS, min_size=1, max_size=3).map(
+            " ".join), max_size=4)),
+        w_hidden=_matrix(draw, topo.n_hidden, topo.n_inputs + 1),
+        w_output=_matrix(draw, topo.n_outputs, topo.n_hidden + 1),
+    )
+
+
+def _norm_bits(norms):
+    return {key: (nz.lo.hex(), nz.hi.hex()) for key, nz in norms.items()}
+
+
+class TestModelArtifactRoundTrip:
+
+    @settings(max_examples=100, deadline=None)
+    @given(art=model_artifacts())
+    def test_save_then_load_gives_the_same_artifact(self, art):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.model"
+            save_model(art, path)
+            saved = path.read_bytes()
+            back = load_model(path)
+            save_model(back, path)
+            assert path.read_bytes() == saved
+        assert (back.kind, back.topology, back.lag, back.version) == (
+            art.kind, art.topology, art.lag, art.version)
+        assert back.gain.hex() == art.gain.hex()
+        assert list(back.norms) == list(art.norms)
+        assert _norm_bits(back.norms) == _norm_bits(art.norms)
+        assert back.provenance == art.provenance
+        assert back.w_hidden.shape == art.w_hidden.shape
+        assert back.w_hidden.tobytes() == art.w_hidden.tobytes()
+        assert back.w_output.shape == art.w_output.shape
+        assert back.w_output.tobytes() == art.w_output.tobytes()
