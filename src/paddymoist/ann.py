@@ -31,20 +31,31 @@ returned as lists at the end, so a pattern visit indexes no list.
 
 Inference over a series goes through :func:`bind`, which converts a net's
 weight matrices to flat float lists once and returns the generated forward
-pass over plain float lists.  :func:`forward` is ``bind`` plus the numpy
-conversions of one input and one output; a caller that runs a net day by
-day binds it once per series instead and pays neither conversion per day.
+pass over plain float lists, with the weights and gain bound by
+``functools.partial``, so a call adds no Python frame of its own.
+:func:`forward` is ``bind`` plus the numpy conversions of one input and one
+output; a caller that runs a net day by day binds it once per series instead
+and pays neither conversion per day.
 The bound function holds a snapshot of the weights and gain taken at bind
 time: changing the net afterwards does not change it.
 
-The generated code performs exactly the floating-point operations of the
-plain loop, in the same order: every dot product is ``0.0 + w0 + w1*x1 +
-...`` left to right, never through BLAS or the builtin ``sum`` (whose float
-algorithm changed in Python 3.12), the backward sums read the output weights
-from before the update, and the activation clamps and the gain rule are
-inlined.  Results therefore do not depend on the BLAS build or the Python
-version, and ``tests/test_ann.py`` keeps the plain loop to check this bit
-for bit.  The source is formatted only from the topology's integers.
+The generated code gives what the plain loop gives, bit for bit: every dot
+product is added left to right in the same order, never through BLAS or the
+builtin ``sum`` (whose float algorithm changed in Python 3.12), the backward
+sums read the output weights from before the update, and the activation
+clamps and the gain rule are inlined.  Results therefore do not depend on
+the BLAS build or the Python version, and ``tests/test_ann.py`` keeps the
+plain loop to check this bit for bit.  The source is formatted only from the
+topology's integers.
+
+The plain loop starts every sum at ``0.0``.  ``0.0 + a`` is ``a`` except
+that it turns ``-0.0`` into ``0.0``, so a sum without that start can differ
+only in the sign of a zero.  The hidden and output pre-activations start at
+their bias weight, ``w0 + w1*x1 + ...``: they feed only the sigmoid, and
+``exp(-0.0) == exp(0.0)``.  The squared error starts at ``r0*r0``, which is
+never ``-0.0``.  The back-propagated sums keep ``0.0 + w1*d0 + ...``: they
+flow on into the weight updates, where the sign of a zero can survive in a
+weight.
 
 The activation keeps two clamps, the only two that can change a result.  A
 gained input below -709 is raised to -709, because ``exp`` overflows past
@@ -174,6 +185,8 @@ class Normalizer:
     def __post_init__(self):
         if not self.hi > self.lo:
             raise ValueError(f"normalizer needs hi > lo, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"normalizer bounds must be finite, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -230,13 +243,13 @@ def sigmoid_gain(y: float, g: float) -> float:
 _SUM_TERMS = 64
 
 
-def _sum(target: str, terms: "list[str]") -> "list[str]":
+def _sum(target: str, terms: "list[str]", from_zero: bool = True) -> "list[str]":
     """Source lines setting ``target`` to 0.0 + terms[0] + terms[1] + ...,
-    added strictly left to right."""
-    lines, acc = [], "0.0"
+    added strictly left to right; without the leading 0.0 if not ``from_zero``."""
+    lines, acc = [], ["0.0"] if from_zero else []
     for k in range(0, len(terms), _SUM_TERMS):
-        lines.append(f"{target} = {' + '.join([acc, *terms[k:k + _SUM_TERMS]])}")
-        acc = target
+        lines.append(f"{target} = {' + '.join([*acc, *terms[k:k + _SUM_TERMS]])}")
+        acc = [target]
     return lines
 
 
@@ -271,14 +284,14 @@ def _kernel_source(n: int, h: int, o: int) -> str:
     unpack = [f"{', '.join(wh)}, = wh", f"{', '.join(wo)}, = wo"]
     sums = []  # hidden pre-activations do not depend on the gain
     for j in H:
-        sums += _sum(f"s{j}", [f"wh{j}_0", *(f"wh{j}_{i} * x{i}" for i in I)])
+        sums += _sum(f"s{j}", [f"wh{j}_0", *(f"wh{j}_{i} * x{i}" for i in I)], False)
 
     def activate(g):
         lines = []
         for j in H:
             lines += _sigma_lines(f"h{j}", f"{g} * s{j}")
         for k in K:
-            lines += _sum("u", [f"wo{k}_0", *(f"wo{k}_{j} * h{j}" for j in H)])
+            lines += _sum("u", [f"wo{k}_0", *(f"wo{k}_{j} * h{j}" for j in H)], False)
             lines += _sigma_lines(f"o{k}", f"{g} * u")
         return lines
 
@@ -293,7 +306,7 @@ def _kernel_source(n: int, h: int, o: int) -> str:
              "    g = g_new",
              *("    " + line for line in activate("g"))]
     step += [f"r{k} = t{k} - o{k}" for k in K]
-    step += _sum("sse", [f"r{k} * r{k}" for k in K])
+    step += _sum("sse", [f"r{k} * r{k}" for k in K], False)
     step += [f"d{k} = (o{k} - t{k}) * (g * o{k} * (1.0 - o{k}))" for k in K]
     # back-propagated sums read the output weights from before this update
     for j in H:
@@ -323,7 +336,7 @@ def _kernel_source(n: int, h: int, o: int) -> str:
                   *("            " + line for line in step),
                   "        losses.append(total / len(rows))",
                   f"    return [{rows_of(wh, n + 1)}], [{rows_of(wo, h + 1)}], g, losses"]
-    forward = ["def forward(wh, wo, x, g):",
+    forward = ["def forward(wh, wo, g, x):",
                "    exp = _exp",
                *("    " + line for line in unpack),
                f"    {', '.join(xs)}, = x",
@@ -339,7 +352,7 @@ def _kernel(t: MlpTopology):
     ``train_loop(wh, wo, g, rows, lr, epochs, trace)`` takes the flattened
     weight matrices, the starting gain and one ``(*input, *target)`` tuple per
     pattern; it returns the trained weights as lists of rows, the last applied
-    gain and the per-epoch mean squared errors.  ``forward(wh, wo, x, g)``
+    gain and the per-epoch mean squared errors.  ``forward(wh, wo, g, x)``
     returns the output list.
     """
     n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
@@ -370,13 +383,8 @@ def bind(net: Mlp) -> "Callable[[list[float]], list[float]]":
     strictly in (0, 1), bit for bit as :func:`forward` does; an input of the
     wrong length raises ``ValueError``.
     """
-    fwd = _kernel(net.topology)[1]
-    wh, wo, g = net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(), net.gain
-
-    def bound(x: "list[float]") -> "list[float]":
-        return fwd(wh, wo, x, g)
-
-    return bound
+    return functools.partial(_kernel(net.topology)[1], net.w_hidden.ravel().tolist(),
+                             net.w_output.ravel().tolist(), net.gain)
 
 
 def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:

@@ -135,10 +135,17 @@ def cmd_simulate(args) -> int:
     days, theta, forcing = _forcing(cfg, "period2", args)
     moisture_model = persist.moisture_from_artifact(persist.load_model(args.model))
     mode = SimMode(args.mode) if args.mode else cfg.sim_mode
+    # the model clamps its theta inputs to its own normalizer, not the config's
+    norm, norm_name = moisture_model.norms.theta, f"{args.model} norm theta"
+    if not norm.lo <= cfg.theta_init_sim <= norm.hi:
+        raise DataFormatError(f"moisture.theta_init: need theta_init in {norm_name} "
+                              f"[{norm.lo!r}, {norm.hi!r}], got {cfg.theta_init_sim!r}")
     theta_obs = None
     if mode is SimMode.TEACHER_FORCED:
         if any(v is None for v in theta):
             raise DataFormatError("teacher-forced simulation needs theta_vwc on every day")
+        check_theta_obs(days, theta, norm, f"period2: {args.data}" if args.data else "period2",
+                        norm_name)
         theta_obs = theta
     theta_init = [cfg.theta_init_sim] * moisture_model.lag
     estimates = simulate_moisture(moisture_model, forcing, theta_init, mode,

@@ -10,6 +10,7 @@ config fails at parse; :func:`validate_schedule` fits the stages to a season.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import OutOfSeasonError, ScheduleMismatchError
@@ -69,3 +70,14 @@ def kc_at(s: KcSchedule, dap: float) -> float:
         return s.kc_mid
     f = (dap - s.len_ini - s.len_dev - s.len_mid) / s.len_late
     return s.kc_mid + f * (s.kc_end - s.kc_mid)
+
+
+@functools.lru_cache(maxsize=64)
+def kc_table(s: KcSchedule) -> tuple[float, ...]:
+    """:func:`kc_at` for each whole day of the season, 0 .. total_days - 1.
+
+    A season steps through its calendar one whole day at a time, so one
+    table per schedule serves every season; its entries come from
+    :func:`kc_at`, bit for bit.
+    """
+    return tuple(kc_at(s, d) for d in range(s.total_days))

@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from datetime import date as Date
+from typing import NamedTuple
 
 from . import ann
 from .ann import Mlp, MlpTopology, Normalizer, Pattern, TrainConfig
@@ -30,6 +31,7 @@ DEFAULT_ET0_NORM = Normalizer(0.0, 10.0)     # mm/day
 DEFAULT_LATITUDE_RAD = -0.11955
 
 _GSC = 0.0820  # solar constant, MJ m-2 min-1 (FAO-56 eq. 21)
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,7 @@ class SiteLocation:
             raise ValueError(f"latitude must satisfy |lat| < pi/2 rad, got {self.latitude}")
 
 
-@dataclass(frozen=True)
-class DailyWeather:
-    """One day of weather forcing."""
-
+class _DailyWeatherFields(NamedTuple):
     day_index: int
     date: Date
     tmax: float
@@ -56,22 +55,35 @@ class DailyWeather:
     tmin: float
     precip: float
 
-    def __post_init__(self):
-        isfinite = math.isfinite
-        # one chained test per day; the loop only finds the field to name
-        if not (isfinite(self.tmax) and isfinite(self.tavg) and isfinite(self.tmin)
-                and isfinite(self.precip)):
-            for name in ("tmax", "tavg", "tmin", "precip"):
-                value = getattr(self, name)
-                if not isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value} on {self.date}")
-        if not (self.tmin <= self.tavg <= self.tmax):
-            raise ValueError(
-                f"need tmin <= tavg <= tmax, got {self.tmin}/{self.tavg}/{self.tmax} "
-                f"on {self.date}"
-            )
-        if self.precip < 0.0:
-            raise ValueError(f"precip must be >= 0, got {self.precip} on {self.date}")
+
+class DailyWeather(_DailyWeatherFields):
+    """One day of weather forcing.
+
+    A tuple ``(day_index, date, tmax, tavg, tmin, precip)``, built by
+    position or keyword: a season builds one per day, and a tuple is cheaper
+    to build than a frozen dataclass.  A non-finite value, broken
+    ``tmin <= tavg <= tmax`` or a negative ``precip`` is rejected when it is
+    built, by ``_make`` and ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, day_index, date, tmax, tavg, tmin, precip):
+        # one chained test per day, false for NaN too; the checks below name the fault
+        if not (-_INF < tmin <= tavg <= tmax < _INF and 0.0 <= precip < _INF):
+            for name, value in (("tmax", tmax), ("tavg", tavg), ("tmin", tmin),
+                                ("precip", precip)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value} on {date}")
+            if not (tmin <= tavg <= tmax):
+                raise ValueError(f"need tmin <= tavg <= tmax, got {tmin}/{tavg}/{tmax} "
+                                 f"on {date}")
+            raise ValueError(f"precip must be >= 0, got {precip} on {date}")
+        return tuple.__new__(cls, (day_index, date, tmax, tavg, tmin, precip))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 @dataclass
@@ -88,9 +100,14 @@ class Et0Model:
             raise ValueError(f"ET0 surrogate must be 3-n-1, got {t}")
 
 
+@functools.lru_cache(maxsize=None)  # one entry per year seen, and years run 1..9999
+def _jan1_ordinal(year: int) -> int:
+    return Date(year, 1, 1).toordinal()
+
+
 def day_of_year(day: Date) -> int:
     """Day of the year, 1 on 1 January; ``day.timetuple().tm_yday`` without the tuple."""
-    return day.toordinal() - Date(day.year, 1, 1).toordinal() + 1
+    return day.toordinal() - _jan1_ordinal(day.year) + 1
 
 
 def extraterrestrial_radiation(site: SiteLocation, doy: int) -> float:
@@ -144,7 +161,17 @@ def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[fl
 
 
 def _input_vector(tmax: float, tavg: float, tmin: float, temp_norm: Normalizer) -> list[float]:
-    """One day's normalized surrogate inputs: tmax, tavg, tmin."""
+    """One day's normalized surrogate inputs: tmax, tavg, tmin.
+
+    Scaled inline as :func:`ann.normalize` scales them; only a day with a
+    value that does not land in [0, 1] goes through it, to be clamped or
+    rejected there.
+    """
+    lo = temp_norm.lo
+    span = temp_norm.hi - lo
+    a, b, c = (tmax - lo) / span, (tavg - lo) / span, (tmin - lo) / span
+    if 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0:
+        return [a, b, c]
     normalize = ann.normalize
     return [normalize(tmax, temp_norm), normalize(tavg, temp_norm), normalize(tmin, temp_norm)]
 

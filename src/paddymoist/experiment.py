@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .ann import Normalizer, TrainConfig, left_sum
-from .crop import KcSchedule, kc_at, validate_schedule
+from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError
 from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
                     predict_et0_series, train_et0_model)
@@ -316,13 +316,15 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     return PeriodData(name=name, days=days, theta_obs=theta)
 
 
-def check_theta_obs(days: list, theta: list, norm: Normalizer, source: str) -> None:
+def check_theta_obs(days: list, theta: list, norm: Normalizer, source: str,
+                    norm_name: str = "normalizer.theta_vwc") -> None:
     """Raise DataFormatError naming the first day whose observed theta lies
-    outside ``norm``, which would clamp it as a training target or a lag."""
+    outside ``norm`` (called ``norm_name``), which would clamp it as a
+    training target or a lag."""
     for day, value in zip(days, theta):
         if value is not None and not norm.lo <= value <= norm.hi:
             raise DataFormatError(f"{source}: observed theta_vwc {value!r} on {day.date} is "
-                                  f"outside normalizer.theta_vwc [{norm.lo!r}, {norm.hi!r}]")
+                                  f"outside {norm_name} [{norm.lo!r}, {norm.hi!r}]")
 
 
 #: The report's metric cells, in report order.
@@ -371,8 +373,10 @@ def _cell(obs, est) -> MetricCell:
 def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) -> list[ForcingDay]:
     """Moisture forcing with the surrogate's (not Hargreaves') ET0, as deployed."""
     et0 = predict_et0_series(model, period.days)
-    return [ForcingDay(et0=e, precip=day.precip, kc=kc_at(cfg.kc, d))
-            for d, (e, day) in enumerate(zip(et0, period.days))]
+    kcs = kc_table(cfg.kc)
+    if len(period.days) > len(kcs):
+        kc_at(cfg.kc, len(kcs))  # raises OutOfSeasonError for the first day past the calendar
+    return [ForcingDay(e, day.precip, kc) for e, day, kc in zip(et0, period.days, kcs)]
 
 
 @contextmanager

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crop import KcSchedule, kc_at, validate_schedule
+from .crop import KcSchedule, kc_table, validate_schedule
 from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_series
 
 # Generator constants: day-to-day scatter of the mean temperature (deg C),
@@ -37,6 +37,7 @@ from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_series
 _TAVG_NOISE_SD = 0.5
 _RANGE_JITTER_SIGMA = 0.55
 _SEASON_PEAK_DOY = 330
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -75,13 +76,34 @@ class FieldParams:
                 raise ValueError(f"irrigation events must be (day_index, mm >= 0), got {ev}")
 
 
-@dataclass(frozen=True)
-class WaterFluxes:
-    """Outflows actually taken during one water-balance step, in mm."""
-
+class _FluxFields(NamedTuple):
     etc_mm: float
     runoff_mm: float
     perc_mm: float
+
+
+class WaterFluxes(_FluxFields):
+    """Outflows actually taken during one water-balance step, in mm.
+
+    A tuple ``(etc_mm, runoff_mm, perc_mm)``, built by position or keyword.
+    An outflow that is not a finite number >= 0 is rejected when it is
+    built, by ``_make`` and ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, etc_mm, runoff_mm, perc_mm):
+        # one chained test per day, false for NaN too; the loop names the fault
+        if not (0.0 <= etc_mm < _INF and 0.0 <= runoff_mm < _INF and 0.0 <= perc_mm < _INF):
+            for name, value in (("etc_mm", etc_mm), ("runoff_mm", runoff_mm),
+                                ("perc_mm", perc_mm)):
+                if not 0.0 <= value < _INF:
+                    raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        return tuple.__new__(cls, (etc_mm, runoff_mm, perc_mm))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 class LedgerDay(NamedTuple):
@@ -161,7 +183,7 @@ def water_balance_step(theta: float, p: FieldParams, precip_mm: float,
 
     theta_next = storage / depth_mm
     theta_next = min(max(theta_next, p.theta_res), p.theta_sat)
-    return theta_next, WaterFluxes(etc_mm=etc_taken, runoff_mm=runoff, perc_mm=perc)
+    return theta_next, WaterFluxes(etc_taken, runoff, perc)
 
 
 def generate_weather(g: WeatherGenParams) -> list[DailyWeather]:
@@ -218,14 +240,14 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
     if not weather:
         raise ValueError("weather series is empty")
     validate_schedule(kc, len(weather))
+    kcs = kc_table(kc)
     irrig = {}
     for day_index, mm in p.irrigation:
         irrig[day_index] = irrig.get(day_index, 0.0) + mm
     theta = p.theta_init
     theta_series: list[float] = []
     ledger: list[LedgerDay] = []
-    for d, (day, et0) in enumerate(zip(weather, hargreaves_series(weather, site))):
-        kc_d = kc_at(kc, d)
+    for d, (day, et0, kc_d) in enumerate(zip(weather, hargreaves_series(weather, site), kcs)):
         irrig_mm = irrig.get(d, 0.0)
         theta, fluxes = water_balance_step(theta, p, day.precip, irrig_mm, kc_d * et0)
         theta_series.append(theta)

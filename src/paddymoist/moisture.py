@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import ann
 from .ann import Mlp, MlpTopology, Normalizer, Pattern, TrainConfig
@@ -31,6 +32,8 @@ DEFAULT_PRECIP_NORM = Normalizer(0.0, 100.0)  # mm/day
 DEFAULT_KC_NORM = Normalizer(0.0, 1.5)       # dimensionless
 DEFAULT_THETA_NORM = Normalizer(0.0, 1.0)    # m3/m3, full physical range
 
+_INF = math.inf
+
 
 class SimMode(enum.Enum):
     """Where simulated lagged inputs come from."""
@@ -39,28 +42,38 @@ class SimMode(enum.Enum):
     CLOSED_LOOP = "closed_loop"
 
 
-@dataclass(frozen=True)
-class ForcingDay:
-    """One day of moisture-model forcing."""
-
+class _ForcingFields(NamedTuple):
     et0: float
     precip: float
     kc: float
 
-    def __post_init__(self):
-        isfinite = math.isfinite
-        # one chained test per day; the loop only finds the field to name
-        if not (isfinite(self.et0) and isfinite(self.precip) and isfinite(self.kc)):
-            for name in ("et0", "precip", "kc"):
-                value = getattr(self, name)
-                if not isfinite(value):
+
+class ForcingDay(_ForcingFields):
+    """One day of moisture-model forcing.
+
+    A tuple ``(et0, precip, kc)``, built by position or keyword.  A
+    non-finite value, a negative ``et0`` or ``precip`` or a ``kc`` not > 0
+    is rejected when it is built, by ``_make`` and ``_replace`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, et0, precip, kc):
+        # one chained test per day, false for NaN too; the checks below name the fault
+        if not (0.0 <= et0 < _INF and 0.0 <= precip < _INF and 0.0 < kc < _INF):
+            for name, value in (("et0", et0), ("precip", precip), ("kc", kc)):
+                if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
-        if self.et0 < 0.0:
-            raise ValueError(f"et0 must be >= 0, got {self.et0}")
-        if self.precip < 0.0:
-            raise ValueError(f"precip must be >= 0, got {self.precip}")
-        if self.kc <= 0.0:
-            raise ValueError(f"kc must be > 0, got {self.kc}")
+            if et0 < 0.0:
+                raise ValueError(f"et0 must be >= 0, got {et0}")
+            if precip < 0.0:
+                raise ValueError(f"precip must be >= 0, got {precip}")
+            raise ValueError(f"kc must be > 0, got {kc}")
+        return tuple.__new__(cls, (et0, precip, kc))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -92,12 +105,25 @@ class MoistureModel:
 
 
 def _input_vector(f: ForcingDay, lags: "list[float]", norms: MoistureNormalizers) -> list[float]:
-    """One day's normalized inputs: et0, precip, kc, then ``lags`` newest first."""
-    normalize, n_theta = ann.normalize, norms.theta
-    x = [normalize(f.et0, norms.et0), normalize(f.precip, norms.precip),
-         normalize(f.kc, norms.kc)]
+    """One day's normalized inputs: et0, precip, kc, then ``lags`` newest first.
+
+    Scaled inline as :func:`ann.normalize` scales them; only a day with a
+    value that does not land in [0, 1] goes through it, to be clamped or
+    rejected there.
+    """
+    n_et0, n_precip, n_kc, n_theta = norms.et0, norms.precip, norms.kc, norms.theta
+    lo = n_theta.lo
+    span = n_theta.hi - lo
+    x = [(f.et0 - n_et0.lo) / (n_et0.hi - n_et0.lo),
+         (f.precip - n_precip.lo) / (n_precip.hi - n_precip.lo),
+         (f.kc - n_kc.lo) / (n_kc.hi - n_kc.lo)]
     for v in lags:
-        x.append(normalize(v, n_theta))
+        x.append((v - lo) / span)
+    for u in x:
+        if not 0.0 <= u <= 1.0:
+            normalize = ann.normalize
+            return [normalize(f.et0, n_et0), normalize(f.precip, n_precip),
+                    normalize(f.kc, n_kc), *(normalize(v, n_theta) for v in lags)]
     return x
 
 

@@ -9,7 +9,8 @@ order shown, the kind's ``norm`` lines in the order its model takes them
 and any number of ``prov`` lines, each key once; :func:`load_model` reads
 them back in that order.  A missing, repeated, unknown or out-of-order
 line, or anything after ``end``, is an :class:`ArtifactParseError` naming
-the file and line.
+the file and line; so is a weight or bound that is not finite, a gain
+outside (0, 1] or a normalizer without ``hi > lo``.
 
     paddymoist-model 1
     kind et0
@@ -28,6 +29,7 @@ the file and line.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +114,10 @@ def save_model(m: ModelArtifact, path) -> None:
     nothing, for content that :func:`load_model` would not read back as it is."""
     if tuple(m.norms) != _NORM_KEYS.get(m.kind):
         raise ArtifactError(f"a {m.kind!r} artifact cannot carry norms {list(m.norms)}")
+    if not 0.0 < m.gain <= 1.0:
+        raise ArtifactError(f"gain must be in (0, 1], got {m.gain!r}")
+    if not (np.isfinite(m.w_hidden).all() and np.isfinite(m.w_output).all()):
+        raise ArtifactError("a weight that is not finite cannot be saved")
     lines = [f"{FORMAT_NAME} {m.version}",
              f"kind {m.kind}",
              f"topology {m.topology.n_inputs} {m.topology.n_hidden} {m.topology.n_outputs}",
@@ -136,7 +142,21 @@ def _fail(line_no: int, msg: str):
     raise ArtifactParseError(f"line {line_no}: {msg}")
 
 
-def _take(raw: list, i: int, head: str, n_values: int, convert=float, make=None):
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _gain(text: str) -> float:
+    value = _finite(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"gain must be in (0, 1], got {value!r}")
+    return value
+
+
+def _take(raw: list, i: int, head: str, n_values: int, convert=_finite, make=None):
     """Line ``i + 1``'s values read with ``convert``, passed to ``make`` if
     given; the line must be ``head`` followed by exactly ``n_values`` values."""
     if i >= len(raw):
@@ -165,8 +185,8 @@ def _parse(raw: list) -> ModelArtifact:
         _fail(2, f"unknown kind {kind!r}, expected one of {list(_NORM_KEYS)}")
     topo = _take(raw, 2, "topology", 3, int, MlpTopology)
     lag, = _take(raw, 3, "lag", 1, int)
-    gain, = _take(raw, 4, "gain", 1)
-    norms = {key: _take(raw, 5 + j, f"norm {key}", 2, float, Normalizer)
+    gain, = _take(raw, 4, "gain", 1, _gain)
+    norms = {key: _take(raw, 5 + j, f"norm {key}", 2, make=Normalizer)
              for j, key in enumerate(_NORM_KEYS[kind])}
     i = 5 + len(norms)
     provenance = {}

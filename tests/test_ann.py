@@ -312,6 +312,12 @@ class TestNormalizer:
         with pytest.raises(ValueError):
             Normalizer(5.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (-math.inf, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^normalizer (needs hi > lo|bounds must be finite)"):
+            Normalizer(lo, hi)
+
 
 class TestTypes:
 
@@ -553,6 +559,25 @@ def _random_patterns(topo, rng, count=30):
             for _ in range(count)]
 
 
+def _signed_zero_net(topo, rng, gain):
+    """A random net whose first hidden and output rows are all -0.0 and whose
+    second hidden row is all +0.0, so those pre-activation sums are signed
+    zeros: -0.0 in the generated kernel, which does not start them at 0.0,
+    and +0.0 in the list kernel, which does."""
+    net = Mlp.random(topo, rng)
+    net.w_hidden[0] = -0.0
+    net.w_output[0] = -0.0
+    if topo.n_hidden > 1:
+        net.w_hidden[1] = 0.0
+    net.gain = gain
+    return net
+
+
+def _bits(values) -> "list[str]":
+    """``repr`` of each float in a nested list, so a sign of zero counts too."""
+    return [_bits(v) if isinstance(v, list) else repr(v) for v in values]
+
+
 class TestListKernelBitExact:
     """The generated kernel against the list kernel, compared with ==."""
 
@@ -603,6 +628,32 @@ class TestListKernelBitExact:
                 _, ref = _forward(net.w_hidden.tolist(), net.w_output.tolist(),
                                   [1.0, *x.tolist()], net.gain)
                 assert forward(net, x).tolist() == ref
+
+    @pytest.mark.parametrize("shape", _EXACT_SHAPES)
+    def test_signed_zero_weights_bit_exact(self, shape):
+        # The kernel's pre-activation sums and squared error leave out the
+        # list kernel's leading 0.0, which only turns a -0.0 sum into 0.0.
+        # Outputs, errors and updated weights must still match, zero signs too.
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(400 + sum(shape))
+        for gain in (1.0, 0.3):
+            net = _signed_zero_net(topo, rng, gain)
+            for x in (rng.uniform(0, 1, topo.n_inputs), np.zeros(topo.n_inputs)):
+                _, ref = _forward(net.w_hidden.tolist(), net.w_output.tolist(),
+                                  [1.0, *x.tolist()], gain)
+                assert ref[0] == 0.5  # output 0 sums signed zeros only
+                assert _bits(forward(net, x).tolist()) == _bits(ref)
+                assert _bits(bind(net)(x.tolist())) == _bits(ref)
+                # a target equal to the output leaves a zero residual
+                for target in (ref, rng.uniform(0, 1, topo.n_outputs).tolist()):
+                    p = Pattern(x, target)
+                    updated, sse = backprop_step(net, p, lr=0.2)
+                    wh, wo = net.w_hidden.tolist(), net.w_output.tolist()
+                    ref_sse, _, ref_gain = _update(wh, wo, [1.0, *x.tolist()], target,
+                                                   0.2, gain)
+                    assert _bits(updated.w_hidden.tolist()) == _bits(wh)
+                    assert _bits(updated.w_output.tolist()) == _bits(wo)
+                    assert (repr(sse), updated.gain) == (repr(ref_sse), ref_gain)
 
     def test_long_dot_products_sum_in_order(self):
         # sums longer than one generated expression continue left to right

@@ -472,3 +472,73 @@ class TestThetaNormalizer:
         assert capsys.readouterr().err.startswith(
             f"error: {where.format(data=data)}: observed theta_vwc ")
         assert not (tmp_path / "out").exists()
+
+    def test_theta_init_outside_the_models_normalizer_exits_4(self, tmp_path, capsys):
+        # the config allows theta_init = 1.5, but the lag-1 model's norm theta
+        # is 0 1 and would clamp it
+        et0_path, moist_path = _zero_models(tmp_path)
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("normalizer.theta_vwc = 0 2\nmoisture.theta_init = 1.5\n",
+                       encoding="utf-8")
+        out = tmp_path / "est.csv"
+        argv = ["simulate", "--config", str(cfg), "--model", str(moist_path),
+                "--et0-model", str(et0_path), "--out", str(out)]
+        for mode in ("closed_loop", "teacher_forced"):
+            assert main(argv + ["--mode", mode]) == 4
+            assert capsys.readouterr().err == (
+                f"error: moisture.theta_init: need theta_init in {moist_path} norm theta "
+                f"[0.0, 1.0], got 1.5\n")
+            assert not out.exists()
+
+    def test_observed_theta_outside_the_models_normalizer_exits_4(self, tmp_path, capsys):
+        from paddymoist.ann import Mlp, MlpTopology, Normalizer
+        from paddymoist.experiment import default_config, load_period
+        from paddymoist.moisture import MoistureModel, MoistureNormalizers
+        from paddymoist.persist import moisture_artifact, save_model
+        et0_path, _ = _zero_models(tmp_path)
+        narrow = tmp_path / "narrow.model"
+        save_model(moisture_artifact(MoistureModel(
+            Mlp.zeros(MlpTopology(4, 8, 1)),
+            norms=MoistureNormalizers(theta=Normalizer(0.0, 0.5)))), narrow)
+        cfg = default_config()
+        period = load_period(cfg, cfg.period2, "period2")
+        day, value = next((d, v) for d, v in zip(period.days, period.theta_obs) if v > 0.5)
+        out = tmp_path / "est.csv"
+        argv = ["simulate", "--model", str(narrow), "--et0-model", str(et0_path),
+                "--out", str(out)]
+        assert main(argv + ["--mode", "teacher_forced"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: period2: observed theta_vwc {value!r} on {day.date} is outside "
+            f"{narrow} norm theta [0.0, 0.5]\n")
+        assert not out.exists()
+        # closed loop takes no observed lag, so observed theta is only scored
+        assert main(argv + ["--mode", "closed_loop"]) == 0
+
+
+class TestArtifactValues:
+    """A weight, bound or gain the model cannot use exits 4 naming the file and line."""
+
+    @pytest.mark.parametrize("model, prefix, new, message", [
+        ("moisture", "w_hidden 3 ", None, "must be finite, got 'nan'"),
+        ("et0", "norm et0 ", "norm et0 0.0 inf", "must be finite, got 'inf'"),
+        ("et0", "gain ", "gain inf", "must be finite, got 'inf'"),
+        ("moisture", "gain ", "gain 1.5", "gain must be in (0, 1], got 1.5"),
+    ], ids=["nan-weight", "inf-bound", "inf-gain", "gain-above-one"])
+    def test_simulate_refuses_the_artifact(self, tmp_path, capsys, model, prefix, new,
+                                           message):
+        et0_path, moist_path = _zero_models(tmp_path)
+        path = et0_path if model == "et0" else moist_path
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        if new is None:  # one weight of the row becomes nan
+            words = lines[at].split()
+            words[3] = "nan"
+            new = " ".join(words)
+        lines[at] = new
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--mode", "teacher_forced", "--model", str(moist_path),
+                     "--et0-model", str(et0_path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {at + 1}: cannot parse {new!r}: {message}\n")
+        assert not out.exists()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from paddymoist.crop import KcSchedule, kc_at, validate_schedule
+from paddymoist.crop import KcSchedule, kc_at, kc_table, validate_schedule
 from paddymoist.errors import OutOfSeasonError, ScheduleMismatchError
 
 RICE = KcSchedule()  # 20/30/40/30, 1.05/1.20/0.90
@@ -84,3 +84,16 @@ class TestScheduleChecksItself:
         validate_schedule(KcSchedule(1, 1, 1, 1), 4)
         with pytest.raises(ScheduleMismatchError):
             validate_schedule(KcSchedule(1, 1, 1, 1), 5)
+
+
+class TestKcTable:
+
+    @pytest.mark.parametrize("schedule", [RICE, KcSchedule(1, 3, 1, 7, 0.4, 1.7, 0.25)])
+    def test_one_entry_per_day_equal_to_kc_at(self, schedule):
+        table = kc_table(schedule)
+        assert len(table) == schedule.total_days
+        assert [repr(v) for v in table] == [repr(kc_at(schedule, d))
+                                            for d in range(schedule.total_days)]
+
+    def test_cached_per_schedule(self):
+        assert kc_table(KcSchedule(len_late=28)) is kc_table(KcSchedule(len_late=28))

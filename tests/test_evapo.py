@@ -10,7 +10,7 @@ from paddymoist.ann import (Mlp, MlpTopology, TrainConfig, denormalize, forward,
                             normalize)
 from paddymoist.errors import DimensionError
 from paddymoist.evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, DailyWeather,
-                              Et0Model, SiteLocation, day_of_year,
+                              Et0Model, SiteLocation, _input_vector, day_of_year,
                               extraterrestrial_radiation, hargreaves_et0,
                               hargreaves_series, predict_et0, predict_et0_series,
                               ra_table, train_et0_model)
@@ -153,6 +153,53 @@ class TestDailyWeather:
         with pytest.raises(ValueError, match="^tavg must be finite, got nan"):
             DailyWeather(0, date(2011, 1, 1), tmax=30.0, tavg=math.nan, tmin=math.inf,
                          precip=-math.inf)
+
+    def test_keyword_and_positional_construction_agree(self):
+        day = date(2011, 1, 1)
+        by_keyword = DailyWeather(day_index=3, date=day, tmax=30.0, tavg=25.0, tmin=18.0,
+                                  precip=1.5)
+        assert by_keyword == DailyWeather(3, day, 30.0, 25.0, 18.0, 1.5)
+        assert by_keyword == (3, day, 30.0, 25.0, 18.0, 1.5)
+        assert (by_keyword.date, by_keyword.tmax, by_keyword.precip) == (day, 30.0, 1.5)
+        assert DailyWeather._fields == ("day_index", "date", "tmax", "tavg", "tmin", "precip")
+
+    def test_replace_and_make_recheck(self):
+        day = DailyWeather(0, date(2011, 1, 1), 30.0, 25.0, 18.0, 1.0)
+        assert day._replace(precip=0.0) == DailyWeather(0, date(2011, 1, 1), 30.0, 25.0,
+                                                        18.0, 0.0)
+        for changes, message in (
+                ({"precip": -1.0}, "precip must be >= 0, got -1.0 on 2011-01-01"),
+                ({"tavg": 31.0}, "need tmin <= tavg <= tmax, got 18.0/31.0/30.0 on 2011-01-01"),
+                ({"tmin": math.nan}, "tmin must be finite, got nan on 2011-01-01")):
+            with pytest.raises(ValueError) as exc:
+                day._replace(**changes)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match="^tmax must be finite"):
+            DailyWeather._make([0, date(2011, 1, 1), math.inf, 25.0, 18.0, 1.0])
+
+    def test_boundaries_accepted(self):
+        day = DailyWeather(0, date(2011, 1, 1), 25.0, 25.0, 25.0, -0.0)
+        assert day.tmin == day.tavg == day.tmax and day.precip == 0.0
+        big = DailyWeather(0, date(2011, 1, 1), 1e308, 0.0, -1e308, 1e308)
+        assert big.tmax == 1e308
+
+
+class TestInputVector:
+    """The inline scaling gives what ann.normalize gives, the sign of zero too."""
+
+    @pytest.mark.parametrize("temps", [(30.0, 24.0, 18.0), (50.0, 0.0, -0.0),
+                                       (60.0, 24.0, -5.0), (1e300, 1e300, -1e300),
+                                       (-0.0, -0.0, -0.0)])
+    def test_same_bits_as_normalize(self, temps):
+        nz = DEFAULT_TEMP_NORM
+        got = _input_vector(*temps, nz)
+        expected = [normalize(t, nz) for t in temps]
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_normalize(self, bad):
+        with pytest.raises(ValueError, match=f"^cannot normalize the non-finite value {bad}"):
+            _input_vector(30.0, bad, 18.0, DEFAULT_TEMP_NORM)
 
 
 class TestEt0Surrogate:

@@ -8,17 +8,19 @@ from dataclasses import fields, is_dataclass, replace
 from datetime import date, timedelta
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from conftest import quick_config
-from paddymoist.ann import Normalizer, TrainConfig
-from paddymoist.crop import KcSchedule
-from paddymoist.errors import DataFormatError, OrderingError, ScheduleMismatchError
-from paddymoist.evapo import SiteLocation, predict_et0_series
+from paddymoist.ann import Mlp, MlpTopology, Normalizer, TrainConfig
+from paddymoist.crop import KcSchedule, kc_at
+from paddymoist.errors import (DataFormatError, OrderingError, OutOfSeasonError,
+                               ScheduleMismatchError)
+from paddymoist.evapo import Et0Model, SiteLocation, predict_et0_series
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
-                                   default_config, export_plot_data, format_config,
-                                   format_report_text, load_period, parse_config,
-                                   run_experiment, write_report_files,
+                                   build_forcing, default_config, export_plot_data,
+                                   format_config, format_report_text, load_period,
+                                   parse_config, run_experiment, write_report_files,
                                    write_synth_periods)
 from paddymoist.hydro import FieldParams
 from paddymoist.ingest import read_daily_csv
@@ -469,6 +471,27 @@ class TestSurrogatePasses:
         with pytest.raises(ValueError) as exc:
             run_experiment(quick_config(et0_epochs=2, moisture_epochs=2))
         assert str(exc.value) == "[stage: predict et0] forcing refused"
+
+
+class TestBuildForcing:
+
+    def test_calendar_kc_and_surrogate_et0_per_day(self):
+        cfg = quick_config()
+        period = load_period(cfg, cfg.period1, "period1")
+        model = Et0Model(Mlp.random(MlpTopology(3, 8, 1), np.random.default_rng(5)))
+        forcing = build_forcing(cfg, model, period)
+        assert [f.kc for f in forcing] == [kc_at(cfg.kc, d) for d in range(118)]
+        assert [f.et0 for f in forcing] == predict_et0_series(model, period.days)
+        assert [f.precip for f in forcing] == [d.precip for d in period.days]
+
+    def test_period_past_the_calendar_is_out_of_season(self):
+        cfg = quick_config()
+        period = load_period(cfg, cfg.period1, "period1")
+        model = Et0Model(Mlp.zeros(MlpTopology(3, 8, 1)))
+        assert len(build_forcing(cfg, model, replace(period, days=period.days[:100]))) == 100
+        longer = replace(period, days=period.days + period.days[:1])
+        with pytest.raises(OutOfSeasonError, match=r"^day 118 is outside the 118-day season$"):
+            build_forcing(cfg, model, longer)
 
 
 class TestReportFiles:

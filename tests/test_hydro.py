@@ -14,8 +14,8 @@ from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import ScheduleMismatchError
 from paddymoist.evapo import (DailyWeather, SiteLocation, extraterrestrial_radiation,
                               hargreaves_et0, hargreaves_series)
-from paddymoist.hydro import (FieldParams, LedgerDay, WeatherGenParams, generate_truth,
-                              generate_weather, water_balance_step)
+from paddymoist.hydro import (FieldParams, LedgerDay, WaterFluxes, WeatherGenParams,
+                              generate_truth, generate_weather, water_balance_step)
 
 SEASON_KC = KcSchedule(len_ini=20, len_dev=30, len_mid=40, len_late=28)  # 118 days
 
@@ -86,6 +86,41 @@ class TestWaterBalanceStep:
             FieldParams(root_depth=0.0)
         with pytest.raises(ValueError):
             FieldParams(runoff_threshold=0.6)  # above theta_sat
+
+
+class TestWaterFluxes:
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = WaterFluxes(etc_mm=4.0, runoff_mm=0.0, perc_mm=3.0)
+        assert by_keyword == WaterFluxes(4.0, 0.0, 3.0) == (4.0, 0.0, 3.0)
+        assert (by_keyword.etc_mm, by_keyword.runoff_mm, by_keyword.perc_mm) == (4.0, 0.0, 3.0)
+        assert WaterFluxes._fields == ("etc_mm", "runoff_mm", "perc_mm")
+        assert WaterFluxes(-0.0, 0.0, 1e308) == (0.0, 0.0, 1e308)
+
+    @pytest.mark.parametrize("field", ["etc_mm", "runoff_mm", "perc_mm"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_rejected(self, field, bad):
+        values = dict(etc_mm=4.0, runoff_mm=0.0, perc_mm=3.0)
+        values[field] = bad
+        with pytest.raises(ValueError) as exc:
+            WaterFluxes(**values)
+        assert str(exc.value) == f"{field} must be finite and >= 0, got {bad}"
+
+    def test_first_bad_field_is_named(self):
+        with pytest.raises(ValueError, match="^runoff_mm must be"):
+            WaterFluxes(1.0, -1.0, math.nan)
+
+    def test_replace_and_make_recheck(self):
+        fluxes = WaterFluxes(4.0, 0.0, 3.0)
+        assert fluxes._replace(runoff_mm=2.5) == WaterFluxes(4.0, 2.5, 3.0)
+        with pytest.raises(ValueError, match="^perc_mm must be finite and >= 0, got -0.5$"):
+            fluxes._replace(perc_mm=-0.5)
+        with pytest.raises(ValueError, match="^etc_mm must be finite and >= 0, got nan$"):
+            WaterFluxes._make([math.nan, 0.0, 3.0])
+
+    def test_step_returns_the_record(self):
+        _, fluxes = water_balance_step(0.30, FieldParams(), 5.0, 0.0, 4.0)
+        assert type(fluxes) is WaterFluxes
 
 
 def _reference_weather(g: WeatherGenParams) -> list:
@@ -231,7 +266,7 @@ class TestGenerateTruth:
         assert sum(row.fluxes.perc_mm for row in ledger) > 0.0
 
     def test_dry_season_monotone_nonincreasing(self):
-        dry = [replace(d, precip=0.0) for d in self.weather]
+        dry = [d._replace(precip=0.0) for d in self.weather]
         theta, _ = generate_truth(dry, self.site, SEASON_KC, self.params)
         assert all(b <= a for a, b in zip(theta, theta[1:]))
 
@@ -240,7 +275,7 @@ class TestGenerateTruth:
         assert all(self.params.theta_res <= v <= self.params.theta_sat for v in theta)
 
     def test_irrigation_events_add_water(self):
-        dry = [replace(d, precip=0.0) for d in self.weather]
+        dry = [d._replace(precip=0.0) for d in self.weather]
         base, _ = generate_truth(dry, self.site, SEASON_KC, self.params)
         irrigated = replace(self.params, irrigation=((10, 30.0),))
         wet, _ = generate_truth(dry, self.site, SEASON_KC, irrigated)

@@ -8,9 +8,10 @@ import pytest
 from paddymoist.ann import (Mlp, MlpTopology, Normalizer, TrainConfig, denormalize,
                             forward, normalize)
 from paddymoist.errors import DimensionError, InsufficientHistoryError
+from paddymoist.hydro import LedgerDay, WaterFluxes
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,
-                                 SimMode, build_patterns, simulate_moisture,
-                                 train_moisture_model)
+                                 SimMode, _input_vector, build_patterns,
+                                 simulate_moisture, train_moisture_model)
 
 
 def _forcing(rng, n):
@@ -216,6 +217,64 @@ class TestForcingDay:
     def test_first_non_finite_field_is_named(self):
         with pytest.raises(ValueError, match="^precip must be finite, got inf"):
             ForcingDay(et0=1.0, precip=math.inf, kc=math.nan)
+
+    def test_invariant_messages(self):
+        for values, message in (((-1.0, 0.0, 1.0), "et0 must be >= 0, got -1.0"),
+                                ((1.0, -0.1, 1.0), "precip must be >= 0, got -0.1"),
+                                ((1.0, 0.0, 0.0), "kc must be > 0, got 0.0"),
+                                ((-1.0, -1.0, -1.0), "et0 must be >= 0, got -1.0")):
+            with pytest.raises(ValueError) as exc:
+                ForcingDay(*values)
+            assert str(exc.value) == message
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = ForcingDay(et0=4.5, precip=12.0, kc=1.1)
+        assert by_keyword == ForcingDay(4.5, 12.0, 1.1) == (4.5, 12.0, 1.1)
+        assert (by_keyword.et0, by_keyword.precip, by_keyword.kc) == (4.5, 12.0, 1.1)
+        assert ForcingDay._fields == ("et0", "precip", "kc")
+        assert ForcingDay(-0.0, -0.0, 1e-300) == (0.0, 0.0, 1e-300)
+
+    def test_replace_and_make_recheck(self):
+        day = ForcingDay(4.5, 12.0, 1.1)
+        assert day._replace(precip=0.0) == ForcingDay(4.5, 0.0, 1.1)
+        for changes, message in (({"et0": -0.5}, "et0 must be >= 0, got -0.5"),
+                                 ({"kc": 0.0}, "kc must be > 0, got 0.0"),
+                                 ({"precip": math.nan}, "precip must be finite, got nan")):
+            with pytest.raises(ValueError) as exc:
+                day._replace(**changes)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError, match="^kc must be finite"):
+            ForcingDay._make([4.5, 12.0, math.inf])
+
+
+class TestInputVector:
+    """The inline scaling gives what ann.normalize gives, the sign of zero too."""
+
+    NORMS = MoistureNormalizers(precip=Normalizer(-0.0, 100.0), theta=Normalizer(0.1, 0.6))
+
+    @pytest.mark.parametrize("forcing, lags", [
+        (ForcingDay(4.0, 20.0, 1.1), [0.3]),
+        (ForcingDay(12.0, 150.0, 1.6), [0.05, 0.7, 0.6, 0.1]),   # every kind clamps
+        (ForcingDay(-0.0, -0.0, 1.5), [0.1, 0.6]),
+        (ForcingDay(0.0, 0.0, 1e-300), []),
+    ])
+    def test_same_bits_as_normalize(self, forcing, lags):
+        n = self.NORMS
+        expected = [normalize(forcing.et0, n.et0), normalize(forcing.precip, n.precip),
+                    normalize(forcing.kc, n.kc), *(normalize(v, n.theta) for v in lags)]
+        got = _input_vector(forcing, lags, n)
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
+
+    def test_a_ledger_row_is_read_by_name(self):
+        row = LedgerDay(precip=20.0, irrig_mm=5.0, et0=4.0, kc=1.1,
+                        fluxes=WaterFluxes(4.4, 0.0, 3.0))
+        assert (_input_vector(row, [0.3], self.NORMS)
+                == _input_vector(ForcingDay(4.0, 20.0, 1.1), [0.3], self.NORMS))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lag_rejected_by_normalize(self, bad):
+        with pytest.raises(ValueError, match=f"^cannot normalize the non-finite value {bad}"):
+            _input_vector(ForcingDay(4.0, 20.0, 1.1), [0.3, bad], self.NORMS)
 
 
 class TestCrossPeriodProtocol:

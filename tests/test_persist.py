@@ -230,6 +230,44 @@ class TestLineOrderGrammar:
         lines[5] = "norm temp 50.0 0.0"
         assert "hi > lo" in _rejected_at(path, lines, 6)
 
+    @pytest.mark.parametrize("line_no, text, message", [
+        (5, "gain inf", "cannot parse 'gain inf': must be finite, got 'inf'"),
+        (5, "gain nan", "cannot parse 'gain nan': must be finite, got 'nan'"),
+        (5, "gain 2.0", "cannot parse 'gain 2.0': gain must be in (0, 1], got 2.0"),
+        (5, "gain 0.0", "cannot parse 'gain 0.0': gain must be in (0, 1], got 0.0"),
+        (7, "norm et0 0.0 inf", "cannot parse 'norm et0 0.0 inf': must be finite, got 'inf'"),
+        (6, "norm temp -inf 50.0",
+         "cannot parse 'norm temp -inf 50.0': must be finite, got '-inf'"),
+    ])
+    def test_non_finite_or_out_of_range_header_value(self, tmp_path, line_no, text, message):
+        path, lines = _et0_lines(tmp_path)
+        lines[line_no - 1] = text
+        assert _rejected_at(path, lines, line_no) == f"{path}: line {line_no}: {message}"
+
+    @pytest.mark.parametrize("tag", ["w_hidden 3", "w_output 0"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_its_line(self, tmp_path, tag, bad):
+        path, lines = _et0_lines(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+        words = lines[at].split()
+        words[4] = bad
+        lines[at] = " ".join(words)
+        assert _rejected_at(path, lines, at + 1) == (
+            f"{path}: line {at + 1}: cannot parse {lines[at]!r}: must be finite, got {bad!r}")
+
+    def test_non_finite_weight_or_bad_gain_is_not_saved(self, tmp_path):
+        art = et0_artifact(_random_et0_model())
+        path = tmp_path / "m.model"
+        w_hidden = art.w_hidden.copy()
+        w_hidden[2, 1] = np.nan
+        w_output = art.w_output.copy()
+        w_output[0, 0] = np.inf
+        for bad in (replace(art, w_hidden=w_hidden), replace(art, w_output=w_output),
+                    replace(art, gain=1.5), replace(art, gain=0.0)):
+            with pytest.raises(ArtifactError):
+                save_model(bad, path)
+        assert not path.exists()
+
     def test_norms_not_of_the_kind_are_not_saved(self, tmp_path):
         art = et0_artifact(_random_et0_model())
         path = tmp_path / "m.model"
