@@ -473,6 +473,14 @@ def denormalize(u: float, nz: Normalizer) -> float:
     return nz.lo + u * (nz.hi - nz.lo)
 
 
+def finite_float(text: str) -> float:
+    """``float(text)``, or a ValueError when it is not finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
 def left_sum(values) -> float:
     """``0.0 + values[0] + values[1] + ...``, added strictly left to right.
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import persist
@@ -25,7 +24,7 @@ from .crop import validate_schedule
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
 from .evapo import train_et0_model
-from .experiment import (CELLS, build_forcing, check_theta_obs, default_config,
+from .experiment import (CELLS, build_forcing, check_theta_obs,
                          export_plot_data, load_period, parse_config, run_experiment,
                          write_report_files, write_synth_periods, PeriodData)
 from .ingest import (check_consecutive, daily_aggregate, read_columns, read_daily_csv,
@@ -34,10 +33,14 @@ from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import SimMode, simulate_moisture, train_moisture_model
 
 
-def _load_config(path: "str | None"):
-    if path is None:
-        return default_config()
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+def _load_config(args):
+    """The ``--config`` file (or the defaults) with each override flag given
+    appended as a later ``key = value`` line, so one parse checks it and it
+    wins over the file's own line."""
+    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    overrides = [f"\n{key} = {value}" for key, value in vars(args).items()
+                 if "." in key and value is not None]
+    return parse_config(text + "".join(overrides))
 
 
 def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
@@ -71,11 +74,7 @@ def _forcing(cfg, which: str, args):
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed1 is not None or args.seed2 is not None:
-        p1 = replace(cfg.period1, seed=args.seed1) if args.seed1 is not None else cfg.period1
-        p2 = replace(cfg.period2, seed=args.seed2) if args.seed2 is not None else cfg.period2
-        cfg = replace(cfg, period1=p1, period2=p2)
+    cfg = _load_config(args)
     for p in write_synth_periods(cfg, args.out):
         print(p)
     return 0
@@ -94,15 +93,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_et0(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     days, _ = _period_days(cfg, "period1", args.data, consecutive=False)
-    train_cfg = cfg.et0_train if args.seed is None else replace(cfg.et0_train, seed=args.seed)
-    model, losses = train_et0_model(days, cfg.site, train_cfg,
+    model, losses = train_et0_model(days, cfg.site, cfg.et0_train,
                                     temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm)
     digest = persist.data_digest([d.tmax for d in days], [d.tavg for d in days],
                                  [d.tmin for d in days])
     persist.save_model(persist.et0_artifact(model, {
-        "seed": str(train_cfg.seed), "epochs": str(train_cfg.epochs),
+        "seed": str(cfg.et0_train.seed), "epochs": str(cfg.et0_train.epochs),
         "data_digest": digest,
     }), args.out)
     print(f"trained et0 surrogate on {len(days)} days; "
@@ -111,18 +109,16 @@ def cmd_train_et0(args) -> int:
 
 
 def cmd_train_moisture(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     days, theta, forcing = _forcing(cfg, "period1", args)
     if any(v is None for v in theta):
         raise DataFormatError("training data must carry theta_vwc on every day")
-    train_cfg = (cfg.moisture_train if args.seed is None
-                 else replace(cfg.moisture_train, seed=args.seed))
-    model, losses = train_moisture_model(forcing, theta, train_cfg, lag=cfg.lag,
+    model, losses = train_moisture_model(forcing, theta, cfg.moisture_train, lag=cfg.lag,
                                          norms=cfg.moisture_norms)
     digest = persist.data_digest([f.et0 for f in forcing], [f.precip for f in forcing],
                                  theta)
     persist.save_model(persist.moisture_artifact(model, {
-        "seed": str(train_cfg.seed), "epochs": str(train_cfg.epochs),
+        "seed": str(cfg.moisture_train.seed), "epochs": str(cfg.moisture_train.epochs),
         "data_digest": digest,
     }), args.out)
     print(f"trained moisture estimator on {len(days)} days; "
@@ -131,24 +127,23 @@ def cmd_train_moisture(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     days, theta, forcing = _forcing(cfg, "period2", args)
     moisture_model = persist.moisture_from_artifact(persist.load_model(args.model))
-    mode = SimMode(args.mode) if args.mode else cfg.sim_mode
     # the model clamps its theta inputs to its own normalizer, not the config's
     norm, norm_name = moisture_model.norms.theta, f"{args.model} norm theta"
     if not norm.lo <= cfg.theta_init_sim <= norm.hi:
         raise DataFormatError(f"moisture.theta_init: need theta_init in {norm_name} "
                               f"[{norm.lo!r}, {norm.hi!r}], got {cfg.theta_init_sim!r}")
     theta_obs = None
-    if mode is SimMode.TEACHER_FORCED:
+    if cfg.sim_mode is SimMode.TEACHER_FORCED:
         if any(v is None for v in theta):
             raise DataFormatError("teacher-forced simulation needs theta_vwc on every day")
         check_theta_obs(days, theta, norm, f"period2: {args.data}" if args.data else "period2",
                         norm_name)
         theta_obs = theta
     theta_init = [cfg.theta_init_sim] * moisture_model.lag
-    estimates = simulate_moisture(moisture_model, forcing, theta_init, mode,
+    estimates = simulate_moisture(moisture_model, forcing, theta_init, cfg.sim_mode,
                                   theta_obs=theta_obs)
     has_obs = all(v is not None for v in theta)
     lines = ["date,estimated_theta_vwc" + (",observed_theta_vwc" if has_obs else "")]
@@ -158,7 +153,7 @@ def cmd_simulate(args) -> int:
             row += f",{theta[i]!r}"
         lines.append(row)
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"simulated {len(estimates)} days ({mode.value}); wrote {args.out}")
+    print(f"simulated {len(estimates)} days ({cfg.sim_mode.value}); wrote {args.out}")
     if has_obs:
         print(f"r_squared {r_squared(theta, estimates)!r}  "
               f"rmse {rmse(theta, estimates)!r}")
@@ -175,7 +170,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     report = run_experiment(cfg)
     written = write_report_files(report, args.out)
     written += export_plot_data(report, args.out)
@@ -193,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Paddy-field soil moisture estimation from limited weather data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # An override flag's dest is the config key it sets: a dotted name, as no
+    # other dest is.  The key's own check applies; see _load_config.
 
     def add(name, fn, help_text, config=True):
         p = sub.add_parser(name, help=help_text)
@@ -203,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("synth", cmd_synth, "generate the two synthetic periods as daily CSVs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed1", type=int, help="override period 1 weather seed")
-    p.add_argument("--seed2", type=int, help="override period 2 weather seed")
+    p.add_argument("--seed1", type=int, dest="period1.seed", help="period 1 weather seed")
+    p.add_argument("--seed2", type=int, dest="period2.seed", help="period 2 weather seed")
 
     p = add("ingest", cmd_ingest, "aggregate a half-hourly CSV to daily", config=False)
     p.add_argument("--input", required=True)
@@ -215,20 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-et0", cmd_train_et0, "train and save the ET0 surrogate")
     p.add_argument("--data", help="daily CSV (default: config period 1)")
     p.add_argument("--out", required=True, help="model artifact path")
-    p.add_argument("--seed", type=int, help="override training seed")
+    p.add_argument("--seed", type=int, dest="train.et0.seed", help="training seed")
 
     p = add("train-moisture", cmd_train_moisture, "train and save the moisture estimator")
     p.add_argument("--data", help="daily CSV with theta_vwc (default: config period 1)")
     p.add_argument("--et0-model", required=True, help="saved ET0 surrogate")
     p.add_argument("--out", required=True, help="model artifact path")
-    p.add_argument("--seed", type=int, help="override training seed")
+    p.add_argument("--seed", type=int, dest="train.moisture.seed", help="training seed")
 
     p = add("simulate", cmd_simulate, "run a saved moisture model over a season")
     p.add_argument("--data", help="daily CSV (default: config period 2)")
     p.add_argument("--model", required=True, help="saved moisture estimator")
     p.add_argument("--et0-model", required=True, help="saved ET0 surrogate")
-    p.add_argument("--mode", choices=[m.value for m in SimMode],
-                   help="lag source (default: config sim mode)")
+    p.add_argument("--mode", choices=[m.value for m in SimMode], dest="moisture.sim_mode",
+                   help="lag source (moisture.sim_mode)")
     p.add_argument("--out", required=True, help="estimates CSV path")
 
     p = add("evaluate", cmd_evaluate, "score two columns of a CSV against each other",

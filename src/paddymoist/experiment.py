@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
-from .ann import Normalizer, TrainConfig, left_sum
+from .ann import Normalizer, TrainConfig, finite_float, left_sum
 from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError
 from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
@@ -53,6 +53,8 @@ class PeriodSpec:
             raise DataFormatError(f"period source must be synth or csv, got {self.source!r}")
         if self.n_days < 1:
             raise ValueError(f"period needs n_days >= 1, got {self.n_days}")
+        if self.seed < 0:
+            raise ValueError(f"period seed must be >= 0, got {self.seed}")
         # A config line ends at a newline and its value at "#", and is stripped.
         if (any(c in self.data_path for c in "#\n\r")
                 or self.data_path != self.data_path.strip()):
@@ -89,13 +91,6 @@ class ExperimentConfig:
                                    kc=self.kc_norm, theta=self.theta_norm)
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {raw!r}")
-    return value
-
-
 def _sim_mode(raw: str) -> SimMode:
     try:
         return SimMode(raw)
@@ -124,12 +119,12 @@ def _latitude_text(rad: float) -> str:
 # Value kinds: the (parse, format) pair for a value, or for each word of a
 # value that sets several attributes.
 _INT = (int, str)
-_FLOAT = (_finite_float, repr)
+_FLOAT = (finite_float, repr)
 _TEXT = (str, str)
 _DATE = (Date.fromisoformat, Date.isoformat)
 _SEED = (lambda raw: int(raw or 0), str)  # an empty period seed reads as 0
 _MODE = (_sim_mode, attrgetter("value"))
-_LATITUDE = (lambda raw: math.radians(_finite_float(raw)), _latitude_text)
+_LATITUDE = (lambda raw: math.radians(finite_float(raw)), _latitude_text)
 
 # Every config key: its default text, the ExperimentConfig attribute each of
 # its space-separated words sets, and its value kind.  The defaults are
@@ -183,13 +178,20 @@ _SCHEMA = (
 # The class each dotted attribute's first part is built as.
 _PART_TYPES = get_type_hints(ExperimentConfig)
 
+# The key that sets each WeatherGenParams knob a period does not set.
+_WEATHER_KEYS = {"tavg_mean": "weather.tavg_mean_c", "tavg_amplitude": "weather.tavg_amplitude_c",
+                 "diurnal_range_mean": "weather.diurnal_range_c",
+                 "wet_day_prob": "weather.wet_day_prob",
+                 "precip_mean_wet": "weather.precip_mean_wet_mm"}
+
 
 def _keys_of(part: str, message: str) -> str:
-    """The keys behind an error from ``part``'s constructor: those whose
-    attribute the message names, in the order it names them, or else every
-    key that feeds the part."""
-    fed = [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
-           for name in attrs.split() if name.partition(".")[0] == part]
+    """The keys behind an error from ``part``'s constructor (``"weather"``
+    for :class:`WeatherGenParams`): those whose attribute the message names,
+    in the order it names them, or else every key that feeds the part."""
+    fed = (list(_WEATHER_KEYS.items()) if part == "weather" else
+           [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
+            for name in attrs.split() if name.partition(".")[0] == part])
     # only the text before the echoed value, which may spell any word
     named_part = message.partition(", got")[0]
     named = sorted((m.start(), key) for leaf, key in fed
@@ -236,6 +238,10 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise DataFormatError(f"{_keys_of(part, str(exc))}: {exc}") from exc
     cfg = ExperimentConfig(**parts)
+    try:  # the generator's checks of the weather.* knobs; PeriodSpec checked the rest
+        weather_params_for(cfg, cfg.period1)
+    except ValueError as exc:
+        raise DataFormatError(f"{_keys_of('weather', str(exc))}: {exc}") from exc
     # moisture training needs at least one day after the lagged ones
     if not 1 <= cfg.lag < cfg.period1.n_days:
         raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "

@@ -161,10 +161,13 @@ def water_balance_step(theta: float, p: FieldParams, precip_mm: float,
     (capped at ``perc_rate``, never below residual), then runoff of any
     excess above the ponding threshold.
     """
-    if precip_mm < 0.0 or irrig_mm < 0.0 or etc_mm < 0.0:
+    # one chained test per day, false for NaN too; the loop names the input
+    if not (0.0 <= precip_mm < _INF and 0.0 <= irrig_mm < _INF and 0.0 <= etc_mm < _INF):
         for name, v in (("precip_mm", precip_mm), ("irrig_mm", irrig_mm), ("etc_mm", etc_mm)):
             if v < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
+            if not v < _INF:
+                raise ValueError(f"{name} must be finite, got {v}")
     if not (p.theta_res <= theta <= p.theta_sat):
         raise ValueError(
             f"theta {theta} outside [{p.theta_res}, {p.theta_sat}]"

@@ -20,7 +20,8 @@ A :class:`HalfHourRecord` is a ``NamedTuple``: a two-year station file is
 some 35000 of them, and a tuple is several times cheaper to build than a
 frozen dataclass.  The reader checks each row's values inline and builds
 the record straight from them, without the constructor's second check.  A
-row that fails a check is parsed again by a slow path that names the fault.
+row that fails a check is parsed again, cell by cell in a fixed order, by a
+pass that only raises: it names the row's first fault and builds nothing.
 
 Every fault in a station or daily file is a :class:`DataFormatError` naming
 its line (an :class:`OrderingError` for a repeated or earlier timestamp or
@@ -41,7 +42,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .ann import left_sum
 from .errors import DataFormatError, OrderingError
@@ -164,18 +165,20 @@ def daily_aggregate(records: "list[HalfHourRecord]",
     return DailyAggregation(days=days, theta=theta, gaps=gaps)
 
 
-def _parse_float(text: str, what: str, line_no: int) -> float:
+def _parse_cell(text: str, what: str, line_no: int, parse=float):
+    """``parse(text)``, or a DataFormatError naming the line and column; a
+    float must also be finite."""
     try:
-        value = float(text)
+        value = parse(text)
     except ValueError:
         raise DataFormatError(f"line {line_no}: cannot parse {what} from {text!r}") from None
-    if not math.isfinite(value):
+    if parse is float and not math.isfinite(value):
         raise DataFormatError(f"line {line_no}: {what} must be finite, got {text!r}")
     return value
 
 
 def _parse_theta(text: str, line_no: int) -> float:
-    value = _parse_float(text, _THETA_COLUMN, line_no)
+    value = _parse_cell(text, _THETA_COLUMN, line_no)
     if not 0.0 <= value <= 1.0:
         raise DataFormatError(f"line {line_no}: {_THETA_COLUMN} must be in [0, 1], got {text!r}")
     return value
@@ -195,33 +198,27 @@ def _read_header(reader, path, columns: "tuple[str, ...]") -> bool:
     return len(header) > n and header[n] == _THETA_COLUMN
 
 
-def _checked_record(row: list, line_no: int, has_theta: bool,
-                    prev: "datetime | None") -> HalfHourRecord:
-    """Parse one station row with every check, raising DataFormatError
-    with its line number at the first fault."""
+def _raise_row_fault(row: list, line_no: int, has_theta: bool,
+                     prev: "datetime | None") -> NoReturn:
+    """Raise the DataFormatError naming the first fault, with its line
+    number, of a station row that :func:`read_half_hourly_csv` rejected."""
     if len(row) < 3:
         raise DataFormatError(f"line {line_no}: expected at least 3 fields, got {len(row)}")
-    try:
-        ts = datetime.fromisoformat(row[0])
-    except ValueError:
-        raise DataFormatError(f"line {line_no}: cannot parse timestamp from {row[0]!r}") from None
-    theta = None
+    ts = _parse_cell(row[0], "timestamp", line_no, datetime.fromisoformat)
     if has_theta and len(row) > 3 and row[3] != "":
-        theta = _parse_theta(row[3], line_no)
-    temp = _parse_float(row[1], "temp_c", line_no)
-    precip = _parse_float(row[2], "precip_mm", line_no)
-    if precip < 0.0:
+        _parse_theta(row[3], line_no)
+    _parse_cell(row[1], "temp_c", line_no)
+    if _parse_cell(row[2], "precip_mm", line_no) < 0.0:
         raise DataFormatError(f"line {line_no}: precip_mm must be >= 0, got {row[2]!r}")
+    # every value is sound, so the row was rejected for its timestamp's order
     try:
-        ordered = prev is None or prev < ts
+        prev < ts
     except TypeError:  # one timestamp has a UTC offset, the other has none
         raise DataFormatError(f"line {line_no}: timestamp {row[0]!r} cannot be ordered "
                               f"after {prev}: mixed UTC offset and none") from None
-    if not ordered:
-        raise OrderingError(
-            f"line {line_no}: timestamps must be strictly increasing; {ts} follows {prev}"
-        )
-    return HalfHourRecord(ts, temp, precip, theta)
+    raise OrderingError(
+        f"line {line_no}: timestamps must be strictly increasing; {ts} follows {prev}"
+    )
 
 
 def read_half_hourly_csv(path) -> list[HalfHourRecord]:
@@ -240,8 +237,8 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
         for row in reader:
             if not row:
                 continue
-            # The same checks as _checked_record, inlined; any fault sends the
-            # row there for its error message.
+            # The checks _raise_row_fault makes, inlined; a row that fails any
+            # goes there for its error message.
             try:
                 ts = parse_ts(row[0])
                 temp = float(row[1])
@@ -253,11 +250,9 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
                       and (prev is None or prev < ts))
             except (ValueError, IndexError, TypeError):
                 ok = False
-            if ok:
-                append(make(HalfHourRecord, (ts, temp, precip, theta)))
-            else:
-                append(_checked_record(row, reader.line_num, has_theta, prev))
-                ts = records[-1][0]
+            if not ok:
+                _raise_row_fault(row, reader.line_num, has_theta, prev)
+            append(make(HalfHourRecord, (ts, temp, precip, theta)))
             prev = ts
     return records
 
@@ -293,23 +288,17 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
             line_no = reader.line_num
             if len(row) < 6:
                 raise DataFormatError(f"line {line_no}: expected at least 6 fields, got {len(row)}")
-            try:
-                day = Date.fromisoformat(row[0])
-            except ValueError:
-                raise DataFormatError(f"line {line_no}: cannot parse date from {row[0]!r}") from None
+            day = _parse_cell(row[0], "date", line_no, Date.fromisoformat)
             if days and day <= days[-1].date:
                 raise OrderingError(
                     f"line {line_no}: dates must be strictly increasing; {day} "
                     f"follows {days[-1].date}"
                 )
-            try:
-                day_index = int(row[1])
-            except ValueError:
-                raise DataFormatError(f"line {line_no}: cannot parse day_index from {row[1]!r}") from None
-            tmax = _parse_float(row[2], "tmax_c", line_no)
-            tavg = _parse_float(row[3], "tavg_c", line_no)
-            tmin = _parse_float(row[4], "tmin_c", line_no)
-            precip = _parse_float(row[5], "precip_mm", line_no)
+            day_index = _parse_cell(row[1], "day_index", line_no, int)
+            tmax = _parse_cell(row[2], "tmax_c", line_no)
+            tavg = _parse_cell(row[3], "tavg_c", line_no)
+            tmin = _parse_cell(row[4], "tmin_c", line_no)
+            precip = _parse_cell(row[5], "precip_mm", line_no)
             try:
                 days.append(DailyWeather(day_index=day_index, date=day, tmax=tmax,
                                          tavg=tavg, tmin=tmin, precip=precip))
@@ -341,7 +330,7 @@ def read_columns(path, names: "tuple[str, ...]") -> list[list[float]]:
         for row in filter(None, reader):  # blank lines are skipped
             for name, i, column in where:
                 text = row[i] if i < len(row) else ""  # a short row's missing cell is blank
-                column.append(_parse_float(text, name, reader.line_num))
+                column.append(_parse_cell(text, name, reader.line_num))
     return [column for _, _, column in where]
 
 

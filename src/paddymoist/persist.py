@@ -29,12 +29,11 @@ outside (0, 1] or a normalizer without ``hi > lo``.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ann import Mlp, MlpTopology, Normalizer
+from .ann import Mlp, MlpTopology, Normalizer, finite_float
 from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError
 from .evapo import Et0Model
 from .moisture import MoistureModel, MoistureNormalizers
@@ -142,21 +141,14 @@ def _fail(line_no: int, msg: str):
     raise ArtifactParseError(f"line {line_no}: {msg}")
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {text!r}")
-    return value
-
-
 def _gain(text: str) -> float:
-    value = _finite(text)
+    value = finite_float(text)
     if not 0.0 < value <= 1.0:
         raise ValueError(f"gain must be in (0, 1], got {value!r}")
     return value
 
 
-def _take(raw: list, i: int, head: str, n_values: int, convert=_finite, make=None):
+def _take(raw: list, i: int, head: str, n_values: int, convert=finite_float, make=None):
     """Line ``i + 1``'s values read with ``convert``, passed to ``make`` if
     given; the line must be ``head`` followed by exactly ``n_values`` values."""
     if i >= len(raw):

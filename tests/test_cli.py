@@ -127,9 +127,11 @@ class TestExitCodes:
         assert main(["ingest", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "out.csv")]) == 6
 
-    def test_invalid_value_is_domain_error(self, tmp_path, quick_config_path):
+    def test_invalid_value_is_domain_error(self, tmp_path, quick_config_path, capsys):
         assert main(["train-et0", "--config", quick_config_path,
-                     "--out", str(tmp_path / "m"), "--seed", "-5"]) == 3
+                     "--out", str(tmp_path / "m"), "--seed", "-5"]) == 4
+        assert ("error: train.et0.seed: seed must be a non-negative integer"
+                in capsys.readouterr().err)
 
     def test_unsupported_artifact_version(self, tmp_path, quick_config_path):
         et0_path = tmp_path / "et0.model"
@@ -207,7 +209,11 @@ class TestExitCodes:
         ("2011-01-05T00:30:00,20.0,-0.5,0.4", "line 3: precip_mm must be >= 0, got '-0.5'"),
         ("2011-01-05T00:00:00,20.0,0.0,0.4", "line 3: timestamps must be strictly increasing"),
         ("2011-01-05T00:30:00,20.0,0.0,7.5", "line 3: theta_vwc must be in [0, 1], got '7.5'"),
-    ], ids=["negative-precip", "repeated-timestamp", "theta-out-of-range"])
+        ("2011-01-05T00:30:00,20.0", "line 3: expected at least 3 fields, got 2"),
+        ("half past midnight,20.0,0.0,0.4",
+         "line 3: cannot parse timestamp from 'half past midnight'"),
+    ], ids=["negative-precip", "repeated-timestamp", "theta-out-of-range", "too-few-fields",
+            "bad-timestamp"])
     def test_bad_half_hourly_row_is_data_error(self, tmp_path, capsys, row, message):
         src = tmp_path / "hh.csv"
         src.write_text("timestamp_iso8601,temp_c,precip_mm,theta_vwc\n"
@@ -221,7 +227,8 @@ class TestExitCodes:
         ("30.0,18.0,19.0,0.0,0.4", "line 3: need tmin <= tavg <= tmax"),
         ("30.0,25.0,19.0,-2.5,0.4", "line 3: precip must be >= 0"),
         ("30.0,25.0,19.0,0.0,7.5", "line 3: theta_vwc must be in [0, 1]"),
-    ], ids=["tmin-above-tavg", "negative-precip", "theta-out-of-range"])
+        ("30.0,25.0", "line 3: expected at least 6 fields, got 4"),
+    ], ids=["tmin-above-tavg", "negative-precip", "theta-out-of-range", "too-few-fields"])
     def test_bad_daily_row_is_data_error(self, tmp_path, capsys, cells, message):
         data = tmp_path / "daily.csv"
         data.write_text("date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc\n"
@@ -335,7 +342,15 @@ class TestConfigOption:
         ("kc.values = -1 1 1", "kc.values: kc_ini must be > 0, got -1.0"),
         ("kc.stage_lengths = 0 50 40 28",
          "kc.stage_lengths: stage length len_ini must be >= 1, got 0"),
-    ], ids=["kc-values", "stage-lengths"])
+        ("period1.seed = -3", "period1.seed: period seed must be >= 0, got -3"),
+        ("weather.wet_day_prob = 1.5",
+         "weather.wet_day_prob: wet_day_prob must be in [0, 1], got 1.5"),
+        ("weather.diurnal_range_c = -1",
+         "weather.diurnal_range_c: diurnal_range_mean must be > 0, got -1.0"),
+        ("weather.precip_mean_wet_mm = -2",
+         "weather.precip_mean_wet_mm: precip_mean_wet must be >= 0, got -2.0"),
+    ], ids=["kc-values", "stage-lengths", "period-seed", "wet-day-prob", "diurnal-range",
+            "precip-mean-wet"])
     @pytest.mark.parametrize("verb", ["run", "train-et0"])
     def test_bad_calendar_fails_at_parse(self, tmp_path, capsys, monkeypatch, text, message,
                                          verb):
@@ -541,4 +556,165 @@ class TestArtifactValues:
                      "--et0-model", str(et0_path), "--out", str(out)]) == 4
         assert capsys.readouterr().err == (
             f"error: {path}: line {at + 1}: cannot parse {new!r}: {message}\n")
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A quick config file, its synthetic periods and both models trained on period 1."""
+    d = tmp_path_factory.mktemp("trained")
+    paths = {"config": d / "quick.cfg", "data": d, "et0": d / "et0.model",
+             "moisture": d / "moisture.model"}
+    paths["config"].write_text(format_config(quick_config(et0_epochs=40, moisture_epochs=40)),
+                               encoding="utf-8")
+    config = ["--config", str(paths["config"])]
+    assert main(["synth", *config, "--out", str(d)]) == 0
+    assert main(["train-et0", *config, "--out", str(paths["et0"])]) == 0
+    assert main(["train-moisture", *config, "--et0-model", str(paths["et0"]),
+                 "--out", str(paths["moisture"])]) == 0
+    return paths
+
+
+def _model_args(trained, verb):
+    """The saved models ``verb`` needs."""
+    et0 = ["--et0-model", str(trained["et0"])]
+    return {"train-moisture": et0, "simulate": et0 + ["--model", str(trained["moisture"])]
+            }.get(verb, [])
+
+
+def _written(out: Path) -> dict:
+    """The bytes of the file ``out``, or of each file in the directory ``out``."""
+    return ({p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir()
+            else {"": out.read_bytes()})
+
+
+class TestOverrideFlags:
+    """Each override flag sets one config key, after the --config file."""
+
+    @pytest.mark.parametrize("verb, flag, key, value", [
+        ("synth", "--seed1", "period1.seed", "11"),
+        ("synth", "--seed2", "period2.seed", "22"),
+        ("train-et0", "--seed", "train.et0.seed", "3"),
+        ("train-moisture", "--seed", "train.moisture.seed", "5"),
+        ("simulate", "--mode", "moisture.sim_mode", "teacher_forced"),
+    ], ids=["synth-seed1", "synth-seed2", "train-et0-seed", "train-moisture-seed",
+            "simulate-mode"])
+    def test_flag_writes_what_its_config_key_writes(self, tmp_path, trained, verb, flag,
+                                                    key, value):
+        base = trained["config"].read_text(encoding="utf-8")
+        assert f"\n{key} = " in base and f"\n{key} = {value}\n" not in base
+        by_key = tmp_path / "key.cfg"
+        by_key.write_text(base + f"{key} = {value}\n", encoding="utf-8")
+        models = _model_args(trained, verb)
+        runs = {"key": ["--config", str(by_key)],
+                "flag": ["--config", str(trained["config"]), flag, value],
+                "file": ["--config", str(trained["config"])]}
+        for name, args in runs.items():
+            assert main([verb, *args, *models, "--out", str(tmp_path / name)]) == 0
+        # the flag wins over the file's own line for its key
+        assert _written(tmp_path / "flag") == _written(tmp_path / "key")
+        assert _written(tmp_path / "flag") != _written(tmp_path / "file")
+
+    def test_flags_follow_a_file_without_a_final_newline(self, tmp_path):
+        bare, by_key = tmp_path / "bare.cfg", tmp_path / "key.cfg"
+        bare.write_text("moisture.lag = 1", encoding="utf-8")
+        by_key.write_text("moisture.lag = 1\nperiod1.seed = 11\nperiod2.seed = 22\n",
+                          encoding="utf-8")
+        assert main(["synth", "--config", str(bare), "--seed1", "11", "--seed2", "22",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["synth", "--config", str(by_key), "--out", str(tmp_path / "key")]) == 0
+        assert _written(tmp_path / "flag") == _written(tmp_path / "key")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--seed1", "-3"], "period1.seed: period seed must be >= 0, got -3"),
+        (["synth", "--seed2", "-3"], "period2.seed: period seed must be >= 0, got -3"),
+        (["train-moisture", "--seed", "-1", "--et0-model", "unused"],
+         "train.moisture.seed: seed must be a non-negative integer"),
+    ], ids=["seed1", "seed2", "train-moisture-seed"])
+    def test_bad_flag_value_exits_4_naming_its_key(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-et0", "--seed", "three"],
+        ["synth", "--seed1", "1.5"],
+        ["simulate", "--mode", "open_loop", "--model", "m", "--et0-model", "e"],
+    ], ids=["seed-not-int", "seed1-not-int", "unknown-mode"])
+    def test_malformed_flag_is_a_usage_error(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+
+class TestDataFlag:
+    """Stage verbs fed a daily file through --data."""
+
+    def _period(self, trained, which, tmp_path, keep=None):
+        """A copy of the synthetic ``which`` daily file, cut to the columns in ``keep``."""
+        lines = (trained["data"] / f"{which}_daily.csv").read_text(encoding="utf-8").splitlines()
+        if keep is not None:
+            lines = [",".join(line.split(",")[:keep]) for line in lines]
+        path = tmp_path / f"{which}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_train_et0_accepts_a_gap(self, tmp_path, trained, capsys):
+        path = self._period(trained, "period1", tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        del lines[10:13]  # three days missing
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "et0.model"
+        assert main(["train-et0", "--config", str(trained["config"]), "--data", str(path),
+                     "--out", str(out)]) == 0
+        assert "trained et0 surrogate on 115 days" in capsys.readouterr().out
+        assert load_model(out).kind == "et0"
+
+    def test_train_moisture_on_a_data_file(self, tmp_path, trained):
+        # the synthetic period 1 as a file trains the model the config period trains
+        out = tmp_path / "moisture.model"
+        assert main(["train-moisture", "--config", str(trained["config"]),
+                     "--data", str(self._period(trained, "period1", tmp_path)),
+                     *_model_args(trained, "train-moisture"), "--out", str(out)]) == 0
+        assert out.read_bytes() == trained["moisture"].read_bytes()
+
+    def test_simulate_closed_loop_without_theta(self, tmp_path, trained, capsys):
+        path = self._period(trained, "period2", tmp_path, keep=6)
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--config", str(trained["config"]), "--data", str(path),
+                     *_model_args(trained, "simulate"), "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "date,estimated_theta_vwc"
+        assert len(lines) == 1 + 118 and all(len(line.split(",")) == 2 for line in lines)
+        printed = capsys.readouterr().out
+        assert "(closed_loop)" in printed and "r_squared" not in printed
+
+    def test_simulate_teacher_forced(self, tmp_path, trained, capsys):
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--config", str(trained["config"]),
+                     "--mode", "teacher_forced", *_model_args(trained, "simulate"),
+                     "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "date,estimated_theta_vwc,observed_theta_vwc"
+        assert len(lines) == 1 + 118
+        printed = capsys.readouterr().out
+        assert "(teacher_forced)" in printed and "r_squared" in printed
+
+    @pytest.mark.parametrize("verb, argv, message", [
+        ("train-moisture", [], "training data must carry theta_vwc on every day"),
+        ("simulate", ["--mode", "teacher_forced"],
+         "teacher-forced simulation needs theta_vwc on every day"),
+    ], ids=["train-moisture", "simulate-teacher-forced"])
+    def test_missing_theta_exits_4(self, tmp_path, trained, capsys, verb, argv, message):
+        which = "period1" if verb == "train-moisture" else "period2"
+        path = self._period(trained, which, tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[20] = lines[20].rsplit(",", 1)[0] + ","  # one day without theta
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(trained["config"]), "--data", str(path), *argv,
+                     *_model_args(trained, verb), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

@@ -116,6 +116,13 @@ class TestConfigDocument:
                                   "got 'seed'"),
         ("period1.source = planting", "period1.source: period source must be synth or csv"),
         ("period2.days = 0", "period2.days: period needs n_days >= 1, got 0"),
+        ("period1.seed = -3", "period1.seed: period seed must be >= 0, got -3"),
+        ("weather.wet_day_prob = 1.5",
+         "weather.wet_day_prob: wet_day_prob must be in [0, 1], got 1.5"),
+        ("weather.diurnal_range_c = -1",
+         "weather.diurnal_range_c: diurnal_range_mean must be > 0, got -1.0"),
+        ("weather.precip_mean_wet_mm = -2",
+         "weather.precip_mean_wet_mm: precip_mean_wet must be >= 0, got -2.0"),
     ])
     def test_part_error_names_its_keys(self, text, message):
         with pytest.raises(DataFormatError) as exc:
@@ -126,6 +133,11 @@ class TestConfigDocument:
         assert _keys_of("period1", "something is wrong") == (
             "period1.planting, period1.days, period1.source, period1.seed, period1.data")
         assert _keys_of("temp_norm", "hi and lo, then hi") == "normalizer.temp_c"
+
+    def test_weather_error_naming_no_knob_names_every_weather_key(self):
+        assert _keys_of("weather", "something is wrong") == (
+            "weather.tavg_mean_c, weather.tavg_amplitude_c, weather.diurnal_range_c, "
+            "weather.wet_day_prob, weather.precip_mean_wet_mm")
 
     def test_echoed_value_names_no_key(self):
         assert _keys_of("period1", "period data_path cannot hold '#', a line break or "

@@ -58,6 +58,22 @@ class TestWaterBalanceStep:
         with pytest.raises(ValueError):
             water_balance_step(0.3, p, 0.0, 0.0, -0.5)
 
+    @pytest.mark.parametrize("precip, irrig, etc, message", [
+        (math.nan, 0.0, 0.0, "precip_mm must be finite, got nan"),
+        (math.inf, 0.0, 0.0, "precip_mm must be finite, got inf"),
+        (0.0, math.nan, 0.0, "irrig_mm must be finite, got nan"),
+        (0.0, math.inf, 0.0, "irrig_mm must be finite, got inf"),
+        (0.0, 0.0, math.inf, "etc_mm must be finite, got inf"),
+        (0.0, 0.0, math.nan, "etc_mm must be finite, got nan"),
+        (-1.0, math.nan, 0.0, "precip_mm must be >= 0, got -1.0"),
+        (math.nan, -1.0, 0.0, "precip_mm must be finite, got nan"),
+        (0.0, 0.0, -math.inf, "etc_mm must be >= 0, got -inf"),
+    ])
+    def test_bad_input_is_named(self, precip, irrig, etc, message):
+        with pytest.raises(ValueError) as exc:
+            water_balance_step(0.3, FieldParams(), precip, irrig, etc)
+        assert str(exc.value) == message
+
     def test_theta_out_of_bounds_rejected(self):
         p = FieldParams()
         with pytest.raises(ValueError):

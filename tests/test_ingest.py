@@ -430,6 +430,10 @@ class TestBoundaryErrors:
          "2011-01-04 23:30:00 follows 2011-01-05 00:00:00"),
         ("2011-01-05T00:30:00+07:00,20.0,0.0,0.4", DataFormatError,
          "line 3: timestamp '2011-01-05T00:30:00+07:00' cannot be ordered"),
+        ("2011-01-05T00:30:00,20.0", DataFormatError,
+         "line 3: expected at least 3 fields, got 2"),
+        ("05/01/2011 00:30,20.0,0.0,0.4", DataFormatError,
+         "line 3: cannot parse timestamp from '05/01/2011 00:30'"),
     ])
     def test_half_hourly_row_rejected_with_its_line(self, tmp_path, row, error, message):
         path = _write(tmp_path / "hh.csv", [self.HEADER, "2011-01-05T00:00:00,20.0,0.0,0.4",
@@ -465,6 +469,43 @@ class TestBoundaryErrors:
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(path)
         assert str(exc.value).startswith(message)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2011-01-06,1,30.0", "line 3: expected at least 6 fields, got 3"),
+        ("06/01/2011,1,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse date from '06/01/2011'"),
+        ("2011-01-06,one,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse day_index from 'one'"),
+        ("2011-01-06,1.0,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse day_index from '1.0'"),
+    ])
+    def test_daily_row_that_does_not_parse(self, tmp_path, row, message):
+        path = _write(tmp_path / "daily.csv", [
+            "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc",
+            "2011-01-05,0,30.0,25.0,19.0,0.0,0.4", row])
+        with pytest.raises(DataFormatError) as exc:
+            read_daily_csv(path)
+        assert str(exc.value) == message
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        hh = _write(tmp_path / "hh.csv", [self.HEADER, "", "2011-01-05T00:00:00,20.0,0.0,0.4",
+                                          "", "", "2011-01-05T00:30:00,21.0,0.0,"])
+        assert [r.temp for r in read_half_hourly_csv(hh)] == [20.0, 21.0]
+        daily = _write(tmp_path / "daily.csv", [
+            "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm", "",
+            "2011-01-05,0,30.0,25.0,19.0,0.0", "", "2011-01-06,1,31.0,25.0,19.0,0.0"])
+        days, theta = read_daily_csv(daily)
+        assert [d.tmax for d in days] == [30.0, 31.0] and theta == [None, None]
+
+    def test_fault_after_blank_rows_names_its_physical_line(self, tmp_path):
+        hh = _write(tmp_path / "hh.csv", [self.HEADER, "", "2011-01-05T00:00:00,20.0,0.0,0.4",
+                                          "", "2011-01-05T00:30:00,oops,0.0,0.4"])
+        with pytest.raises(DataFormatError) as exc:
+            read_half_hourly_csv(hh)
+        assert str(exc.value) == "line 5: cannot parse temp_c from 'oops'"
+        daily = _write(tmp_path / "daily.csv", [
+            "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm", "", "",
+            "2011-01-05,zero,30.0,25.0,19.0,0.0"])
+        with pytest.raises(DataFormatError) as exc:
+            read_daily_csv(daily)
+        assert str(exc.value) == "line 4: cannot parse day_index from 'zero'"
 
 
 class TestPhysicalLineNumbers:
