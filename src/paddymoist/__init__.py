@@ -23,7 +23,7 @@ from .evapo import (DailyWeather, Et0Model, SiteLocation, extraterrestrial_radia
 from .experiment import (ExperimentConfig, ExperimentReport, default_config,
                          export_plot_data, format_config, parse_config,
                          run_experiment, write_report_files)
-from .hydro import (FieldParams, LedgerDay, WaterFluxes, WeatherGenParams,
+from .hydro import (Climate, FieldParams, LedgerDay, WaterFluxes, WeatherGenParams,
                     generate_truth, generate_weather, water_balance_step)
 from .ingest import (DailyAggregation, DayGap, HalfHourRecord, daily_aggregate,
                      read_daily_csv, read_half_hourly_csv, write_daily_csv,

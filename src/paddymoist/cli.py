@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--min-coverage", type=int, default=40,
-                   help="min intervals of 48 to keep a day (default 40)")
+                   help="min intervals of 48 to keep a day, 1..48 (default 40)")
 
     p = add("train-et0", cmd_train_et0, "train and save the ET0 surrogate")
     p.add_argument("--data", help="daily CSV (default: config period 1)")

@@ -31,7 +31,7 @@ from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError
 from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
                     predict_et0_series, train_et0_model)
-from .hydro import FieldParams, WeatherGenParams, generate_truth, generate_weather
+from .hydro import Climate, FieldParams, WeatherGenParams, generate_truth, generate_weather
 from .ingest import check_consecutive, read_daily_csv, write_daily_csv
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import (ForcingDay, MoistureModel, MoistureNormalizers, SimMode,
@@ -78,11 +78,7 @@ class ExperimentConfig:
     theta_init_sim: float
     period1: PeriodSpec
     period2: PeriodSpec
-    weather_tavg_mean: float
-    weather_tavg_amplitude: float
-    weather_diurnal_range: float
-    weather_wet_day_prob: float
-    weather_precip_mean_wet: float
+    weather: Climate
     field: FieldParams
 
     @property
@@ -122,7 +118,6 @@ _INT = (int, str)
 _FLOAT = (finite_float, repr)
 _TEXT = (str, str)
 _DATE = (Date.fromisoformat, Date.isoformat)
-_SEED = (lambda raw: int(raw or 0), str)  # an empty period seed reads as 0
 _MODE = (_sim_mode, attrgetter("value"))
 _LATITUDE = (lambda raw: math.radians(finite_float(raw)), _latitude_text)
 
@@ -155,18 +150,18 @@ _SCHEMA = (
     ("period1.planting", "2010-10-14", "period1.planting", _DATE),
     ("period1.days", "118", "period1.n_days", _INT),
     ("period1.source", "synth", "period1.source", _TEXT),
-    ("period1.seed", "101", "period1.seed", _SEED),
+    ("period1.seed", "101", "period1.seed", _INT),
     ("period1.data", "", "period1.data_path", _TEXT),
     ("period2.planting", "2011-08-20", "period2.planting", _DATE),
     ("period2.days", "118", "period2.n_days", _INT),
     ("period2.source", "synth", "period2.source", _TEXT),
-    ("period2.seed", "202", "period2.seed", _SEED),
+    ("period2.seed", "202", "period2.seed", _INT),
     ("period2.data", "", "period2.data_path", _TEXT),
-    ("weather.tavg_mean_c", "24.0", "weather_tavg_mean", _FLOAT),
-    ("weather.tavg_amplitude_c", "0.5", "weather_tavg_amplitude", _FLOAT),
-    ("weather.diurnal_range_c", "10.0", "weather_diurnal_range", _FLOAT),
-    ("weather.wet_day_prob", "0.55", "weather_wet_day_prob", _FLOAT),
-    ("weather.precip_mean_wet_mm", "15.0", "weather_precip_mean_wet", _FLOAT),
+    ("weather.tavg_mean_c", "24.0", "weather.tavg_mean", _FLOAT),
+    ("weather.tavg_amplitude_c", "0.5", "weather.tavg_amplitude", _FLOAT),
+    ("weather.diurnal_range_c", "10.0", "weather.diurnal_range_mean", _FLOAT),
+    ("weather.wet_day_prob", "0.55", "weather.wet_day_prob", _FLOAT),
+    ("weather.precip_mean_wet_mm", "15.0", "weather.precip_mean_wet", _FLOAT),
     ("field.root_depth_m", "0.2", "field.root_depth", _FLOAT),
     ("field.theta_sat", "0.55", "field.theta_sat", _FLOAT),
     ("field.theta_res", "0.15", "field.theta_res", _FLOAT),
@@ -178,20 +173,13 @@ _SCHEMA = (
 # The class each dotted attribute's first part is built as.
 _PART_TYPES = get_type_hints(ExperimentConfig)
 
-# The key that sets each WeatherGenParams knob a period does not set.
-_WEATHER_KEYS = {"tavg_mean": "weather.tavg_mean_c", "tavg_amplitude": "weather.tavg_amplitude_c",
-                 "diurnal_range_mean": "weather.diurnal_range_c",
-                 "wet_day_prob": "weather.wet_day_prob",
-                 "precip_mean_wet": "weather.precip_mean_wet_mm"}
-
 
 def _keys_of(part: str, message: str) -> str:
-    """The keys behind an error from ``part``'s constructor (``"weather"``
-    for :class:`WeatherGenParams`): those whose attribute the message names,
-    in the order it names them, or else every key that feeds the part."""
-    fed = (list(_WEATHER_KEYS.items()) if part == "weather" else
-           [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
-            for name in attrs.split() if name.partition(".")[0] == part])
+    """The keys behind an error from the constructor of ``part``, an
+    ExperimentConfig attribute: those whose attribute the message names, in
+    the order it names them, or else every key that feeds the part."""
+    fed = [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
+           for name in attrs.split() if name.partition(".")[0] == part]
     # only the text before the echoed value, which may spell any word
     named_part = message.partition(", got")[0]
     named = sorted((m.start(), key) for leaf, key in fed
@@ -238,10 +226,6 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError as exc:
                 raise DataFormatError(f"{_keys_of(part, str(exc))}: {exc}") from exc
     cfg = ExperimentConfig(**parts)
-    try:  # the generator's checks of the weather.* knobs; PeriodSpec checked the rest
-        weather_params_for(cfg, cfg.period1)
-    except ValueError as exc:
-        raise DataFormatError(f"{_keys_of('weather', str(exc))}: {exc}") from exc
     # moisture training needs at least one day after the lagged ones
     if not 1 <= cfg.lag < cfg.period1.n_days:
         raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "
@@ -271,16 +255,8 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def weather_params_for(cfg: ExperimentConfig, spec: PeriodSpec) -> WeatherGenParams:
-    return WeatherGenParams(
-        seed=spec.seed,
-        n_days=spec.n_days,
-        start_date=spec.planting,
-        tavg_mean=cfg.weather_tavg_mean,
-        tavg_amplitude=cfg.weather_tavg_amplitude,
-        diurnal_range_mean=cfg.weather_diurnal_range,
-        wet_day_prob=cfg.weather_wet_day_prob,
-        precip_mean_wet=cfg.weather_precip_mean_wet,
-    )
+    return WeatherGenParams(seed=spec.seed, n_days=spec.n_days, start_date=spec.planting,
+                            **vars(cfg.weather))
 
 
 @dataclass

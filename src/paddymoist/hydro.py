@@ -1,7 +1,9 @@
 """Synthetic tropical weather and bucket water balance.
 
 This module is the ground-truth side of the package: a seeded weather
-generator shaped like a West-Java paddy season, and a single-bucket root
+generator shaped like a West-Java paddy season (its knobs are a
+:class:`Climate` that any season shares, and a :class:`WeatherGenParams`
+that adds one season's seed, length and first date), and a single-bucket root
 zone whose storage changes by
 
     precipitation + irrigation - crop ET - runoff - deep percolation
@@ -123,17 +125,14 @@ class LedgerDay(NamedTuple):
     fluxes: WaterFluxes
 
 
-@dataclass(frozen=True)
-class WeatherGenParams:
-    """Knobs for :func:`generate_weather`.
+@dataclass(frozen=True, kw_only=True)
+class Climate:
+    """The season-independent knobs of :func:`generate_weather`, by keyword.
 
     Defaults give monthly mean temperatures near 24 deg C and wet-season
     monthly precipitation totals of roughly 250-450 mm.
     """
 
-    seed: int
-    n_days: int
-    start_date: Date = Date(2010, 10, 14)
     tavg_mean: float = 24.0
     tavg_amplitude: float = 0.5
     diurnal_range_mean: float = 10.0
@@ -141,8 +140,6 @@ class WeatherGenParams:
     precip_mean_wet: float = 15.0
 
     def __post_init__(self):
-        if self.n_days < 1:
-            raise ValueError(f"n_days must be >= 1, got {self.n_days}")
         if not 0.0 <= self.wet_day_prob <= 1.0:
             raise ValueError(f"wet_day_prob must be in [0, 1], got {self.wet_day_prob}")
         if self.diurnal_range_mean <= 0.0:
@@ -151,6 +148,22 @@ class WeatherGenParams:
             )
         if self.precip_mean_wet < 0.0:
             raise ValueError(f"precip_mean_wet must be >= 0, got {self.precip_mean_wet}")
+
+
+@dataclass(frozen=True)
+class WeatherGenParams(Climate):
+    """A :class:`Climate` plus one season: the generator's seed, its length
+    and its first date.  The season's three fields may be given by position,
+    the climate's five only by keyword."""
+
+    seed: int
+    n_days: int
+    start_date: Date = Date(2010, 10, 14)
+
+    def __post_init__(self):
+        if self.n_days < 1:
+            raise ValueError(f"n_days must be >= 1, got {self.n_days}")
+        super().__post_init__()
 
 
 def water_balance_step(theta: float, p: FieldParams, precip_mm: float,

@@ -20,8 +20,10 @@ A :class:`HalfHourRecord` is a ``NamedTuple``: a two-year station file is
 some 35000 of them, and a tuple is several times cheaper to build than a
 frozen dataclass.  The reader checks each row's values inline and builds
 the record straight from them, without the constructor's second check.  A
-row that fails a check is parsed again, cell by cell in a fixed order, by a
-pass that only raises: it names the row's first fault and builds nothing.
+row that fails a check is parsed again, cell by cell in column order, by a
+pass that only raises: it names the row's leftmost fault (a timestamp out
+of order only when every cell is sound) and builds nothing.  The daily
+reader checks its cells in column order too.
 
 Every fault in a station or daily file is a :class:`DataFormatError` naming
 its line (an :class:`OrderingError` for a repeated or earlier timestamp or
@@ -136,8 +138,11 @@ def daily_aggregate(records: "list[HalfHourRecord]",
     temperatures, precipitation is summed, and theta is the mean of the
     values present.  Days with fewer than ``min_coverage`` of the 48
     intervals are excluded and reported in ``gaps`` (and logged).
-    Timestamps must be strictly increasing.
+    Timestamps must be strictly increasing.  A ``min_coverage`` outside
+    1..48 raises ValueError: above 48 it would drop every day.
     """
+    if not 1 <= min_coverage <= INTERVALS_PER_DAY:
+        raise ValueError(f"min_coverage must be in 1..{INTERVALS_PER_DAY}, got {min_coverage}")
     days: list[DailyWeather] = []
     theta: list = []
     gaps: list[DayGap] = []
@@ -205,11 +210,11 @@ def _raise_row_fault(row: list, line_no: int, has_theta: bool,
     if len(row) < 3:
         raise DataFormatError(f"line {line_no}: expected at least 3 fields, got {len(row)}")
     ts = _parse_cell(row[0], "timestamp", line_no, datetime.fromisoformat)
-    if has_theta and len(row) > 3 and row[3] != "":
-        _parse_theta(row[3], line_no)
     _parse_cell(row[1], "temp_c", line_no)
     if _parse_cell(row[2], "precip_mm", line_no) < 0.0:
         raise DataFormatError(f"line {line_no}: precip_mm must be >= 0, got {row[2]!r}")
+    if has_theta and len(row) > 3 and row[3] != "":
+        _parse_theta(row[3], line_no)
     # every value is sound, so the row was rejected for its timestamp's order
     try:
         prev < ts

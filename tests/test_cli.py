@@ -199,6 +199,24 @@ class TestExitCodes:
         assert err.startswith("error: [stage: load period1] [Errno 2]")
         assert str(missing) in err
 
+    @pytest.mark.parametrize("min_coverage", ["0", "49", "-3"])
+    def test_coverage_outside_a_day_is_domain_error(self, tmp_path, capsys, min_coverage):
+        src, out = tmp_path / "hh.csv", tmp_path / "daily.csv"
+        _write_half_hourly(src)
+        assert main(["ingest", "--input", str(src), "--output", str(out),
+                     "--min-coverage", min_coverage]) == 3
+        assert (f"error: min_coverage must be in 1..48, got {min_coverage}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["period1.seed", "period2.seed"])
+    def test_blank_period_seed_is_data_error(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"{key} =\n", encoding="utf-8")
+        assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "d")]) == 4
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         src = tmp_path / "hh.csv"
         src.write_text("wrong,header,row\n1,2,3\n", encoding="utf-8")

@@ -20,9 +20,9 @@ from paddymoist.evapo import Et0Model, SiteLocation, predict_et0_series
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
                                    build_forcing, default_config, export_plot_data,
                                    format_config, format_report_text, load_period,
-                                   parse_config, run_experiment, write_report_files,
-                                   write_synth_periods)
-from paddymoist.hydro import FieldParams
+                                   parse_config, run_experiment, weather_params_for,
+                                   write_report_files, write_synth_periods)
+from paddymoist.hydro import Climate, FieldParams, WeatherGenParams
 from paddymoist.ingest import read_daily_csv
 from paddymoist.moisture import SimMode
 
@@ -144,6 +144,11 @@ class TestConfigDocument:
                                    "leading or trailing space, got 'seed #2.csv'") == (
             "period1.data")
 
+    @pytest.mark.parametrize("key", ["period1.seed", "period2.seed"])
+    def test_blank_period_seed_rejected(self, key):
+        with pytest.raises(DataFormatError, match=rf"^{key}: "):
+            parse_config(f"{key} =\n")
+
     def test_table_shaped_defaults(self):
         cfg = default_config()
         assert cfg.period1.planting.isoformat() == "2010-10-14"
@@ -213,8 +218,8 @@ _EVERY_KEY_CONFIG = ExperimentConfig(
                        data_path="a.csv"),
     period2=PeriodSpec(planting=date(2004, 5, 6), n_days=101, source="synth", seed=16,
                        data_path="b.csv"),
-    weather_tavg_mean=20.5, weather_tavg_amplitude=1.5, weather_diurnal_range=8.5,
-    weather_wet_day_prob=0.45, weather_precip_mean_wet=12.75,
+    weather=Climate(tavg_mean=20.5, tavg_amplitude=1.5, diurnal_range_mean=8.5,
+                    wet_day_prob=0.45, precip_mean_wet=12.75),
     field=FieldParams(root_depth=0.3, theta_sat=0.6, theta_res=0.1, theta_init=0.4,
                       runoff_threshold=0.5, perc_rate=2.5),
 )
@@ -251,6 +256,23 @@ class TestConfigSchema:
         leaves = set(_leaves(default_config()))
         assert set(attrs) <= leaves
         assert leaves - set(attrs) == {"field.irrigation"}
+
+    @pytest.mark.parametrize("cfg, which, expected", [
+        (default_config(), "period1",
+         WeatherGenParams(seed=101, n_days=118, start_date=date(2010, 10, 14), tavg_mean=24.0,
+                          tavg_amplitude=0.5, diurnal_range_mean=10.0, wet_day_prob=0.55,
+                          precip_mean_wet=15.0)),
+        (default_config(), "period2",
+         WeatherGenParams(seed=202, n_days=118, start_date=date(2011, 8, 20), tavg_mean=24.0,
+                          tavg_amplitude=0.5, diurnal_range_mean=10.0, wet_day_prob=0.55,
+                          precip_mean_wet=15.0)),
+        (_EVERY_KEY_CONFIG, "period2",
+         WeatherGenParams(seed=16, n_days=101, start_date=date(2004, 5, 6), tavg_mean=20.5,
+                          tavg_amplitude=1.5, diurnal_range_mean=8.5, wet_day_prob=0.45,
+                          precip_mean_wet=12.75)),
+    ], ids=["default-period1", "default-period2", "every-key-period2"])
+    def test_weather_params_for_a_period(self, cfg, which, expected):
+        assert weather_params_for(cfg, getattr(cfg, which)) == expected
 
     def test_every_key_sets_the_field_it_names(self):
         # the table checked against a hand-built config: this catches two

@@ -14,7 +14,7 @@ from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import ScheduleMismatchError
 from paddymoist.evapo import (DailyWeather, SiteLocation, extraterrestrial_radiation,
                               hargreaves_et0, hargreaves_series)
-from paddymoist.hydro import (FieldParams, LedgerDay, WaterFluxes, WeatherGenParams,
+from paddymoist.hydro import (Climate, FieldParams, LedgerDay, WaterFluxes, WeatherGenParams,
                               generate_truth, generate_weather, water_balance_step)
 
 SEASON_KC = KcSchedule(len_ini=20, len_dev=30, len_mid=40, len_late=28)  # 118 days
@@ -226,6 +226,25 @@ class TestGenerateWeather:
             WeatherGenParams(seed=1, n_days=10, wet_day_prob=1.5)
         with pytest.raises(ValueError):
             WeatherGenParams(seed=1, n_days=10, diurnal_range_mean=0.0)
+
+    @pytest.mark.parametrize("knob, value, message", [
+        ("wet_day_prob", 1.5, "wet_day_prob must be in [0, 1], got 1.5"),
+        ("diurnal_range_mean", 0.0, "diurnal_range_mean must be > 0, got 0.0"),
+        ("precip_mean_wet", -2.0, "precip_mean_wet must be >= 0, got -2.0"),
+    ])
+    def test_climate_checks_its_knobs(self, knob, value, message):
+        for make in (Climate, lambda **kw: WeatherGenParams(seed=1, n_days=10, **kw)):
+            with pytest.raises(ValueError) as exc:
+                make(**{knob: value})
+            assert str(exc.value) == message
+
+    def test_season_by_position_climate_by_keyword(self):
+        assert WeatherGenParams(101, 118) == WeatherGenParams(seed=101, n_days=118)
+        assert WeatherGenParams(101, 118, date(2011, 8, 20), wet_day_prob=0.4) == (
+            WeatherGenParams(seed=101, n_days=118, start_date=date(2011, 8, 20),
+                             wet_day_prob=0.4))
+        with pytest.raises(TypeError):
+            WeatherGenParams(101, 118, date(2011, 8, 20), 24.0)
 
 
 class TestGenerateTruth:

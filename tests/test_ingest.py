@@ -350,6 +350,12 @@ class TestOnePassAggregate:
         assert repr(agg) == repr(expected)  # bit for bit, the sign of zero too
         assert caplog.messages == reference_log
 
+    @pytest.mark.parametrize("min_coverage", [0, 49, -3])
+    def test_coverage_outside_a_day_rejected(self, min_coverage):
+        with pytest.raises(ValueError, match=rf"^min_coverage must be in 1\.\.48, "
+                                             rf"got {min_coverage}$"):
+            daily_aggregate(_station(1), min_coverage)
+
     def test_inputs_cover_gaps_and_missing_theta(self):
         agg = daily_aggregate(_station(3, n_days=400))
         assert len(agg.gaps) > 20 and None in agg.theta and len(agg.days) > 300
@@ -434,6 +440,11 @@ class TestBoundaryErrors:
          "line 3: expected at least 3 fields, got 2"),
         ("05/01/2011 00:30,20.0,0.0,0.4", DataFormatError,
          "line 3: cannot parse timestamp from '05/01/2011 00:30'"),
+        # several faults: the leftmost is named
+        ("2011-01-05T00:30:00,oops,0.0,7.5", DataFormatError,
+         "line 3: cannot parse temp_c from 'oops'"),
+        ("2011-01-05T00:30:00,20.0,-0.5,7.5", DataFormatError,
+         "line 3: precip_mm must be >= 0, got '-0.5'"),
     ])
     def test_half_hourly_row_rejected_with_its_line(self, tmp_path, row, error, message):
         path = _write(tmp_path / "hh.csv", [self.HEADER, "2011-01-05T00:00:00,20.0,0.0,0.4",
