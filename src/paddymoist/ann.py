@@ -17,17 +17,42 @@ node and enters the backprop derivative (d sigma/dy = g * sigma * (1 -
 sigma)) so the computed gradient is the exact gradient of the loss at the
 applied gain.
 
-The arithmetic runs on plain Python floats.  At this size (an 8 x 4 hidden
-matrix) numpy's per-call overhead costs far more than the arithmetic, and
-so, in a generic loop over lists, does the interpreter: indexing, iterators,
-a call per node and a new list per visit.  So the one kernel is generated:
-:func:`_kernel` writes the Python source of a straight-line epoch loop and
-forward pass for a topology, with every weight, activation and delta a
-local variable, compiles it once per topology per process, and caches the
-two functions.  The weights are unpacked into locals once per call and
-returned as lists at the end, so a pattern visit indexes no list.
+The arithmetic runs on plain doubles, not numpy arrays.  At this size (an
+8 x 4 hidden matrix) numpy's per-call overhead costs far more than the
+arithmetic, and so, in a generic loop over lists, does the interpreter:
+indexing, iterators, a call per node and a new list per visit.  So the one
+kernel is generated: :func:`_steps` lists the statements of a forward pass
+and of one pattern visit for a topology, with every weight, activation and
+delta a local variable, and two renderers write them out, as Python and as
+C.  :func:`_kernel` builds the train loop and the forward pass once per
+topology per process and caches them.  The weights are unpacked into locals
+once per call and returned at the end, so a pattern visit indexes no list.
 :func:`train`, :func:`backprop_step` (one pattern, one epoch) and
 :func:`forward` all run this code; :func:`sigmoid_gain` keeps ``_sigma``.
+
+The train loop runs as C when the system C compiler ``cc`` builds it, and
+as Python otherwise; the two give the same bits.  The C rendering does the
+same IEEE double operations in the same order, and ``gcc``/``clang`` keep it
+that way under these flags:
+
+- ``-O2`` optimises without the value-changing transformations ``-Ofast``
+  would add;
+- ``-ffp-contract=off`` forbids fusing ``a * b + c`` into one FMA, which
+  rounds once where Python rounds twice;
+- ``-fno-fast-math`` forbids reassociating sums, treating ``-0.0`` as
+  ``0.0`` and assuming no NaN (the gain rule must see a NaN);
+- ``-shared -fPIC`` make a library ``ctypes`` can load, and ``-lm`` links
+  the same libm whose ``exp`` ``math.exp`` calls.  ``abs`` is ``fabs``.
+
+Float literals are written exactly, in hex.  The shared object is cached
+under ``$XDG_CACHE_HOME/paddymoist`` (else ``~/.cache/paddymoist``), named by
+the SHA-256 of the C source, the flags, the resolved compiler path with its
+mtime and size, and the platform, so a cache hit starts no process.  A
+build is written under a temporary name and moved into place, so a reader
+never loads a partial file.  With no ``cc`` on ``PATH``, an unwritable cache
+directory or a failed compile, the Python loop runs and one warning per
+topology says why.  The forward pass stays Python: a ``ctypes`` call costs
+more than a bound forward pass saves.
 
 Inference over a series goes through :func:`bind`, which converts a net's
 weight matrices to flat float lists once and returns the generated forward
@@ -39,14 +64,14 @@ and pays neither conversion per day.
 The bound function holds a snapshot of the weights and gain taken at bind
 time: changing the net afterwards does not change it.
 
-The generated code gives what the plain loop gives, bit for bit: every dot
+Both renderings give what the plain loop gives, bit for bit: every dot
 product is added left to right in the same order, never through BLAS or the
 builtin ``sum`` (whose float algorithm changed in Python 3.12), the backward
 sums read the output weights from before the update, and the activation
 clamps and the gain rule are inlined.  Results therefore do not depend on
 the BLAS build or the Python version, and ``tests/test_ann.py`` keeps the
-plain loop to check this bit for bit.  The source is formatted only from the
-topology's integers.
+plain loop to check both renderings against it bit for bit.  The sources are
+formatted only from the topology's integers.
 
 The plain loop starts every sum at ``0.0``.  ``0.0 + a`` is ``a`` except
 that it turns ``-0.0`` into ``0.0``, so a sum without that start can differ
@@ -72,16 +97,29 @@ across threads.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import hashlib
+import logging
 import math
+import os
+import re
+import shutil
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from math import exp
 from operator import add
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError
+
+logger = logging.getLogger(__name__)
 
 # The activation's two clamps (see the module docstring): float64 rounds the
 # logistic to exactly 1.0 for g*y > ~37, and exp(-z) overflows for z < -709.
@@ -242,6 +280,16 @@ def sigmoid_gain(y: float, g: float) -> float:
 # generated sum is continued in further statements (same order) past this.
 _SUM_TERMS = 64
 
+# The kernel is one list of statements, rendered to Python and to C.  A
+# statement is either a string, an assignment in the expression language the
+# two share (C writes ``abs`` as ``fabs``, ``or`` as ``||`` and each float
+# literal, always written with a point, exactly in hex), or one of:
+#   ("sum", target, terms, from_zero)  target = [0.0 +] terms[0] + terms[1] + ...
+#   ("if", [(cond, body), ...])        an if/elif chain; a cond of None is the else
+#   _REJECT                            e_p is NaN: the gain rule raises
+#   _TRACE                             record this visit's (e_p, g)
+_REJECT, _TRACE = ("reject",), ("trace",)
+
 
 def _sum(target: str, terms: "list[str]", from_zero: bool = True) -> "list[str]":
     """Source lines setting ``target`` to 0.0 + terms[0] + terms[1] + ...,
@@ -253,16 +301,22 @@ def _sum(target: str, terms: "list[str]", from_zero: bool = True) -> "list[str]"
     return lines
 
 
-def _sigma_lines(target: str, z: str) -> "list[str]":
-    """Source lines setting ``target`` to ``_sigma(z)``, clamps included."""
+def _sigma_steps(target: str, z: str) -> list:
+    """Statements setting ``target`` to ``_sigma(z)``, clamps included."""
     return [f"z = {z}",
-            f"if z < {-_EXP_CAP!r}: z = {-_EXP_CAP!r}",
+            ("if", [(f"z < {-_EXP_CAP!r}", [f"z = {-_EXP_CAP!r}"])]),
             f"{target} = 1.0 / (1.0 + exp(-z))",
-            f"if {target} > {_SIG_HI!r}: {target} = {_SIG_HI!r}"]
+            ("if", [(f"{target} > {_SIG_HI!r}", [f"{target} = {_SIG_HI!r}"])])]
 
 
-def _kernel_source(n: int, h: int, o: int) -> str:
-    """Python source of ``train_loop`` and ``forward`` for an n-h-o network.
+def _weight_names(n: int, h: int, o: int) -> "tuple[list[str], list[str]]":
+    """Local names of the flattened hidden and output weight matrices."""
+    return ([f"wh{j}_{i}" for j in range(1, h + 1) for i in range(n + 1)],
+            [f"wo{k}_{j}" for k in range(o) for j in range(h + 1)])
+
+
+def _steps(n: int, h: int, o: int) -> "tuple[list, list]":
+    """The statements of a forward pass and of one training visit, n-h-o network.
 
     Every name is formatted from ``range`` indices only.  Weights live in
     locals: ``wh{j}_{i}`` feeds input i (0 is the bias) into hidden node j
@@ -270,57 +324,79 @@ def _kernel_source(n: int, h: int, o: int) -> str:
     The bias input is 1.0 and ``w * 1.0 == w`` exactly, so bias terms carry
     no product.
 
-    One step: a forward pass at the network's current gain measures how far
+    One visit: a forward pass at the network's current gain measures how far
     the pattern is off, and that error fixes the gain applied to this update
     (a second pass runs if it differs).  The loss differentiated is
     0.5 * sum((t - o)^2) at the applied gain, so the weights take an exact
     gradient step; the reported error is sum((t - o)^2) before the update.
     """
     H, I, K = range(1, h + 1), range(1, n + 1), range(o)
-    wh = [f"wh{j}_{i}" for j in H for i in range(n + 1)]
-    wo = [f"wo{k}_{j}" for k in K for j in range(h + 1)]
-    xs = [f"x{i}" for i in I]
-    ts = [f"t{k}" for k in K]
-    unpack = [f"{', '.join(wh)}, = wh", f"{', '.join(wo)}, = wo"]
-    sums = []  # hidden pre-activations do not depend on the gain
-    for j in H:
-        sums += _sum(f"s{j}", [f"wh{j}_0", *(f"wh{j}_{i} * x{i}" for i in I)], False)
 
     def activate(g):
-        lines = []
+        steps = []
         for j in H:
-            lines += _sigma_lines(f"h{j}", f"{g} * s{j}")
+            steps += _sigma_steps(f"h{j}", f"{g} * s{j}")
         for k in K:
-            lines += _sum("u", [f"wo{k}_0", *(f"wo{k}_{j} * h{j}" for j in H)], False)
-            lines += _sigma_lines(f"o{k}", f"{g} * u")
-        return lines
+            steps.append(("sum", "u", [f"wo{k}_0", *(f"wo{k}_{j} * h{j}" for j in H)], False))
+            steps += _sigma_steps(f"o{k}", f"{g} * u")
+        return steps
 
-    step = [*sums, *activate("g"), "e_p = abs(t0 - o0)"]
+    # hidden pre-activations do not depend on the gain
+    forward = [("sum", f"s{j}", [f"wh{j}_0", *(f"wh{j}_{i} * x{i}" for i in I)], False)
+               for j in H]
+    forward += activate("g")
+    visit = [*forward, "e_p = abs(t0 - o0)"]
     for k in K[1:]:  # e_p = max |t - o|, keeping a NaN for the gain rule to reject
-        step += [f"d = abs(t{k} - o{k})", "if d > e_p or d != d: e_p = d"]
-    step += ["ap = 2.0 * e_p",
-             "if ap > 1.0: g_new = 1.0 / ap",
-             "elif ap == ap: g_new = 1.0",
-             "else: g_new = adaptive_gain(e_p)",
-             "if g_new != g:",
-             "    g = g_new",
-             *("    " + line for line in activate("g"))]
-    step += [f"r{k} = t{k} - o{k}" for k in K]
-    step += _sum("sse", [f"r{k} * r{k}" for k in K], False)
-    step += [f"d{k} = (o{k} - t{k}) * (g * o{k} * (1.0 - o{k}))" for k in K]
+        visit += [f"d = abs(t{k} - o{k})", ("if", [("d > e_p or d != d", ["e_p = d"])])]
+    visit += ["ap = 2.0 * e_p",
+              ("if", [("ap > 1.0", ["g_new = 1.0 / ap"]), ("ap == ap", ["g_new = 1.0"]),
+                      (None, [_REJECT])]),
+              ("if", [("g_new != g", ["g = g_new", *activate("g")])])]
+    visit += [f"r{k} = t{k} - o{k}" for k in K]
+    visit.append(("sum", "sse", [f"r{k} * r{k}" for k in K], False))
+    visit += [f"d{k} = (o{k} - t{k}) * (g * o{k} * (1.0 - o{k}))" for k in K]
     # back-propagated sums read the output weights from before this update
-    for j in H:
-        step += _sum(f"back{j}", [f"wo{k}_{j} * d{k}" for k in K])
+    visit += [("sum", f"back{j}", [f"wo{k}_{j} * d{k}" for k in K], True) for j in H]
     for k in K:
-        step.append(f"wo{k}_0 = wo{k}_0 - lr * d{k}")
-        step += [f"wo{k}_{j} = wo{k}_{j} - lr * (d{k} * h{j})" for j in H]
+        visit.append(f"wo{k}_0 = wo{k}_0 - lr * d{k}")
+        visit += [f"wo{k}_{j} = wo{k}_{j} - lr * (d{k} * h{j})" for j in H]
     for j in H:
-        step.append(f"dh{j} = back{j} * (g * h{j} * (1.0 - h{j}))")
-        step.append(f"wh{j}_0 = wh{j}_0 - lr * dh{j}")
-        step += [f"wh{j}_{i} = wh{j}_{i} - lr * (dh{j} * x{i})" for i in I]
-    step += ["total += sse",
-             "if trace is not None:",
-             "    trace.append(GainTrace(epoch, p, e_p, g))"]
+        visit.append(f"dh{j} = back{j} * (g * h{j} * (1.0 - h{j}))")
+        visit.append(f"wh{j}_0 = wh{j}_0 - lr * dh{j}")
+        visit += [f"wh{j}_{i} = wh{j}_{i} - lr * (dh{j} * x{i})" for i in I]
+    visit += ["total += sse", _TRACE]
+    return forward, visit
+
+
+def _py_lines(steps: list) -> "list[str]":
+    """Python source lines of ``steps``; a one-line if body stays on its line."""
+    lines = []
+    for s in steps:
+        if isinstance(s, str):
+            lines.append(s)
+        elif s[0] == "sum":
+            lines += _sum(*s[1:])
+        elif s[0] == "if":
+            for k, (cond, body) in enumerate(s[1]):
+                head = "else" if cond is None else f"{'elif' if k else 'if'} {cond}"
+                inner = _py_lines(body)
+                lines += ([f"{head}: {inner[0]}"] if len(inner) == 1
+                          else [f"{head}:", *("    " + line for line in inner)])
+        elif s == _REJECT:
+            lines.append("g_new = adaptive_gain(e_p)")
+        else:
+            lines += ["if trace is not None:",
+                      "    trace.append(GainTrace(epoch, p, e_p, g))"]
+    return lines
+
+
+def _py_sources(n: int, h: int, o: int) -> "tuple[str, str]":
+    """Python sources of ``train_loop`` and of ``forward`` for an n-h-o network."""
+    forward_steps, visit = _steps(n, h, o)
+    wh, wo = _weight_names(n, h, o)
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    ts = [f"t{k}" for k in range(o)]
+    unpack = [f"{', '.join(wh)}, = wh", f"{', '.join(wo)}, = wo"]
 
     def rows_of(names, width):
         return ", ".join("[" + ", ".join(names[r:r + width]) + "]"
@@ -333,21 +409,100 @@ def _kernel_source(n: int, h: int, o: int) -> str:
                   "    for epoch in range(epochs):",
                   "        total = 0.0",
                   f"        for p, ({', '.join(xs + ts)},) in enumerate(rows):",
-                  *("            " + line for line in step),
+                  *("            " + line for line in _py_lines(visit)),
                   "        losses.append(total / len(rows))",
                   f"    return [{rows_of(wh, n + 1)}], [{rows_of(wo, h + 1)}], g, losses"]
     forward = ["def forward(wh, wo, g, x):",
                "    exp = _exp",
                *("    " + line for line in unpack),
                f"    {', '.join(xs)}, = x",
-               *("    " + line for line in [*sums, *activate("g")]),
-               f"    return [{', '.join(f'o{k}' for k in K)}]"]
-    return "\n".join(train_loop + forward) + "\n"
+               *("    " + line for line in _py_lines(forward_steps)),
+               f"    return [{', '.join(f'o{k}' for k in range(o))}]"]
+    return "\n".join(train_loop) + "\n", "\n".join(forward) + "\n"
 
 
-@functools.cache
-def _kernel(t: MlpTopology):
-    """Compiled ``(train_loop, forward)`` for one topology, built once per process.
+def _kernel_source(n: int, h: int, o: int) -> str:
+    """Python source of ``train_loop`` and ``forward`` for an n-h-o network."""
+    return "".join(_py_sources(n, h, o))
+
+
+# float literals, which C gets exactly as hex, and the two words C spells otherwise
+_C_TOKENS = re.compile(r"\b(?:\d+\.\d+(?:e[-+]?\d+)?|abs|or)\b")
+_C_WORDS = {"abs": "fabs", "or": "||"}
+
+
+def _c_lines(steps: list) -> "list[str]":
+    """C lines of ``steps``, every sum one expression, still to be passed
+    through ``_C_TOKENS``; the lines added here hold no float literal."""
+    lines = []
+    for s in steps:
+        if isinstance(s, str):
+            lines.append(s + ";")
+        elif s[0] == "sum":
+            _, target, terms, from_zero = s
+            lines.append(f"{target} = {' + '.join(['0.0', *terms] if from_zero else terms)};")
+        elif s[0] == "if":
+            for k, (cond, body) in enumerate(s[1]):
+                head = "else" if cond is None else f"{'else if' if k else 'if'} ({cond})"
+                lines += [head + " {", *("    " + line for line in _c_lines(body)), "}"]
+        elif s == _REJECT:
+            lines += ["*bad = e_p;", "return 1;"]
+        else:
+            lines += ["if (trace) {", "    *trace++ = e_p;", "    *trace++ = g;", "}"]
+    return lines
+
+
+def _c_source(n: int, h: int, o: int) -> str:
+    """C source of ``train_loop`` for an n-h-o network: the visit of
+    :func:`_steps` run over epochs and rows, every weight, activation and
+    delta a local double.  It returns 0, or 1 with the NaN error in ``*bad``.
+    """
+    _, visit = _steps(n, h, o)
+    body = _C_TOKENS.sub(lambda m: _C_WORDS.get(m[0]) or float.hex(float(m[0])),
+                         "\n".join("            " + line for line in _c_lines(visit)))
+    wh, wo = _weight_names(n, h, o)
+    H, K = range(1, h + 1), range(o)
+    cols = [*(f"x{i}" for i in range(1, n + 1)), *(f"t{k}" for k in K)]
+    temps = [*cols, *(f"{v}{j}" for v in ("s", "h", "back", "dh") for j in H),
+             *(f"{v}{k}" for v in ("o", "r", "d") for k in K),
+             "u", "z", "e_p", "d", "ap", "g_new", "sse", "total"]
+    return "\n".join([
+        "#include <math.h>",
+        "",
+        "int train_loop(double *wh, double *wo, double *gain, const double *rows, long n_rows,",
+        "               double lr, long epochs, double *losses, double *trace, double *bad)",
+        "{",
+        *(f"    double {name} = wh[{i}];" for i, name in enumerate(wh)),
+        *(f"    double {name} = wo[{i}];" for i, name in enumerate(wo)),
+        "    double g = *gain;",
+        f"    double {', '.join(temps)};",
+        "    for (long epoch = 0; epoch < epochs; epoch++) {",
+        "        const double *row = rows;",
+        "        total = 0.0;",
+        f"        for (long p = 0; p < n_rows; p++, row += {len(cols)}) {{",
+        *(f"            {name} = row[{i}];" for i, name in enumerate(cols)),
+        body,
+        "        }",
+        "        losses[epoch] = total / (double)n_rows;",
+        "    }",
+        *(f"    wh[{i}] = {name};" for i, name in enumerate(wh)),
+        *(f"    wo[{i}] = {name};" for i, name in enumerate(wo)),
+        "    *gain = g;",
+        "    return 0;",
+        "}",
+    ]) + "\n"
+
+
+def _exec_python(t: MlpTopology, source: str) -> dict:
+    """The names that the Python ``source`` rendered for ``t`` defines."""
+    code = compile(source, f"<ann kernel {t.n_inputs}-{t.n_hidden}-{t.n_outputs}>", "exec")
+    namespace = {"_exp": exp, "adaptive_gain": adaptive_gain, "GainTrace": GainTrace}
+    exec(code, namespace)
+    return namespace
+
+
+def _python_kernel(t: MlpTopology):
+    """Compiled Python ``(train_loop, forward)`` for one topology.
 
     ``train_loop(wh, wo, g, rows, lr, epochs, trace)`` takes the flattened
     weight matrices, the starting gain and one ``(*input, *target)`` tuple per
@@ -355,11 +510,109 @@ def _kernel(t: MlpTopology):
     gain and the per-epoch mean squared errors.  ``forward(wh, wo, g, x)``
     returns the output list.
     """
-    n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
-    code = compile(_kernel_source(n, h, o), f"<ann kernel {n}-{h}-{o}>", "exec")
-    namespace = {"_exp": exp, "adaptive_gain": adaptive_gain, "GainTrace": GainTrace}
-    exec(code, namespace)
+    namespace = _exec_python(t, _kernel_source(t.n_inputs, t.n_hidden, t.n_outputs))
     return namespace["train_loop"], namespace["forward"]
+
+
+# See the module docstring for why each flag keeps the bits.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+
+
+def _cache_key(source: str, flags: "tuple[str, ...]", compiler: str) -> str:
+    """SHA-256 naming what ``compiler`` (a resolved path) builds from ``source``."""
+    st = os.stat(compiler)
+    return hashlib.sha256(repr((source, flags, compiler, st.st_mtime_ns, st.st_size,
+                                sys.platform)).encode()).hexdigest()
+
+
+def _shared_object(source: str) -> str:
+    """Path of the shared object built from ``source``, compiled on a cache miss.
+
+    Raises ``OSError`` when there is no ``cc`` on ``PATH``, the cache
+    directory cannot be written or the compiler fails.
+    """
+    found = shutil.which("cc")
+    if found is None:
+        raise FileNotFoundError("no C compiler 'cc' on PATH")
+    directory = Path(os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache"),
+                     "paddymoist")
+    path = directory / f"ann-{_cache_key(source, _CFLAGS, os.path.realpath(found))}.so"
+    if path.exists():
+        return str(path)
+    import subprocess  # only a cache miss starts a process
+    import tempfile
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=directory)
+    os.close(fd)
+    try:
+        done = subprocess.run([found, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                              input=source, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise OSError(f"{found} exited {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, path)  # readers never see a partly written object
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return str(path)
+
+
+def _c_train_loop(t: MlpTopology):
+    """The C rendering's train loop, called like the Python one.
+
+    Raises ``OSError`` when it cannot be built or loaded.
+    """
+    source = _c_source(t.n_inputs, t.n_hidden, t.n_outputs)
+    fn = ctypes.CDLL(_shared_object(source)).train_loop
+    fn.argtypes = [*[ctypes.c_void_p] * 4, ctypes.c_long, ctypes.c_double, ctypes.c_long,
+                   *[ctypes.c_void_p] * 3]
+    fn.restype = ctypes.c_int
+    return functools.partial(_run_c_train_loop, fn, t)
+
+
+def _run_c_train_loop(fn, t: MlpTopology, wh, wo, g, rows, lr, epochs, trace):
+    """Call the compiled ``fn`` on ``array('d')`` buffers; arguments and
+    results are those of the Python ``train_loop``."""
+    n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
+    wh, wo, gain = array("d", wh), array("d", wo), array("d", [g])
+    flat, n_rows = array("d", chain.from_iterable(rows)), len(rows)
+    # the C loop reads and writes exactly these lengths
+    if (len(wh), len(wo), len(flat)) != (h * (n + 1), o * (h + 1), n_rows * (n + o)):
+        raise ValueError(f"weights or rows do not fit topology {n}-{h}-{o}")
+    losses, bad = array("d", bytes(8 * epochs)), array("d", [0.0])
+    # -1.0 marks a visit not reached: e_p >= 0 and g > 0 on every visit made
+    visits = array("d", [-1.0]) * (2 * epochs * n_rows) if trace is not None else None
+    status = fn(wh.buffer_info()[0], wo.buffer_info()[0], gain.buffer_info()[0],
+                flat.buffer_info()[0], n_rows, lr, epochs, losses.buffer_info()[0],
+                None if visits is None else visits.buffer_info()[0], bad.buffer_info()[0])
+    if visits is not None:
+        made = visits.index(-1.0) // 2 if status else epochs * n_rows
+        trace.extend(GainTrace(v // n_rows, v % n_rows, visits[2 * v], visits[2 * v + 1])
+                     for v in range(made))
+    if status:  # the loop stopped on a NaN error, which the gain rule rejects
+        adaptive_gain(bad[0])
+    return ([wh[r:r + n + 1].tolist() for r in range(0, len(wh), n + 1)],
+            [wo[r:r + h + 1].tolist() for r in range(0, len(wo), h + 1)],
+            gain[0], losses.tolist())
+
+
+@functools.cache
+def _kernel(t: MlpTopology):
+    """``(train_loop, forward)`` for one topology, built once per process.
+
+    The train loop is the C rendering's when it builds, else the Python
+    rendering's, logged once; both give the same bits.  ``forward`` is
+    always the Python rendering's: a ``ctypes`` call costs more than a
+    forward pass saves.
+    """
+    try:
+        train_loop = _c_train_loop(t)
+    except OSError as exc:
+        logger.warning("ann %d-%d-%d: training runs the Python loop, the C loop did not "
+                       "build: %s", t.n_inputs, t.n_hidden, t.n_outputs, exc)
+        return _python_kernel(t)
+    # the Python train loop is not compiled: it is most of the compile time
+    forward_source = _py_sources(t.n_inputs, t.n_hidden, t.n_outputs)[1]
+    return train_loop, _exec_python(t, forward_source)["forward"]
 
 
 def _row(p: Pattern) -> "tuple[float, ...]":

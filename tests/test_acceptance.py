@@ -83,7 +83,7 @@ def protocol():
     )
 
 
-def test_c1_gradient_fidelity():
+def test_c1_gradient_fidelity(rendering):
     """Backprop gradients vs central finite differences on 100 random cases."""
     failures = []
     rng = np.random.default_rng(1234)
@@ -122,7 +122,7 @@ def test_c1_gradient_fidelity():
     _verdict(1, "gradient fidelity", failures)
 
 
-def test_c2_gain_rule_conformance():
+def test_c2_gain_rule_conformance(rendering):
     """Applied gain equals the error-scaled rule, grid and live trace."""
     failures = []
     for k in range(11):  # e_p in {0.0, 0.1, ..., 1.0}, boundary 0.5 included

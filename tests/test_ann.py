@@ -1,16 +1,24 @@
 """Core network tests: activation, gain rule, gradients, training contract."""
 
+import functools
+import hashlib
+import logging
 import math
+import os
+import shutil
+import subprocess
 from math import exp
 from operator import mul
 
 import numpy as np
 import pytest
 
+from paddymoist import ann
 from paddymoist.ann import (GainTrace, Mlp, MlpTopology, Normalizer, Pattern,
                             TrainConfig, adaptive_gain, backprop_step, bind,
                             denormalize, forward, normalize, pattern_error,
                             sigmoid_gain, train)
+from paddymoist.ann import _kernel_source
 from paddymoist.errors import DimensionError
 
 
@@ -154,6 +162,7 @@ def _fd_gradients(net, pattern, gain, h=1e-6):
     return grads
 
 
+@pytest.mark.usefixtures("rendering")
 class TestBackpropStep:
 
     def test_zero_error_means_zero_update(self):
@@ -204,17 +213,19 @@ class TestBackpropStep:
 
     def test_nan_output_rejected_by_gain_rule(self):
         # a NaN output must reach adaptive_gain, not be skipped by the max
+        message = r"^pattern error must be a number >= 0, got nan$"
         net = Mlp(MlpTopology(2, 8, 1), np.full((8, 3), np.nan), np.zeros((1, 9)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             backprop_step(net, Pattern([0.3, 0.6], [0.5]), lr=0.2)
         # also when it is not the first output
         w_output = np.zeros((2, 9))
         w_output[1] = np.nan
         net = Mlp(MlpTopology(2, 8, 2), np.zeros((8, 3)), w_output)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             backprop_step(net, Pattern([0.3, 0.6], [0.9, 0.5]), lr=0.2)
 
 
+@pytest.mark.usefixtures("rendering")
 class TestTrain:
 
     def _linear_patterns(self):
@@ -418,7 +429,7 @@ class TestReferenceEquivalence:
 
     @pytest.mark.parametrize("half_width", [0.5, 20.0])
     @pytest.mark.parametrize("shape", [(3, 8, 1), (4, 8, 1), (4, 8, 3)])
-    def test_train_matches_reference(self, shape, half_width):
+    def test_train_matches_reference(self, shape, half_width, rendering):
         topo = MlpTopology(*shape)
         rng = np.random.default_rng(sum(shape) + int(half_width))
         patterns = [Pattern(rng.uniform(0, 1, topo.n_inputs),
@@ -579,11 +590,12 @@ def _bits(values) -> "list[str]":
 
 
 class TestListKernelBitExact:
-    """The generated kernel against the list kernel, compared with ==."""
+    """Each rendering of the generated kernel against the list kernel, compared
+    with ==; the forward pass is the Python rendering's in both."""
 
     @pytest.mark.parametrize("half_width", [0.5, 20.0])
     @pytest.mark.parametrize("shape", _EXACT_SHAPES)
-    def test_train_bit_exact(self, shape, half_width):
+    def test_train_bit_exact(self, shape, half_width, rendering):
         topo = MlpTopology(*shape)
         rng = np.random.default_rng(sum(shape) + int(half_width))
         patterns = _random_patterns(topo, rng)
@@ -601,7 +613,7 @@ class TestListKernelBitExact:
             assert sum(1 for e in trace if e.gain < 1.0) >= 10
 
     @pytest.mark.parametrize("shape", _EXACT_SHAPES)
-    def test_backprop_step_bit_exact(self, shape):
+    def test_backprop_step_bit_exact(self, shape, rendering):
         topo = MlpTopology(*shape)
         rng = np.random.default_rng(100 + sum(shape))
         for half_width in (0.5, 20.0):
@@ -630,7 +642,7 @@ class TestListKernelBitExact:
                 assert forward(net, x).tolist() == ref
 
     @pytest.mark.parametrize("shape", _EXACT_SHAPES)
-    def test_signed_zero_weights_bit_exact(self, shape):
+    def test_signed_zero_weights_bit_exact(self, shape, rendering):
         # The kernel's pre-activation sums and squared error leave out the
         # list kernel's leading 0.0, which only turns a -0.0 sum into 0.0.
         # Outputs, errors and updated weights must still match, zero signs too.
@@ -655,7 +667,7 @@ class TestListKernelBitExact:
                     assert _bits(updated.w_output.tolist()) == _bits(wo)
                     assert (repr(sse), updated.gain) == (repr(ref_sse), ref_gain)
 
-    def test_long_dot_products_sum_in_order(self):
+    def test_long_dot_products_sum_in_order(self, rendering):
         # sums longer than one generated expression continue left to right
         topo = MlpTopology(150, 3, 1)
         rng = np.random.default_rng(9)
@@ -665,6 +677,41 @@ class TestListKernelBitExact:
         wh, wo, _, ref_losses, _ = _list_train(topo, patterns, cfg)
         assert (trained.w_hidden.tolist(), trained.w_output.tolist()) == (wh, wo)
         assert losses == ref_losses
+
+    def test_trace_stops_at_a_nan_error(self, rendering):
+        # the visits before the one that raises are traced, as the list kernel does
+        topo = MlpTopology(2, 3, 1)
+        rng = np.random.default_rng(12)
+        net = Mlp.random(topo, rng)
+        net.w_hidden[0, 1] = math.inf  # inf * 0.0 is NaN at the pattern with x1 = 0
+        patterns = _random_patterns(topo, rng, 7)
+        patterns[3] = Pattern([0.0, 0.5], [0.5])
+        wh, wo, gain, ref = net.w_hidden.tolist(), net.w_output.tolist(), net.gain, []
+        with pytest.raises(ValueError):
+            for i, p in enumerate(patterns):
+                _, e_p, gain = _update(wh, wo, [1.0, *p.input.tolist()], p.target.tolist(),
+                                       0.2, gain)
+                ref.append(GainTrace(0, i, e_p, gain))
+        trace: list[GainTrace] = []
+        with pytest.raises(ValueError, match=r"^pattern error must be a number >= 0, got nan$"):
+            ann._kernel(topo)[0](net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(),
+                                 net.gain, [ann._row(p) for p in patterns], 0.2, 2, trace)
+        assert len(ref) == 3
+        assert trace == ref
+
+
+class TestPythonRendering:
+
+    # SHA-256 of the generated Python source, recorded when the kernel was
+    # still written straight to text: the step list rendered to Python must
+    # give those bytes exactly.
+    @pytest.mark.parametrize("shape, digest", [
+        ((3, 8, 1), "1f3b6ec70920e3c443f031eae8d83f56238623d6f4e711b172ac4b323ef2d033"),
+        ((4, 8, 1), "4766f74e3d22be520711008492d0bb4707a7792adc79ebe783862fcb219f7a25"),
+        ((4, 8, 3), "b00e28b1aee4532862d9075f69f1219c527c62ea476249c0634b975665af4819"),
+    ])
+    def test_source_is_pinned(self, shape, digest):
+        assert hashlib.sha256(_kernel_source(*shape).encode()).hexdigest() == digest
 
 
 class TestBind:
@@ -752,3 +799,110 @@ class TestNormalizeClamp:
     def test_keeps_the_sign_of_negative_zero(self):
         got = normalize(-0.0, Normalizer(0.0, 1.0))
         assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+_CC = shutil.which("cc")
+needs_cc = pytest.mark.skipif(_CC is None, reason="no C compiler 'cc' on PATH")
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty cache directory in place of the user's, and no kernel built yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    ann._kernel.cache_clear()
+    yield tmp_path / "xdg" / "paddymoist"
+    ann._kernel.cache_clear()
+
+
+def _is_c(train_loop) -> bool:
+    return (isinstance(train_loop, functools.partial)
+            and train_loop.func is ann._run_c_train_loop)
+
+
+class TestCBuild:
+    """Choosing, caching and falling back from the C train loop."""
+
+    TOPO = MlpTopology(2, 3, 1)
+
+    def _trains_like_list_kernel(self) -> bool:
+        rng = np.random.default_rng(21)
+        patterns = _random_patterns(self.TOPO, rng, 10)
+        cfg = TrainConfig(seed=2, epochs=3, init_half_width=5.0)
+        trace: list[GainTrace] = []
+        trained, losses = train(Mlp.zeros(self.TOPO), patterns, cfg, trace=trace)
+        wh, wo, gain, ref_losses, ref_trace = _list_train(self.TOPO, patterns, cfg)
+        return ((trained.w_hidden.tolist(), trained.w_output.tolist(), trained.gain, losses,
+                 trace) == (wh, wo, gain, ref_losses, ref_trace))
+
+    @needs_cc
+    def test_cache_hit_starts_no_compiler(self, cache_dir, monkeypatch, caplog):
+        assert _is_c(ann._kernel(self.TOPO)[0])
+        built = [p.name for p in cache_dir.iterdir()]
+        assert len(built) == 1 and built[0].endswith(".so")
+        ann._kernel.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran on a cache hit")
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        with caplog.at_level(logging.WARNING, logger="paddymoist.ann"):
+            assert _is_c(ann._kernel(self.TOPO)[0])
+            assert self._trains_like_list_kernel()
+        assert caplog.records == []
+        assert [p.name for p in cache_dir.iterdir()] == built
+
+    def test_key_covers_source_flags_and_compiler(self, tmp_path):
+        source = ann._c_source(2, 3, 1)
+        compiler = tmp_path / "cc"
+        compiler.write_bytes(b"v1")
+        os.utime(compiler, ns=(10**18, 10**18))
+
+        def key(src=source, flags=ann._CFLAGS):
+            return ann._cache_key(src, flags, str(compiler))
+        first = key()
+        assert key() == first and len(first) == 64
+        assert key(src=ann._c_source(2, 4, 1)) != first
+        assert key(src=source + "\n") != first
+        assert key(flags=ann._CFLAGS[1:]) != first
+        assert key(flags=(*ann._CFLAGS, "-ffast-math")) != first
+        os.utime(compiler, ns=(10**18, 10**18 + 1))  # the compiler was replaced
+        assert key() != first
+        compiler.write_bytes(b"v22")
+        os.utime(compiler, ns=(10**18, 10**18))  # same time, another size
+        assert key() != first
+
+    @pytest.mark.parametrize("broken", ["unwritable cache", "no cc on PATH", "compile error"])
+    def test_falls_back_to_python(self, broken, cache_dir, tmp_path, monkeypatch, caplog):
+        if broken == "unwritable cache":
+            # no directory can be made under a regular file, not even by root
+            (tmp_path / "file").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+        elif broken == "no cc on PATH":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        else:
+            monkeypatch.setattr(ann, "_c_source", lambda n, h, o: "this is not C\n")
+        with caplog.at_level(logging.WARNING, logger="paddymoist.ann"):
+            assert not _is_c(ann._kernel(self.TOPO)[0])
+            assert self._trains_like_list_kernel()
+        assert len(caplog.records) == 1
+        assert "training runs the Python loop" in caplog.records[0].getMessage()
+        # neither a partial object nor a temporary file is left behind
+        assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
+
+    @needs_cc
+    def test_leftover_temporary_file_is_harmless(self, cache_dir):
+        source = ann._c_source(2, 3, 1)
+        name = f"ann-{ann._cache_key(source, ann._CFLAGS, os.path.realpath(_CC))}.so"
+        cache_dir.mkdir(parents=True)
+        leftover = cache_dir / f"{name}.x1y2z3.tmp"  # a build cut off before its rename
+        leftover.write_bytes(b"\x7fELF cut off")
+        assert _is_c(ann._kernel(self.TOPO)[0])
+        assert self._trains_like_list_kernel()
+        assert sorted(p.name for p in cache_dir.iterdir()) == sorted([name, leftover.name])
+
+    @needs_cc
+    def test_buffers_must_fit_the_topology(self, cache_dir):
+        train_loop = ann._c_train_loop(self.TOPO)
+        wh, wo, row = [0.0] * 9, [0.0] * 4, (0.1, 0.2, 0.3)
+        for args in ((wh[:-1], wo, [row]), (wh, wo + [0.0], [row]), (wh, wo, [row[:-1]])):
+            with pytest.raises(ValueError, match=r"do not fit topology 2-3-1$"):
+                train_loop(*args[:2], 1.0, args[2], 0.2, 1, None)
