@@ -24,23 +24,26 @@ indexing, iterators, a call per node and a new list per visit.  So the one
 kernel is generated: :func:`_steps` lists the statements of a forward pass
 and of one pattern visit for a topology, with every weight, activation and
 delta a local variable, and two renderers write them out, as Python and as
-C.  :func:`_kernel` builds the train loop and the forward pass once per
-topology per process and caches them.  The weights are unpacked into locals
-once per call and returned at the end, so a pattern visit indexes no list.
-:func:`train`, :func:`backprop_step` (one pattern, one epoch) and
-:func:`forward` all run this code; :func:`sigmoid_gain` keeps ``_sigma``.
+C.  :func:`_kernel` builds the train loop, the forward pass and the series
+loop once per topology per process and caches them.  The weights are
+unpacked into locals once per call and returned at the end, so a pattern
+visit indexes no list.
+:func:`train`, :func:`backprop_step` (one pattern, one epoch),
+:func:`forward` and :func:`series` all run this code; :func:`sigmoid_gain`
+keeps ``_sigma``.
 
-The train loop runs as C when the system C compiler ``cc`` builds it, and
-as Python otherwise; the two give the same bits.  The C rendering does the
-same IEEE double operations in the same order, and ``gcc``/``clang`` keep it
-that way under these flags:
+The train and series loops run as C when the system C compiler ``cc``
+builds them, and as Python otherwise; the two give the same bits.  The C
+rendering does the same IEEE double operations in the same order, and
+``gcc``/``clang`` keep it that way under these flags:
 
 - ``-O2`` optimises without the value-changing transformations ``-Ofast``
   would add;
 - ``-ffp-contract=off`` forbids fusing ``a * b + c`` into one FMA, which
   rounds once where Python rounds twice;
 - ``-fno-fast-math`` forbids reassociating sums, treating ``-0.0`` as
-  ``0.0`` and assuming no NaN (the gain rule must see a NaN);
+  ``0.0`` and assuming no NaN (the gain rule must see a NaN, and the
+  series loop's ``isfinite`` an infinity);
 - ``-shared -fPIC`` make a library ``ctypes`` can load, and ``-lm`` links
   the same libm whose ``exp`` ``math.exp`` calls.  ``abs`` is ``fabs``.
 
@@ -50,19 +53,23 @@ the SHA-256 of the C source, the flags, the resolved compiler path with its
 mtime and size, and the platform, so a cache hit starts no process.  A
 build is written under a temporary name and moved into place, so a reader
 never loads a partial file.  With no ``cc`` on ``PATH``, an unwritable cache
-directory or a failed compile, the Python loop runs and one warning per
-topology says why.  The forward pass stays Python: a ``ctypes`` call costs
-more than a bound forward pass saves.
+directory or a failed compile, the Python loops run and one warning per
+topology says why.
 
-Inference over a series goes through :func:`bind`, which converts a net's
-weight matrices to flat float lists once and returns the generated forward
-pass over plain float lists, with the weights and gain bound by
-``functools.partial``, so a call adds no Python frame of its own.
+Series run in C, single calls run in Python.  :func:`series` runs a net over
+a whole series of days in one call: it scales each raw input against its
+normalizer as :func:`normalize` does, runs the forward pass, denormalizes
+the output and, in a closed loop, feeds it back as the next day's input.
+The one shared object per topology holds its C rendering beside the train
+loop, built from the same forward statements; the Python rendering calls
+the generated forward pass day by day.  A single forward pass stays Python,
+because a ``ctypes`` call costs more than it saves: :func:`bind` converts a
+net's weight matrices to flat float lists once and returns the generated
+forward pass over plain float lists, with the weights and gain bound by
+``functools.partial``, so a call adds no Python frame of its own, and
 :func:`forward` is ``bind`` plus the numpy conversions of one input and one
-output; a caller that runs a net day by day binds it once per series instead
-and pays neither conversion per day.
-The bound function holds a snapshot of the weights and gain taken at bind
-time: changing the net afterwards does not change it.
+output.  The bound function holds a snapshot of the weights and gain taken
+at bind time: changing the net afterwards does not change it.
 
 Both renderings give what the plain loop gives, bit for bit: every dot
 product is added left to right in the same order, never through BLAS or the
@@ -98,14 +105,11 @@ across threads.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
-import hashlib
 import logging
 import math
 import os
 import re
-import shutil
 import sys
 from array import array
 from dataclasses import dataclass
@@ -453,27 +457,39 @@ def _c_lines(steps: list) -> "list[str]":
 
 
 def _c_source(n: int, h: int, o: int) -> str:
-    """C source of ``train_loop`` for an n-h-o network: the visit of
-    :func:`_steps` run over epochs and rows, every weight, activation and
-    delta a local double.  It returns 0, or 1 with the NaN error in ``*bad``.
+    """C source of ``train_loop`` and ``series`` for an n-h-o network.
+
+    ``train_loop`` runs the visit of :func:`_steps` over epochs and rows and
+    returns 0, or 1 with the NaN error in ``*bad``.  ``series`` runs its
+    forward pass over rows of raw inputs, each scaled and clamped against
+    ``lo`` and ``span`` as :func:`normalize` does, the last ``feedback`` of
+    them the previous outputs, newest first.  It writes output 0,
+    denormalized, per row to ``out`` and returns -1, or, at the first
+    non-finite raw input, the index ``row * n + column`` with the value in
+    ``*bad``.  Every weight, activation and delta is a local double.
     """
-    _, visit = _steps(n, h, o)
-    body = _C_TOKENS.sub(lambda m: _C_WORDS.get(m[0]) or float.hex(float(m[0])),
-                         "\n".join("            " + line for line in _c_lines(visit)))
+    forward, visit = _steps(n, h, o)
+
+    def body(steps, indent):
+        return _C_TOKENS.sub(lambda m: _C_WORDS.get(m[0]) or float.hex(float(m[0])),
+                             "\n".join(indent + line for line in _c_lines(steps)))
     wh, wo = _weight_names(n, h, o)
+    unpack = [*(f"    double {name} = wh[{i}];" for i, name in enumerate(wh)),
+              *(f"    double {name} = wo[{i}];" for i, name in enumerate(wo))]
     H, K = range(1, h + 1), range(o)
-    cols = [*(f"x{i}" for i in range(1, n + 1)), *(f"t{k}" for k in K)]
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    cols = [*xs, *(f"t{k}" for k in K)]
     temps = [*cols, *(f"{v}{j}" for v in ("s", "h", "back", "dh") for j in H),
              *(f"{v}{k}" for v in ("o", "r", "d") for k in K),
              "u", "z", "e_p", "d", "ap", "g_new", "sse", "total"]
+    forward_temps = [*xs, *(f"{v}{j}" for v in ("s", "h") for j in H), *(f"o{k}" for k in K)]
     return "\n".join([
         "#include <math.h>",
         "",
         "int train_loop(double *wh, double *wo, double *gain, const double *rows, long n_rows,",
         "               double lr, long epochs, double *losses, double *trace, double *bad)",
         "{",
-        *(f"    double {name} = wh[{i}];" for i, name in enumerate(wh)),
-        *(f"    double {name} = wo[{i}];" for i, name in enumerate(wo)),
+        *unpack,
         "    double g = *gain;",
         f"    double {', '.join(temps)};",
         "    for (long epoch = 0; epoch < epochs; epoch++) {",
@@ -481,7 +497,7 @@ def _c_source(n: int, h: int, o: int) -> str:
         "        total = 0.0;",
         f"        for (long p = 0; p < n_rows; p++, row += {len(cols)}) {{",
         *(f"            {name} = row[{i}];" for i, name in enumerate(cols)),
-        body,
+        body(visit, "            "),
         "        }",
         "        losses[epoch] = total / (double)n_rows;",
         "    }",
@@ -489,6 +505,40 @@ def _c_source(n: int, h: int, o: int) -> str:
         *(f"    wo[{i}] = {name};" for i, name in enumerate(wo)),
         "    *gain = g;",
         "    return 0;",
+        "}",
+        "",
+        "long series(const double *wh, const double *wo, double g, const double *rows,",
+        "            long n_rows, const double *lo, const double *span, double out_lo,",
+        "            double out_span, long feedback, const double *init, double *out,",
+        "            double *bad)",
+        "{",
+        *unpack,
+        f"    double {', '.join(forward_temps)}, u, z, v, scaled[{n}], fed[{n}];",
+        f"    long m = {n} - feedback;",
+        "    for (long j = 0; j < feedback; j++) {",
+        "        fed[j] = init[feedback - 1 - j];",
+        "    }",
+        "    for (long p = 0; p < n_rows; p++, rows += m) {",
+        f"        for (long i = 0; i < {n}; i++) {{",
+        "            v = i < m ? rows[i] : fed[i - m];",
+        "            if (!isfinite(v)) {",
+        "                *bad = v;",
+        f"                return p * {n} + i;",
+        "            }",
+        "            v = (v - lo[i]) / span[i];",
+        "            scaled[i] = v < 0.0 ? 0.0 : v > 1.0 ? 1.0 : v;",
+        "        }",
+        *(f"        {name} = scaled[{i}];" for i, name in enumerate(xs)),
+        body(forward, "        "),
+        "        out[p] = out_lo + o0 * out_span;",
+        "        for (long j = feedback - 1; j > 0; j--) {",
+        "            fed[j] = fed[j - 1];",
+        "        }",
+        "        if (feedback > 0) {",
+        "            fed[0] = out[p];",
+        "        }",
+        "    }",
+        "    return -1;",
         "}",
     ]) + "\n"
 
@@ -501,17 +551,40 @@ def _exec_python(t: MlpTopology, source: str) -> dict:
     return namespace
 
 
+def _py_series(forward, wh, wo, g, rows, norms, out_norm, feedback, init):
+    """The Python series loop over the generated ``forward``: arguments and
+    results are those of the C ``series`` through :func:`_run_c_series`."""
+    scale = [(nz.lo, nz.hi - nz.lo, nz) for nz in norms]
+    out_lo, out_span = out_norm.lo, out_norm.hi - out_norm.lo
+    fed = init[::-1]  # newest first
+    out = []
+    for row in rows:
+        x = []
+        for v, (lo, span, nz) in zip((*row, *fed), scale, strict=True):
+            # scaled inline as normalize scales it; a value that does not land
+            # in [0, 1] goes through normalize, to be clamped or rejected there
+            u = (v - lo) / span
+            x.append(u if 0.0 <= u <= 1.0 else normalize(v, nz))
+        y = out_lo + forward(wh, wo, g, x)[0] * out_span
+        out.append(y)
+        if feedback:
+            fed = [y, *fed[:-1]]
+    return out
+
+
 def _python_kernel(t: MlpTopology):
-    """Compiled Python ``(train_loop, forward)`` for one topology.
+    """Compiled Python ``(train_loop, forward, series)`` for one topology.
 
     ``train_loop(wh, wo, g, rows, lr, epochs, trace)`` takes the flattened
     weight matrices, the starting gain and one ``(*input, *target)`` tuple per
     pattern; it returns the trained weights as lists of rows, the last applied
     gain and the per-epoch mean squared errors.  ``forward(wh, wo, g, x)``
-    returns the output list.
+    returns the output list.  ``series(wh, wo, g, rows, norms, out_norm,
+    feedback, init)`` is :func:`series` on the flattened weights.
     """
     namespace = _exec_python(t, _kernel_source(t.n_inputs, t.n_hidden, t.n_outputs))
-    return namespace["train_loop"], namespace["forward"]
+    forward = namespace["forward"]
+    return namespace["train_loop"], forward, functools.partial(_py_series, forward)
 
 
 # See the module docstring for why each flag keeps the bits.
@@ -520,6 +593,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 def _cache_key(source: str, flags: "tuple[str, ...]", compiler: str) -> str:
     """SHA-256 naming what ``compiler`` (a resolved path) builds from ``source``."""
+    import hashlib
     st = os.stat(compiler)
     return hashlib.sha256(repr((source, flags, compiler, st.st_mtime_ns, st.st_size,
                                 sys.platform)).encode()).hexdigest()
@@ -531,6 +605,7 @@ def _shared_object(source: str) -> str:
     Raises ``OSError`` when there is no ``cc`` on ``PATH``, the cache
     directory cannot be written or the compiler fails.
     """
+    import shutil
     found = shutil.which("cc")
     if found is None:
         raise FileNotFoundError("no C compiler 'cc' on PATH")
@@ -556,17 +631,24 @@ def _shared_object(source: str) -> str:
     return str(path)
 
 
-def _c_train_loop(t: MlpTopology):
-    """The C rendering's train loop, called like the Python one.
+def _c_kernel(t: MlpTopology):
+    """The C rendering's ``(train_loop, series)``, called like the Python ones,
+    both from the one shared object built for ``t``.
 
-    Raises ``OSError`` when it cannot be built or loaded.
+    Raises ``OSError`` when it cannot be built or loaded, ``ImportError``
+    when there is no ``ctypes``.  That is imported here, not with the
+    module, so a process that never runs a net never needs it.
     """
-    source = _c_source(t.n_inputs, t.n_hidden, t.n_outputs)
-    fn = ctypes.CDLL(_shared_object(source)).train_loop
-    fn.argtypes = [*[ctypes.c_void_p] * 4, ctypes.c_long, ctypes.c_double, ctypes.c_long,
-                   *[ctypes.c_void_p] * 3]
-    fn.restype = ctypes.c_int
-    return functools.partial(_run_c_train_loop, fn, t)
+    import ctypes
+    lib = ctypes.CDLL(_shared_object(_c_source(t.n_inputs, t.n_hidden, t.n_outputs)))
+    ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.train_loop.argtypes = [ptr, ptr, ptr, ptr, long, double, long, ptr, ptr, ptr]
+    lib.train_loop.restype = ctypes.c_int
+    lib.series.argtypes = [ptr, ptr, double, ptr, long, ptr, ptr, double, double, long,
+                           ptr, ptr, ptr]
+    lib.series.restype = long
+    return (functools.partial(_run_c_train_loop, lib.train_loop, t),
+            functools.partial(_run_c_series, lib.series, t))
 
 
 def _run_c_train_loop(fn, t: MlpTopology, wh, wo, g, rows, lr, epochs, trace):
@@ -595,24 +677,48 @@ def _run_c_train_loop(fn, t: MlpTopology, wh, wo, g, rows, lr, epochs, trace):
             gain[0], losses.tolist())
 
 
+def _run_c_series(fn, t: MlpTopology, wh, wo, g, rows, norms, out_norm, feedback, init):
+    """Call the compiled ``fn`` on ``array('d')`` buffers; arguments and
+    results are those of the Python series loop."""
+    n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
+    wh, wo = array("d", wh), array("d", wo)
+    flat = array("d", chain.from_iterable(rows))
+    n_rows, rest = divmod(len(flat), n - feedback)
+    # the C loop reads exactly these lengths
+    if (len(wh), len(wo), rest) != (h * (n + 1), o * (h + 1), 0):
+        raise ValueError(f"weights or rows do not fit topology {n}-{h}-{o}")
+    if not n_rows:  # no buffer to hand over
+        return []
+    lo = array("d", [nz.lo for nz in norms])
+    span = array("d", [nz.hi - nz.lo for nz in norms])
+    init, out, bad = array("d", init), array("d", bytes(8 * n_rows)), array("d", [0.0])
+    at = fn(wh.buffer_info()[0], wo.buffer_info()[0], g, flat.buffer_info()[0], n_rows,
+            lo.buffer_info()[0], span.buffer_info()[0], out_norm.lo, out_norm.hi - out_norm.lo,
+            feedback, init.buffer_info()[0], out.buffer_info()[0], bad.buffer_info()[0])
+    if at >= 0:  # the loop stopped on a non-finite input, which normalize rejects
+        normalize(bad[0], norms[at % n])
+    return out.tolist()
+
+
 @functools.cache
 def _kernel(t: MlpTopology):
-    """``(train_loop, forward)`` for one topology, built once per process.
+    """``(train_loop, forward, series)`` for one topology, built once per process.
 
-    The train loop is the C rendering's when it builds, else the Python
-    rendering's, logged once; both give the same bits.  ``forward`` is
-    always the Python rendering's: a ``ctypes`` call costs more than a
-    forward pass saves.
+    The train and series loops are the C rendering's when it builds, else
+    the Python rendering's, logged once; both give the same bits.
+    ``forward`` is always the Python rendering's: a ``ctypes`` call costs
+    more than one forward pass saves.
     """
     try:
-        train_loop = _c_train_loop(t)
-    except OSError as exc:
-        logger.warning("ann %d-%d-%d: training runs the Python loop, the C loop did not "
-                       "build: %s", t.n_inputs, t.n_hidden, t.n_outputs, exc)
+        train_loop, series_loop = _c_kernel(t)
+    except (OSError, ImportError) as exc:
+        logger.warning("ann %d-%d-%d: training runs the Python loop, as does series "
+                       "inference, the C loops did not build: %s",
+                       t.n_inputs, t.n_hidden, t.n_outputs, exc)
         return _python_kernel(t)
     # the Python train loop is not compiled: it is most of the compile time
     forward_source = _py_sources(t.n_inputs, t.n_hidden, t.n_outputs)[1]
-    return train_loop, _exec_python(t, forward_source)["forward"]
+    return train_loop, _exec_python(t, forward_source)["forward"], series_loop
 
 
 def _row(p: Pattern) -> "tuple[float, ...]":
@@ -648,6 +754,29 @@ def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
             f"input length {x.size} does not match n_inputs {net.topology.n_inputs}"
         )
     return np.array(bind(net)(x.tolist()))
+
+
+def series(net: Mlp, rows, norms: "list[Normalizer]", out_norm: Normalizer,
+           feedback: int = 0, init: "list[float]" = ()) -> "list[float]":
+    """Output 0 of ``net`` for each day of a series, in one call.
+
+    Each of ``rows`` holds one day's raw values of the inputs that are not
+    fed back.  Input i is scaled against ``norms[i]`` as :func:`normalize`
+    scales it, which rejects a non-finite value (the first in day order,
+    then input order) with its error; the output is denormalized against
+    ``out_norm``.  With ``feedback = k`` the last k inputs are the previous
+    k outputs, newest first, seeded by ``init``, oldest first.  Bit for bit
+    the same as :func:`forward` day by day, whichever rendering runs.
+    """
+    t = net.topology
+    if len(norms) != t.n_inputs:
+        raise DimensionError(f"{t.n_inputs} inputs need as many normalizers, "
+                             f"got {len(norms)}")
+    if not 0 <= feedback < t.n_inputs or len(init) != feedback:
+        raise DimensionError(f"cannot feed back {feedback} of {t.n_inputs} inputs "
+                             f"seeded by {len(init)} value(s)")
+    return _kernel(t)[2](net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(),
+                         net.gain, rows, norms, out_norm, feedback, list(init))
 
 
 def pattern_error(target, output) -> float:

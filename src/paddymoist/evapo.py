@@ -17,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from datetime import date as Date
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import ann
@@ -32,6 +33,7 @@ DEFAULT_LATITUDE_RAD = -0.11955
 
 _GSC = 0.0820  # solar constant, MJ m-2 min-1 (FAO-56 eq. 21)
 _INF = math.inf
+_TEMPS = itemgetter(slice(2, 5))  # a DailyWeather's (tmax, tavg, tmin)
 
 
 @dataclass(frozen=True)
@@ -195,20 +197,15 @@ def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainCo
     return Et0Model(net, temp_norm, et0_norm), losses
 
 
-def _predict(fwd, model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
-    """Surrogate ET0 for one day through ``fwd``, the model's bound net."""
+def predict_et0(model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
+    """Surrogate ET0 in mm/day; always inside the model's ET0 bounds."""
     if tmax < tmin:
         raise ValueError(f"tmax ({tmax}) must be >= tmin ({tmin})")
-    (u,) = fwd(_input_vector(tmax, tavg, tmin, model.temp_norm))
+    (u,) = ann.bind(model.net)(_input_vector(tmax, tavg, tmin, model.temp_norm))
     return ann.denormalize(u, model.et0_norm)
 
 
-def predict_et0(model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
-    """Surrogate ET0 in mm/day; always inside the model's ET0 bounds."""
-    return _predict(ann.bind(model.net), model, tmax, tavg, tmin)
-
-
 def predict_et0_series(model: Et0Model, days: "list[DailyWeather]") -> list[float]:
-    """:func:`predict_et0` for each day, binding the net once for the series."""
-    fwd = ann.bind(model.net)
-    return [_predict(fwd, model, d.tmax, d.tavg, d.tmin) for d in days]
+    """:func:`predict_et0` for each day, in one :func:`ann.series` call."""
+    tn = model.temp_norm
+    return ann.series(model.net, map(_TEMPS, days), [tn, tn, tn], model.et0_norm)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import add, attrgetter
 from typing import NamedTuple
 
 from . import ann
@@ -33,6 +34,7 @@ DEFAULT_KC_NORM = Normalizer(0.0, 1.5)       # dimensionless
 DEFAULT_THETA_NORM = Normalizer(0.0, 1.0)    # m3/m3, full physical range
 
 _INF = math.inf
+_FORCING = attrgetter("et0", "precip", "kc")  # by name, so a ledger row serves too
 
 
 class SimMode(enum.Enum):
@@ -105,26 +107,10 @@ class MoistureModel:
 
 
 def _input_vector(f: ForcingDay, lags: "list[float]", norms: MoistureNormalizers) -> list[float]:
-    """One day's normalized inputs: et0, precip, kc, then ``lags`` newest first.
-
-    Scaled inline as :func:`ann.normalize` scales them; only a day with a
-    value that does not land in [0, 1] goes through it, to be clamped or
-    rejected there.
-    """
-    n_et0, n_precip, n_kc, n_theta = norms.et0, norms.precip, norms.kc, norms.theta
-    lo = n_theta.lo
-    span = n_theta.hi - lo
-    x = [(f.et0 - n_et0.lo) / (n_et0.hi - n_et0.lo),
-         (f.precip - n_precip.lo) / (n_precip.hi - n_precip.lo),
-         (f.kc - n_kc.lo) / (n_kc.hi - n_kc.lo)]
-    for v in lags:
-        x.append((v - lo) / span)
-    for u in x:
-        if not 0.0 <= u <= 1.0:
-            normalize = ann.normalize
-            return [normalize(f.et0, n_et0), normalize(f.precip, n_precip),
-                    normalize(f.kc, n_kc), *(normalize(v, n_theta) for v in lags)]
-    return x
+    """One day's normalized inputs: et0, precip, kc, then ``lags`` newest first."""
+    normalize = ann.normalize
+    return [normalize(f.et0, norms.et0), normalize(f.precip, norms.precip),
+            normalize(f.kc, norms.kc), *(normalize(v, norms.theta) for v in lags)]
 
 
 def build_patterns(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: int = 1,
@@ -181,22 +167,19 @@ def simulate_moisture(m: MoistureModel, forcing: "list[ForcingDay]",
         raise DimensionError(
             f"theta_init must hold {m.lag} value(s), got {len(theta_init)}"
         )
+    norms, lag, n = m.norms, m.lag, len(forcing)
+    rows, feedback, init = map(_FORCING, forcing), lag, theta_init
     if mode is SimMode.TEACHER_FORCED:
         if theta_obs is None:
             raise ValueError("TEACHER_FORCED simulation requires theta_obs")
-        if len(theta_obs) != len(forcing):
+        if len(theta_obs) != n:
             raise DimensionError(
-                f"theta_obs has {len(theta_obs)} days but forcing has {len(forcing)}"
+                f"theta_obs has {len(theta_obs)} days but forcing has {n}"
             )
-    fwd = ann.bind(m.net)
-    norms, n_theta = m.norms, m.norms.theta
-    teacher = mode is SimMode.TEACHER_FORCED
-    # theta_{t-1} .. theta_{t-lag}, newest first, as build_patterns orders them
-    lags = list(reversed(theta_init))
-    estimates: list[float] = []
-    for t, f in enumerate(forcing):
-        (u,) = fwd(_input_vector(f, lags, norms))
-        estimate = ann.denormalize(u, n_theta)
-        estimates.append(estimate)
-        lags = [theta_obs[t] if teacher else estimate] + lags[:-1]
-    return estimates
+        # day t's lags theta_{t-1} .. theta_{t-lag}, newest first, as build_patterns
+        # orders them: seq[i] is theta_{i - lag}
+        seq = [*theta_init, *theta_obs]
+        rows = map(add, rows, zip(*(seq[lag - k:lag - k + n] for k in range(1, lag + 1))))
+        feedback, init = 0, ()
+    return ann.series(m.net, rows, [norms.et0, norms.precip, norms.kc, *[norms.theta] * lag],
+                      norms.theta, feedback, init)

@@ -1,7 +1,7 @@
 """Shared fixtures: the default experiment is expensive (two 1000-epoch
 trainings), so it runs once per session and is reused wherever the
 cross-period results are asserted; ``rendering`` runs a test once per
-rendering of the training kernel."""
+rendering of the generated kernel."""
 
 import functools
 import shutil
@@ -29,16 +29,23 @@ def default_report():
     return run_experiment(default_config())
 
 
+def rendering_kernel(name):
+    """A stand-in for ``ann._kernel`` whose train and series loops are the
+    named rendering's; ``forward`` is always the Python rendering's."""
+    if name == "python":
+        return ann._python_kernel
+
+    def kernel(t):
+        train_loop, series = ann._c_kernel(t)
+        return train_loop, ann._python_kernel(t)[1], series
+    return kernel
+
+
 @pytest.fixture(params=["python", "c"])
 def rendering(request, monkeypatch):
-    """``train`` and ``backprop_step`` run the named rendering's train loop."""
-    if request.param == "python":
-        kernel = ann._python_kernel
-    else:
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler 'cc' on PATH")
-
-        def kernel(t):
-            return ann._c_train_loop(t), ann._python_kernel(t)[1]
-    monkeypatch.setattr(ann, "_kernel", functools.cache(kernel))
+    """``train``, ``backprop_step`` and ``series`` (so ``predict_et0_series``
+    and ``simulate_moisture``) run the named rendering's loops."""
+    if request.param == "c" and shutil.which("cc") is None:
+        pytest.skip("no C compiler 'cc' on PATH")
+    monkeypatch.setattr(ann, "_kernel", functools.cache(rendering_kernel(request.param)))
     return request.param

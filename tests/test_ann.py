@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 from math import exp
 from operator import mul
 
@@ -751,6 +752,45 @@ class TestBind:
                 fwd(x)
 
 
+@pytest.mark.usefixtures("rendering")
+class TestSeries:
+    """``series`` against ``forward`` day by day, compared with ==."""
+
+    @pytest.mark.parametrize("shape, feedback", [((4, 8, 3), 0), ((4, 8, 3), 2), ((1, 2, 1), 0)])
+    def test_output_zero_day_by_day(self, shape, feedback):
+        topo = MlpTopology(*shape)
+        rng = np.random.default_rng(500 + sum(shape) + feedback)
+        net = Mlp.random(topo, rng, 4.0)
+        net.gain = 0.8
+        norms = [Normalizer(-1.0, 2.0 + i) for i in range(topo.n_inputs)]
+        out_norm = Normalizer(0.5, 3.0)
+        rows = [tuple(rng.uniform(-3.0, 6.0, topo.n_inputs - feedback)) for _ in range(20)]
+        init = rng.uniform(0.0, 4.0, feedback).tolist()
+        ref, fed = [], init[::-1]
+        for row in rows:
+            x = [normalize(v, nz) for v, nz in zip([*row, *fed], norms)]
+            ref.append(denormalize(forward(net, x)[0], out_norm))
+            fed = [ref[-1], *fed][:feedback]
+        assert ann.series(net, rows, norms, out_norm, feedback, init) == ref
+        assert ann.series(net, [], norms, out_norm, feedback, init) == []
+
+    def test_arguments_must_fit_the_net(self):
+        net, nz = Mlp.zeros(MlpTopology(3, 2, 1)), Normalizer(0.0, 1.0)
+        with pytest.raises(DimensionError, match="^3 inputs need as many normalizers, got 2$"):
+            ann.series(net, [(0.5, 0.5, 0.5)], [nz, nz], nz)
+        for feedback, init in ((3, [0.1] * 3), (-1, []), (1, []), (1, [0.1, 0.2])):
+            with pytest.raises(DimensionError, match="^cannot feed back"):
+                ann.series(net, [(0.5, 0.5)], [nz] * 3, nz, feedback, init)
+
+    def test_first_non_finite_input_is_named(self):
+        net, nz = Mlp.zeros(MlpTopology(3, 2, 1)), Normalizer(0.0, 1.0)
+        rows = [(0.1, 0.2), (0.3, math.inf), (math.nan, 0.4)]
+        with pytest.raises(ValueError, match="^cannot normalize the non-finite value inf$"):
+            ann.series(net, rows, [nz] * 3, nz, 1, [0.5])
+        with pytest.raises(ValueError, match="^cannot normalize the non-finite value -inf$"):
+            ann.series(net, rows[:1], [nz] * 3, nz, 1, [-math.inf])
+
+
 # gained inputs on both sides of the -709 clamp, past exp's overflow, and at
 # the ends of the float range
 _EXTREME_Z = [709.5, -709.5, 800.0, -800.0, 1e308, -1e308]
@@ -814,9 +854,11 @@ def cache_dir(tmp_path, monkeypatch):
     ann._kernel.cache_clear()
 
 
-def _is_c(train_loop) -> bool:
-    return (isinstance(train_loop, functools.partial)
-            and train_loop.func is ann._run_c_train_loop)
+def _is_c(kernel) -> bool:
+    """Whether a ``_kernel`` triple runs the C train and series loops."""
+    train_loop, _, series = kernel
+    return (isinstance(train_loop, functools.partial) and isinstance(series, functools.partial)
+            and (train_loop.func, series.func) == (ann._run_c_train_loop, ann._run_c_series))
 
 
 class TestCBuild:
@@ -834,19 +876,32 @@ class TestCBuild:
         return ((trained.w_hidden.tolist(), trained.w_output.tolist(), trained.gain, losses,
                  trace) == (wh, wo, gain, ref_losses, ref_trace))
 
+    def _series_like_forward(self) -> bool:
+        rng = np.random.default_rng(22)
+        net = Mlp.random(self.TOPO, rng, 3.0)
+        nz = Normalizer(0.0, 2.0)
+        rows = [tuple(rng.uniform(-1.0, 3.0, 2)) for _ in range(10)]
+        return ann.series(net, rows, [nz, nz], nz) == [
+            denormalize(forward(net, [normalize(v, nz) for v in row])[0], nz) for row in rows]
+
     @needs_cc
     def test_cache_hit_starts_no_compiler(self, cache_dir, monkeypatch, caplog):
-        assert _is_c(ann._kernel(self.TOPO)[0])
+        assert _is_c(ann._kernel(self.TOPO))
         built = [p.name for p in cache_dir.iterdir()]
-        assert len(built) == 1 and built[0].endswith(".so")
+        # one object per topology, holding both loops
+        assert len(built) == 1 and built[0].startswith("ann-") and built[0].endswith(".so")
+        import ctypes
+        lib = ctypes.CDLL(str(cache_dir / built[0]))
+        assert hasattr(lib, "train_loop") and hasattr(lib, "series")
         ann._kernel.cache_clear()
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("the compiler ran on a cache hit")
         monkeypatch.setattr(subprocess, "run", no_compiler)
         with caplog.at_level(logging.WARNING, logger="paddymoist.ann"):
-            assert _is_c(ann._kernel(self.TOPO)[0])
+            assert _is_c(ann._kernel(self.TOPO))
             assert self._trains_like_list_kernel()
+            assert self._series_like_forward()
         assert caplog.records == []
         assert [p.name for p in cache_dir.iterdir()] == built
 
@@ -881,8 +936,10 @@ class TestCBuild:
         else:
             monkeypatch.setattr(ann, "_c_source", lambda n, h, o: "this is not C\n")
         with caplog.at_level(logging.WARNING, logger="paddymoist.ann"):
-            assert not _is_c(ann._kernel(self.TOPO)[0])
+            kernel = ann._kernel(self.TOPO)
+            assert not _is_c(kernel) and kernel[2].func is ann._py_series
             assert self._trains_like_list_kernel()
+            assert self._series_like_forward()
         assert len(caplog.records) == 1
         assert "training runs the Python loop" in caplog.records[0].getMessage()
         # neither a partial object nor a temporary file is left behind
@@ -895,14 +952,37 @@ class TestCBuild:
         cache_dir.mkdir(parents=True)
         leftover = cache_dir / f"{name}.x1y2z3.tmp"  # a build cut off before its rename
         leftover.write_bytes(b"\x7fELF cut off")
-        assert _is_c(ann._kernel(self.TOPO)[0])
+        assert _is_c(ann._kernel(self.TOPO))
         assert self._trains_like_list_kernel()
         assert sorted(p.name for p in cache_dir.iterdir()) == sorted([name, leftover.name])
 
     @needs_cc
     def test_buffers_must_fit_the_topology(self, cache_dir):
-        train_loop = ann._c_train_loop(self.TOPO)
+        train_loop = ann._c_kernel(self.TOPO)[0]
         wh, wo, row = [0.0] * 9, [0.0] * 4, (0.1, 0.2, 0.3)
         for args in ((wh[:-1], wo, [row]), (wh, wo + [0.0], [row]), (wh, wo, [row[:-1]])):
             with pytest.raises(ValueError, match=r"do not fit topology 2-3-1$"):
                 train_loop(*args[:2], 1.0, args[2], 0.2, 1, None)
+        series, nz = ann._c_kernel(self.TOPO)[1], Normalizer(0.0, 1.0)
+        for args in ((wh[:-1], wo, [(0.1, 0.2)]), (wh, wo + [0.0], [(0.1, 0.2)]),
+                     (wh, wo, [(0.1, 0.2), (0.3,)])):
+            with pytest.raises(ValueError, match=r"do not fit topology 2-3-1$"):
+                series(*args[:2], 1.0, args[2], [nz, nz], nz, 0, [])
+
+
+def test_import_needs_no_ctypes(tmp_path):
+    # ctypes loads with the first C build, not with the package: with it
+    # blocked, numpy still imports, and so does paddymoist, whose training
+    # then falls back to the Python loop
+    code = ("import sys; sys.modules['ctypes'] = None\n"
+            "from paddymoist import ann\n"
+            "net, _ = ann.train(ann.Mlp.zeros(ann.MlpTopology(1, 1, 1)),\n"
+            "                   [ann.Pattern([0.5], [0.25])], ann.TrainConfig(seed=0, epochs=2))\n"
+            "assert sys.modules['ctypes'] is None\n"
+            "assert ann._kernel(net.topology)[0].__name__ == 'train_loop'\n")
+    src = os.path.dirname(os.path.dirname(ann.__file__))
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "training runs the Python loop" in done.stderr

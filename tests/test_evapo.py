@@ -226,7 +226,7 @@ class TestEt0Surrogate:
         with pytest.raises(ValueError):
             train_et0_model([], SiteLocation(), TrainConfig(seed=1))
 
-    def test_series_equals_per_day_and_numpy_forward(self):
+    def test_series_equals_per_day_and_numpy_forward(self, rendering):
         rng = np.random.default_rng(17)
         net = Mlp.random(MlpTopology(3, 8, 1), rng, 3.0)
         net.gain = 0.7

@@ -87,6 +87,7 @@ class TestTrainMoistureModel:
         assert model.net.topology.n_inputs == 5
 
 
+@pytest.mark.usefixtures("rendering")
 class TestSimulateMoisture:
 
     def _random_model(self, rng, lag=1, spread=4.0):
@@ -116,15 +117,67 @@ class TestSimulateMoisture:
     def test_teacher_forced_length_mismatch(self):
         rng = np.random.default_rng(42)
         model = self._random_model(rng)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="^theta_obs has 9 days but forcing has 10$"):
             simulate_moisture(model, _forcing(rng, 10), [0.4], SimMode.TEACHER_FORCED,
                               theta_obs=[0.3] * 9)
 
     def test_theta_init_length_checked(self):
         rng = np.random.default_rng(42)
         model = self._random_model(rng, lag=2)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^theta_init must hold 2 value\(s\), got 1$"):
             simulate_moisture(model, _forcing(rng, 10), [0.4], SimMode.CLOSED_LOOP)
+        with pytest.raises(DimensionError, match=r"^theta_init must hold 2 value\(s\), got 3$"):
+            simulate_moisture(model, [], [0.4] * 3, SimMode.TEACHER_FORCED, theta_obs=[])
+
+    # (mode, theta_init, {day: observed value}) and the value named in the
+    # error: the first non-finite input in day order, then input order, with
+    # the lags newest first
+    @pytest.mark.parametrize("mode, init, obs, named", [
+        (SimMode.CLOSED_LOOP, [math.inf, math.nan], {}, "nan"),
+        (SimMode.CLOSED_LOOP, [0.3, -math.inf], {}, "-inf"),
+        (SimMode.TEACHER_FORCED, [math.nan, 0.3], {}, "nan"),
+        (SimMode.TEACHER_FORCED, [0.3, 0.4], {4: math.inf, 6: math.nan}, "inf"),
+        (SimMode.TEACHER_FORCED, [0.3, 0.4], {6: -math.inf, 5: math.nan}, "nan"),
+    ])
+    def test_non_finite_theta_is_rejected_by_normalize(self, mode, init, obs, named):
+        rng = np.random.default_rng(8)
+        model = self._random_model(rng, lag=2)
+        theta = _theta(rng, 12)
+        for t, v in obs.items():
+            theta[t] = v
+        with pytest.raises(ValueError, match=f"^cannot normalize the non-finite value {named}$"):
+            simulate_moisture(model, _forcing(rng, 12), init, mode, theta_obs=theta)
+
+    def test_last_observation_is_never_an_input(self):
+        rng = np.random.default_rng(9)
+        model = self._random_model(rng, lag=2)
+        forcing, theta = _forcing(rng, 12), _theta(rng, 12)
+        est = simulate_moisture(model, forcing, [0.3, 0.4], SimMode.TEACHER_FORCED, theta)
+        theta[-1] = math.nan
+        assert simulate_moisture(model, forcing, [0.3, 0.4], SimMode.TEACHER_FORCED,
+                                 theta) == est
+
+    def test_empty_series(self):
+        model = self._random_model(np.random.default_rng(10), lag=2)
+        # no day runs, so not even a non-finite seed is read
+        assert simulate_moisture(model, [], [math.nan, 0.3], SimMode.CLOSED_LOOP) == []
+        assert simulate_moisture(model, [], [0.3, math.inf], SimMode.TEACHER_FORCED,
+                                 theta_obs=[]) == []
+
+    def test_ledger_rows_serve_as_forcing(self):
+        rng = np.random.default_rng(12)
+        model = self._random_model(rng)
+        forcing = _forcing(rng, 6)
+        ledger = [LedgerDay(f.precip, 1.0, f.et0, f.kc, WaterFluxes(0.0, 0.0, 0.0))
+                  for f in forcing]
+        for mode in SimMode:
+            theta = _theta(rng, 6)
+            assert (simulate_moisture(model, ledger, [0.3], mode, theta)
+                    == simulate_moisture(model, forcing, [0.3], mode, theta))
+        # a ledger row is not checked when it is built: its values are, here
+        ledger[3] = ledger[3]._replace(precip=math.inf)
+        with pytest.raises(ValueError, match="^cannot normalize the non-finite value inf$"):
+            simulate_moisture(model, ledger, [0.3], SimMode.CLOSED_LOOP)
 
     def test_teacher_forced_reproduces_training_predictions(self):
         # simulating with the observed series must give, day by day, the
@@ -248,7 +301,7 @@ class TestForcingDay:
 
 
 class TestInputVector:
-    """The inline scaling gives what ann.normalize gives, the sign of zero too."""
+    """Each input through ann.normalize against its own bounds, the sign of zero too."""
 
     NORMS = MoistureNormalizers(precip=Normalizer(-0.0, 100.0), theta=Normalizer(0.1, 0.6))
 

@@ -1,19 +1,27 @@
 """Property tests over random inputs: the bucket's ledger, closed-loop bounds,
-the config document's round trip, the half-hourly file's round trip and the
-model artifact's round trip."""
+series inference on each rendering, the config document's round trip, the
+half-hourly file's round trip and the model artifact's round trip."""
 
+import functools
 import math
+import shutil
 import string
 import tempfile
+from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
-from paddymoist.ann import Mlp, MlpTopology, Normalizer  # noqa: E402
+from conftest import rendering_kernel  # noqa: E402
+from paddymoist import ann  # noqa: E402
+from paddymoist.ann import (Mlp, MlpTopology, Normalizer, bind, denormalize,  # noqa: E402
+                            normalize)
+from paddymoist.evapo import DailyWeather, Et0Model, predict_et0_series  # noqa: E402
 from paddymoist.experiment import format_config, parse_config  # noqa: E402
 from paddymoist.hydro import FieldParams, water_balance_step  # noqa: E402
 from paddymoist.ingest import (HalfHourRecord, read_half_hourly_csv,  # noqa: E402
@@ -65,11 +73,13 @@ def normalizers(draw):
 
 class TestClosedLoopProperties:
 
-    @settings(max_examples=150, deadline=None)
+    # ``rendering`` is set once per test and holds for every example
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**32 - 1), half_width=_floats(0.01, 200.0),
            lag=st.integers(1, 3), theta_norm=normalizers(), data=st.data())
     def test_estimates_stay_inside_theta_normalizer(self, seed, half_width, lag,
-                                                    theta_norm, data):
+                                                    theta_norm, data, rendering):
         rng = np.random.default_rng(seed)
         net = Mlp.random(MlpTopology(3 + lag, 8, 1), rng, half_width)
         model = MoistureModel(net, lag, MoistureNormalizers(theta=theta_norm))
@@ -82,6 +92,120 @@ class TestClosedLoopProperties:
         est = simulate_moisture(model, forcing, theta_init, SimMode.CLOSED_LOOP)
         assert len(est) == len(forcing)
         assert all(theta_norm.lo <= v <= theta_norm.hi for v in est)
+
+
+# The per-day loops that predict_et0_series and simulate_moisture ran before
+# each became one series call, kept as they were, with the inline input
+# scaling they used: both renderings of the series loop must give their
+# results bit for bit.
+
+def _per_day_et0(model, days):
+    fwd = bind(model.net)
+    tn = model.temp_norm
+    out = []
+    for d in days:
+        lo = tn.lo
+        span = tn.hi - lo
+        a, b, c = (d.tmax - lo) / span, (d.tavg - lo) / span, (d.tmin - lo) / span
+        if 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0:
+            x = [a, b, c]
+        else:
+            x = [normalize(d.tmax, tn), normalize(d.tavg, tn), normalize(d.tmin, tn)]
+        (u,) = fwd(x)
+        out.append(denormalize(u, model.et0_norm))
+    return out
+
+
+def _input_vector(f, lags, norms):
+    n_et0, n_precip, n_kc, n_theta = norms.et0, norms.precip, norms.kc, norms.theta
+    lo = n_theta.lo
+    span = n_theta.hi - lo
+    x = [(f.et0 - n_et0.lo) / (n_et0.hi - n_et0.lo),
+         (f.precip - n_precip.lo) / (n_precip.hi - n_precip.lo),
+         (f.kc - n_kc.lo) / (n_kc.hi - n_kc.lo)]
+    for v in lags:
+        x.append((v - lo) / span)
+    for u in x:
+        if not 0.0 <= u <= 1.0:
+            return [normalize(f.et0, n_et0), normalize(f.precip, n_precip),
+                    normalize(f.kc, n_kc), *(normalize(v, n_theta) for v in lags)]
+    return x
+
+
+def _per_day_moisture(m, forcing, theta_init, mode, theta_obs):
+    fwd = bind(m.net)
+    norms, n_theta = m.norms, m.norms.theta
+    teacher = mode is SimMode.TEACHER_FORCED
+    # theta_{t-1} .. theta_{t-lag}, newest first, as build_patterns orders them
+    lags = list(reversed(theta_init))
+    estimates = []
+    for t, f in enumerate(forcing):
+        (u,) = fwd(_input_vector(f, lags, norms))
+        estimate = denormalize(u, n_theta)
+        estimates.append(estimate)
+        lags = [theta_obs[t] if teacher else estimate] + lags[:-1]
+    return estimates
+
+
+# each rendering's kernel, built once per topology for every example
+_KERNELS = [functools.cache(rendering_kernel(name))
+            for name in ("python", "c") if name == "python" or shutil.which("cc")]
+
+
+def _on_each_rendering(fn):
+    """``repr`` of each value ``fn()`` gives with each rendering's series loop."""
+    results = []
+    for kernel in _KERNELS:
+        with mock.patch.object(ann, "_kernel", kernel):
+            results.append([repr(v) for v in fn()])
+    return results
+
+
+def _signed(lo, hi):
+    """Floats in [lo, hi], zeros of either sign among them."""
+    return st.one_of(st.sampled_from([-0.0, 0.0]), _floats(lo, hi))
+
+
+@st.composite
+def nets(draw, n_inputs):
+    topo = MlpTopology(n_inputs, 8, 1)
+    weight = _signed(-20.0, 20.0)
+    return Mlp(topo, np.array(draw(st.lists(weight, min_size=8 * (n_inputs + 1),
+                                            max_size=8 * (n_inputs + 1)))).reshape(8, -1),
+               np.array([draw(st.lists(weight, min_size=9, max_size=9))]),
+               gain=draw(_floats(0.0, 1.0, exclude_min=True)))
+
+
+class TestSeriesRenderings:
+    """C series == Python series == the per-day loop, compared by ``repr``,
+    on inputs inside and outside their normalizers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(net=nets(3), data=st.data())
+    def test_et0_series(self, net, data):
+        temps = data.draw(st.lists(st.lists(_signed(-20.0, 70.0), min_size=3, max_size=3),
+                                   max_size=30), label="temps")
+        days = [DailyWeather(i, date(2010, 1, 1) + timedelta(days=i), *sorted(t, reverse=True),
+                             0.0) for i, t in enumerate(temps)]
+        model = Et0Model(net)
+        results = _on_each_rendering(lambda: predict_et0_series(model, days))
+        assert results == [[repr(v) for v in _per_day_et0(model, days)]] * len(_KERNELS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lag=st.integers(1, 3), mode=st.sampled_from(SimMode), data=st.data())
+    def test_moisture_series(self, lag, mode, data):
+        model = MoistureModel(data.draw(nets(3 + lag), label="net"), lag)
+        forcing = data.draw(st.lists(
+            st.builds(ForcingDay, et0=_signed(0.0, 20.0), precip=_signed(0.0, 300.0),
+                      kc=_floats(0.01, 2.0)), max_size=30), label="forcing")
+        theta = _signed(-0.5, 1.5)
+        theta_init = data.draw(st.lists(theta, min_size=lag, max_size=lag), label="theta_init")
+        theta_obs = data.draw(st.lists(theta, min_size=len(forcing), max_size=len(forcing)),
+                              label="theta_obs")
+        results = _on_each_rendering(
+            lambda: simulate_moisture(model, forcing, theta_init, mode, theta_obs))
+        ref = _per_day_moisture(model, forcing, theta_init, mode, theta_obs)
+        assert results == [[repr(v) for v in ref]] * len(_KERNELS)
 
 
 def _real(lo, hi):
