@@ -62,14 +62,18 @@ normalizer as :func:`normalize` does, runs the forward pass, denormalizes
 the output and, in a closed loop, feeds it back as the next day's input.
 The one shared object per topology holds its C rendering beside the train
 loop, built from the same forward statements; the Python rendering calls
-the generated forward pass day by day.  A single forward pass stays Python,
-because a ``ctypes`` call costs more than it saves: :func:`bind` converts a
-net's weight matrices to flat float lists once and returns the generated
-forward pass over plain float lists, with the weights and gain bound by
-``functools.partial``, so a call adds no Python frame of its own, and
-:func:`forward` is ``bind`` plus the numpy conversions of one input and one
-output.  The bound function holds a snapshot of the weights and gain taken
-at bind time: changing the net afterwards does not change it.
+the generated forward pass day by day.  A raw input is scaled into [0, 1]
+by one rule, written twice: in Python as :func:`normalize`, which
+:func:`normalize_row` applies to a whole row for every training pattern,
+single prediction and Python series row, and in C in the ``series``
+template.  A single forward pass stays Python, because a ``ctypes`` call
+costs more than it saves: :func:`bind` converts a net's weight matrices to
+flat float lists once and returns the generated forward pass over plain
+float lists, with the weights and gain bound by ``functools.partial``, so a
+call adds no Python frame of its own, and :func:`forward` is ``bind`` plus
+the numpy conversions of one input and one output.  The bound function
+holds a snapshot of the weights and gain taken at bind time: changing the
+net afterwards does not change it.
 
 Both renderings give what the plain loop gives, bit for bit: every dot
 product is added left to right in the same order, never through BLAS or the
@@ -554,18 +558,11 @@ def _exec_python(t: MlpTopology, source: str) -> dict:
 def _py_series(forward, wh, wo, g, rows, norms, out_norm, feedback, init):
     """The Python series loop over the generated ``forward``: arguments and
     results are those of the C ``series`` through :func:`_run_c_series`."""
-    scale = [(nz.lo, nz.hi - nz.lo, nz) for nz in norms]
     out_lo, out_span = out_norm.lo, out_norm.hi - out_norm.lo
     fed = init[::-1]  # newest first
     out = []
     for row in rows:
-        x = []
-        for v, (lo, span, nz) in zip((*row, *fed), scale, strict=True):
-            # scaled inline as normalize scales it; a value that does not land
-            # in [0, 1] goes through normalize, to be clamped or rejected there
-            u = (v - lo) / span
-            x.append(u if 0.0 <= u <= 1.0 else normalize(v, nz))
-        y = out_lo + forward(wh, wo, g, x)[0] * out_span
+        y = out_lo + forward(wh, wo, g, normalize_row((*row, *fed), norms))[0] * out_span
         out.append(y)
         if feedback:
             fed = [y, *fed[:-1]]
@@ -632,8 +629,10 @@ def _shared_object(source: str) -> str:
 
 
 def _c_kernel(t: MlpTopology):
-    """The C rendering's ``(train_loop, series)``, called like the Python ones,
-    both from the one shared object built for ``t``.
+    """``(train_loop, forward, series)`` for ``t`` with the C rendering's train
+    and series loops, called like the Python ones, both from the one shared
+    object built for ``t``.  ``forward`` is the Python rendering's: a
+    ``ctypes`` call costs more than one forward pass saves.
 
     Raises ``OSError`` when it cannot be built or loaded, ``ImportError``
     when there is no ``ctypes``.  That is imported here, not with the
@@ -647,7 +646,10 @@ def _c_kernel(t: MlpTopology):
     lib.series.argtypes = [ptr, ptr, double, ptr, long, ptr, ptr, double, double, long,
                            ptr, ptr, ptr]
     lib.series.restype = long
+    # the Python train loop is not compiled: it is most of the compile time
+    forward_source = _py_sources(t.n_inputs, t.n_hidden, t.n_outputs)[1]
     return (functools.partial(_run_c_train_loop, lib.train_loop, t),
+            _exec_python(t, forward_source)["forward"],
             functools.partial(_run_c_series, lib.series, t))
 
 
@@ -704,21 +706,16 @@ def _run_c_series(fn, t: MlpTopology, wh, wo, g, rows, norms, out_norm, feedback
 def _kernel(t: MlpTopology):
     """``(train_loop, forward, series)`` for one topology, built once per process.
 
-    The train and series loops are the C rendering's when it builds, else
-    the Python rendering's, logged once; both give the same bits.
-    ``forward`` is always the Python rendering's: a ``ctypes`` call costs
-    more than one forward pass saves.
+    The C rendering's when it builds, else the Python rendering's, logged
+    once; both give the same bits.
     """
     try:
-        train_loop, series_loop = _c_kernel(t)
+        return _c_kernel(t)
     except (OSError, ImportError) as exc:
         logger.warning("ann %d-%d-%d: training runs the Python loop, as does series "
                        "inference, the C loops did not build: %s",
                        t.n_inputs, t.n_hidden, t.n_outputs, exc)
         return _python_kernel(t)
-    # the Python train loop is not compiled: it is most of the compile time
-    forward_source = _py_sources(t.n_inputs, t.n_hidden, t.n_outputs)[1]
-    return train_loop, _exec_python(t, forward_source)["forward"], series_loop
 
 
 def _row(p: Pattern) -> "tuple[float, ...]":
@@ -761,7 +758,8 @@ def series(net: Mlp, rows, norms: "list[Normalizer]", out_norm: Normalizer,
     """Output 0 of ``net`` for each day of a series, in one call.
 
     Each of ``rows`` holds one day's raw values of the inputs that are not
-    fed back.  Input i is scaled against ``norms[i]`` as :func:`normalize`
+    fed back; a row of another length is a ``DimensionError`` naming the
+    first.  Input i is scaled against ``norms[i]`` as :func:`normalize`
     scales it, which rejects a non-finite value (the first in day order,
     then input order) with its error; the output is denormalized against
     ``out_norm``.  With ``feedback = k`` the last k inputs are the previous
@@ -775,6 +773,10 @@ def series(net: Mlp, rows, norms: "list[Normalizer]", out_norm: Normalizer,
     if not 0 <= feedback < t.n_inputs or len(init) != feedback:
         raise DimensionError(f"cannot feed back {feedback} of {t.n_inputs} inputs "
                              f"seeded by {len(init)} value(s)")
+    rows, width = list(rows), t.n_inputs - feedback
+    for day, row in enumerate(rows):
+        if len(row) != width:
+            raise DimensionError(f"row {day} holds {len(row)} value(s), not {width}")
     return _kernel(t)[2](net.w_hidden.ravel().tolist(), net.w_output.ravel().tolist(),
                          net.gain, rows, norms, out_norm, feedback, list(init))
 
@@ -839,15 +841,20 @@ def train(net: Mlp, patterns: "list[Pattern]", cfg: TrainConfig,
 
 def normalize(x: float, nz: Normalizer) -> float:
     """Map x into [0, 1] against the fixed bounds; out-of-range finite x is clamped."""
+    u = (x - nz.lo) / (nz.hi - nz.lo)
+    if 0.0 <= u <= 1.0:  # the common case; x is finite, or u would be inf or nan
+        return u
     if not math.isfinite(x):
         raise ValueError(f"cannot normalize the non-finite value {x}")
-    u = (x - nz.lo) / (nz.hi - nz.lo)
-    # two comparisons rather than min(max(...)), which is two calls: same value, -0.0 too
-    if u < 0.0:
-        return 0.0
-    if u > 1.0:
-        return 1.0
-    return u
+    return 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
+
+
+def normalize_row(row, norms: "list[Normalizer]") -> "list[float]":
+    """:func:`normalize` of each raw value of ``row`` against its own normalizer,
+    for training patterns, single predictions and the Python series loop."""
+    if len(row) != len(norms):
+        raise DimensionError(f"{len(row)} value(s) against {len(norms)} normalizer(s)")
+    return list(map(normalize, row, norms))
 
 
 def denormalize(u: float, nz: Normalizer) -> float:

@@ -33,7 +33,7 @@ DEFAULT_LATITUDE_RAD = -0.11955
 
 _GSC = 0.0820  # solar constant, MJ m-2 min-1 (FAO-56 eq. 21)
 _INF = math.inf
-_TEMPS = itemgetter(slice(2, 5))  # a DailyWeather's (tmax, tavg, tmin)
+_TEMPS = itemgetter(slice(2, 5))  # the surrogate's raw row: a DailyWeather's (tmax, tavg, tmin)
 
 
 @dataclass(frozen=True)
@@ -162,20 +162,9 @@ def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[fl
             for d in days]
 
 
-def _input_vector(tmax: float, tavg: float, tmin: float, temp_norm: Normalizer) -> list[float]:
-    """One day's normalized surrogate inputs: tmax, tavg, tmin.
-
-    Scaled inline as :func:`ann.normalize` scales them; only a day with a
-    value that does not land in [0, 1] goes through it, to be clamped or
-    rejected there.
-    """
-    lo = temp_norm.lo
-    span = temp_norm.hi - lo
-    a, b, c = (tmax - lo) / span, (tavg - lo) / span, (tmin - lo) / span
-    if 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and 0.0 <= c <= 1.0:
-        return [a, b, c]
-    normalize = ann.normalize
-    return [normalize(tmax, temp_norm), normalize(tavg, temp_norm), normalize(tmin, temp_norm)]
+def _input_norms(temp_norm: Normalizer) -> "list[Normalizer]":
+    """The normalizer of each input in a ``_TEMPS`` row."""
+    return [temp_norm] * 3
 
 
 def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainConfig,
@@ -190,8 +179,8 @@ def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainCo
     if not days:
         raise ValueError("cannot train the ET0 surrogate on an empty series")
     targets = hargreaves_series(days, site)
-    patterns = [Pattern(_input_vector(d.tmax, d.tavg, d.tmin, temp_norm),
-                        [ann.normalize(et0, et0_norm)])
+    norms = _input_norms(temp_norm)
+    patterns = [Pattern(ann.normalize_row(_TEMPS(d), norms), [ann.normalize(et0, et0_norm)])
                 for d, et0 in zip(days, targets)]
     net, losses = ann.train(Mlp.zeros(MlpTopology(3, 8, 1)), patterns, cfg, trace=trace)
     return Et0Model(net, temp_norm, et0_norm), losses
@@ -201,11 +190,12 @@ def predict_et0(model: Et0Model, tmax: float, tavg: float, tmin: float) -> float
     """Surrogate ET0 in mm/day; always inside the model's ET0 bounds."""
     if tmax < tmin:
         raise ValueError(f"tmax ({tmax}) must be >= tmin ({tmin})")
-    (u,) = ann.bind(model.net)(_input_vector(tmax, tavg, tmin, model.temp_norm))
+    (u,) = ann.bind(model.net)(ann.normalize_row((tmax, tavg, tmin),
+                                                 _input_norms(model.temp_norm)))
     return ann.denormalize(u, model.et0_norm)
 
 
 def predict_et0_series(model: Et0Model, days: "list[DailyWeather]") -> list[float]:
     """:func:`predict_et0` for each day, in one :func:`ann.series` call."""
-    tn = model.temp_norm
-    return ann.series(model.net, map(_TEMPS, days), [tn, tn, tn], model.et0_norm)
+    return ann.series(model.net, map(_TEMPS, days), _input_norms(model.temp_norm),
+                      model.et0_norm)

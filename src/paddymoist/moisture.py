@@ -106,11 +106,18 @@ class MoistureModel:
             )
 
 
-def _input_vector(f: ForcingDay, lags: "list[float]", norms: MoistureNormalizers) -> list[float]:
-    """One day's normalized inputs: et0, precip, kc, then ``lags`` newest first."""
-    normalize = ann.normalize
-    return [normalize(f.et0, norms.et0), normalize(f.precip, norms.precip),
-            normalize(f.kc, norms.kc), *(normalize(v, norms.theta) for v in lags)]
+def _input_norms(norms: MoistureNormalizers, lag: int) -> "list[Normalizer]":
+    """The normalizer of each input: et0, precip, kc, then ``lag`` theta lags."""
+    return [norms.et0, norms.precip, norms.kc, *[norms.theta] * lag]
+
+
+def _teacher_forced_rows(forcing: "list[ForcingDay]", theta: "list[float]", lag: int):
+    """Day t's raw inputs (et0_t, precip_t, kc_t, theta_{t-1} .. theta_{t-lag}),
+    the lags newest first, for each day of ``forcing``, where ``theta[i]`` is
+    theta_{i - lag}.  The forcing is read by name, so a ledger row serves too."""
+    n = len(forcing)
+    return map(add, map(_FORCING, forcing),
+               zip(*(theta[lag - k:lag - k + n] for k in range(1, lag + 1))))
 
 
 def build_patterns(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: int = 1,
@@ -131,14 +138,10 @@ def build_patterns(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: i
         raise InsufficientHistoryError(
             f"{n} days cannot supply lag-{lag} patterns (need at least {lag + 1})"
         )
-    patterns = []
-    for t in range(lag, n):
-        lags = [theta_obs[t - k] for k in range(1, lag + 1)]
-        patterns.append(Pattern(
-            _input_vector(forcing[t], lags, norms),
-            [ann.normalize(theta_obs[t], norms.theta)],
-        ))
-    return patterns
+    inputs = _input_norms(norms, lag)
+    return [Pattern(ann.normalize_row(row, inputs), [ann.normalize(theta, norms.theta)])
+            for row, theta in zip(_teacher_forced_rows(forcing[lag:], theta_obs, lag),
+                                  theta_obs[lag:])]
 
 
 def train_moisture_model(forcing: "list[ForcingDay]", theta_obs: "list[float]",
@@ -167,19 +170,15 @@ def simulate_moisture(m: MoistureModel, forcing: "list[ForcingDay]",
         raise DimensionError(
             f"theta_init must hold {m.lag} value(s), got {len(theta_init)}"
         )
-    norms, lag, n = m.norms, m.lag, len(forcing)
-    rows, feedback, init = map(_FORCING, forcing), lag, theta_init
+    rows, feedback, init = map(_FORCING, forcing), m.lag, theta_init
     if mode is SimMode.TEACHER_FORCED:
         if theta_obs is None:
             raise ValueError("TEACHER_FORCED simulation requires theta_obs")
-        if len(theta_obs) != n:
+        if len(theta_obs) != len(forcing):
             raise DimensionError(
-                f"theta_obs has {len(theta_obs)} days but forcing has {n}"
+                f"theta_obs has {len(theta_obs)} days but forcing has {len(forcing)}"
             )
-        # day t's lags theta_{t-1} .. theta_{t-lag}, newest first, as build_patterns
-        # orders them: seq[i] is theta_{i - lag}
-        seq = [*theta_init, *theta_obs]
-        rows = map(add, rows, zip(*(seq[lag - k:lag - k + n] for k in range(1, lag + 1))))
+        rows = _teacher_forced_rows(forcing, [*theta_init, *theta_obs], m.lag)
         feedback, init = 0, ()
-    return ann.series(m.net, rows, [norms.et0, norms.precip, norms.kc, *[norms.theta] * lag],
-                      norms.theta, feedback, init)
+    return ann.series(m.net, rows, _input_norms(m.norms, m.lag), m.norms.theta,
+                      feedback, init)

@@ -32,13 +32,7 @@ def default_report():
 def rendering_kernel(name):
     """A stand-in for ``ann._kernel`` whose train and series loops are the
     named rendering's; ``forward`` is always the Python rendering's."""
-    if name == "python":
-        return ann._python_kernel
-
-    def kernel(t):
-        train_loop, series = ann._c_kernel(t)
-        return train_loop, ann._python_kernel(t)[1], series
-    return kernel
+    return {"python": ann._python_kernel, "c": ann._c_kernel}[name]
 
 
 @pytest.fixture(params=["python", "c"])

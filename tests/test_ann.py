@@ -17,8 +17,8 @@ import pytest
 from paddymoist import ann
 from paddymoist.ann import (GainTrace, Mlp, MlpTopology, Normalizer, Pattern,
                             TrainConfig, adaptive_gain, backprop_step, bind,
-                            denormalize, forward, normalize, pattern_error,
-                            sigmoid_gain, train)
+                            denormalize, forward, normalize, normalize_row,
+                            pattern_error, sigmoid_gain, train)
 from paddymoist.ann import _kernel_source
 from paddymoist.errors import DimensionError
 
@@ -782,6 +782,16 @@ class TestSeries:
             with pytest.raises(DimensionError, match="^cannot feed back"):
                 ann.series(net, [(0.5, 0.5)], [nz] * 3, nz, feedback, init)
 
+    def test_a_ragged_row_is_named(self, rendering):
+        net, nz = Mlp.zeros(MlpTopology(3, 8, 1)), Normalizer(0.0, 50.0)
+        rows = [(30.0, 24.0, 18.0), (30.0, 24.0), (18.0, 31.0, 25.0, 20.0)]
+        with pytest.raises(DimensionError, match="^row 1 holds 2 value[(]s[)], not 3$"):
+            ann.series(net, rows, [nz] * 3, nz)
+        with pytest.raises(DimensionError, match="^row 0 holds 2 value[(]s[)], not 3$"):
+            ann.series(net, [(30.0, 24.0), (18.0, 31.0, 25.0, 20.0)], [nz] * 3, nz)
+        with pytest.raises(DimensionError, match="^row 2 holds 3 value[(]s[)], not 2$"):
+            ann.series(net, [(30.0, 24.0)] * 2 + [(30.0, 24.0, 18.0)], [nz] * 3, nz, 1, [0.3])
+
     def test_first_non_finite_input_is_named(self):
         net, nz = Mlp.zeros(MlpTopology(3, 2, 1)), Normalizer(0.0, 1.0)
         rows = [(0.1, 0.2), (0.3, math.inf), (math.nan, 0.4)]
@@ -839,6 +849,49 @@ class TestNormalizeClamp:
     def test_keeps_the_sign_of_negative_zero(self):
         got = normalize(-0.0, Normalizer(0.0, 1.0))
         assert got == 0.0 and math.copysign(1.0, got) == -1.0
+
+
+_TEMP_NORMS = [Normalizer(0.0, 50.0)] * 3  # the ET0 surrogate's: tmax, tavg, tmin
+
+
+def _moisture_norms(lag):
+    """The moisture net's defaults for et0, precip, kc and ``lag`` theta lags,
+    with precip bounded below by -0.0 and theta by [0.1, 0.6]."""
+    return [Normalizer(0.0, 10.0), Normalizer(-0.0, 100.0), Normalizer(0.0, 1.5),
+            *[Normalizer(0.1, 0.6)] * lag]
+
+
+class TestNormalizeRow:
+    """``normalize_row`` is ``normalize`` of each value, on the rows of both
+    nets: the same bits, the sign of zero too, and the same rejection."""
+
+    @pytest.mark.parametrize("row, norms", [
+        ((30.0, 24.0, 18.0), _TEMP_NORMS),
+        ((50.0, 0.0, -0.0), _TEMP_NORMS),
+        ((60.0, 24.0, -5.0), _TEMP_NORMS),  # a clamp at each end
+        ((1e300, 1e300, -1e300), _TEMP_NORMS),
+        ((-0.0, -0.0, -0.0), _TEMP_NORMS),
+        *(((30.0, bad, 18.0), _TEMP_NORMS) for bad in (math.nan, math.inf, -math.inf)),
+        ((4.0, 20.0, 1.1, 0.3), _moisture_norms(1)),
+        ((12.0, 150.0, 1.6, 0.05, 0.7, 0.6, 0.1), _moisture_norms(4)),  # every kind clamps
+        ((-0.0, -0.0, 1.5, 0.1, 0.6), _moisture_norms(2)),
+        ((0.0, 0.0, 1e-300), _moisture_norms(0)),
+        *(((4.0, 20.0, 1.1, 0.3, bad), _moisture_norms(2))
+          for bad in (math.nan, math.inf, -math.inf)),
+    ])
+    def test_is_normalize_of_each_value(self, row, norms):
+        bad = [v for v in row if not math.isfinite(v)]
+        if bad:
+            with pytest.raises(ValueError,
+                               match=f"^cannot normalize the non-finite value {bad[0]}$"):
+                normalize_row(row, norms)
+        else:
+            expected = [normalize(v, nz) for v, nz in zip(row, norms, strict=True)]
+            assert [repr(v) for v in normalize_row(row, norms)] == [repr(v) for v in expected]
+
+    def test_length_must_match(self):
+        with pytest.raises(DimensionError, match=r"^2 value\(s\) against 3 normalizer\(s\)$"):
+            normalize_row((30.0, 24.0), _TEMP_NORMS)
 
 
 _CC = shutil.which("cc")
@@ -963,7 +1016,7 @@ class TestCBuild:
         for args in ((wh[:-1], wo, [row]), (wh, wo + [0.0], [row]), (wh, wo, [row[:-1]])):
             with pytest.raises(ValueError, match=r"do not fit topology 2-3-1$"):
                 train_loop(*args[:2], 1.0, args[2], 0.2, 1, None)
-        series, nz = ann._c_kernel(self.TOPO)[1], Normalizer(0.0, 1.0)
+        series, nz = ann._c_kernel(self.TOPO)[2], Normalizer(0.0, 1.0)
         for args in ((wh[:-1], wo, [(0.1, 0.2)]), (wh, wo + [0.0], [(0.1, 0.2)]),
                      (wh, wo, [(0.1, 0.2), (0.3,)])):
             with pytest.raises(ValueError, match=r"do not fit topology 2-3-1$"):

@@ -9,9 +9,8 @@ import pytest
 from paddymoist.ann import (Mlp, MlpTopology, TrainConfig, denormalize, forward,
                             normalize)
 from paddymoist.errors import DimensionError
-from paddymoist.evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, DailyWeather,
-                              Et0Model, SiteLocation, _input_vector, day_of_year,
-                              extraterrestrial_radiation, hargreaves_et0,
+from paddymoist.evapo import (DEFAULT_ET0_NORM, DailyWeather, Et0Model, SiteLocation,
+                              day_of_year, extraterrestrial_radiation, hargreaves_et0,
                               hargreaves_series, predict_et0, predict_et0_series,
                               ra_table, train_et0_model)
 from paddymoist.experiment import default_config, weather_params_for
@@ -182,24 +181,6 @@ class TestDailyWeather:
         assert day.tmin == day.tavg == day.tmax and day.precip == 0.0
         big = DailyWeather(0, date(2011, 1, 1), 1e308, 0.0, -1e308, 1e308)
         assert big.tmax == 1e308
-
-
-class TestInputVector:
-    """The inline scaling gives what ann.normalize gives, the sign of zero too."""
-
-    @pytest.mark.parametrize("temps", [(30.0, 24.0, 18.0), (50.0, 0.0, -0.0),
-                                       (60.0, 24.0, -5.0), (1e300, 1e300, -1e300),
-                                       (-0.0, -0.0, -0.0)])
-    def test_same_bits_as_normalize(self, temps):
-        nz = DEFAULT_TEMP_NORM
-        got = _input_vector(*temps, nz)
-        expected = [normalize(t, nz) for t in temps]
-        assert [repr(v) for v in got] == [repr(v) for v in expected]
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_rejected_by_normalize(self, bad):
-        with pytest.raises(ValueError, match=f"^cannot normalize the non-finite value {bad}"):
-            _input_vector(30.0, bad, 18.0, DEFAULT_TEMP_NORM)
 
 
 class TestEt0Surrogate:

@@ -1,6 +1,7 @@
 """Config document, two-period experiment, report and plot-data files."""
 
 import errno
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import quick_config
+from paddymoist import ann
 from paddymoist.ann import Mlp, MlpTopology, Normalizer, TrainConfig
 from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import (DataFormatError, OrderingError, OutOfSeasonError,
@@ -19,9 +21,10 @@ from paddymoist.errors import (DataFormatError, OrderingError, OutOfSeasonError,
 from paddymoist.evapo import Et0Model, SiteLocation, predict_et0_series
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
                                    build_forcing, default_config, export_plot_data,
-                                   format_config, format_report_text, load_period,
-                                   parse_config, run_experiment, weather_params_for,
-                                   write_report_files, write_synth_periods)
+                                   format_config, format_metrics_csv, format_report_text,
+                                   load_period, parse_config, run_experiment,
+                                   weather_params_for, write_report_files,
+                                   write_synth_periods)
 from paddymoist.hydro import Climate, FieldParams, WeatherGenParams
 from paddymoist.ingest import read_daily_csv
 from paddymoist.moisture import SimMode
@@ -447,6 +450,14 @@ class TestRunExperiment:
                          "theta_val": 0.9618766947332298}
         digest = hashlib.sha256(format_report_text(default_report).encode()).hexdigest()
         assert digest == "80fe823d95b2cec74908acef70053d0eb0f667ac44ba91cdede7522862a38555"
+
+    def test_python_fallback_gives_the_same_report(self, default_report, monkeypatch):
+        # every train and series loop on the Python rendering, as when no C
+        # compiler builds them: the whole default report, byte for byte
+        monkeypatch.setattr(ann, "_kernel", functools.cache(ann._python_kernel))
+        report = run_experiment(default_config())
+        assert format_report_text(report) == format_report_text(default_report)
+        assert format_metrics_csv(report) == format_metrics_csv(default_report)
 
 
 class TestCropCalendar:

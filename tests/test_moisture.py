@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from paddymoist import ann
 from paddymoist.ann import (Mlp, MlpTopology, Normalizer, TrainConfig, denormalize,
-                            forward, normalize)
+                            forward, normalize, normalize_row)
 from paddymoist.errors import DimensionError, InsufficientHistoryError
 from paddymoist.hydro import LedgerDay, WaterFluxes
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,
-                                 SimMode, _input_vector, build_patterns,
+                                 SimMode, build_patterns,
                                  simulate_moisture, train_moisture_model)
 
 
@@ -62,6 +63,32 @@ class TestBuildPatterns:
         rng = np.random.default_rng(42)
         with pytest.raises(DimensionError):
             build_patterns(_forcing(rng, 10), _theta(rng, 9), lag=1)
+
+    NORMS = MoistureNormalizers(precip=Normalizer(-0.0, 100.0), theta=Normalizer(0.1, 0.6))
+
+    def test_ledger_rows_are_read_by_name(self):
+        rng = np.random.default_rng(13)
+        forcing, theta = _forcing(rng, 8), _theta(rng, 8)
+        ledger = [LedgerDay(precip=f.precip, irrig_mm=5.0, et0=f.et0, kc=f.kc,
+                            fluxes=WaterFluxes(4.4, 0.0, 3.0)) for f in forcing]
+        assert ([p.input.tolist() for p in build_patterns(ledger, theta, 2, self.NORMS)]
+                == [p.input.tolist() for p in build_patterns(forcing, theta, 2, self.NORMS)])
+
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_inputs_are_the_teacher_forced_rows_scaled(self, lag, monkeypatch):
+        # one row layout: the raw rows a teacher-forced simulation runs on,
+        # from day lag on, are the raw rows the training patterns scale
+        rng = np.random.default_rng(30 + lag)
+        forcing, theta = _forcing(rng, 12), _theta(rng, 12)
+        model = MoistureModel(Mlp.zeros(MlpTopology(3 + lag, 8, 1)), lag, self.NORMS)
+        calls = []
+        monkeypatch.setattr(ann, "series", lambda net, rows, norms, *rest:
+                            calls.append((list(rows), norms)))
+        simulate_moisture(model, forcing, _theta(rng, lag), SimMode.TEACHER_FORCED, theta)
+        [(rows, norms)] = calls
+        patterns = build_patterns(forcing, theta, lag, self.NORMS)
+        assert ([[repr(v) for v in p.input.tolist()] for p in patterns]
+                == [[repr(v) for v in normalize_row(row, norms)] for row in rows[lag:]])
 
 
 class TestTrainMoistureModel:
@@ -298,36 +325,6 @@ class TestForcingDay:
             assert str(exc.value) == message
         with pytest.raises(ValueError, match="^kc must be finite"):
             ForcingDay._make([4.5, 12.0, math.inf])
-
-
-class TestInputVector:
-    """Each input through ann.normalize against its own bounds, the sign of zero too."""
-
-    NORMS = MoistureNormalizers(precip=Normalizer(-0.0, 100.0), theta=Normalizer(0.1, 0.6))
-
-    @pytest.mark.parametrize("forcing, lags", [
-        (ForcingDay(4.0, 20.0, 1.1), [0.3]),
-        (ForcingDay(12.0, 150.0, 1.6), [0.05, 0.7, 0.6, 0.1]),   # every kind clamps
-        (ForcingDay(-0.0, -0.0, 1.5), [0.1, 0.6]),
-        (ForcingDay(0.0, 0.0, 1e-300), []),
-    ])
-    def test_same_bits_as_normalize(self, forcing, lags):
-        n = self.NORMS
-        expected = [normalize(forcing.et0, n.et0), normalize(forcing.precip, n.precip),
-                    normalize(forcing.kc, n.kc), *(normalize(v, n.theta) for v in lags)]
-        got = _input_vector(forcing, lags, n)
-        assert [repr(v) for v in got] == [repr(v) for v in expected]
-
-    def test_a_ledger_row_is_read_by_name(self):
-        row = LedgerDay(precip=20.0, irrig_mm=5.0, et0=4.0, kc=1.1,
-                        fluxes=WaterFluxes(4.4, 0.0, 3.0))
-        assert (_input_vector(row, [0.3], self.NORMS)
-                == _input_vector(ForcingDay(4.0, 20.0, 1.1), [0.3], self.NORMS))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_lag_rejected_by_normalize(self, bad):
-        with pytest.raises(ValueError, match=f"^cannot normalize the non-finite value {bad}"):
-            _input_vector(ForcingDay(4.0, 20.0, 1.1), [0.3, bad], self.NORMS)
 
 
 class TestCrossPeriodProtocol:
