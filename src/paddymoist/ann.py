@@ -44,6 +44,11 @@ rendering does the same IEEE double operations in the same order, and
 - ``-fno-fast-math`` forbids reassociating sums, treating ``-0.0`` as
   ``0.0`` and assuming no NaN (the gain rule must see a NaN, and the
   series loop's ``isfinite`` an infinity);
+- ``-fno-math-errno`` lets the compiler treat the nine ``exp`` calls of a
+  visit as free of side effects, which the kernel, never reading
+  ``errno``, allows.  It changes no arithmetic: ``exp`` is still libm's,
+  not inlined, and GCC calls the vector ``libmvec`` only under fast-math,
+  which ``-fno-fast-math`` keeps off;
 - ``-shared -fPIC`` make a library ``ctypes`` can load, and ``-lm`` links
   the same libm whose ``exp`` ``math.exp`` calls.  ``abs`` is ``fabs``.
 
@@ -233,6 +238,9 @@ class Normalizer:
             raise ValueError(f"normalizer needs hi > lo, got [{self.lo}, {self.hi}]")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError(f"normalizer bounds must be finite, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):  # else every value would scale to 0 or nan
+            raise ValueError(f"normalizer span hi - lo must be finite, got "
+                             f"[{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -585,7 +593,8 @@ def _python_kernel(t: MlpTopology):
 
 
 # See the module docstring for why each flag keeps the bits.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno", "-shared",
+           "-fPIC")
 
 
 def _cache_key(source: str, flags: "tuple[str, ...]", compiler: str) -> str:
@@ -826,16 +835,36 @@ def train(net: Mlp, patterns: "list[Pattern]", cfg: TrainConfig,
     epoch k.  Bit-deterministic for a fixed seed.  If ``trace`` is given,
     one :class:`GainTrace` entry is appended per pattern visit.
     """
-    if not patterns:
-        raise ValueError("cannot train on an empty pattern set")
     t = net.topology
     for i, p in enumerate(patterns):
         _check_pattern(t, p, f"pattern {i}")
+    return _train_rows(t, [_row(p) for p in patterns], cfg, trace)
+
+
+def _train_rows(t: MlpTopology, rows: list, cfg: TrainConfig,
+                trace: "list[GainTrace] | None" = None) -> tuple[Mlp, list[float]]:
+    """:func:`train` of a ``t`` network on one ``(*input, *target)`` row per
+    pattern, each value normalized, without building a :class:`Pattern`.
+
+    A row is checked as ``Pattern`` checks its vectors, with the same errors,
+    and its length against ``t``.
+    """
+    if not rows:
+        raise ValueError("cannot train on an empty pattern set")
+    n, width = t.n_inputs, t.n_inputs + t.n_outputs
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise DimensionError(f"pattern {i} holds {len(row)} value(s), not "
+                                 f"{n} in + {t.n_outputs} out")
+        for v in row:
+            # written so that NaN, whose comparisons are all False, fails too
+            if not 0.0 <= v <= 1.0:
+                name = "target" if all(0.0 <= u <= 1.0 for u in row[:n]) else "input"
+                raise ValueError(f"pattern {name} components must be finite and lie in [0, 1]")
     init = Mlp.random(t, np.random.default_rng(cfg.seed), cfg.init_half_width)
-    train_loop = _kernel(t)[0]
-    wh, wo, gain, loss_history = train_loop(
+    wh, wo, gain, loss_history = _kernel(t)[0](
         init.w_hidden.ravel().tolist(), init.w_output.ravel().tolist(), init.gain,
-        [_row(p) for p in patterns], cfg.learning_rate, cfg.epochs, trace)
+        rows, cfg.learning_rate, cfg.epochs, trace)
     return Mlp(t, wh, wo, gain=gain), loss_history
 
 

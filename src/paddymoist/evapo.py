@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import ann
-from .ann import Mlp, MlpTopology, Normalizer, Pattern, TrainConfig
+from .ann import Mlp, MlpTopology, Normalizer, TrainConfig
 
 # FAO-56 fixed-bound defaults: generous tropical ranges so the validation
 # period can never fall outside the training normalization.
@@ -178,11 +178,10 @@ def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainCo
     """
     if not days:
         raise ValueError("cannot train the ET0 surrogate on an empty series")
-    targets = hargreaves_series(days, site)
-    norms = _input_norms(temp_norm)
-    patterns = [Pattern(ann.normalize_row(_TEMPS(d), norms), [ann.normalize(et0, et0_norm)])
-                for d, et0 in zip(days, targets)]
-    net, losses = ann.train(Mlp.zeros(MlpTopology(3, 8, 1)), patterns, cfg, trace=trace)
+    norms = [*_input_norms(temp_norm), et0_norm]
+    rows = [ann.normalize_row((*_TEMPS(d), et0), norms)
+            for d, et0 in zip(days, hargreaves_series(days, site))]
+    net, losses = ann._train_rows(MlpTopology(3, 8, 1), rows, cfg, trace)
     return Et0Model(net, temp_norm, et0_norm), losses
 
 

@@ -31,7 +31,8 @@ from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError
 from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
                     predict_et0_series, train_et0_model)
-from .hydro import Climate, FieldParams, WeatherGenParams, generate_truth, generate_weather
+from .hydro import (Climate, FieldParams, LedgerDay, WeatherGenParams, generate_truth,
+                    generate_weather)
 from .ingest import check_consecutive, read_daily_csv, write_daily_csv
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import (ForcingDay, MoistureModel, MoistureNormalizers, SimMode,
@@ -261,11 +262,17 @@ def weather_params_for(cfg: ExperimentConfig, spec: PeriodSpec) -> WeatherGenPar
 
 @dataclass
 class PeriodData:
-    """One period's loaded series."""
+    """One period's loaded series.
+
+    ``ledger`` is the :func:`~paddymoist.hydro.generate_truth` ledger of a
+    synthetic period, whose rows carry its Hargreaves ET0, and ``None`` for
+    a CSV period.
+    """
 
     name: str
     days: list
     theta_obs: list
+    ledger: "list[LedgerDay] | None" = None
 
 
 def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
@@ -275,10 +282,12 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     calendar: the calendar and the moisture lags step one list entry per day,
     and the report echoes the configured length as the one the run used.
     Either way every observed theta must lie inside the theta normalizer.
+    A synthetic period keeps its ground-truth ledger; a CSV period has none.
     """
+    ledger = None
     if spec.source == "synth":
         days = generate_weather(weather_params_for(cfg, spec))
-        theta, _ = generate_truth(days, cfg.site, cfg.kc, cfg.field)
+        theta, ledger = generate_truth(days, cfg.site, cfg.kc, cfg.field)
     elif not spec.data_path:
         raise DataFormatError(f"{name}: source is csv but no data path was given")
     else:
@@ -295,7 +304,7 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
                 f"{name}: {spec.data_path} must carry theta_vwc on every day"
             )
     check_theta_obs(days, theta, cfg.theta_norm, name)
-    return PeriodData(name=name, days=days, theta_obs=theta)
+    return PeriodData(name=name, days=days, theta_obs=theta, ledger=ledger)
 
 
 def check_theta_obs(days: list, theta: list, norm: Normalizer, source: str,
@@ -352,6 +361,13 @@ def _cell(obs, est) -> MetricCell:
                       nash_sutcliffe=nash_sutcliffe(obs, est), rmse=rmse(obs, est))
 
 
+def _hargreaves(cfg: ExperimentConfig, period: PeriodData) -> list[float]:
+    """The period's Hargreaves ET0: its ledger's, else computed from its days."""
+    if period.ledger is None:
+        return hargreaves_series(period.days, cfg.site)
+    return [row.et0 for row in period.ledger]
+
+
 def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) -> list[ForcingDay]:
     """Moisture forcing with the surrogate's (not Hargreaves') ET0, as deployed."""
     et0 = predict_et0_series(model, period.days)
@@ -386,7 +402,9 @@ def _stage(name: str):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full two-period pipeline; deterministic for a fixed config.
 
-    Any stage failure aborts with the stage name prefixed to the error.
+    Any stage failure aborts with the stage name prefixed to the error.  The
+    report's Hargreaves series of a synthetic period is read from its
+    ledger, so it is computed once, in ground truth.
     """
     with _stage("load period1"):
         p1 = load_period(cfg, cfg.period1, "period1")
@@ -399,8 +417,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm,
         )
     with _stage("predict et0"):
-        harg1 = hargreaves_series(p1.days, cfg.site)
-        harg2 = hargreaves_series(p2.days, cfg.site)
+        harg1, harg2 = _hargreaves(cfg, p1), _hargreaves(cfg, p2)
         forcing1 = build_forcing(cfg, et0_model, p1)
         forcing2 = build_forcing(cfg, et0_model, p2)
         pred1 = [f.et0 for f in forcing1]
@@ -505,11 +522,13 @@ def write_report_files(report: ExperimentReport, out_dir) -> list:
 
 
 def _monthly_rows(period: PeriodResult):
+    """``("YYYY-MM", days)`` for each calendar month of the period, in order."""
     by_month: dict = {}
     for d in period.days:
-        by_month.setdefault(d.date.strftime("%Y-%m"), []).append(d)
-    for month in sorted(by_month):
-        yield month, by_month[month]
+        date = d.date
+        by_month.setdefault((date.year, date.month), []).append(d)
+    for year, month in sorted(by_month):
+        yield f"{year:04d}-{month:02d}", by_month[year, month]
 
 
 def export_plot_data(report: ExperimentReport, out_dir) -> list:

@@ -224,11 +224,13 @@ def generate_weather(g: WeatherGenParams) -> list[DailyWeather]:
         if d:
             day_date += one_day
         doy = day_of_year(day_date)
+        # one call, in draw order: a Generator fills an array draw by draw
+        noise, up, down = normal(3).tolist()
         tavg = (g.tavg_mean
                 + g.tavg_amplitude * math.cos(2.0 * math.pi * (doy - _SEASON_PEAK_DOY) / 365.0)
-                + (0.0 + _TAVG_NOISE_SD * normal()))
-        j_up = math.exp(mu + _RANGE_JITTER_SIGMA * normal())
-        j_down = math.exp(mu + _RANGE_JITTER_SIGMA * normal())
+                + (0.0 + _TAVG_NOISE_SD * noise))
+        j_up = math.exp(mu + _RANGE_JITTER_SIGMA * up)
+        j_down = math.exp(mu + _RANGE_JITTER_SIGMA * down)
         tmax = tavg + 0.5 * g.diurnal_range_mean * j_up
         tmin = tavg - 0.5 * g.diurnal_range_mean * j_down
         wet = rand() < g.wet_day_prob

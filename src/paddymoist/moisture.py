@@ -120,13 +120,9 @@ def _teacher_forced_rows(forcing: "list[ForcingDay]", theta: "list[float]", lag:
                zip(*(theta[lag - k:lag - k + n] for k in range(1, lag + 1))))
 
 
-def build_patterns(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: int = 1,
-                   norms: MoistureNormalizers = MoistureNormalizers()) -> list[Pattern]:
-    """Teacher-forced training pairs, one per day from ``lag`` onward.
-
-    Day t's inputs are (et0_t, precip_t, kc_t, theta_{t-1} .. theta_{t-lag})
-    and its target theta_t, all normalized against the fixed bounds.
-    """
+def _training_rows(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: int,
+                   norms: MoistureNormalizers) -> "list[list[float]]":
+    """The normalized ``(*inputs, target)`` row of each :func:`build_patterns` pair."""
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
     n = len(forcing)
@@ -138,10 +134,21 @@ def build_patterns(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: i
         raise InsufficientHistoryError(
             f"{n} days cannot supply lag-{lag} patterns (need at least {lag + 1})"
         )
-    inputs = _input_norms(norms, lag)
-    return [Pattern(ann.normalize_row(row, inputs), [ann.normalize(theta, norms.theta)])
+    scale = [*_input_norms(norms, lag), norms.theta]
+    return [ann.normalize_row((*row, theta), scale)
             for row, theta in zip(_teacher_forced_rows(forcing[lag:], theta_obs, lag),
                                   theta_obs[lag:])]
+
+
+def build_patterns(forcing: "list[ForcingDay]", theta_obs: "list[float]", lag: int = 1,
+                   norms: MoistureNormalizers = MoistureNormalizers()) -> list[Pattern]:
+    """Teacher-forced training pairs, one per day from ``lag`` onward.
+
+    Day t's inputs are (et0_t, precip_t, kc_t, theta_{t-1} .. theta_{t-lag})
+    and its target theta_t, all normalized against the fixed bounds.
+    """
+    return [Pattern(row[:-1], row[-1:])
+            for row in _training_rows(forcing, theta_obs, lag, norms)]
 
 
 def train_moisture_model(forcing: "list[ForcingDay]", theta_obs: "list[float]",
@@ -149,10 +156,10 @@ def train_moisture_model(forcing: "list[ForcingDay]", theta_obs: "list[float]",
                          norms: MoistureNormalizers = MoistureNormalizers(),
                          trace: "list[ann.GainTrace] | None" = None,
                          ) -> tuple[MoistureModel, list[float]]:
-    """Train on the teacher-forced patterns; deterministic per seed."""
-    patterns = build_patterns(forcing, theta_obs, lag, norms)
-    net, losses = ann.train(Mlp.zeros(MlpTopology(3 + lag, 8, 1)), patterns, cfg,
-                            trace=trace)
+    """Train on the teacher-forced :func:`build_patterns` pairs; deterministic
+    per seed."""
+    net, losses = ann._train_rows(MlpTopology(3 + lag, 8, 1),
+                                  _training_rows(forcing, theta_obs, lag, norms), cfg, trace)
     return MoistureModel(net, lag, norms), losses
 
 

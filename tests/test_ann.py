@@ -260,7 +260,8 @@ class TestTrain:
 
     def test_inconsistent_dimensions_rejected(self):
         patterns = [Pattern([0.1], [0.2]), Pattern([0.1, 0.2], [0.2])]
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^pattern 1 dims \(2 in, 1 out\) do not "
+                                                 r"match topology \(1 in, 1 out\)$"):
             train(Mlp.zeros(MlpTopology(1, 8, 1)), patterns, TrainConfig(seed=1))
 
     def test_trace_matches_gain_rule(self):
@@ -285,6 +286,36 @@ class TestTrain:
             current, _ = backprop_step(current, p, 0.2)
             assert current.gain == trace[i].gain
         np.testing.assert_array_equal(current.w_hidden, trained.w_hidden)
+
+
+class TestTrainRows:
+    """``ann._train_rows``, which ``train`` wraps and the ET0 and moisture
+    trainers call, checks each row as ``Pattern`` and ``train`` do."""
+
+    TOPO = MlpTopology(2, 3, 1)
+    CFG = TrainConfig(seed=3, epochs=2)
+
+    @pytest.mark.parametrize("inputs, targets", [
+        ([math.nan, 0.5], [0.5]), ([0.5, 1.5], [0.5]), ([0.5, 0.5], [math.inf]),
+        ([0.5, 0.5], [-1e-300]), ([-0.1, 0.5], [math.nan]),  # the input is named first
+    ])
+    def test_a_bad_value_raises_the_pattern_error(self, inputs, targets):
+        with pytest.raises(ValueError) as expected:
+            Pattern(inputs, targets)
+        with pytest.raises(ValueError) as got:
+            ann._train_rows(self.TOPO, [(0.1, 0.2, 0.3), (*inputs, *targets)], self.CFG)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_row_of_another_length_is_named(self):
+        with pytest.raises(DimensionError,
+                           match=r"^pattern 1 holds 4 value\(s\), not 2 in \+ 1 out$"):
+            ann._train_rows(self.TOPO, [(0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 0.4)], self.CFG)
+
+    def test_no_rows_rejected_as_by_train(self):
+        for call in (lambda: train(Mlp.zeros(self.TOPO), [], self.CFG),
+                     lambda: ann._train_rows(self.TOPO, [], self.CFG)):
+            with pytest.raises(ValueError, match="^cannot train on an empty pattern set$"):
+                call()
 
 
 class TestNormalizer:
@@ -313,6 +344,13 @@ class TestNormalizer:
         for x in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 normalize(x, nz)
+
+    def test_span_must_be_finite(self):
+        # -1e308..1e308 would scale every ordinary value to 0.0 and 1e308 to nan
+        with pytest.raises(ValueError, match=r"^normalizer span hi - lo must be finite, "
+                                             r"got \[-1e\+308, 1e\+308\]$"):
+            Normalizer(-1e308, 1e308)
+        assert normalize(0.0, Normalizer(-8e307, 8e307)) == 0.5  # a finite span still scales
 
     def test_denormalize_not_clamped(self):
         nz = Normalizer(0.0, 10.0)
@@ -1021,6 +1059,51 @@ class TestCBuild:
                      (wh, wo, [(0.1, 0.2), (0.3,)])):
             with pytest.raises(ValueError, match=r"do not fit topology 2-3-1$"):
                 series(*args[:2], 1.0, args[2], [nz, nz], nz, 0, [])
+
+
+def _cpu_has_fma() -> bool:
+    """Whether the CPU lists the x86 FMA instructions; False where it cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            return any(line.startswith("flags") and "fma" in line.split() for line in f)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(_CC is None or not _cpu_has_fma(),
+                    reason="needs a C compiler 'cc' and a CPU with FMA")
+class TestFlagBitGuards:
+    """Where the compiler may emit FMA instructions, the shipped flags still
+    give the Python rendering's bits on period-1 ET0 training, and it is
+    ``-ffp-contract=off`` among them that keeps them."""
+
+    @pytest.fixture(scope="class")
+    def train_period1(self):
+        from paddymoist.evapo import train_et0_model
+        from paddymoist.experiment import default_config, weather_params_for
+        from paddymoist.hydro import generate_weather
+        cfg = default_config()
+        days = generate_weather(weather_params_for(cfg, cfg.period1))
+
+        def run(kernel):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ann, "_kernel", functools.cache(kernel))
+                model, losses = train_et0_model(days, cfg.site, cfg.et0_train)
+            net = model.net
+            return net.w_hidden.tolist(), net.w_output.tolist(), net.gain, losses
+        return run, run(ann._python_kernel)
+
+    @pytest.mark.usefixtures("cache_dir")
+    def test_shipped_flags_with_fma_keep_the_bits(self, train_period1, monkeypatch):
+        run, python = train_period1
+        monkeypatch.setattr(ann, "_CFLAGS", (*ann._CFLAGS, "-mfma"))
+        assert run(ann._c_kernel) == python
+
+    @pytest.mark.usefixtures("cache_dir")
+    def test_contracted_fma_moves_the_bits(self, train_period1, monkeypatch):
+        run, python = train_period1
+        monkeypatch.setattr(ann, "_CFLAGS", (*ann._CFLAGS, "-mfma", "-ffp-contract=fast"))
+        assert run(ann._c_kernel) != python
 
 
 def test_import_needs_no_ctypes(tmp_path):

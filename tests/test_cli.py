@@ -123,6 +123,14 @@ class TestExitCodes:
         assert "train.et0.learning_rate: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_normalizer_span_overflow_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("normalizer.temp_c = -1e308 1e308\n", encoding="utf-8")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 4
+        assert ("error: normalizer.temp_c: normalizer span hi - lo must be finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "out.csv")]) == 6

@@ -207,6 +207,14 @@ class TestEt0Surrogate:
         with pytest.raises(ValueError):
             train_et0_model([], SiteLocation(), TrainConfig(seed=1))
 
+    @pytest.mark.parametrize("tmax", [math.nan, math.inf])
+    def test_non_finite_temperature_is_rejected_by_normalize(self, tmax):
+        cfg = default_config()
+        days = generate_weather(weather_params_for(cfg, cfg.period1))[:5]
+        days[3] = tuple.__new__(DailyWeather, (*days[3][:2], tmax, *days[3][3:]))  # unchecked
+        with pytest.raises(ValueError, match=f"^cannot normalize the non-finite value {tmax}$"):
+            train_et0_model(days, cfg.site, TrainConfig(seed=1, epochs=2))
+
     def test_series_equals_per_day_and_numpy_forward(self, rendering):
         rng = np.random.default_rng(17)
         net = Mlp.random(MlpTopology(3, 8, 1), rng, 3.0)

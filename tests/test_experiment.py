@@ -18,14 +18,14 @@ from paddymoist.ann import Mlp, MlpTopology, Normalizer, TrainConfig
 from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import (DataFormatError, OrderingError, OutOfSeasonError,
                                ScheduleMismatchError)
-from paddymoist.evapo import Et0Model, SiteLocation, predict_et0_series
+from paddymoist.evapo import Et0Model, SiteLocation, hargreaves_series, predict_et0_series
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
                                    build_forcing, default_config, export_plot_data,
                                    format_config, format_metrics_csv, format_report_text,
                                    load_period, parse_config, run_experiment,
                                    weather_params_for, write_report_files,
                                    write_synth_periods)
-from paddymoist.hydro import Climate, FieldParams, WeatherGenParams
+from paddymoist.hydro import Climate, FieldParams, WeatherGenParams, generate_truth
 from paddymoist.ingest import read_daily_csv
 from paddymoist.moisture import SimMode
 
@@ -111,6 +111,8 @@ class TestConfigDocument:
                                          "field.theta_sat: runoff_threshold must lie in"),
         ("field.root_depth_m = 0", "field.root_depth_m: root_depth must be > 0"),
         ("normalizer.kc = 2 1", "normalizer.kc: normalizer needs hi > lo, got [2.0, 1.0]"),
+        ("normalizer.temp_c = -1e308 1e308", "normalizer.temp_c: normalizer span hi - lo "
+                                             "must be finite, got [-1e+308, 1e+308]"),
         ("train.moisture.epochs = 0", "train.moisture.epochs: epochs must be >= 1"),
         ("site.latitude_deg = 90", "site.latitude_deg: latitude must satisfy"),
         ("period2.source = ftp", "period2.source: period source must be synth or csv"),
@@ -518,6 +520,39 @@ class TestSurrogatePasses:
         assert str(exc.value) == "[stage: predict et0] forcing refused"
 
 
+class TestHargreavesPasses:
+
+    def test_a_synthetic_period_keeps_its_ledger_and_a_csv_period_has_none(self, tmp_path):
+        cfg = quick_config()
+        period = load_period(cfg, cfg.period1, "period1")
+        theta, ledger = generate_truth(period.days, cfg.site, cfg.kc, cfg.field)
+        assert (period.theta_obs, period.ledger) == (theta, ledger)
+        write_synth_periods(cfg, tmp_path)
+        spec = replace(cfg.period1, source="csv", data_path=str(tmp_path / "period1_daily.csv"))
+        assert load_period(cfg, spec, "period1").ledger is None
+
+    @pytest.mark.parametrize("csv_periods, passes", [((), []), (("period2",), [118])])
+    def test_only_a_csv_period_computes_its_report_series(self, tmp_path, monkeypatch,
+                                                           csv_periods, passes):
+        import paddymoist.experiment as experiment
+        calls = []
+
+        def counted(days, site):
+            calls.append(len(days))
+            return hargreaves_series(days, site)
+        cfg = quick_config(et0_epochs=2, moisture_epochs=2)
+        write_synth_periods(cfg, tmp_path)
+        for name in csv_periods:
+            spec = replace(getattr(cfg, name), source="csv",
+                           data_path=str(tmp_path / f"{name}_daily.csv"))
+            cfg = replace(cfg, **{name: spec})
+        monkeypatch.setattr(experiment, "hargreaves_series", counted)
+        report = run_experiment(cfg)
+        assert calls == passes
+        for period in (report.period1, report.period2):
+            assert period.hargreaves == hargreaves_series(period.days, cfg.site)
+
+
 class TestBuildForcing:
 
     def test_calendar_kc_and_surrogate_et0_per_day(self):
@@ -583,6 +618,40 @@ class TestPlotData:
         assert set(per_period) == {"period1", "period2"}
         for count in per_period.values():
             assert count in (4, 5)
+
+    def test_default_plot_files_are_pinned(self, tmp_path, default_report):
+        # the bytes of every plot file of the default report: a change that
+        # moves any of them has to say so
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in export_plot_data(default_report, tmp_path)}
+        assert digests == {
+            "monthly_precipitation.csv":
+                "23d56c9e1c204ecb70126995e1127fbd18452dd476188801b0b7bbd93c947688",
+            "monthly_temperature.csv":
+                "201d3d33344a9ec3e8828074d9dcb90a20e55b11459f9bbf4aebdbbd216d56ad",
+            "scatter_et0_period1.csv":
+                "0b81e6d03fb83466ff647ff0164c929d13cf0ca81e27317e5a75bb467d58bc32",
+            "scatter_et0_period2.csv":
+                "ba2f215b4328e9fab9680db71905c56ecf45a171a7256c9e1680f824558328f2",
+            "scatter_theta_period1.csv":
+                "588c03be7b31b3c76cde37cafc4034bfd18a42be6a0575549a2470f5361278ac",
+            "scatter_theta_period2.csv":
+                "01006140e16fe733aafd634d2aed2123aaa89030072a16c92b4f7bb37f066f97",
+        }
+
+    def test_month_keys_are_iso_months_in_date_order(self, tmp_path, default_report):
+        # a season across the year 1000: "%Y" would write "999" and sort it last
+        start = date(999, 12, 30)
+        days = [d._replace(date=start + timedelta(days=i))
+                for i, d in enumerate(default_report.period1.days[:4])]
+        report = replace(default_report,
+                         period1=replace(default_report.period1, days=days,
+                                         hargreaves=[], et0_pred=[], theta_obs=[],
+                                         theta_est=[]))
+        export_plot_data(report, tmp_path)
+        lines = (tmp_path / "monthly_temperature.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[:2] for line in lines[1:3]] == [["period1", "0999-12"],
+                                                                 ["period1", "1000-01"]]
 
     def test_reexport_byte_identical(self, tmp_path, default_report):
         a, b = tmp_path / "a", tmp_path / "b"

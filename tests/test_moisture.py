@@ -106,6 +106,34 @@ class TestTrainMoistureModel:
         with pytest.raises(InsufficientHistoryError):
             train_moisture_model([], [], TrainConfig(seed=1))
 
+    @pytest.mark.parametrize("n_days, n_theta, lag, bad", [
+        (10, 9, 1, None), (1, 1, 1, None), (10, 10, 0, None), (10, 10, 10, None),
+        (10, 10, 2, math.nan), (10, 10, 2, math.inf), (10, 10, 2, -math.inf),
+    ])
+    def test_bad_input_raises_as_build_patterns_does(self, n_days, n_theta, lag, bad):
+        rng = np.random.default_rng(5)
+        forcing, theta = _forcing(rng, n_days), _theta(rng, n_theta)
+        if bad is not None:
+            theta[4] = bad
+        with pytest.raises(ValueError) as expected:
+            build_patterns(forcing, theta, lag)
+        with pytest.raises(type(expected.value)) as got:
+            train_moisture_model(forcing, theta, TrainConfig(seed=1, epochs=1), lag)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_trains_on_the_build_patterns_pairs(self, lag):
+        rng = np.random.default_rng(40 + lag)
+        forcing, theta = _forcing(rng, 30), _theta(rng, 30)
+        norms = TestBuildPatterns.NORMS
+        cfg = TrainConfig(seed=7, epochs=20)
+        model, losses = train_moisture_model(forcing, theta, cfg, lag, norms)
+        net, ref_losses = ann.train(Mlp.zeros(MlpTopology(3 + lag, 8, 1)),
+                                    build_patterns(forcing, theta, lag, norms), cfg)
+        assert losses == ref_losses
+        assert (model.net.w_hidden.tolist(), model.net.w_output.tolist(), model.net.gain) == (
+            net.w_hidden.tolist(), net.w_output.tolist(), net.gain)
+
     def test_topology_follows_lag(self):
         rng = np.random.default_rng(42)
         forcing, theta = _forcing(rng, 30), _theta(rng, 30)

@@ -18,12 +18,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from conftest import rendering_kernel  # noqa: E402
+from test_hydro import _reference_weather  # noqa: E402  the scalar-draw generator
 from paddymoist import ann  # noqa: E402
 from paddymoist.ann import (Mlp, MlpTopology, Normalizer, bind, denormalize,  # noqa: E402
                             normalize)
 from paddymoist.evapo import DailyWeather, Et0Model, predict_et0_series  # noqa: E402
 from paddymoist.experiment import format_config, parse_config  # noqa: E402
-from paddymoist.hydro import FieldParams, water_balance_step  # noqa: E402
+from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_weather,  # noqa: E402
+                              water_balance_step)
 from paddymoist.ingest import (HalfHourRecord, read_half_hourly_csv,  # noqa: E402
                                write_half_hourly_csv)
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
@@ -63,6 +65,19 @@ class TestWaterBalanceProperties:
         assert p.theta_res <= theta_next <= p.theta_sat
         assert min(fx.etc_mm, fx.runoff_mm, fx.perc_mm) >= 0.0
         assert fx.etc_mm <= etc and fx.perc_mm <= p.perc_rate
+
+
+class TestWeatherProperties:
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63), n_days=st.integers(1, 400),
+           wet_day_prob=st.one_of(st.sampled_from([0.0, 1.0]), _floats(0.0, 1.0)),
+           offset=st.integers(0, 3000))
+    def test_one_draw_call_per_day_is_the_scalar_draw_stream(self, seed, n_days,
+                                                              wet_day_prob, offset):
+        g = WeatherGenParams(seed=seed, n_days=n_days, wet_day_prob=wet_day_prob,
+                             start_date=date(2000, 1, 1) + timedelta(days=offset))
+        assert generate_weather(g) == _reference_weather(g)
 
 
 @st.composite
