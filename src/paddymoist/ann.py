@@ -52,14 +52,10 @@ rendering does the same IEEE double operations in the same order, and
 - ``-shared -fPIC`` make a library ``ctypes`` can load, and ``-lm`` links
   the same libm whose ``exp`` ``math.exp`` calls.  ``abs`` is ``fabs``.
 
-Float literals are written exactly, in hex.  The shared object is cached
-under ``$XDG_CACHE_HOME/paddymoist`` (else ``~/.cache/paddymoist``), named by
-the SHA-256 of the C source, the flags, the resolved compiler path with its
-mtime and size, and the platform, so a cache hit starts no process.  A
-build is written under a temporary name and moved into place, so a reader
-never loads a partial file.  With no ``cc`` on ``PATH``, an unwritable cache
-directory or a failed compile, the Python loops run and one warning per
-topology says why.
+Float literals are written exactly, in hex.  :mod:`._cbuild` compiles the
+C source under these flags and caches the shared object per topology.
+With no ``cc`` on ``PATH``, an unwritable cache directory or a failed
+compile, the Python loops run and one warning per topology says why.
 
 Series run in C, single calls run in Python.  :func:`series` runs a net over
 a whole series of days in one call: it scales each raw input against its
@@ -113,23 +109,20 @@ across threads.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
 import math
-import os
 import re
-import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain
 from math import exp
 from operator import add
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ._cbuild import shared_object
 from .errors import DimensionError
 
 logger = logging.getLogger(__name__)
@@ -592,51 +585,6 @@ def _python_kernel(t: MlpTopology):
     return namespace["train_loop"], forward, functools.partial(_py_series, forward)
 
 
-# See the module docstring for why each flag keeps the bits.
-_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno", "-shared",
-           "-fPIC")
-
-
-def _cache_key(source: str, flags: "tuple[str, ...]", compiler: str) -> str:
-    """SHA-256 naming what ``compiler`` (a resolved path) builds from ``source``."""
-    import hashlib
-    st = os.stat(compiler)
-    return hashlib.sha256(repr((source, flags, compiler, st.st_mtime_ns, st.st_size,
-                                sys.platform)).encode()).hexdigest()
-
-
-def _shared_object(source: str) -> str:
-    """Path of the shared object built from ``source``, compiled on a cache miss.
-
-    Raises ``OSError`` when there is no ``cc`` on ``PATH``, the cache
-    directory cannot be written or the compiler fails.
-    """
-    import shutil
-    found = shutil.which("cc")
-    if found is None:
-        raise FileNotFoundError("no C compiler 'cc' on PATH")
-    directory = Path(os.path.expanduser(os.environ.get("XDG_CACHE_HOME") or "~/.cache"),
-                     "paddymoist")
-    path = directory / f"ann-{_cache_key(source, _CFLAGS, os.path.realpath(found))}.so"
-    if path.exists():
-        return str(path)
-    import subprocess  # only a cache miss starts a process
-    import tempfile
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=directory)
-    os.close(fd)
-    try:
-        done = subprocess.run([found, *_CFLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                              input=source, capture_output=True, text=True)
-        if done.returncode != 0:
-            raise OSError(f"{found} exited {done.returncode}: {done.stderr.strip()}")
-        os.replace(tmp, path)  # readers never see a partly written object
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    return str(path)
-
-
 def _c_kernel(t: MlpTopology):
     """``(train_loop, forward, series)`` for ``t`` with the C rendering's train
     and series loops, called like the Python ones, both from the one shared
@@ -648,7 +596,7 @@ def _c_kernel(t: MlpTopology):
     module, so a process that never runs a net never needs it.
     """
     import ctypes
-    lib = ctypes.CDLL(_shared_object(_c_source(t.n_inputs, t.n_hidden, t.n_outputs)))
+    lib = ctypes.CDLL(shared_object("ann", _c_source(t.n_inputs, t.n_hidden, t.n_outputs)))
     ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.train_loop.argtypes = [ptr, ptr, ptr, ptr, long, double, long, ptr, ptr, ptr]
     lib.train_loop.restype = ctypes.c_int

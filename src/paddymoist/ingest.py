@@ -35,17 +35,45 @@ a record whose quoted field holds a line break is named by its last line.
 
 Daily means and totals are summed left to right (:func:`ann.left_sum`), so
 the aggregated bits do not depend on the Python version.
+
+A plain station file is read by a small C scanner, built by :mod:`._cbuild`
+on the first read and cached as ``ingest-<sha>.so``.  Plain means: ASCII
+text with no ``"``, no carriage return and no control character but the
+line feed; every field no longer than ``csv.field_size_limit()`` and every
+line shorter than a block; each number written as
+``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, which ``strtod`` must read to the
+field's end (so a locale whose decimal point is not ``.`` declines every
+file); and no fault.  The scanner copies each timestamp field and converts
+``temp_c``, ``precip_mm`` and ``theta_vwc`` with ``strtod``, which rounds
+as ``float()`` does, and checks what the Python pass checks: every value
+finite, precipitation >= 0 and theta in [0, 1].  The timestamps are still
+parsed by ``datetime.fromisoformat`` and their order checked in Python, as
+the Python pass does, so their meaning cannot drift from it on any Python
+version.  The file is read in blocks of 64 KiB (``_BLOCK``), at most 4096
+rows per scanner call (``_ROWS``), so beyond the records themselves the
+reader holds two block-sized buffers, three arrays of 4096 doubles and one
+call's timestamps, whatever the file's size.  Any other file, and a plain
+one with any fault, is read again, whole, by the Python pass above: it
+accepts what ``csv`` and ``float()`` accept, and it alone names a fault,
+with its line number.  With no ``cc`` on ``PATH``, an unwritable cache
+directory or a failed compile, the Python pass reads every file and one
+warning says why.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
+from itertools import islice, repeat
+from operator import lt
 from typing import NamedTuple, NoReturn
 
+from ._cbuild import shared_object
 from .ann import left_sum
 from .errors import DataFormatError, OrderingError
 from .evapo import DailyWeather
@@ -231,7 +259,18 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
 
     Rejects, naming the line, a row :class:`HalfHourRecord` would reject,
     a repeated or earlier timestamp, and a ``theta_vwc`` outside [0, 1].
+    A plain file is read by the C scanner where it builds, any other file,
+    and every file with a fault, by the Python pass (see the module
+    docstring); both give the same records.
     """
+    scan = _scanner()
+    records = None if scan is None else _scan_plain(scan, path)
+    return _read_rows(path) if records is None else records
+
+
+def _read_rows(path) -> list[HalfHourRecord]:
+    """The Python pass of :func:`read_half_hourly_csv`: every file it accepts,
+    every fault named."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         has_theta = _read_header(reader, path, _HALF_HOURLY_COLUMNS)
@@ -259,6 +298,176 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
                 _raise_row_fault(row, reader.line_num, has_theta, prev)
             append(make(HalfHourRecord, (ts, temp, precip, theta)))
             prev = ts
+    return records
+
+
+# The scanner: the C half of the plain-file reader.  ``scan`` reads the
+# complete lines of ``buf[pos:len]``, at most ``max_rows`` rows, skipping
+# blank lines.  Per row it writes temp_c, precip_mm and theta_vwc (NaN for
+# no reading) to the three arrays and the timestamp field, then a newline,
+# to ``stamps``, which cannot overflow: a row's timestamp and newline are
+# never longer than the row.  It sets ``ends`` to the position after the
+# last line read and the bytes written to ``stamps``, and returns the rows
+# read, or -1 for a line outside the plain subset or with a value the
+# Python pass would reject.
+_SCAN_SOURCE = r"""
+#include <math.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* Whether s[0..n) is a number, and if so its value.  Its characters are
+   digits, signs, points and exponent marks, and strtod reads it whole: so
+   it is [+-]?(d+[.d*]|.d+)([eE][+-]?d+)?, with no space, hex, inf or nan.
+   The end check also fails where LC_NUMERIC's decimal point is not '.'. */
+static int number(const char *s, long n, double *value)
+{
+    char *end;
+    long i;
+    for (i = 0; i < n; i++)
+        if (!((s[i] >= '0' && s[i] <= '9') || s[i] == '.' || s[i] == 'e' || s[i] == 'E'
+              || s[i] == '+' || s[i] == '-'))
+            return 0;
+    *value = strtod(s, &end);  /* the field ends at ',' or '\n', where strtod stops */
+    return n > 0 && end == s + n;
+}
+
+long scan(const char *buf, long len, long pos, long has_theta, long field_limit,
+          long max_rows, double *temp, double *precip, double *theta, char *stamps,
+          long *ends)
+{
+    long rows = 0, out = 0;
+    while (rows < max_rows) {
+        const unsigned char *line = (const unsigned char *)buf + pos, *c, *start;
+        const unsigned char *nl = memchr(line, '\n', (size_t)(len - pos));
+        const char *field[4];
+        long width[4], n_fields = 0;
+        double v;
+        if (nl == NULL) break;
+        if (nl == line) {  /* a blank line */
+            pos++;
+            continue;
+        }
+        for (c = start = line; ; c++) {
+            if (c == nl || *c == ',') {
+                if (c - start > field_limit) return -1;
+                if (n_fields < 4) {
+                    field[n_fields] = (const char *)start;
+                    width[n_fields] = c - start;
+                }
+                n_fields++;
+                if (c == nl) break;
+                start = c + 1;
+            } else if (*c < 0x20 || *c > 0x7e || *c == '"') {
+                return -1;
+            }
+        }
+        if (n_fields < 3) return -1;
+        if (!number(field[1], width[1], &v) || !isfinite(v)) return -1;
+        temp[rows] = v;
+        if (!number(field[2], width[2], &v) || !(v >= 0.0 && v < INFINITY)) return -1;
+        precip[rows] = v;
+        if (has_theta && n_fields > 3 && width[3] > 0) {
+            if (!number(field[3], width[3], &v) || !(v >= 0.0 && v <= 1.0)) return -1;
+            theta[rows] = v;
+        } else {
+            theta[rows] = NAN;
+        }
+        memcpy(stamps + out, field[0], (size_t)width[0]);
+        out += width[0];
+        stamps[out++] = '\n';
+        rows++;
+        pos = (const char *)nl + 1 - buf;
+    }
+    ends[0] = pos;
+    ends[1] = out;
+    return rows;
+}
+"""
+
+_BLOCK = 1 << 16  # bytes read at a time by the plain-file reader
+_ROWS = 4096      # rows per scanner call
+
+
+@functools.cache
+def _scanner():
+    """The scanner's ``scan``, built and loaded on the first read; None,
+    logged once, where it cannot be.  ``ctypes`` is imported here, so a
+    process that reads no station file never needs it."""
+    try:
+        import ctypes
+        lib = ctypes.CDLL(shared_object("ingest", _SCAN_SOURCE))
+    except (OSError, ImportError) as exc:
+        logger.warning("station files are read by the Python pass, the C scanner "
+                       "did not build: %s", exc)
+        return None
+    long, ptr = ctypes.c_long, ctypes.c_void_p
+    lib.scan.argtypes = [ptr, long, long, long, long, long, ptr, ptr, ptr, ptr, ptr]
+    lib.scan.restype = long
+    return lib.scan
+
+
+def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":
+    """The records of a plain station file, read ``_BLOCK`` bytes at a time;
+    None for any other file, and for one with a fault.
+
+    ``scan`` converts the numbers and checks their values; the timestamps
+    are parsed and their order checked here, as the Python pass does.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        line = fh.readline(_BLOCK).decode("latin-1")
+        header = line[:-1]
+        if not (line.endswith("\n") and header.isascii() and header.isprintable()
+                and '"' not in header):
+            return None
+        fields = header.split(",")
+        if max(map(len, fields)) > limit:
+            return None
+        try:
+            has_theta = _read_header(iter([fields]), path, _HALF_HOURLY_COLUMNS)
+        except DataFormatError:
+            return None
+        # every buffer is made once; stamps never outgrows buf (see _SCAN_SOURCE)
+        buf, stamps = array("B", [0]) * _BLOCK, array("B", [0]) * _BLOCK
+        temp, precip, theta = (array("d", [0.0]) * _ROWS for _ in range(3))
+        ends = array("l", [0, 0])
+        outputs = [a.buffer_info()[0] for a in (temp, precip, theta, stamps, ends)]
+        records, prev, kept, at_end = [], None, 0, False
+        make = functools.partial(tuple.__new__, HalfHourRecord)
+        parse_ts = datetime.fromisoformat
+        while not at_end:
+            if kept == _BLOCK:  # a line longer than a block
+                return None
+            with memoryview(buf) as view:
+                size = kept + fh.readinto(view[kept:])
+            if size == kept:
+                at_end = True
+                if kept:  # the last line lacks its newline
+                    buf[size] = ord("\n")
+                    size += 1
+            pos = 0
+            while True:
+                n = scan(buf.buffer_info()[0], size, pos, has_theta, limit, _ROWS, *outputs)
+                if n < 0:
+                    return None
+                if n:
+                    try:
+                        text = stamps[:ends[1] - 1].tobytes().decode("ascii")
+                        stamped = list(map(parse_ts, text.split("\n")))
+                        if not ((prev is None or prev < stamped[0])
+                                and all(map(lt, stamped, islice(stamped, 1, None)))):
+                            return None
+                    except (ValueError, TypeError):  # TypeError: mixed UTC offsets
+                        return None
+                    thetas = ([None if v != v else v for v in islice(theta, n)] if has_theta
+                              else repeat(None))
+                    records.extend(map(make, zip(stamped, temp, precip, thetas)))
+                    prev = stamped[-1]
+                if ends[0] == pos:  # no complete line left
+                    break
+                pos = ends[0]
+            kept = size - pos
+            buf[:kept] = buf[pos:size]
     return records
 
 
@@ -357,14 +566,12 @@ def write_daily_csv(path, days: "list[DailyWeather]", theta: "list | None" = Non
             f"theta has {len(theta)} entries for {len(days)} days"
         )
     any_theta = theta is not None and any(v is not None for v in theta)
+    # each day unpacked once: a NamedTuple field read is slow on 3.11
+    rows = ([date.isoformat(), str(day_index), repr(tmax), repr(tavg), repr(tmin), repr(precip)]
+            for day_index, date, tmax, tavg, tmin, precip in days)
+    if any_theta:
+        rows = ([*row, "" if v is None else repr(v)] for row, v in zip(rows, theta))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(_DAILY_COLUMNS) + ([_THETA_COLUMN] if any_theta else [])
-        writer.writerow(header)
-        for i, d in enumerate(days):
-            row = [d.date.isoformat(), str(d.day_index), repr(d.tmax),
-                   repr(d.tavg), repr(d.tmin), repr(d.precip)]
-            if any_theta:
-                v = theta[i]
-                row.append("" if v is None else repr(v))
-            writer.writerow(row)
+        writer.writerow(list(_DAILY_COLUMNS) + ([_THETA_COLUMN] if any_theta else []))
+        writer.writerows(rows)

@@ -1,7 +1,8 @@
 """Shared fixtures: the default experiment is expensive (two 1000-epoch
 trainings), so it runs once per session and is reused wherever the
 cross-period results are asserted; ``rendering`` runs a test once per
-rendering of the generated kernel."""
+rendering of the generated kernel, and ``station_reader`` once with the C
+station-file scanner and once with the Python pass alone."""
 
 import functools
 import shutil
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from paddymoist import ann, default_config, run_experiment
+from paddymoist import ann, default_config, ingest, run_experiment
 from paddymoist.ann import TrainConfig
 
 
@@ -42,4 +43,15 @@ def rendering(request, monkeypatch):
     if request.param == "c" and shutil.which("cc") is None:
         pytest.skip("no C compiler 'cc' on PATH")
     monkeypatch.setattr(ann, "_kernel", functools.cache(rendering_kernel(request.param)))
+    return request.param
+
+
+@pytest.fixture(params=["scanner", "python"])
+def station_reader(request, monkeypatch):
+    """``read_half_hourly_csv`` reads plain files with the C scanner, or,
+    with the scanner disabled, every file with the Python pass."""
+    if request.param == "scanner" and ingest._scanner() is None:
+        pytest.skip("the C station-file scanner did not build")
+    if request.param == "python":
+        monkeypatch.setattr(ingest, "_scanner", lambda: None)
     return request.param

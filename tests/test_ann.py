@@ -14,7 +14,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from paddymoist import ann
+from paddymoist import _cbuild, ann
 from paddymoist.ann import (GainTrace, Mlp, MlpTopology, Normalizer, Pattern,
                             TrainConfig, adaptive_gain, backprop_step, bind,
                             denormalize, forward, normalize, normalize_row,
@@ -1002,14 +1002,14 @@ class TestCBuild:
         compiler.write_bytes(b"v1")
         os.utime(compiler, ns=(10**18, 10**18))
 
-        def key(src=source, flags=ann._CFLAGS):
-            return ann._cache_key(src, flags, str(compiler))
+        def key(src=source, flags=_cbuild.CFLAGS):
+            return _cbuild.cache_key(src, flags, str(compiler))
         first = key()
         assert key() == first and len(first) == 64
         assert key(src=ann._c_source(2, 4, 1)) != first
         assert key(src=source + "\n") != first
-        assert key(flags=ann._CFLAGS[1:]) != first
-        assert key(flags=(*ann._CFLAGS, "-ffast-math")) != first
+        assert key(flags=_cbuild.CFLAGS[1:]) != first
+        assert key(flags=(*_cbuild.CFLAGS, "-ffast-math")) != first
         os.utime(compiler, ns=(10**18, 10**18 + 1))  # the compiler was replaced
         assert key() != first
         compiler.write_bytes(b"v22")
@@ -1039,7 +1039,7 @@ class TestCBuild:
     @needs_cc
     def test_leftover_temporary_file_is_harmless(self, cache_dir):
         source = ann._c_source(2, 3, 1)
-        name = f"ann-{ann._cache_key(source, ann._CFLAGS, os.path.realpath(_CC))}.so"
+        name = f"ann-{_cbuild.cache_key(source, _cbuild.CFLAGS, os.path.realpath(_CC))}.so"
         cache_dir.mkdir(parents=True)
         leftover = cache_dir / f"{name}.x1y2z3.tmp"  # a build cut off before its rename
         leftover.write_bytes(b"\x7fELF cut off")
@@ -1096,13 +1096,13 @@ class TestFlagBitGuards:
     @pytest.mark.usefixtures("cache_dir")
     def test_shipped_flags_with_fma_keep_the_bits(self, train_period1, monkeypatch):
         run, python = train_period1
-        monkeypatch.setattr(ann, "_CFLAGS", (*ann._CFLAGS, "-mfma"))
+        monkeypatch.setattr(_cbuild, "CFLAGS", (*_cbuild.CFLAGS, "-mfma"))
         assert run(ann._c_kernel) == python
 
     @pytest.mark.usefixtures("cache_dir")
     def test_contracted_fma_moves_the_bits(self, train_period1, monkeypatch):
         run, python = train_period1
-        monkeypatch.setattr(ann, "_CFLAGS", (*ann._CFLAGS, "-mfma", "-ffp-contract=fast"))
+        monkeypatch.setattr(_cbuild, "CFLAGS", (*_cbuild.CFLAGS, "-mfma", "-ffp-contract=fast"))
         assert run(ann._c_kernel) != python
 
 

@@ -47,6 +47,7 @@ class TestVerbs:
         assert (a / "period1_daily.csv").read_bytes() != (b / "period1_daily.csv").read_bytes()
         assert (a / "period2_daily.csv").read_bytes() == (b / "period2_daily.csv").read_bytes()
 
+    @pytest.mark.usefixtures("station_reader")
     def test_ingest_reports_gaps(self, tmp_path, capsys):
         src = tmp_path / "hh.csv"
         _write_half_hourly(src)
@@ -240,6 +241,7 @@ class TestExitCodes:
          "line 3: cannot parse timestamp from 'half past midnight'"),
     ], ids=["negative-precip", "repeated-timestamp", "theta-out-of-range", "too-few-fields",
             "bad-timestamp"])
+    @pytest.mark.usefixtures("station_reader")
     def test_bad_half_hourly_row_is_data_error(self, tmp_path, capsys, row, message):
         src = tmp_path / "hh.csv"
         src.write_text("timestamp_iso8601,temp_c,precip_mm,theta_vwc\n"

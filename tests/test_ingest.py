@@ -1,11 +1,16 @@
 """Half-hourly ingestion, gap handling, and CSV round trips."""
 
+import csv
+import hashlib
 import logging
 import random
+import shutil
 from datetime import date, datetime, timedelta
 
 import pytest
 
+from conftest import quick_config
+from paddymoist import ingest, run_experiment
 from paddymoist.ann import left_sum
 from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.evapo import DailyWeather
@@ -96,6 +101,7 @@ class TestDailyAggregate:
         assert agg.days == [] and agg.theta == [] and agg.gaps == []
 
 
+@pytest.mark.usefixtures("station_reader")
 class TestHalfHourlyCsv:
 
     def test_round_trip(self, tmp_path):
@@ -417,6 +423,7 @@ def _write(path, lines):
     return path
 
 
+@pytest.mark.usefixtures("station_reader")
 class TestBoundaryErrors:
 
     HEADER = "timestamp_iso8601,temp_c,precip_mm,theta_vwc"
@@ -519,6 +526,7 @@ class TestBoundaryErrors:
         assert str(exc.value) == "line 4: cannot parse day_index from 'zero'"
 
 
+@pytest.mark.usefixtures("station_reader")
 class TestPhysicalLineNumbers:
     """A quoted field may hold a line break; errors name the physical line."""
 
@@ -548,3 +556,264 @@ class TestPhysicalLineNumbers:
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(path)
         assert str(exc.value) == "line 5: cannot parse tavg_c from 'oops'"
+
+
+def _outcome(path):
+    """What ``read_half_hourly_csv`` gives for ``path``: each record's bits,
+    or the type and message of the exception it raises."""
+    try:
+        records = read_half_hourly_csv(path)
+    except Exception as exc:  # noqa: BLE001  any exception must match too
+        return type(exc), str(exc)
+    assert all(type(r) is HalfHourRecord for r in records)
+    return [(r.timestamp.isoformat(), *(None if v is None else v.hex() for v in r[1:]))
+            for r in records]
+
+
+def _both_outcomes(path, monkeypatch):
+    """(with the scanner, with the Python pass alone) for ``path``."""
+    scanned = _outcome(path)
+    with monkeypatch.context() as mp:
+        mp.setattr(ingest, "_scanner", lambda: None)
+        return scanned, _outcome(path)
+
+
+@pytest.fixture
+def scan():
+    found = ingest._scanner()
+    if found is None:
+        pytest.skip("the C station-file scanner did not build")
+    return found
+
+
+class TestScanner:
+    """The C scanner reads exactly the plain station files, and gives the
+    Python pass's records for them; it declines every other file, which the
+    Python pass then reads or rejects."""
+
+    HEADER = "timestamp_iso8601,temp_c,precip_mm,theta_vwc"
+    BEFORE = "2011-01-05T00:00:00,20.0,0.0,0.4"
+    AFTER = "2011-01-05T01:00:00,20.0,0.0,0.4"
+
+    def _check(self, scan, monkeypatch, path, plain):
+        assert (ingest._scan_plain(scan, path) is not None) is plain
+        scanned, python = _both_outcomes(path, monkeypatch)
+        assert scanned == python
+        return python
+
+    @pytest.mark.parametrize("temp, precip, theta", [
+        ("+1", "+1", "+1"), (".5", ".5", ".5"), ("5.", "5.", "1."), ("-0.0", "-0.0", "-0.0"),
+        ("5e-324", "4.9406564584124654e-324", "2.2250738585072011e-308"),  # subnormals
+        ("1e-400", "-1e-400", "0e999"),  # underflow to (signed) zero
+        ("0.30000000000000004441", "123456789012345678901234567890",
+         "0.999999999999999999999999"),  # more digits than a double holds
+        ("1.7976931348623157e308", "1E+2", "1e-0"),
+        ("20.0", "0.0", ""),  # no theta reading
+    ])
+    def test_plain_numbers_are_scanned(self, scan, monkeypatch, tmp_path, temp, precip, theta):
+        path = _write(tmp_path / "hh.csv", [
+            self.HEADER, self.BEFORE, f"2011-01-05T00:30:00,{temp},{precip},{theta}", self.AFTER])
+        assert len(self._check(scan, monkeypatch, path, True)) == 3
+
+    @pytest.mark.parametrize("row", [
+        "2011-01-05T00:30:00,1e400,0.0,0.4",  # overflows: Python names it
+        "2011-01-05T00:30:00,20.0,1e400,0.4",
+        "2011-01-05T00:30:00,1_0,0.0,0.4",  # Python reads these three
+        "2011-01-05T00:30:00, 1.5,0.0,0.4",
+        "2011-01-05T00:30:00,20.0 ,0.0,0.4",
+        "2011-01-05T00:30:00,nan,0.0,0.4",
+        "2011-01-05T00:30:00,20.0,inf,0.4",
+        "2011-01-05T00:30:00,0x1p3,0.0,0.4",
+        "2011-01-05T00:30:00,1e,0.0,0.4",
+        "2011-01-05T00:30:00,.,0.0,0.4",
+        "2011-01-05T00:30:00,+,0.0,0.4",
+        "2011-01-05T00:30:00,1.5.,0.0,0.4",
+        "2011-01-05T00:30:00,20.0,-0.5,0.4",
+        "2011-01-05T00:30:00,20.0,0.0,1.0000000000000002",
+        "2011-01-05T00:30:00,20.0,0.0,-1e-300",
+        "2011-01-05T00:30:00,20.0,0.0,nan",
+        "2011-01-05T00:30:00,20.0",
+        ",20.0,0.0,0.4",
+        "2011-01-05T00:30:00,,0.0,0.4",
+        "2011-01-05T00:30:00,20.0,,0.4",
+        "2011-01-05T00:30:00+07:00,20.0,0.0,0.4",  # cannot be ordered after a naive stamp
+        "2011-01-05T00:00:00,20.0,0.0,0.4",  # repeated
+        "2011-01-05 00:30:00\t,20.0,0.0,0.4",
+        '2011-01-05T00:30:00,"20.0",0.0,0.4',  # quoted
+        "2011-01-05T00:30:00,20.0,0.0,0.4,été",  # non-ASCII in an extra column
+        "2011-01-05T00:30:00,20.0,0.0,0.4,\x00",
+        "2011-01-05T00:30:00,20.0,0.0,0.4,a\rb",  # csv ends a row at a lone CR
+    ])
+    def test_other_rows_are_declined(self, scan, monkeypatch, tmp_path, row):
+        path = _write(tmp_path / "hh.csv", [self.HEADER, self.BEFORE, row, self.AFTER])
+        self._check(scan, monkeypatch, path, False)
+
+    @pytest.mark.parametrize("text, plain", [
+        (HEADER + "\n" + BEFORE + "\n\n\n" + AFTER + "\n\n", True),  # blank lines
+        (HEADER + "\n" + BEFORE + "\n" + AFTER, True),  # no final newline
+        (HEADER + "\n", True),  # a header alone
+        (HEADER, False),
+        ("", False),
+        ("timestamp_iso8601,temp_c,precip_mm\n" + BEFORE + ",x,y\n" + AFTER + "\n", True),
+        (HEADER + ",note\n" + BEFORE + ",a note\n" + AFTER + "\n", True),  # extra columns
+        (HEADER + "\n" + BEFORE + "\n2011-01-05T00:30:00,21.0,0.0\n" + AFTER + "\n", True),
+        # a quoted note holding a line break, whose second line reads as a row
+        (HEADER + ",note\n" + BEFORE + ',"two\n' + AFTER + ',lines"\n', False),
+        (HEADER + "\r\n" + BEFORE + "\r\n" + AFTER + "\r\n", False),  # CRLF
+        (HEADER + "\n" + BEFORE + "\r\n" + AFTER + "\n", False),
+        ("﻿" + HEADER + "\n" + BEFORE + "\n", False),  # a UTF-8 byte order mark
+        ('"timestamp_iso8601",temp_c,precip_mm\n' + BEFORE + "\n", False),
+        ("timestamp_iso8601,temp_c,rain_mm\n" + BEFORE + "\n", False),
+        ("\n" + HEADER + "\n" + BEFORE + "\n", False),
+    ])
+    def test_whole_files(self, scan, monkeypatch, tmp_path, text, plain):
+        path = tmp_path / "hh.csv"
+        path.write_bytes(text.encode("utf-8"))
+        self._check(scan, monkeypatch, path, plain)
+
+    def test_non_utf8_bytes_are_declined(self, scan, monkeypatch, tmp_path):
+        path = tmp_path / "hh.csv"
+        path.write_bytes(f"{self.HEADER}\n{self.BEFORE},\xff\n".encode("latin-1"))
+        assert self._check(scan, monkeypatch, path, False)[0] is UnicodeDecodeError
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_field_over_the_csv_limit_is_declined(self, scan, monkeypatch, tmp_path, where):
+        limit = 30
+        old = csv.field_size_limit(limit)
+        try:
+            for width, plain in ((limit, True), (limit + 1, False)):
+                header, row = self.HEADER, self.BEFORE
+                if where == "header":
+                    header += "," + "n" * width
+                else:
+                    row += "," + "x" * width
+                path = _write(tmp_path / "hh.csv", [header, row, self.AFTER])
+                outcome = self._check(scan, monkeypatch, path, plain)
+                assert (outcome[0] is csv.Error) is not plain
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("block", [100, 128, 173])
+    def test_rows_straddle_block_boundaries(self, scan, monkeypatch, tmp_path, block):
+        records = _station(5, n_days=3)
+        path = tmp_path / "hh.csv"
+        write_half_hourly_csv(path, records)
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        assert read_half_hourly_csv(path) == records
+        self._check(scan, monkeypatch, path, True)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))  # and without a final newline
+        self._check(scan, monkeypatch, path, True)
+
+    def test_line_longer_than_a_block_is_declined(self, scan, monkeypatch, tmp_path):
+        path = _write(tmp_path / "hh.csv", [self.HEADER, self.BEFORE + "," + "x" * 80,
+                                            self.AFTER])
+        monkeypatch.setattr(ingest, "_BLOCK", 64)
+        assert len(self._check(scan, monkeypatch, path, False)) == 2
+
+    def test_many_scanner_calls_per_block(self, scan, monkeypatch, tmp_path):
+        records = _station(6, n_days=30)
+        path = tmp_path / "hh.csv"
+        write_half_hourly_csv(path, records)
+        monkeypatch.setattr(ingest, "_ROWS", 7)
+        assert ingest._scan_plain(scan, path) == records
+
+    @pytest.mark.parametrize("at", [0, 1, 5, 6, 7, 30])
+    def test_order_is_checked_across_scanner_calls(self, scan, monkeypatch, tmp_path, at):
+        records = _station(7, n_days=2)
+        records[at + 1] = records[at + 1]._replace(timestamp=records[at].timestamp)
+        path = tmp_path / "hh.csv"
+        write_half_hourly_csv(path, records)
+        monkeypatch.setattr(ingest, "_ROWS", 7)
+        monkeypatch.setattr(ingest, "_BLOCK", 300)
+        assert ingest._scan_plain(scan, path) is None
+        scanned, python = _both_outcomes(path, monkeypatch)
+        assert scanned == python and scanned[0] is OrderingError
+
+
+class TestScannerBuild:
+
+    @pytest.fixture
+    def fresh(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        ingest._scanner.cache_clear()
+        yield tmp_path / "xdg" / "paddymoist"
+        ingest._scanner.cache_clear()
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+    def test_built_once_under_its_own_name(self, fresh, tmp_path):
+        records = _station(8, n_days=4)
+        write_half_hourly_csv(tmp_path / "hh.csv", records)
+        assert read_half_hourly_csv(tmp_path / "hh.csv") == records
+        (built,) = [p.name for p in fresh.iterdir()]
+        assert built.startswith("ingest-") and built.endswith(".so")
+        assert ingest._scanner() is not None
+
+    @pytest.mark.parametrize("broken", ["no cc on PATH", "compile error"])
+    def test_falls_back_to_the_python_pass(self, broken, fresh, tmp_path, monkeypatch,
+                                           caplog):
+        records = _station(9, n_days=4)
+        path = tmp_path / "hh.csv"
+        write_half_hourly_csv(path, records)
+        bad = _write(tmp_path / "bad.csv", [TestScanner.HEADER, TestScanner.BEFORE,
+                                            "2011-01-05T00:30:00,oops,0.0,0.4"])
+        if broken == "no cc on PATH":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        else:
+            monkeypatch.setattr(ingest, "_SCAN_SOURCE", "this is not C\n")
+        with caplog.at_level(logging.WARNING, logger="paddymoist.ingest"):
+            assert read_half_hourly_csv(path) == records
+            assert read_half_hourly_csv(path) == records
+            with pytest.raises(DataFormatError, match="^line 3: cannot parse temp_c from"):
+                read_half_hourly_csv(bad)
+        assert len(caplog.records) == 1
+        assert "the C scanner did not build" in caplog.records[0].getMessage()
+        assert not fresh.exists() or list(fresh.iterdir()) == []
+
+    def test_experiment_never_reads_a_station_file(self, monkeypatch):
+        def no_scanner():
+            raise AssertionError("the experiment built or loaded the station-file scanner")
+        monkeypatch.setattr(ingest, "_scanner", no_scanner)
+        run_experiment(quick_config(2, 2))
+
+
+# write_daily_csv as it was before it unpacked each day once, kept as the
+# reference its bytes must equal
+def _reference_write_daily_csv(path, days, theta=None):
+    any_theta = theta is not None and any(v is not None for v in theta)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", "day_index", "tmax_c", "tavg_c", "tmin_c", "precip_mm"]
+                        + (["theta_vwc"] if any_theta else []))
+        for i, d in enumerate(days):
+            row = [d.date.isoformat(), str(d.day_index), repr(d.tmax),
+                   repr(d.tavg), repr(d.tmin), repr(d.precip)]
+            if any_theta:
+                v = theta[i]
+                row.append("" if v is None else repr(v))
+            writer.writerow(row)
+
+
+class TestDailyBytes:
+    """Two years of aggregated station days, as perfbench's station_io writes
+    them, give the same bytes as before."""
+
+    # SHA-256 of the bytes the writer gave before it unpacked each day once
+    PINNED = {
+        (3, True): "e79049e9cc38ed87b70fda31d5ee6d88fc0c111816ad63f694abf1f2884453f5",
+        (3, False): "f3b35e3953415929e2871ac408d35a1e412dec9a8126ca868109c6ccefaf35d3",
+        (4, True): "3a61d92a1cbfa4ae7d7ea3c7d0637ddbec1c5b3bdc27233af9930e29ea174f4a",
+        (4, False): "8c8c9c9d838135dbcb924acd1c5a10abae08c17a8fcac79deac48db7f9d20d77",
+    }
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("theta", ["aggregated", "absent", "all none"])
+    def test_same_bytes_as_before(self, tmp_path, seed, theta):
+        agg = daily_aggregate(_station(seed, n_days=730))
+        values = {"aggregated": agg.theta, "absent": None,
+                  "all none": [None] * len(agg.days)}[theta]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_daily_csv(new, agg.days, values)
+        _reference_write_daily_csv(old, agg.days, values)
+        assert new.read_bytes() == old.read_bytes()
+        digest = hashlib.sha256(new.read_bytes()).hexdigest()
+        assert digest == self.PINNED[seed, theta == "aggregated"]

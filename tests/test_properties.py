@@ -7,7 +7,7 @@ import math
 import shutil
 import string
 import tempfile
-from datetime import date, timedelta
+from datetime import date, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st  
 
 from conftest import rendering_kernel  # noqa: E402
 from test_hydro import _reference_weather  # noqa: E402  the scalar-draw generator
-from paddymoist import ann  # noqa: E402
+from paddymoist import ann, ingest  # noqa: E402
 from paddymoist.ann import (Mlp, MlpTopology, Normalizer, bind, denormalize,  # noqa: E402
                             normalize)
 from paddymoist.evapo import DailyWeather, Et0Model, predict_et0_series  # noqa: E402
@@ -324,7 +324,10 @@ def _bits(record):
 
 class TestHalfHourlyRoundTrip:
 
-    @settings(max_examples=200, deadline=None)
+    # the fixture's patch holds for every example of the test
+    @pytest.mark.usefixtures("station_reader")
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(records=station_records())
     def test_write_then_read_gives_the_same_records(self, records):
         with tempfile.TemporaryDirectory() as tmp:
@@ -334,6 +337,76 @@ class TestHalfHourlyRoundTrip:
         assert back == records
         assert [_bits(r) for r in back] == [_bits(r) for r in records]
         assert all(type(r) is HalfHourRecord for r in back)
+
+
+# Cells the C scanner must read as float() does, or decline: signs, bare
+# points, subnormals, more digits than a double holds, overflow, underflow,
+# and what float() accepts or rejects outside the scanner's number syntax.
+_ODD_NUMBERS = ["+1", ".5", "5.", "-0.0", "-0", "0e0", "5e-324", "4.9406564584124654e-324",
+                "2.2250738585072011e-308", "0.30000000000000004441",
+                "123456789012345678901234567890", "1e400", "-1e400", "1e-400", "1_0",
+                " 1.5", "1.5 ", "nan", "inf", "-Infinity", "0x1p3", "1e", ".", "+", "",
+                "1.0.0", "1e+", "١"]
+
+
+def _number(values):
+    """A cell's text: a value of ``values`` written one of several ways, or
+    an odd cell."""
+    written = values.flatmap(lambda v: st.sampled_from(
+        [repr(v), f"{v:.3f}", f"{v:+.17e}", f"{v:.25g}", f"{v:E}"]))
+    return st.one_of(written, written, st.sampled_from(_ODD_NUMBERS))
+
+
+@st.composite
+def station_texts(draw):
+    """The text of a station file: mostly well-formed, with CRLF endings,
+    blank lines, quoted cells, extra columns, missing or empty theta, odd
+    numbers, unordered or offset timestamps and no final newline mixed in."""
+    theta = draw(st.booleans())
+    header = ["timestamp_iso8601", "temp_c", "precip_mm"] + (["theta_vwc"] if theta else [])
+    extra = draw(st.sampled_from([0, 0, 1, 2]))
+    header += ["note"] * extra
+    stamps = sorted(draw(st.lists(st.datetimes(), unique=True, max_size=30)))
+    if stamps and draw(st.integers(0, 9)) == 0:  # out of order, or offset
+        i = draw(st.integers(0, len(stamps) - 1))
+        stamps[i] = draw(st.sampled_from([stamps[0], stamps[i].replace(tzinfo=timezone.utc)]))
+    lines = [",".join(header)]
+    for ts in stamps:
+        cells = [draw(st.sampled_from([ts.isoformat(), ts.isoformat(" ")])),
+                 draw(_number(_floats(-60.0, 60.0))), draw(_number(_floats(0.0, None)))]
+        if draw(st.integers(0, 3)):
+            cells.append(draw(_number(_floats(0.0, 1.0))))
+        cells += draw(st.lists(st.sampled_from(["x", "", "a b", '"q,uoted"', "é"]),
+                               max_size=extra))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestStationScanner:
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=station_texts(), block=st.sampled_from([128, 1 << 18]))
+    def test_scanner_and_python_pass_agree(self, text, block):
+        """Bit-identical records, or the same exception type and message."""
+        if ingest._scanner() is None:
+            pytest.skip("the C station-file scanner did not build")
+
+        def outcome():
+            try:
+                return [_bits(r) for r in read_half_hourly_csv(path)]
+            except Exception as exc:  # noqa: BLE001  any exception must match too
+                return type(exc), str(exc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "station.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(ingest, "_BLOCK", block):
+                scanned = outcome()
+                with mock.patch.object(ingest, "_scanner", lambda: None):
+                    python = outcome()
+        assert scanned == python
 
 
 # one word of a provenance entry: no whitespace, no line break, no control character
