@@ -659,20 +659,32 @@ def _run_c_series(fn, t: MlpTopology, wh, wo, g, rows, norms, out_norm, feedback
     return out.tolist()
 
 
-@functools.cache
+_KERNELS: dict = {}  # (n_inputs, n_hidden, n_outputs) -> _kernel's triple
+
+
 def _kernel(t: MlpTopology):
     """``(train_loop, forward, series)`` for one topology, built once per process.
 
     The C rendering's when it builds, else the Python rendering's, logged
-    once; both give the same bits.
+    once; both give the same bits.  Cached by the topology's three sizes: a
+    tuple of ints hashes in C, where the frozen dataclass would call its
+    Python-level ``__hash__`` on every :func:`bind`.  ``cache_clear()``
+    empties the cache.
     """
-    try:
-        return _c_kernel(t)
-    except (OSError, ImportError) as exc:
-        logger.warning("ann %d-%d-%d: training runs the Python loop, as does series "
-                       "inference, the C loops did not build: %s",
-                       t.n_inputs, t.n_hidden, t.n_outputs, exc)
-        return _python_kernel(t)
+    key = (t.n_inputs, t.n_hidden, t.n_outputs)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        try:
+            kernel = _c_kernel(t)
+        except (OSError, ImportError) as exc:
+            logger.warning("ann %d-%d-%d: training runs the Python loop, as does series "
+                           "inference, the C loops did not build: %s", *key, exc)
+            kernel = _python_kernel(t)
+        _KERNELS[key] = kernel
+    return kernel
+
+
+_kernel.cache_clear = _KERNELS.clear
 
 
 def _row(p: Pattern) -> "tuple[float, ...]":

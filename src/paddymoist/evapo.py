@@ -158,8 +158,9 @@ def hargreaves_et0(tmax: float, tavg: float, tmin: float, ra: float) -> float:
 def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[float]:
     """Hargreaves ET0 for each day, with Ra from the day's calendar date."""
     ra = ra_table(site.latitude)
-    return [hargreaves_et0(d.tmax, d.tavg, d.tmin, ra[day_of_year(d.date) - 1])
-            for d in days]
+    # each day unpacked once: a NamedTuple field read is slow on 3.11
+    return [hargreaves_et0(tmax, tavg, tmin, ra[day_of_year(date) - 1])
+            for _, date, tmax, tavg, tmin, _ in days]
 
 
 def _input_norms(temp_norm: Normalizer) -> "list[Normalizer]":

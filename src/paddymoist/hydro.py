@@ -16,21 +16,58 @@ day's storage change can be audited from its row alone to floating-point
 precision.  All parameter defaults are synthetic placeholders, not
 measurements of any real field.
 
+Both loops run as C where the system C compiler ``cc`` builds them, and as
+the Python loops below otherwise; the two give the same bits.  The C
+weather loop draws from the season's own ``numpy`` Generator: it calls
+numpy's ``random_standard_normal``, ``random_standard_uniform`` and
+``random_standard_exponential``, linked from the installed numpy's
+``numpy/random/lib/libnpyrandom.a``, on the Generator's ``bitgen_t``
+(``rng.bit_generator.ctypes.bit_generator``) while holding the bit
+generator's lock.  Those are the functions ``standard_normal``, ``random``
+and ``standard_exponential`` call, so the stream and every draw are
+numpy's, in the same order.  The C loops then do the Python loops'
+arithmetic in the same order, under the flags :mod:`.ann` explains, with
+libm's ``cos``, ``exp`` and ``sqrt`` as ``math`` calls them; the bucket keeps
+the tie rules of Python's ``min(a, b)`` (``a`` unless ``b < a``) and
+``max(a, b)`` (``a`` unless ``b > a``), which decide the sign of a zero.
+Both make the checks of :class:`~paddymoist.evapo.DailyWeather`,
+:func:`~paddymoist.evapo.hargreaves_et0`, :func:`water_balance_step` and
+:class:`WaterFluxes`, and build the same rows.  ``tests/test_properties.py``
+checks the two renderings against each other bit for bit.
+
+The Python loops are the reference, and they alone name a fault: the C
+loops stop at the first value a check rejects, and the Python loop then
+runs the season again from its seed and raises.  They also run every
+season whose numbers are not all ``float`` (an ``int`` or a numpy scalar
+could change a result's type), and every season where the C loops cannot
+be built: with no ``cc`` on ``PATH``, no ``libnpyrandom.a``, an unwritable
+cache directory or a failed compile, one warning says why.  The loops are
+built by :mod:`._cbuild` on the first season, not at import, and cached as
+``hydro-<sha>.so``; a numpy upgrade changes the library, and so the key.
+
 This module depends on the weather and crop layers only, never on the
 moisture model it provides targets for.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
+import os
+from array import array
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from ._cbuild import shared_object
 from .crop import KcSchedule, kc_table, validate_schedule
-from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_series
+from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_series, ra_table
+
+logger = logging.getLogger(__name__)
 
 # Generator constants: day-to-day scatter of the mean temperature (deg C),
 # lognormal sigma of the diurnal-range jitter, and the day-of-year where the
@@ -209,8 +246,16 @@ def generate_weather(g: WeatherGenParams) -> list[DailyWeather]:
     scatter; the diurnal range is the configured mean scaled by independent
     mean-one lognormal jitters above and below, which keeps
     tmin < tavg < tmax by construction.  Precipitation is a Bernoulli
-    wet/dry process with exponential wet-day amounts.
+    wet/dry process with exponential wet-day amounts.  Runs as C where it
+    can, giving the same days (see the module docstring).
     """
+    lib = _c_loops()
+    days = None if lib is None else _c_weather(lib[0], g)
+    return _python_weather(g) if days is None else days
+
+
+def _python_weather(g: WeatherGenParams) -> list[DailyWeather]:
+    """:func:`generate_weather` as Python: the reference, and the fallback."""
     rng = np.random.default_rng(g.seed)
     # numpy's own formulas for normal(0, s), lognormal(mu, s), uniform() and
     # exponential(m) over the standard draws, without the argument parsing:
@@ -253,15 +298,23 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
             == (theta[d] - theta[d - 1]) * root depth in mm
 
     with ``p.theta_init`` before day 0.  The rows' ``et0`` are
-    :func:`~paddymoist.evapo.hargreaves_series` of the weather.
+    :func:`~paddymoist.evapo.hargreaves_series` of the weather.  Runs as C
+    where it can, giving the same lists (see the module docstring).
     """
     if not weather:
         raise ValueError("weather series is empty")
     validate_schedule(kc, len(weather))
+    lib = _c_loops()
+    made = None if lib is None else _c_truth(lib[1], weather, site, kc, p)
+    return _python_truth(weather, site, kc, p) if made is None else made
+
+
+def _python_truth(weather: "list[DailyWeather]", site: SiteLocation, kc: KcSchedule,
+                  p: FieldParams) -> tuple[list[float], list[LedgerDay]]:
+    """:func:`generate_truth` as Python, past its checks: the reference, and
+    the fallback."""
     kcs = kc_table(kc)
-    irrig = {}
-    for day_index, mm in p.irrigation:
-        irrig[day_index] = irrig.get(day_index, 0.0) + mm
+    irrig = _irrigation_by_day(p)
     theta = p.theta_init
     theta_series: list[float] = []
     ledger: list[LedgerDay] = []
@@ -271,3 +324,218 @@ def generate_truth(weather: "list[DailyWeather]", site: SiteLocation,
         theta_series.append(theta)
         ledger.append(LedgerDay(day.precip, irrig_mm, et0, kc_d, fluxes))
     return theta_series, ledger
+
+
+def _irrigation_by_day(p: FieldParams) -> dict:
+    """``p.irrigation`` as mm per day index, events on one day added in order."""
+    irrig = {}
+    for day_index, mm in p.irrigation:
+        irrig[day_index] = irrig.get(day_index, 0.0) + mm
+    return irrig
+
+
+# The C loops.  ``weather`` is _python_weather's loop from day 0, whose date
+# is day ``doy`` of ``year``; ``truth`` is _python_truth's, with each day's
+# date as its proleptic Gregorian ordinal and the field as ``field[6]`` =
+# (root_depth, theta_sat, theta_res, theta_init, runoff_threshold,
+# perc_rate).  Each writes one value per day to each output array and
+# returns -1, or the first day that a check rejects, before writing it.
+_C_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* numpy's bitgen_t (numpy/random/bitgen.h) and three of its distributions
+   (numpy/random/distributions.h), linked from libnpyrandom.a */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+double random_standard_normal(bitgen_t *bitgen_state);
+double random_standard_uniform(bitgen_t *bitgen_state);
+double random_standard_exponential(bitgen_t *bitgen_state);
+
+long weather(bitgen_t *rng, long n_days, long year, long doy, double tavg_mean,
+             double tavg_amplitude, double range_mean, double wet_day_prob,
+             double precip_mean_wet, double *tmax, double *tavg, double *tmin,
+             double *precip)
+{
+    long d;
+    for (d = 0; d < n_days; d++) {
+        double noise, up, down, t, hi, lo, p = 0.0;
+        if (d && ++doy > 365 + (year % 4 == 0 && (year % 100 != 0 || year % 400 == 0))) {
+            doy = 1;
+            year++;
+        }
+        noise = random_standard_normal(rng);
+        up = random_standard_normal(rng);
+        down = random_standard_normal(rng);
+        t = tavg_mean + tavg_amplitude * cos(TWO_PI * (double)(doy - PEAK_DOY) / 365.0)
+            + (0.0 + NOISE_SD * noise);
+        hi = t + 0.5 * range_mean * exp(MU + SIGMA * up);
+        lo = t - 0.5 * range_mean * exp(MU + SIGMA * down);
+        if (random_standard_uniform(rng) < wet_day_prob)
+            p = precip_mean_wet * random_standard_exponential(rng);
+        if (!(-INFINITY < lo && lo <= t && t <= hi && hi < INFINITY && 0.0 <= p && p < INFINITY))
+            return d;
+        tmax[d] = hi;
+        tavg[d] = t;
+        tmin[d] = lo;
+        precip[d] = p;
+    }
+    return -1;
+}
+
+/* The day of the year of an ordinal, found as CPython's _ord2ymd does */
+static long day_of_year(long ordinal)
+{
+    long n = (ordinal - 1) % 146097, n100 = n / 36524, n1;
+    n = n % 36524 % 1461;
+    n1 = n / 365;
+    if (n1 == 4 || n100 == 4)  /* 31 December of a leap year */
+        return 366;
+    return n % 365 + 1;
+}
+
+/* Python's min(a, b) and max(a, b): a, unless b is less, or greater */
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+
+long truth(long n_days, const double *tmax, const double *tavg, const double *tmin,
+           const long *ordinal, const double *precip, const double *irrig,
+           const double *kc, const double *ra, const double *field, double *et0,
+           double *etc, double *runoff, double *perc, double *theta)
+{
+    double depth = field[0] * 1000.0, sat = field[1], res = field[2], th = field[3];
+    double res_mm = res * depth, thr_mm = field[4] * depth, rate = field[5];
+    long d;
+    for (d = 0; d < n_days; d++) {
+        double e, demand, storage, taken, down, off;
+        if (tmax[d] < tmin[d])
+            return d;
+        e = py_max(HARG_K * (tavg[d] + HARG_T) * sqrt(tmax[d] - tmin[d])
+                   * (HARG_RA * ra[day_of_year(ordinal[d]) - 1]), 0.0);
+        demand = kc[d] * e;
+        if (!(0.0 <= precip[d] && precip[d] < INFINITY && 0.0 <= irrig[d]
+              && irrig[d] < INFINITY && 0.0 <= demand && demand < INFINITY)
+            || !(res <= th && th <= sat))
+            return d;
+        storage = th * depth + precip[d] + irrig[d];
+        taken = py_min(demand, py_max(storage - res_mm, 0.0));
+        storage -= taken;
+        down = py_min(rate, py_max(storage - res_mm, 0.0));
+        storage -= down;
+        off = py_max(storage - thr_mm, 0.0);
+        storage -= off;
+        th = py_min(py_max(storage / depth, res), sat);
+        if (!(0.0 <= taken && taken < INFINITY && 0.0 <= off && off < INFINITY
+              && 0.0 <= down && down < INFINITY))
+            return d;
+        et0[d] = e;
+        etc[d] = taken;
+        runoff[d] = off;
+        perc[d] = down;
+        theta[d] = th;
+    }
+    return -1;
+}
+"""
+# the Python loops' constants, floats exactly, in hex; the Hargreaves ones
+# are evapo.hargreaves_et0's literals
+_C_SOURCE = "".join(
+    f"#define {name} ({value.hex() if isinstance(value, float) else value})\n"
+    for name, value in (("TWO_PI", 2.0 * math.pi), ("PEAK_DOY", _SEASON_PEAK_DOY),
+                        ("NOISE_SD", _TAVG_NOISE_SD), ("SIGMA", _RANGE_JITTER_SIGMA),
+                        ("MU", -0.5 * _RANGE_JITTER_SIGMA ** 2), ("HARG_K", 0.0023),
+                        ("HARG_T", 17.8), ("HARG_RA", 0.408))) + _C_SOURCE
+
+# numpy's distributions, as the static library numpy installs for C extensions
+_NPYRANDOM = os.path.join(os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a")
+_LAST_ORDINAL = Date.max.toordinal()
+
+
+@functools.cache
+def _c_loops():
+    """The C loops' ``(weather, truth)``, built and loaded on the first season;
+    None, logged once, where they cannot be.  ``ctypes`` is imported here, so
+    a process that makes no season never needs it."""
+    try:
+        import ctypes
+        lib = ctypes.CDLL(shared_object("hydro", _C_SOURCE, (_NPYRANDOM,)))
+    except (OSError, ImportError) as exc:
+        logger.warning("synthetic seasons run the Python loops, the C loops did not "
+                       "build: %s", exc)
+        return None
+    long, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
+    lib.weather.argtypes = [ptr, long, long, long, *[double] * 5, *[ptr] * 4]
+    lib.truth.argtypes = [long, *[ptr] * 14]
+    lib.weather.restype = lib.truth.restype = long
+    return lib.weather, lib.truth
+
+
+def _all_float(values) -> bool:
+    return {*map(type, values)} <= {float}
+
+
+def _c_weather(fn, g: WeatherGenParams) -> "list[DailyWeather] | None":
+    """:func:`generate_weather`'s days from the C loop ``fn``; None where the
+    Python loop must run: a number that is not a float, a date past
+    :data:`datetime.date.max`, or a day that ``DailyWeather`` rejects."""
+    n, start = g.n_days, g.start_date
+    if not (type(n) is int and type(start) is Date
+            and _all_float((g.tavg_mean, g.tavg_amplitude, g.diurnal_range_mean,
+                            g.wet_day_prob, g.precip_mean_wet))
+            and start.toordinal() + n - 1 <= _LAST_ORDINAL):
+        return None
+    rng = np.random.default_rng(g.seed)
+    out = [array("d", bytes(8 * n)) for _ in range(4)]
+    bits = rng.bit_generator
+    with bits.lock:
+        fault = fn(bits.ctypes.bit_generator, n, start.year, day_of_year(start), g.tavg_mean,
+                   g.tavg_amplitude, g.diurnal_range_mean, g.wet_day_prob, g.precip_mean_wet,
+                   *(a.buffer_info()[0] for a in out))
+    if fault >= 0:
+        return None
+    first = start.toordinal()
+    dates = map(Date.fromordinal, range(first, first + n))
+    # each row built past the constructor's check, which the C loop made
+    return list(map(tuple.__new__, repeat(DailyWeather), zip(range(n), dates, *out)))
+
+
+@functools.lru_cache(maxsize=64)
+def _c_tables(latitude: float, kc: KcSchedule) -> "tuple[array, array | None]":
+    """The Ra table at ``latitude`` and ``kc``'s Kc table as arrays of doubles;
+    the Kc one None unless all its entries are floats."""
+    kcs = kc_table(kc)
+    return array("d", ra_table(latitude)), array("d", kcs) if _all_float(kcs) else None
+
+
+def _c_truth(fn, weather: "list[DailyWeather]", site: SiteLocation, kc: KcSchedule,
+             p: FieldParams) -> "tuple[list[float], list[LedgerDay]] | None":
+    """:func:`generate_truth`'s lists from the C loop ``fn``, past its checks;
+    None where the Python loop must run: a day that is not a
+    ``DailyWeather``, a number that is not a float, or a fault."""
+    ra, kcs = _c_tables(site.latitude, kc)
+    field = (p.root_depth, p.theta_sat, p.theta_res, p.theta_init, p.runoff_threshold,
+             p.perc_rate)
+    irrig = _irrigation_by_day(p)
+    if not ({*map(type, weather)} == {DailyWeather} and kcs is not None
+            and _all_float(field) and _all_float(irrig.values())):
+        return None
+    n = len(weather)
+    _, dates, tmax, tavg, tmin, precip = zip(*weather)
+    if not _all_float(tmax + tavg + tmin + precip):
+        return None
+    irrigs = list(map(irrig.get, range(n), repeat(0.0))) if irrig else [0.0] * n
+    inputs = [array("d", column) for column in (tmax, tavg, tmin)]
+    inputs += [array("l", map(Date.toordinal, dates)), array("d", precip), array("d", irrigs),
+               kcs, ra, array("d", field)]
+    et0, etc, runoff, perc, theta = out = [array("d", bytes(8 * n)) for _ in range(5)]
+    if fn(n, *(a.buffer_info()[0] for a in inputs + out)) >= 0:
+        return None
+    # each row built past the constructor's check, which the C loop made
+    fluxes = map(tuple.__new__, repeat(WaterFluxes), zip(etc, runoff, perc))
+    rows = zip(precip, irrigs, et0, kcs, fluxes)
+    return theta.tolist(), list(map(tuple.__new__, repeat(LedgerDay), rows))

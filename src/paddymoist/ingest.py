@@ -27,11 +27,15 @@ reader checks its cells in column order too.
 
 Every fault in a station or daily file is a :class:`DataFormatError` naming
 its line (an :class:`OrderingError` for a repeated or earlier timestamp or
-date), which the CLI maps to exit code 4: a missing or wrong header, too few
-fields, an unparseable or non-finite number, a negative precipitation, a
+date), which the CLI maps to exit code 4: a missing or wrong header, a
+header that starts with a byte order mark, a byte that is not UTF-8, a
+field longer than ``csv.field_size_limit()``, too few fields, an
+unparseable or non-finite number, a negative precipitation, a
 ``theta_vwc`` outside [0, 1], and, in a daily file, a day with
 ``tmin <= tavg <= tmax`` broken.  The line is the physical one in the file:
 a record whose quoted field holds a line break is named by its last line.
+The byte that is not UTF-8 is the file's first, named even where an
+earlier line has another fault: the file is decoded a block at a time.
 
 Daily means and totals are summed left to right (:func:`ann.left_sum`), so
 the aggregated bits do not depend on the Python version.
@@ -62,6 +66,7 @@ warning says why.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import logging
@@ -217,12 +222,51 @@ def _parse_theta(text: str, line_no: int) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over the UTF-8 file ``path``.  A byte that is not
+    UTF-8, or a field longer than ``csv.field_size_limit()``, raises
+    :class:`DataFormatError` naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError:
+            raise DataFormatError(_not_utf8(path)) from None
+        except csv.Error as exc:  # a field over the limit
+            raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def _not_utf8(path) -> str:
+    """What is wrong with ``path``, a file that is not UTF-8: the line of its
+    first byte that is not.  The text reader decodes a block at a time, so
+    its error does not tell."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]  # counted as csv counts lines: \n, \r\n or \r
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return f"line {line}: byte {data[exc.start]:#04x} is not UTF-8"
+    return f"{path}: not UTF-8"  # the file changed since it failed to decode
+
+
+def _check_header_start(header: list, path) -> None:
+    """Name a byte order mark, which spreadsheets' "CSV UTF-8" puts before the
+    header and which would otherwise print as nothing."""
+    if header and header[0].startswith("\ufeff"):
+        raise DataFormatError(f"{path}: the header starts with a byte order mark (U+FEFF); "
+                              f"save the file as UTF-8 without one")
+
+
 def _read_header(reader, path, columns: "tuple[str, ...]") -> bool:
     """Read the header row, which must start with ``columns``; returns
     whether ``theta_vwc`` follows them."""
     header = next(reader, None)
     if header is None:
         raise DataFormatError(f"{path}: empty file, header row required")
+    _check_header_start(header, path)
     n = len(columns)
     if tuple(header[:n]) != columns:
         raise DataFormatError(
@@ -271,8 +315,7 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
 def _read_rows(path) -> list[HalfHourRecord]:
     """The Python pass of :func:`read_half_hourly_csv`: every file it accepts,
     every fault named."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         has_theta = _read_header(reader, path, _HALF_HOURLY_COLUMNS)
         records = []
         append, make = records.append, tuple.__new__
@@ -492,8 +535,7 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
     A day :class:`DailyWeather` rejects, or a ``theta_vwc`` outside [0, 1],
     raises :class:`DataFormatError` with its line number.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         has_theta = _read_header(reader, path, _DAILY_COLUMNS)
         days, theta = [], []
         for row in reader:
@@ -532,11 +574,11 @@ def read_columns(path, names: "tuple[str, ...]") -> list[list[float]]:
     short row lacks, or a ``nan`` or ``inf`` raises :class:`DataFormatError`
     naming its line and column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise DataFormatError(f"{path}: empty file")
+        _check_header_start(header, path)
         for name in names:
             if name not in header:
                 raise DataFormatError(f"{path}: no column {name!r} (have {header})")

@@ -1,7 +1,12 @@
 """Weather generator and bucket water balance tests."""
 
 import ast
+import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -9,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paddymoist import hydro
+from paddymoist import _cbuild, hydro
 from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import ScheduleMismatchError
 from paddymoist.evapo import (DailyWeather, SiteLocation, extraterrestrial_radiation,
@@ -325,6 +330,162 @@ class TestGenerateTruth:
         a = generate_truth(self.weather, self.site, SEASON_KC, self.params)
         b = generate_truth(self.weather, self.site, SEASON_KC, self.params)
         assert a == b
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
+
+
+@pytest.fixture
+def fresh(tmp_path, monkeypatch):
+    """An empty cache directory in place of the user's, and no C loops built yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    hydro._c_loops.cache_clear()
+    yield tmp_path / "xdg" / "paddymoist"
+    hydro._c_loops.cache_clear()
+
+
+def _season(**climate):
+    """A season's weather settings and its truth's arguments, with irrigation
+    on a repeated day and past the season's end."""
+    g = WeatherGenParams(seed=303, n_days=118, start_date=date(2011, 12, 20), **climate)
+    p = FieldParams(irrigation=((3, 10.0), (3, 2.5), (60, 30.0), (400, 5.0)))
+    return g, SiteLocation(), SEASON_KC, p
+
+
+class TestCLoops:
+    """Building, caching and falling back from the C weather and bucket loops."""
+
+    @needs_cc
+    def test_built_once_under_its_own_name(self, fresh):
+        g, site, kc, p = _season()
+        weather = generate_weather(g)
+        truth = generate_truth(weather, site, kc, p)
+        (built,) = [path.name for path in fresh.iterdir()]
+        assert built.startswith("hydro-") and built.endswith(".so")
+        assert hydro._c_loops() is not None
+        assert repr(weather) == repr(hydro._python_weather(g))
+        assert repr(truth) == repr(hydro._python_truth(weather, site, kc, p))
+
+    @pytest.mark.parametrize("broken", ["no cc on PATH", "no libnpyrandom.a", "compile error"])
+    def test_falls_back_to_the_python_loops(self, broken, fresh, tmp_path, monkeypatch, caplog):
+        g, site, kc, p = _season()
+        weather = hydro._python_weather(g)
+        expected = repr((weather, hydro._python_truth(weather, site, kc, p)))
+        if broken == "no cc on PATH":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        elif broken == "no libnpyrandom.a":
+            monkeypatch.setattr(hydro, "_NPYRANDOM", str(tmp_path / "libnpyrandom.a"))
+        else:
+            monkeypatch.setattr(hydro, "_C_SOURCE", "this is not C\n")
+        with caplog.at_level(logging.WARNING, logger="paddymoist.hydro"):
+            for _ in range(2):
+                made = generate_weather(g)
+                assert repr((made, generate_truth(made, site, kc, p))) == expected
+        assert hydro._c_loops() is None
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert message.startswith("synthetic seasons run the Python loops, the C loops "
+                                  "did not build: ")
+        if broken == "no libnpyrandom.a" and shutil.which("cc"):
+            assert "libnpyrandom.a" in message
+        assert not fresh.exists() or list(fresh.iterdir()) == []
+
+    def test_season_past_the_last_date_raises_as_python(self):
+        g = WeatherGenParams(seed=1, n_days=3, start_date=date(9999, 12, 30))
+        with pytest.raises(OverflowError, match="date value out of range"):
+            generate_weather(g)
+
+    @needs_cc
+    def test_overflowing_climate_gets_the_python_error(self):
+        loops = hydro._c_loops()
+        assert loops is not None
+        g = WeatherGenParams(seed=1, n_days=10, tavg_mean=1e308, diurnal_range_mean=1e308)
+        assert hydro._c_weather(loops[0], g) is None  # the C loop found the fault
+        with pytest.raises(ValueError) as python:
+            hydro._python_weather(g)
+        with pytest.raises(ValueError) as made:
+            generate_weather(g)
+        assert str(made.value) == str(python.value)
+        assert str(made.value) == "tmax must be finite, got inf on 2010-10-20"  # day 6
+
+    @needs_cc
+    def test_bucket_fault_gets_the_python_error(self):
+        loops = hydro._c_loops()
+        g, site, kc, p = _season()
+        weather = generate_weather(g)
+        weather[7] = weather[7]._replace(tmax=1e308, tmin=-1e308)  # an infinite ET0
+        assert hydro._c_truth(loops[1], weather, site, kc, p) is None
+        with pytest.raises(ValueError, match="^etc_mm must be finite, got inf$"):
+            generate_truth(weather, site, kc, p)
+
+    @needs_cc
+    @pytest.mark.parametrize("change", [
+        "int temperature", "numpy temperature", "int field", "int Kc", "numpy irrigation",
+        "int climate", "datetime start"])
+    def test_numbers_that_are_not_floats_run_the_python_loops(self, change):
+        loops = hydro._c_loops()
+        g, site, kc, p = _season()
+        weather = generate_weather(g)
+        if change == "int temperature":
+            weather[5] = weather[5]._replace(tmin=int(weather[5].tmin))
+        elif change == "numpy temperature":
+            weather[5] = weather[5]._replace(tmax=np.float64(weather[5].tmax))
+        elif change == "int field":
+            p = replace(p, perc_rate=3)
+        elif change == "int Kc":
+            kc = replace(kc, kc_ini=1)
+        elif change == "numpy irrigation":  # an int is added to 0.0, a numpy scalar is not
+            p = replace(p, irrigation=((3, np.float64(10.0)),))
+        elif change == "int climate":
+            g = replace(g, wet_day_prob=1)
+        else:
+            from datetime import datetime
+            g = replace(g, start_date=datetime(2011, 12, 20, 6))
+        if change.endswith(("climate", "start")):
+            assert hydro._c_weather(loops[0], g) is None
+            assert repr(generate_weather(g)) == repr(hydro._python_weather(g))
+        else:
+            assert hydro._c_truth(loops[1], weather, site, kc, p) is None
+            assert (repr(generate_truth(weather, site, kc, p))
+                    == repr(hydro._python_truth(weather, site, kc, p)))
+
+    def test_key_covers_the_link_inputs(self, tmp_path):
+        compiler, library = tmp_path / "cc", tmp_path / "libnpyrandom.a"
+        compiler.write_bytes(b"cc")
+        library.write_bytes(b"v1")
+        os.utime(library, ns=(10**18, 10**18))
+
+        def key(*inputs):
+            return _cbuild.cache_key("int f;", _cbuild.CFLAGS, str(compiler), inputs)
+        first = key(str(library))
+        assert key(str(library)) == first != key()
+        os.utime(library, ns=(10**18, 10**18 + 1))  # numpy was upgraded
+        assert key(str(library)) != first
+        library.write_bytes(b"v22")
+        os.utime(library, ns=(10**18, 10**18))  # same time, another size
+        assert key(str(library)) != first
+        library.write_bytes(b"v1")
+        os.utime(library, ns=(10**18, 10**18))
+        assert key(str(library)) == first
+        with pytest.raises(FileNotFoundError):
+            key(str(tmp_path / "missing.a"))
+
+    def test_import_builds_nothing(self, tmp_path):
+        # the loops are built on the first season, not at import: with ctypes
+        # blocked, the package imports and a season runs the Python loops
+        code = ("import sys; sys.modules['ctypes'] = None\n"
+                "from paddymoist import hydro\n"
+                "g = hydro.WeatherGenParams(seed=5, n_days=3)\n"
+                "assert hydro.generate_weather(g) == hydro._python_weather(g)\n"
+                "assert sys.modules['ctypes'] is None\n")
+        src = os.path.dirname(os.path.dirname(hydro.__file__))
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        assert "synthetic seasons run the Python loops" in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_hydro_imports_nothing_from_moisture():

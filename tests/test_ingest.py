@@ -15,7 +15,7 @@ from paddymoist.ann import left_sum
 from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.evapo import DailyWeather
 from paddymoist.ingest import (INTERVALS_PER_DAY, DailyAggregation, DayGap, HalfHourRecord,
-                               check_consecutive, daily_aggregate, read_daily_csv,
+                               check_consecutive, daily_aggregate, read_columns, read_daily_csv,
                                read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
 
 
@@ -558,6 +558,73 @@ class TestPhysicalLineNumbers:
         assert str(exc.value) == "line 5: cannot parse tavg_c from 'oops'"
 
 
+class TestTextFaults:
+    """Bytes that are not UTF-8, a field over the csv limit and a byte order
+    mark are data errors in every CSV reader, each naming its line."""
+
+    HH = "timestamp_iso8601,temp_c,precip_mm,note"
+    DAILY = "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,note"
+
+    def _readers(self, tmp_path, cells):
+        """(reader, path) for a station, a daily and a column file whose third
+        line, a row after one sound row, ends with ``cells``."""
+        hh = tmp_path / "hh.csv"
+        hh.write_bytes(f"{self.HH}\n2011-01-05T00:00:00,20.0,0.0,a\n"
+                       f"2011-01-05T00:30:00,20.0,0.0,".encode() + cells + b"\n")
+        daily = tmp_path / "daily.csv"
+        daily.write_bytes(f"{self.DAILY}\n2011-01-05,0,30.0,25.0,19.0,0.0,a\n"
+                          f"2011-01-06,1,30.0,25.0,19.0,0.0,".encode() + cells + b"\n")
+        columns = tmp_path / "est.csv"
+        columns.write_bytes(b"obs,est,note\n0.4,0.41,a\n0.5,0.52," + cells + b"\n")
+        return [(read_half_hourly_csv, hh), (read_daily_csv, daily),
+                (lambda path: read_columns(path, ("obs", "est")), columns)]
+
+    @pytest.mark.usefixtures("station_reader")
+    @pytest.mark.parametrize("cells, message", [
+        (b"\xff", "line 3: byte 0xff is not UTF-8"),
+        (b"caf\xc3", "line 3: byte 0xc3 is not UTF-8"),  # cut off inside a character
+        (b"x" * 40, "line 3: field larger than field limit (30)"),
+    ])
+    def test_named_with_its_line(self, tmp_path, cells, message):
+        old = csv.field_size_limit(30)
+        try:
+            for read, path in self._readers(tmp_path, cells):
+                with pytest.raises(DataFormatError) as exc:
+                    read(path)
+                assert str(exc.value) == message, read
+        finally:
+            csv.field_size_limit(old)
+
+    def test_first_bad_byte_is_counted_as_csv_counts_lines(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_bytes(b"obs,est\r\n0.4,0.41\r0.5,0.52\n\n0.6,\xe9\xff\n")
+        with pytest.raises(DataFormatError, match="^line 5: byte 0xe9 is not UTF-8$"):
+            read_columns(path, ("obs", "est"))
+
+    @pytest.mark.usefixtures("station_reader")
+    def test_byte_order_mark_is_named(self, tmp_path):
+        (hh, daily, columns) = (tmp_path / name for name in ("hh.csv", "d.csv", "e.csv"))
+        hh.write_text("\ufeff" + self.HH + "\n2011-01-05T00:00:00,20.0,0.0,a\n",
+                      encoding="utf-8")
+        daily.write_text("\ufeff" + self.DAILY + "\n", encoding="utf-8")
+        columns.write_text("\ufeffobs,est\n0.4,0.41\n", encoding="utf-8")
+        for read, path in ((read_half_hourly_csv, hh), (read_daily_csv, daily),
+                           (lambda path: read_columns(path, ("obs", "est")), columns)):
+            with pytest.raises(DataFormatError) as exc:
+                read(path)
+            assert str(exc.value) == (f"{path}: the header starts with a byte order mark "
+                                      f"(U+FEFF); save the file as UTF-8 without one")
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        from paddymoist.cli import main
+        (_, hh), _, (_, columns) = self._readers(tmp_path, b"\xff")
+        assert main(["ingest", "--input", str(hh), "--output", str(tmp_path / "o.csv")]) == 4
+        assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+        assert main(["evaluate", "--file", str(columns), "--obs-col", "obs",
+                     "--est-col", "est"]) == 4
+        assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+
+
 def _outcome(path):
     """What ``read_half_hourly_csv`` gives for ``path``: each record's bits,
     or the type and message of the exception it raises."""
@@ -674,7 +741,8 @@ class TestScanner:
     def test_non_utf8_bytes_are_declined(self, scan, monkeypatch, tmp_path):
         path = tmp_path / "hh.csv"
         path.write_bytes(f"{self.HEADER}\n{self.BEFORE},\xff\n".encode("latin-1"))
-        assert self._check(scan, monkeypatch, path, False)[0] is UnicodeDecodeError
+        assert self._check(scan, monkeypatch, path, False) == (
+            DataFormatError, "line 2: byte 0xff is not UTF-8")
 
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_field_over_the_csv_limit_is_declined(self, scan, monkeypatch, tmp_path, where):
@@ -689,7 +757,7 @@ class TestScanner:
                     row += "," + "x" * width
                 path = _write(tmp_path / "hh.csv", [header, row, self.AFTER])
                 outcome = self._check(scan, monkeypatch, path, plain)
-                assert (outcome[0] is csv.Error) is not plain
+                assert (outcome[0] is DataFormatError) is not plain
         finally:
             csv.field_size_limit(old)
 

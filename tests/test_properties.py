@@ -1,12 +1,14 @@
-"""Property tests over random inputs: the bucket's ledger, closed-loop bounds,
-series inference on each rendering, the config document's round trip, the
-half-hourly file's round trip and the model artifact's round trip."""
+"""Property tests over random inputs: the bucket's ledger, the weather and
+bucket loops on each rendering, closed-loop bounds, series inference on each
+rendering, the config document's round trip, the half-hourly file's round
+trip and the model artifact's round trip."""
 
 import functools
 import math
 import shutil
 import string
 import tempfile
+from dataclasses import replace
 from datetime import date, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -19,13 +21,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st  
 
 from conftest import rendering_kernel  # noqa: E402
 from test_hydro import _reference_weather  # noqa: E402  the scalar-draw generator
-from paddymoist import ann, ingest  # noqa: E402
+from paddymoist import ann, hydro, ingest  # noqa: E402
 from paddymoist.ann import (Mlp, MlpTopology, Normalizer, bind, denormalize,  # noqa: E402
                             normalize)
-from paddymoist.evapo import DailyWeather, Et0Model, predict_et0_series  # noqa: E402
+from paddymoist.crop import KcSchedule  # noqa: E402
+from paddymoist.evapo import (DailyWeather, Et0Model, SiteLocation,  # noqa: E402
+                              predict_et0_series)
 from paddymoist.experiment import format_config, parse_config  # noqa: E402
-from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_weather,  # noqa: E402
-                              water_balance_step)
+from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_truth,  # noqa: E402
+                              generate_weather, water_balance_step)
 from paddymoist.ingest import (HalfHourRecord, read_half_hourly_csv,  # noqa: E402
                                write_half_hourly_csv)
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
@@ -78,6 +82,64 @@ class TestWeatherProperties:
         g = WeatherGenParams(seed=seed, n_days=n_days, wet_day_prob=wet_day_prob,
                              start_date=date(2000, 1, 1) + timedelta(days=offset))
         assert generate_weather(g) == _reference_weather(g)
+
+
+# start dates a few days before 31 December and 29 February, of leap and
+# common years and of the century years 1900 (common) and 2000 (leap)
+_EDGE_STARTS = [date(y, m, d) for y in (1899, 1900, 1999, 2000, 2011, 2012, 2100)
+                for m, d in ((12, 27), (2, 25))]
+
+
+@st.composite
+def seasons(draw):
+    """Weather settings, a crop calendar and a field for one season."""
+    lengths = draw(st.lists(st.integers(1, 40), min_size=4, max_size=4))
+    kc = KcSchedule(*lengths, kc_ini=draw(_floats(0.1, 2.0)), kc_mid=draw(_floats(0.1, 2.0)),
+                    kc_end=draw(_floats(0.1, 2.0)))
+    start = draw(st.one_of(st.sampled_from(_EDGE_STARTS),
+                           st.dates(date(1, 1, 1), date(9000, 12, 31))))
+    g = WeatherGenParams(
+        draw(st.integers(0, 2**63)), kc.total_days, start,
+        tavg_mean=draw(_floats(-20.0, 45.0)), tavg_amplitude=draw(_floats(0.0, 10.0)),
+        diurnal_range_mean=draw(_floats(0.1, 30.0)),
+        wet_day_prob=draw(st.one_of(st.sampled_from([0.0, 1.0]), _floats(0.0, 1.0))),
+        precip_mean_wet=draw(st.one_of(st.just(0.0), _floats(0.0, 80.0))))
+    # events on repeated days and past the season's end, of 0 mm too
+    irrigation = draw(st.lists(st.tuples(st.integers(0, kc.total_days + 5),
+                                         st.one_of(st.just(0.0), _floats(0.0, 60.0))),
+                               max_size=6))
+    p = replace(draw(field_params()), irrigation=tuple(irrigation))
+    return g, SiteLocation(draw(_floats(-1.5, 1.5))), kc, p
+
+
+class TestHydroRenderings:
+    """The C and Python loops of ``generate_weather`` and ``generate_truth``
+    give the same lists of the same types, bit for bit (compared by
+    ``repr``, which shows each row's type and each float's exact value)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(season=seasons())
+    # polar night (Ra == 0) below -17.8 deg C: Hargreaves gives -0.0, which
+    # max(et0, 0.0) keeps and min(etc, ...) passes on into the ledger
+    @example(season=(WeatherGenParams(7, 118, date(2011, 11, 20), tavg_mean=-30.0),
+                     SiteLocation(1.4), KcSchedule(20, 30, 40, 28), FieldParams()))
+    # a dry season that empties the bucket, at a percolation rate of -0.0:
+    # min(-0.0, 0.0) keeps the -0.0
+    @example(season=(WeatherGenParams(8, 60, tavg_mean=35.0, wet_day_prob=0.0),
+                     SiteLocation(), KcSchedule(10, 20, 20, 10),
+                     FieldParams(theta_init=0.2, perc_rate=-0.0)))
+    def test_c_loops_give_the_python_loops_lists(self, season):
+        loops = hydro._c_loops()
+        if loops is None:
+            pytest.skip("the C weather and bucket loops did not build")
+        g, site, kc, p = season
+        weather = hydro._c_weather(loops[0], g)
+        assert weather is not None
+        assert repr(weather) == repr(hydro._python_weather(g))
+        truth = hydro._c_truth(loops[1], weather, site, kc, p)
+        assert truth is not None
+        assert repr(truth) == repr(hydro._python_truth(weather, site, kc, p))
+        assert truth == generate_truth(weather, site, kc, p)
 
 
 @st.composite
