@@ -1,17 +1,13 @@
-"""Building and caching the package's C shared objects.
+"""Building, caching and loading the package's C shared objects.
 
-The one compile path of the package: :mod:`.ann` builds its generated
-train and series loops here, one object per network shape, :mod:`.ingest`
-its station-file scanner and :mod:`.hydro` its weather and bucket loops.
-Each caller hands over its C source, a name prefix and any further link
-inputs, and gets the path of a shared object it loads with ``ctypes``.  All
-are compiled by the system C compiler ``cc`` under one set of flags,
-:data:`CFLAGS`; the :mod:`.ann` docstring says why each of them keeps the
-kernel's bits.  The scanner parses numbers with ``strtod`` alone, which no
-flag changes.  A link input, such as numpy's ``libnpyrandom.a`` that
-:mod:`.hydro` draws its random numbers from, is passed after ``-x none``,
-so ``cc`` links it as it is, uncompiled: its code keeps the flags numpy
-built it with.
+The one compile and load path of the package: :mod:`.ann` loads its
+generated train and series loops through :func:`load`, one object per
+network shape, :mod:`.ingest` its station-file scanner and :mod:`.hydro` its
+weather and bucket loops.  Each gets its functions typed for ``ctypes``, or
+None, on which it runs its Python code.  All are compiled by the system C
+compiler ``cc`` under one set of flags, :data:`CFLAGS`.  A link input, such
+as numpy's ``libnpyrandom.a`` that :mod:`.hydro` draws from, is passed after
+``-x none``, so ``cc`` links it as it is: its code keeps numpy's flags.
 
 The shared object is cached under ``$XDG_CACHE_HOME/paddymoist`` (else
 ``~/.cache/paddymoist``), named by its prefix (``ann-``, ``ingest-`` or
@@ -21,18 +17,34 @@ its mtime and size, and the platform.  So a cache hit starts no process, and
 a new compiler or a numpy upgrade builds a new object.  A build is written
 under a temporary name and moved into place, so a reader never loads a
 partial file.  With no ``cc`` on ``PATH``, a missing link input, an
-unwritable cache directory or a failed compile, :func:`shared_object` raises
-``OSError`` and the caller runs its Python code instead.
+unwritable cache directory, a failed compile or no ``ctypes``, :func:`load`
+logs one warning and returns None.
 """
 
 from __future__ import annotations
 
 import contextlib
+import logging
 import os
 import sys
 from pathlib import Path
 
-# See the ann module docstring for why each flag keeps the kernel's bits.
+# The C loops do the Python loops' IEEE double operations in the same order,
+# and gcc/clang keep it that way under these flags:
+# - -O2 optimises without the value-changing transformations -Ofast would add;
+# - -ffp-contract=off forbids fusing a * b + c into one FMA, which rounds once
+#   where Python rounds twice;
+# - -fno-fast-math forbids reassociating sums, treating -0.0 as 0.0 and
+#   assuming no NaN (the gain rule must see a NaN, and the series loop's
+#   isfinite an infinity);
+# - -fno-math-errno lets the compiler treat the libm calls as free of side
+#   effects, which the loops, never reading errno, allow.  It changes no
+#   arithmetic: exp and cos are still libm's, not inlined, sqrt is correctly
+#   rounded either way, and GCC calls the vector libmvec only under
+#   fast-math, which -fno-fast-math keeps off;
+# - -shared -fPIC make a library ctypes can load, and -lm links the same libm
+#   whose functions math calls.
+# The scanner's numbers come from strtod alone, which no flag changes.
 CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-fno-math-errno", "-shared",
           "-fPIC")
 
@@ -86,3 +98,28 @@ def shared_object(prefix: str, source: str, inputs: "tuple[str, ...]" = ()) -> s
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
     return str(path)
+
+
+def load(prefix: str, source: str, signatures: "dict[str, str]", warning: str,
+         inputs: "tuple[str, ...]" = ()) -> "tuple | None":
+    """The functions named in ``signatures``, in order, from the object
+    :func:`shared_object` builds from ``source`` and ``inputs``; None where it
+    cannot be built or loaded, after logging ``"<warning>: <reason>"`` to the
+    ``paddymoist.<prefix>`` logger.  ``ctypes`` is imported here, so a process
+    that loads nothing never imports it.
+
+    A signature is the result type and then each argument's type, one
+    ``struct`` letter each: ``i`` int, ``l`` long, ``d`` double, ``P``
+    pointer.  Any other letter raises ``KeyError``.
+    """
+    try:
+        import ctypes
+        lib = ctypes.CDLL(shared_object(prefix, source, inputs))
+    except (OSError, ImportError) as exc:
+        logging.getLogger(f"paddymoist.{prefix}").warning("%s: %s", warning, exc)
+        return None
+    types = dict(zip("ildP", (ctypes.c_int, ctypes.c_long, ctypes.c_double, ctypes.c_void_p)))
+    functions = tuple(map(lib.__getitem__, signatures))
+    for fn, letters in zip(functions, signatures.values()):
+        fn.restype, *fn.argtypes = [types[letter] for letter in letters]
+    return functions

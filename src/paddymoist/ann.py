@@ -32,30 +32,11 @@ visit indexes no list.
 :func:`forward` and :func:`series` all run this code; :func:`sigmoid_gain`
 keeps ``_sigma``.
 
-The train and series loops run as C when the system C compiler ``cc``
-builds them, and as Python otherwise; the two give the same bits.  The C
-rendering does the same IEEE double operations in the same order, and
-``gcc``/``clang`` keep it that way under these flags:
-
-- ``-O2`` optimises without the value-changing transformations ``-Ofast``
-  would add;
-- ``-ffp-contract=off`` forbids fusing ``a * b + c`` into one FMA, which
-  rounds once where Python rounds twice;
-- ``-fno-fast-math`` forbids reassociating sums, treating ``-0.0`` as
-  ``0.0`` and assuming no NaN (the gain rule must see a NaN, and the
-  series loop's ``isfinite`` an infinity);
-- ``-fno-math-errno`` lets the compiler treat the nine ``exp`` calls of a
-  visit as free of side effects, which the kernel, never reading
-  ``errno``, allows.  It changes no arithmetic: ``exp`` is still libm's,
-  not inlined, and GCC calls the vector ``libmvec`` only under fast-math,
-  which ``-fno-fast-math`` keeps off;
-- ``-shared -fPIC`` make a library ``ctypes`` can load, and ``-lm`` links
-  the same libm whose ``exp`` ``math.exp`` calls.  ``abs`` is ``fabs``.
-
-Float literals are written exactly, in hex.  :mod:`._cbuild` compiles the
-C source under these flags and caches the shared object per topology.
-With no ``cc`` on ``PATH``, an unwritable cache directory or a failed
-compile, the Python loops run and one warning per topology says why.
+The train and series loops run as C where :mod:`._cbuild` builds and loads
+them, one shared object per topology, and as Python otherwise; the two give
+the same bits.  The C rendering does the same IEEE double operations in the
+same order, with float literals written exactly, in hex, under the flags
+that ``_cbuild`` explains.
 
 Series run in C, single calls run in Python.  :func:`series` runs a net over
 a whole series of days in one call: it scales each raw input against its
@@ -110,7 +91,6 @@ across threads.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import re
 from array import array
@@ -122,10 +102,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._cbuild import shared_object
+from . import _cbuild
 from .errors import DimensionError
-
-logger = logging.getLogger(__name__)
 
 # The activation's two clamps (see the module docstring): float64 rounds the
 # logistic to exactly 1.0 for g*y > ~37, and exp(-z) overflows for z < -709.
@@ -588,26 +566,22 @@ def _python_kernel(t: MlpTopology):
 def _c_kernel(t: MlpTopology):
     """``(train_loop, forward, series)`` for ``t`` with the C rendering's train
     and series loops, called like the Python ones, both from the one shared
-    object built for ``t``.  ``forward`` is the Python rendering's: a
-    ``ctypes`` call costs more than one forward pass saves.
-
-    Raises ``OSError`` when it cannot be built or loaded, ``ImportError``
-    when there is no ``ctypes``.  That is imported here, not with the
-    module, so a process that never runs a net never needs it.
+    object built for ``t``; None, logged once, where it cannot be built.
+    ``forward`` is the Python rendering's: a ``ctypes`` call costs more than
+    one forward pass saves.
     """
-    import ctypes
-    lib = ctypes.CDLL(shared_object("ann", _c_source(t.n_inputs, t.n_hidden, t.n_outputs)))
-    ptr, long, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
-    lib.train_loop.argtypes = [ptr, ptr, ptr, ptr, long, double, long, ptr, ptr, ptr]
-    lib.train_loop.restype = ctypes.c_int
-    lib.series.argtypes = [ptr, ptr, double, ptr, long, ptr, ptr, double, double, long,
-                           ptr, ptr, ptr]
-    lib.series.restype = long
+    n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
+    loops = _cbuild.load("ann", _c_source(n, h, o),
+                         {"train_loop": "iPPPPldlPPP", "series": "lPPdPlPPddlPPP"},
+                         f"ann {n}-{h}-{o}: training runs the Python loop, as does series "
+                         "inference, the C loops did not build")
+    if loops is None:
+        return None
     # the Python train loop is not compiled: it is most of the compile time
-    forward_source = _py_sources(t.n_inputs, t.n_hidden, t.n_outputs)[1]
-    return (functools.partial(_run_c_train_loop, lib.train_loop, t),
+    forward_source = _py_sources(n, h, o)[1]
+    return (functools.partial(_run_c_train_loop, loops[0], t),
             _exec_python(t, forward_source)["forward"],
-            functools.partial(_run_c_series, lib.series, t))
+            functools.partial(_run_c_series, loops[1], t))
 
 
 def _run_c_train_loop(fn, t: MlpTopology, wh, wo, g, rows, lr, epochs, trace):
@@ -674,13 +648,7 @@ def _kernel(t: MlpTopology):
     key = (t.n_inputs, t.n_hidden, t.n_outputs)
     kernel = _KERNELS.get(key)
     if kernel is None:
-        try:
-            kernel = _c_kernel(t)
-        except (OSError, ImportError) as exc:
-            logger.warning("ann %d-%d-%d: training runs the Python loop, as does series "
-                           "inference, the C loops did not build: %s", *key, exc)
-            kernel = _python_kernel(t)
-        _KERNELS[key] = kernel
+        kernel = _KERNELS[key] = _c_kernel(t) or _python_kernel(t)
     return kernel
 
 

@@ -152,7 +152,9 @@ def hargreaves_et0(tmax: float, tavg: float, tmin: float, ra: float) -> float:
     if tmax < tmin:
         raise ValueError(f"tmax ({tmax}) must be >= tmin ({tmin})")
     et0 = 0.0023 * (tavg + 17.8) * math.sqrt(tmax - tmin) * (0.408 * ra)
-    return max(et0, 0.0)
+    # not max(et0, 0.0), which keeps the -0.0 of a polar night below -17.8 C;
+    # a NaN still passes
+    return 0.0 if et0 <= 0.0 else et0
 
 
 def hargreaves_series(days: "list[DailyWeather]", site: SiteLocation) -> list[float]:

@@ -16,17 +16,17 @@ day's storage change can be audited from its row alone to floating-point
 precision.  All parameter defaults are synthetic placeholders, not
 measurements of any real field.
 
-Both loops run as C where the system C compiler ``cc`` builds them, and as
-the Python loops below otherwise; the two give the same bits.  The C
-weather loop draws from the season's own ``numpy`` Generator: it calls
-numpy's ``random_standard_normal``, ``random_standard_uniform`` and
-``random_standard_exponential``, linked from the installed numpy's
-``numpy/random/lib/libnpyrandom.a``, on the Generator's ``bitgen_t``
-(``rng.bit_generator.ctypes.bit_generator``) while holding the bit
-generator's lock.  Those are the functions ``standard_normal``, ``random``
+Both loops run as C where :mod:`._cbuild` builds and loads them, on the
+first season, and as the Python loops below otherwise; the two give the
+same bits.  The C weather loop draws from the season's own ``numpy``
+Generator: it calls numpy's ``random_standard_normal``,
+``random_standard_uniform`` and ``random_standard_exponential``, linked from
+the installed numpy's ``numpy/random/lib/libnpyrandom.a``, on the
+Generator's ``bitgen_t`` (``rng.bit_generator.ctypes.bit_generator``) while
+holding the bit generator's lock.  Those are the functions ``standard_normal``, ``random``
 and ``standard_exponential`` call, so the stream and every draw are
 numpy's, in the same order.  The C loops then do the Python loops'
-arithmetic in the same order, under the flags :mod:`.ann` explains, with
+arithmetic in the same order, under the flags :mod:`._cbuild` explains, with
 libm's ``cos``, ``exp`` and ``sqrt`` as ``math`` calls them; the bucket keeps
 the tie rules of Python's ``min(a, b)`` (``a`` unless ``b < a``) and
 ``max(a, b)`` (``a`` unless ``b > a``), which decide the sign of a zero.
@@ -40,10 +40,7 @@ loops stop at the first value a check rejects, and the Python loop then
 runs the season again from its seed and raises.  They also run every
 season whose numbers are not all ``float`` (an ``int`` or a numpy scalar
 could change a result's type), and every season where the C loops cannot
-be built: with no ``cc`` on ``PATH``, no ``libnpyrandom.a``, an unwritable
-cache directory or a failed compile, one warning says why.  The loops are
-built by :mod:`._cbuild` on the first season, not at import, and cached as
-``hydro-<sha>.so``; a numpy upgrade changes the library, and so the key.
+be built, ``libnpyrandom.a`` missing among the reasons.
 
 This module depends on the weather and crop layers only, never on the
 moisture model it provides targets for.
@@ -52,7 +49,6 @@ moisture model it provides targets for.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import os
 from array import array
@@ -63,11 +59,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._cbuild import shared_object
+from . import _cbuild
 from .crop import KcSchedule, kc_table, validate_schedule
 from .evapo import DailyWeather, SiteLocation, day_of_year, hargreaves_series, ra_table
-
-logger = logging.getLogger(__name__)
 
 # Generator constants: day-to-day scatter of the mean temperature (deg C),
 # lognormal sigma of the diurnal-range jitter, and the day-of-year where the
@@ -415,8 +409,9 @@ long truth(long n_days, const double *tmax, const double *tavg, const double *tm
         double e, demand, storage, taken, down, off;
         if (tmax[d] < tmin[d])
             return d;
-        e = py_max(HARG_K * (tavg[d] + HARG_T) * sqrt(tmax[d] - tmin[d])
-                   * (HARG_RA * ra[day_of_year(ordinal[d]) - 1]), 0.0);
+        e = HARG_K * (tavg[d] + HARG_T) * sqrt(tmax[d] - tmin[d])
+            * (HARG_RA * ra[day_of_year(ordinal[d]) - 1]);
+        e = e <= 0.0 ? 0.0 : e;  /* hargreaves_et0's floor: +0.0, a NaN passes */
         demand = kc[d] * e;
         if (!(0.0 <= precip[d] && precip[d] < INFINITY && 0.0 <= irrig[d]
               && irrig[d] < INFINITY && 0.0 <= demand && demand < INFINITY)
@@ -459,20 +454,11 @@ _LAST_ORDINAL = Date.max.toordinal()
 @functools.cache
 def _c_loops():
     """The C loops' ``(weather, truth)``, built and loaded on the first season;
-    None, logged once, where they cannot be.  ``ctypes`` is imported here, so
-    a process that makes no season never needs it."""
-    try:
-        import ctypes
-        lib = ctypes.CDLL(shared_object("hydro", _C_SOURCE, (_NPYRANDOM,)))
-    except (OSError, ImportError) as exc:
-        logger.warning("synthetic seasons run the Python loops, the C loops did not "
-                       "build: %s", exc)
-        return None
-    long, double, ptr = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
-    lib.weather.argtypes = [ptr, long, long, long, *[double] * 5, *[ptr] * 4]
-    lib.truth.argtypes = [long, *[ptr] * 14]
-    lib.weather.restype = lib.truth.restype = long
-    return lib.weather, lib.truth
+    None, logged once, where they cannot be."""
+    return _cbuild.load("hydro", _C_SOURCE,
+                        {"weather": "lPllldddddPPPP", "truth": "ll" + "P" * 14},
+                        "synthetic seasons run the Python loops, the C loops did not build",
+                        (_NPYRANDOM,))
 
 
 def _all_float(values) -> bool:

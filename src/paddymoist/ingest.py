@@ -40,11 +40,11 @@ earlier line has another fault: the file is decoded a block at a time.
 Daily means and totals are summed left to right (:func:`ann.left_sum`), so
 the aggregated bits do not depend on the Python version.
 
-A plain station file is read by a small C scanner, built by :mod:`._cbuild`
-on the first read and cached as ``ingest-<sha>.so``.  Plain means: ASCII
-text with no ``"``, no carriage return and no control character but the
-line feed; every field no longer than ``csv.field_size_limit()`` and every
-line shorter than a block; each number written as
+A plain station file is read by a small C scanner, built and loaded by
+:mod:`._cbuild` on the first read.  Plain means: ASCII text with no ``"``,
+no carriage return and no control character but the line feed; every field
+no longer than ``csv.field_size_limit()`` and every line shorter than a
+block; each number written as
 ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, which ``strtod`` must read to the
 field's end (so a locale whose decimal point is not ``.`` declines every
 file); and no fault.  The scanner copies each timestamp field and converts
@@ -59,9 +59,8 @@ reader holds two block-sized buffers, three arrays of 4096 doubles and one
 call's timestamps, whatever the file's size.  Any other file, and a plain
 one with any fault, is read again, whole, by the Python pass above: it
 accepts what ``csv`` and ``float()`` accept, and it alone names a fault,
-with its line number.  With no ``cc`` on ``PATH``, an unwritable cache
-directory or a failed compile, the Python pass reads every file and one
-warning says why.
+with its line number.  Where the scanner cannot be built, the Python pass
+reads every file.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ from itertools import islice, repeat
 from operator import lt
 from typing import NamedTuple, NoReturn
 
-from ._cbuild import shared_object
+from . import _cbuild
 from .ann import left_sum
 from .errors import DataFormatError, OrderingError
 from .evapo import DailyWeather
@@ -434,19 +433,11 @@ _ROWS = 4096      # rows per scanner call
 @functools.cache
 def _scanner():
     """The scanner's ``scan``, built and loaded on the first read; None,
-    logged once, where it cannot be.  ``ctypes`` is imported here, so a
-    process that reads no station file never needs it."""
-    try:
-        import ctypes
-        lib = ctypes.CDLL(shared_object("ingest", _SCAN_SOURCE))
-    except (OSError, ImportError) as exc:
-        logger.warning("station files are read by the Python pass, the C scanner "
-                       "did not build: %s", exc)
-        return None
-    long, ptr = ctypes.c_long, ctypes.c_void_p
-    lib.scan.argtypes = [ptr, long, long, long, long, long, ptr, ptr, ptr, ptr, ptr]
-    lib.scan.restype = long
-    return lib.scan
+    logged once, where it cannot be."""
+    loaded = _cbuild.load("ingest", _SCAN_SOURCE, {"scan": "lPlllllPPPPP"},
+                          "station files are read by the Python pass, the C scanner did "
+                          "not build")
+    return None if loaded is None else loaded[0]
 
 
 def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":

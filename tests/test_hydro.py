@@ -390,6 +390,25 @@ class TestCLoops:
             assert "libnpyrandom.a" in message
         assert not fresh.exists() or list(fresh.iterdir()) == []
 
+    @pytest.mark.parametrize("rendering", ["python", "c"])
+    def test_polar_night_et0_is_positive_zero(self, rendering):
+        # Ra == 0 below -17.8 deg C makes Hargreaves' product -0.0
+        assert math.copysign(1.0, hargreaves_et0(10.0, -20.0, 0.0, 0.0)) == 1.0
+        g = WeatherGenParams(7, 118, date(2011, 11, 20), tavg_mean=-30.0)
+        site, p = SiteLocation(1.4), FieldParams()
+        weather = hydro._python_weather(g)
+        if rendering == "python":
+            _, ledger = hydro._python_truth(weather, site, SEASON_KC, p)
+        else:
+            loops = hydro._c_loops()
+            if loops is None:
+                pytest.skip("the C weather and bucket loops did not build")
+            _, ledger = hydro._c_truth(loops[1], weather, site, SEASON_KC, p)
+        zeros = [row for row in ledger if row.et0 == 0.0]
+        assert len(zeros) > 50
+        signs = {math.copysign(1.0, v) for row in zeros for v in (row.et0, row.fluxes.etc_mm)}
+        assert signs == {1.0}
+
     def test_season_past_the_last_date_raises_as_python(self):
         g = WeatherGenParams(seed=1, n_days=3, start_date=date(9999, 12, 30))
         with pytest.raises(OverflowError, match="date value out of range"):

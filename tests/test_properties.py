@@ -119,8 +119,9 @@ class TestHydroRenderings:
 
     @settings(max_examples=150, deadline=None)
     @given(season=seasons())
-    # polar night (Ra == 0) below -17.8 deg C: Hargreaves gives -0.0, which
-    # max(et0, 0.0) keeps and min(etc, ...) passes on into the ledger
+    # polar night (Ra == 0) below -17.8 deg C: Hargreaves' product is -0.0,
+    # which the floor must turn into +0.0 in both renderings (max(et0, 0.0)
+    # would keep it, and min(etc, ...) pass it on into the ledger)
     @example(season=(WeatherGenParams(7, 118, date(2011, 11, 20), tavg_mean=-30.0),
                      SiteLocation(1.4), KcSchedule(20, 30, 40, 28), FieldParams()))
     # a dry season that empties the bucket, at a percolation rate of -0.0:
