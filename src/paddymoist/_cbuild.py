@@ -19,6 +19,14 @@ under a temporary name and moved into place, so a reader never loads a
 partial file.  With no ``cc`` on ``PATH``, a missing link input, an
 unwritable cache directory, a failed compile or no ``ctypes``, :func:`load`
 logs one warning and returns None.
+
+Every C function loaded here keeps one contract.  It gets complete input.
+It returns the number of rows it wrote (for the train loop, the pattern
+visits it made), >= 0, or -1 where it declines, whether for a fault or for
+input it does not handle, and passes nothing else back.  On -1 its Python
+caller runs the Python reference on the same input, and the reference
+returns the result or raises its own error: only the reference names a
+fault, so its message is written in one place.
 """
 
 from __future__ import annotations

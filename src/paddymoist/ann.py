@@ -36,7 +36,9 @@ The train and series loops run as C where :mod:`._cbuild` builds and loads
 them, one shared object per topology, and as Python otherwise; the two give
 the same bits.  The C rendering does the same IEEE double operations in the
 same order, with float literals written exactly, in hex, under the flags
-that ``_cbuild`` explains.
+that ``_cbuild`` explains.  A C loop that declines (a NaN pattern error, a
+non-finite series input) is run again as the Python rendering, which raises
+its own error, as ``_cbuild``'s contract says.
 
 Series run in C, single calls run in Python.  :func:`series` runs a net over
 a whole series of days in one call: it scales each raw input against its
@@ -273,7 +275,7 @@ _SUM_TERMS = 64
 # literal, always written with a point, exactly in hex), or one of:
 #   ("sum", target, terms, from_zero)  target = [0.0 +] terms[0] + terms[1] + ...
 #   ("if", [(cond, body), ...])        an if/elif chain; a cond of None is the else
-#   _REJECT                            e_p is NaN: the gain rule raises
+#   _REJECT                            e_p is NaN: the gain rule raises, C declines
 #   _TRACE                             record this visit's (e_p, g)
 _REJECT, _TRACE = ("reject",), ("trace",)
 
@@ -433,7 +435,7 @@ def _c_lines(steps: list) -> "list[str]":
                 head = "else" if cond is None else f"{'else if' if k else 'if'} ({cond})"
                 lines += [head + " {", *("    " + line for line in _c_lines(body)), "}"]
         elif s == _REJECT:
-            lines += ["*bad = e_p;", "return 1;"]
+            lines.append("return -1;")
         else:
             lines += ["if (trace) {", "    *trace++ = e_p;", "    *trace++ = g;", "}"]
     return lines
@@ -443,13 +445,13 @@ def _c_source(n: int, h: int, o: int) -> str:
     """C source of ``train_loop`` and ``series`` for an n-h-o network.
 
     ``train_loop`` runs the visit of :func:`_steps` over epochs and rows and
-    returns 0, or 1 with the NaN error in ``*bad``.  ``series`` runs its
-    forward pass over rows of raw inputs, each scaled and clamped against
-    ``lo`` and ``span`` as :func:`normalize` does, the last ``feedback`` of
-    them the previous outputs, newest first.  It writes output 0,
-    denormalized, per row to ``out`` and returns -1, or, at the first
-    non-finite raw input, the index ``row * n + column`` with the value in
-    ``*bad``.  Every weight, activation and delta is a local double.
+    returns the visits it made.  ``series`` runs its forward pass over rows
+    of raw inputs, each scaled and clamped against ``lo`` and ``span`` as
+    :func:`normalize` does, the last ``feedback`` of them the previous
+    outputs, newest first.  It writes output 0, denormalized, per row to
+    ``out`` and returns the rows.  Each returns -1 where the Python rendering
+    raises: a NaN error, a non-finite raw input.  Every weight, activation
+    and delta is a local double.
     """
     forward, visit = _steps(n, h, o)
 
@@ -469,8 +471,8 @@ def _c_source(n: int, h: int, o: int) -> str:
     return "\n".join([
         "#include <math.h>",
         "",
-        "int train_loop(double *wh, double *wo, double *gain, const double *rows, long n_rows,",
-        "               double lr, long epochs, double *losses, double *trace, double *bad)",
+        "long train_loop(double *wh, double *wo, double *gain, const double *rows, long n_rows,",
+        "                double lr, long epochs, double *losses, double *trace)",
         "{",
         *unpack,
         "    double g = *gain;",
@@ -487,13 +489,12 @@ def _c_source(n: int, h: int, o: int) -> str:
         *(f"    wh[{i}] = {name};" for i, name in enumerate(wh)),
         *(f"    wo[{i}] = {name};" for i, name in enumerate(wo)),
         "    *gain = g;",
-        "    return 0;",
+        "    return epochs * n_rows;",
         "}",
         "",
         "long series(const double *wh, const double *wo, double g, const double *rows,",
         "            long n_rows, const double *lo, const double *span, double out_lo,",
-        "            double out_span, long feedback, const double *init, double *out,",
-        "            double *bad)",
+        "            double out_span, long feedback, const double *init, double *out)",
         "{",
         *unpack,
         f"    double {', '.join(forward_temps)}, u, z, v, scaled[{n}], fed[{n}];",
@@ -505,8 +506,7 @@ def _c_source(n: int, h: int, o: int) -> str:
         f"        for (long i = 0; i < {n}; i++) {{",
         "            v = i < m ? rows[i] : fed[i - m];",
         "            if (!isfinite(v)) {",
-        "                *bad = v;",
-        f"                return p * {n} + i;",
+        "                return -1;",
         "            }",
         "            v = (v - lo[i]) / span[i];",
         "            scaled[i] = v < 0.0 ? 0.0 : v > 1.0 ? 1.0 : v;",
@@ -521,7 +521,7 @@ def _c_source(n: int, h: int, o: int) -> str:
         "            fed[0] = out[p];",
         "        }",
         "    }",
-        "    return -1;",
+        "    return n_rows;",
         "}",
     ]) + "\n"
 
@@ -572,64 +572,62 @@ def _c_kernel(t: MlpTopology):
     """
     n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
     loops = _cbuild.load("ann", _c_source(n, h, o),
-                         {"train_loop": "iPPPPldlPPP", "series": "lPPdPlPPddlPPP"},
+                         {"train_loop": "lPPPPldlPP", "series": "lPPdPlPPddlPP"},
                          f"ann {n}-{h}-{o}: training runs the Python loop, as does series "
                          "inference, the C loops did not build")
     if loops is None:
         return None
     # the Python train loop is not compiled: it is most of the compile time
-    forward_source = _py_sources(n, h, o)[1]
-    return (functools.partial(_run_c_train_loop, loops[0], t),
-            _exec_python(t, forward_source)["forward"],
-            functools.partial(_run_c_series, loops[1], t))
+    forward = _exec_python(t, _py_sources(n, h, o)[1])["forward"]
+    return (functools.partial(_run_c_train_loop, loops[0], t), forward,
+            functools.partial(_run_c_series, loops[1], t, forward))
 
 
 def _run_c_train_loop(fn, t: MlpTopology, wh, wo, g, rows, lr, epochs, trace):
     """Call the compiled ``fn`` on ``array('d')`` buffers; arguments and
-    results are those of the Python ``train_loop``."""
+    results are those of the Python ``train_loop``, which runs instead where
+    ``fn`` declines."""
     n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
-    wh, wo, gain = array("d", wh), array("d", wo), array("d", [g])
+    w_h, w_o, gain = array("d", wh), array("d", wo), array("d", [g])
     flat, n_rows = array("d", chain.from_iterable(rows)), len(rows)
     # the C loop reads and writes exactly these lengths
-    if (len(wh), len(wo), len(flat)) != (h * (n + 1), o * (h + 1), n_rows * (n + o)):
+    if (len(w_h), len(w_o), len(flat)) != (h * (n + 1), o * (h + 1), n_rows * (n + o)):
         raise ValueError(f"weights or rows do not fit topology {n}-{h}-{o}")
-    losses, bad = array("d", bytes(8 * epochs)), array("d", [0.0])
-    # -1.0 marks a visit not reached: e_p >= 0 and g > 0 on every visit made
-    visits = array("d", [-1.0]) * (2 * epochs * n_rows) if trace is not None else None
-    status = fn(wh.buffer_info()[0], wo.buffer_info()[0], gain.buffer_info()[0],
-                flat.buffer_info()[0], n_rows, lr, epochs, losses.buffer_info()[0],
-                None if visits is None else visits.buffer_info()[0], bad.buffer_info()[0])
+    losses = array("d", bytes(8 * epochs))
+    visits = array("d", bytes(16 * epochs * n_rows)) if trace is not None else None
+    if fn(w_h.buffer_info()[0], w_o.buffer_info()[0], gain.buffer_info()[0],
+          flat.buffer_info()[0], n_rows, lr, epochs, losses.buffer_info()[0],
+          None if visits is None else visits.buffer_info()[0]) < 0:
+        return _python_kernel(t)[0](wh, wo, g, rows, lr, epochs, trace)
     if visits is not None:
-        made = visits.index(-1.0) // 2 if status else epochs * n_rows
         trace.extend(GainTrace(v // n_rows, v % n_rows, visits[2 * v], visits[2 * v + 1])
-                     for v in range(made))
-    if status:  # the loop stopped on a NaN error, which the gain rule rejects
-        adaptive_gain(bad[0])
-    return ([wh[r:r + n + 1].tolist() for r in range(0, len(wh), n + 1)],
-            [wo[r:r + h + 1].tolist() for r in range(0, len(wo), h + 1)],
+                     for v in range(epochs * n_rows))
+    return ([w_h[r:r + n + 1].tolist() for r in range(0, len(w_h), n + 1)],
+            [w_o[r:r + h + 1].tolist() for r in range(0, len(w_o), h + 1)],
             gain[0], losses.tolist())
 
 
-def _run_c_series(fn, t: MlpTopology, wh, wo, g, rows, norms, out_norm, feedback, init):
+def _run_c_series(fn, t: MlpTopology, forward, wh, wo, g, rows, norms, out_norm, feedback,
+                  init):
     """Call the compiled ``fn`` on ``array('d')`` buffers; arguments and
-    results are those of the Python series loop."""
+    results are those of the Python series loop over ``forward``, which runs
+    instead where ``fn`` declines."""
     n, h, o = t.n_inputs, t.n_hidden, t.n_outputs
-    wh, wo = array("d", wh), array("d", wo)
+    w_h, w_o = array("d", wh), array("d", wo)
     flat = array("d", chain.from_iterable(rows))
     n_rows, rest = divmod(len(flat), n - feedback)
     # the C loop reads exactly these lengths
-    if (len(wh), len(wo), rest) != (h * (n + 1), o * (h + 1), 0):
+    if (len(w_h), len(w_o), rest) != (h * (n + 1), o * (h + 1), 0):
         raise ValueError(f"weights or rows do not fit topology {n}-{h}-{o}")
     if not n_rows:  # no buffer to hand over
         return []
     lo = array("d", [nz.lo for nz in norms])
     span = array("d", [nz.hi - nz.lo for nz in norms])
-    init, out, bad = array("d", init), array("d", bytes(8 * n_rows)), array("d", [0.0])
-    at = fn(wh.buffer_info()[0], wo.buffer_info()[0], g, flat.buffer_info()[0], n_rows,
-            lo.buffer_info()[0], span.buffer_info()[0], out_norm.lo, out_norm.hi - out_norm.lo,
-            feedback, init.buffer_info()[0], out.buffer_info()[0], bad.buffer_info()[0])
-    if at >= 0:  # the loop stopped on a non-finite input, which normalize rejects
-        normalize(bad[0], norms[at % n])
+    fed, out = array("d", init), array("d", bytes(8 * n_rows))
+    if fn(w_h.buffer_info()[0], w_o.buffer_info()[0], g, flat.buffer_info()[0], n_rows,
+          lo.buffer_info()[0], span.buffer_info()[0], out_norm.lo, out_norm.hi - out_norm.lo,
+          feedback, fed.buffer_info()[0], out.buffer_info()[0]) < 0:
+        return _py_series(forward, wh, wo, g, rows, norms, out_norm, feedback, init)
     return out.tolist()
 
 

@@ -35,12 +35,12 @@ Both make the checks of :class:`~paddymoist.evapo.DailyWeather`,
 :class:`WaterFluxes`, and build the same rows.  ``tests/test_properties.py``
 checks the two renderings against each other bit for bit.
 
-The Python loops are the reference, and they alone name a fault: the C
-loops stop at the first value a check rejects, and the Python loop then
-runs the season again from its seed and raises.  They also run every
-season whose numbers are not all ``float`` (an ``int`` or a numpy scalar
-could change a result's type), and every season where the C loops cannot
-be built, ``libnpyrandom.a`` missing among the reasons.
+The Python loops are the reference: a C loop declines a season at the first
+value a check rejects, and the Python loop runs it again from its seed and
+raises, as :mod:`._cbuild`'s contract says.  They also run every season
+whose numbers are not all ``float`` (an ``int`` or a numpy scalar could
+change a result's type), and every season where the C loops cannot be
+built, ``libnpyrandom.a`` missing among the reasons.
 
 This module depends on the weather and crop layers only, never on the
 moisture model it provides targets for.
@@ -333,7 +333,7 @@ def _irrigation_by_day(p: FieldParams) -> dict:
 # date as its proleptic Gregorian ordinal and the field as ``field[6]`` =
 # (root_depth, theta_sat, theta_res, theta_init, runoff_threshold,
 # perc_rate).  Each writes one value per day to each output array and
-# returns -1, or the first day that a check rejects, before writing it.
+# returns n_days, or -1 at the first day that a check rejects.
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -373,13 +373,13 @@ long weather(bitgen_t *rng, long n_days, long year, long doy, double tavg_mean,
         if (random_standard_uniform(rng) < wet_day_prob)
             p = precip_mean_wet * random_standard_exponential(rng);
         if (!(-INFINITY < lo && lo <= t && t <= hi && hi < INFINITY && 0.0 <= p && p < INFINITY))
-            return d;
+            return -1;
         tmax[d] = hi;
         tavg[d] = t;
         tmin[d] = lo;
         precip[d] = p;
     }
-    return -1;
+    return n_days;
 }
 
 /* The day of the year of an ordinal, found as CPython's _ord2ymd does */
@@ -408,7 +408,7 @@ long truth(long n_days, const double *tmax, const double *tavg, const double *tm
     for (d = 0; d < n_days; d++) {
         double e, demand, storage, taken, down, off;
         if (tmax[d] < tmin[d])
-            return d;
+            return -1;
         e = HARG_K * (tavg[d] + HARG_T) * sqrt(tmax[d] - tmin[d])
             * (HARG_RA * ra[day_of_year(ordinal[d]) - 1]);
         e = e <= 0.0 ? 0.0 : e;  /* hargreaves_et0's floor: +0.0, a NaN passes */
@@ -416,7 +416,7 @@ long truth(long n_days, const double *tmax, const double *tavg, const double *tm
         if (!(0.0 <= precip[d] && precip[d] < INFINITY && 0.0 <= irrig[d]
               && irrig[d] < INFINITY && 0.0 <= demand && demand < INFINITY)
             || !(res <= th && th <= sat))
-            return d;
+            return -1;
         storage = th * depth + precip[d] + irrig[d];
         taken = py_min(demand, py_max(storage - res_mm, 0.0));
         storage -= taken;
@@ -427,14 +427,14 @@ long truth(long n_days, const double *tmax, const double *tavg, const double *tm
         th = py_min(py_max(storage / depth, res), sat);
         if (!(0.0 <= taken && taken < INFINITY && 0.0 <= off && off < INFINITY
               && 0.0 <= down && down < INFINITY))
-            return d;
+            return -1;
         et0[d] = e;
         etc[d] = taken;
         runoff[d] = off;
         perc[d] = down;
         theta[d] = th;
     }
-    return -1;
+    return n_days;
 }
 """
 # the Python loops' constants, floats exactly, in hex; the Hargreaves ones
@@ -479,10 +479,10 @@ def _c_weather(fn, g: WeatherGenParams) -> "list[DailyWeather] | None":
     out = [array("d", bytes(8 * n)) for _ in range(4)]
     bits = rng.bit_generator
     with bits.lock:
-        fault = fn(bits.ctypes.bit_generator, n, start.year, day_of_year(start), g.tavg_mean,
-                   g.tavg_amplitude, g.diurnal_range_mean, g.wet_day_prob, g.precip_mean_wet,
-                   *(a.buffer_info()[0] for a in out))
-    if fault >= 0:
+        made = fn(bits.ctypes.bit_generator, n, start.year, day_of_year(start), g.tavg_mean,
+                  g.tavg_amplitude, g.diurnal_range_mean, g.wet_day_prob, g.precip_mean_wet,
+                  *(a.buffer_info()[0] for a in out))
+    if made < 0:
         return None
     first = start.toordinal()
     dates = map(Date.fromordinal, range(first, first + n))
@@ -519,7 +519,7 @@ def _c_truth(fn, weather: "list[DailyWeather]", site: SiteLocation, kc: KcSchedu
     inputs += [array("l", map(Date.toordinal, dates)), array("d", precip), array("d", irrigs),
                kcs, ra, array("d", field)]
     et0, etc, runoff, perc, theta = out = [array("d", bytes(8 * n)) for _ in range(5)]
-    if fn(n, *(a.buffer_info()[0] for a in inputs + out)) >= 0:
+    if fn(n, *(a.buffer_info()[0] for a in inputs + out)) < 0:
         return None
     # each row built past the constructor's check, which the C loop made
     fluxes = map(tuple.__new__, repeat(WaterFluxes), zip(etc, runoff, perc))

@@ -44,7 +44,8 @@ A plain station file is read by a small C scanner, built and loaded by
 :mod:`._cbuild` on the first read.  Plain means: ASCII text with no ``"``,
 no carriage return and no control character but the line feed; every field
 no longer than ``csv.field_size_limit()`` and every line shorter than a
-block; each number written as
+block (a longer one is read where it ends within the chunk); each number
+written as
 ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, which ``strtod`` must read to the
 field's end (so a locale whose decimal point is not ``.`` declines every
 file); and no fault.  The scanner copies each timestamp field and converts
@@ -53,14 +54,16 @@ as ``float()`` does, and checks what the Python pass checks: every value
 finite, precipitation >= 0 and theta in [0, 1].  The timestamps are still
 parsed by ``datetime.fromisoformat`` and their order checked in Python, as
 the Python pass does, so their meaning cannot drift from it on any Python
-version.  The file is read in blocks of 64 KiB (``_BLOCK``), at most 4096
-rows per scanner call (``_ROWS``), so beyond the records themselves the
-reader holds two block-sized buffers, three arrays of 4096 doubles and one
-call's timestamps, whatever the file's size.  Any other file, and a plain
-one with any fault, is read again, whole, by the Python pass above: it
-accepts what ``csv`` and ``float()`` accept, and it alone names a fault,
-with its line number.  Where the scanner cannot be built, the Python pass
-reads every file.
+version.  The file is scanned a chunk at a time: a block of 64 KiB
+(``_BLOCK``) and the rest of its last line, at most another block.  So
+beyond the records themselves the reader holds one chunk, its timestamps
+and three arrays of doubles, made once per file with one double per 3 bytes
+of the longest chunk but filled only as far as a chunk's rows, whatever the
+file's size.  Any other file, and a plain one
+with any fault, is declined and read again, whole, by the Python pass
+above, the reference of :mod:`._cbuild`'s contract: it accepts what ``csv``
+and ``float()`` accept, and it names the fault, with its line number.
+Where the scanner cannot be built, the Python pass reads every file.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import logging
 import math
 from array import array
 from dataclasses import dataclass
@@ -77,12 +79,12 @@ from itertools import islice, repeat
 from operator import lt
 from typing import NamedTuple, NoReturn
 
+import numpy as np
+
 from . import _cbuild
 from .ann import left_sum
 from .errors import DataFormatError, OrderingError
 from .evapo import DailyWeather
-
-logger = logging.getLogger(__name__)
 
 INTERVALS_PER_DAY = 48
 
@@ -169,7 +171,7 @@ def daily_aggregate(records: "list[HalfHourRecord]",
     Per calendar day: tmax/tavg/tmin are the max/mean/min of the interval
     temperatures, precipitation is summed, and theta is the mean of the
     values present.  Days with fewer than ``min_coverage`` of the 48
-    intervals are excluded and reported in ``gaps`` (and logged).
+    intervals are excluded and reported in ``gaps``.
     Timestamps must be strictly increasing.  A ``min_coverage`` outside
     1..48 raises ValueError: above 48 it would drop every day.
     """
@@ -195,10 +197,6 @@ def daily_aggregate(records: "list[HalfHourRecord]",
             precip=left_sum(precips),
         ))
         theta.append(left_sum(present) / len(present) if present else None)
-    # logged once the whole series is known to be ordered
-    for gap in gaps:
-        logger.warning("excluding %s: only %d of %d intervals present",
-                       gap.date, gap.n_records, INTERVALS_PER_DAY)
     return DailyAggregation(days=days, theta=theta, gaps=gaps)
 
 
@@ -343,15 +341,14 @@ def _read_rows(path) -> list[HalfHourRecord]:
     return records
 
 
-# The scanner: the C half of the plain-file reader.  ``scan`` reads the
-# complete lines of ``buf[pos:len]``, at most ``max_rows`` rows, skipping
-# blank lines.  Per row it writes temp_c, precip_mm and theta_vwc (NaN for
-# no reading) to the three arrays and the timestamp field, then a newline,
-# to ``stamps``, which cannot overflow: a row's timestamp and newline are
-# never longer than the row.  It sets ``ends`` to the position after the
-# last line read and the bytes written to ``stamps``, and returns the rows
-# read, or -1 for a line outside the plain subset or with a value the
-# Python pass would reject.
+# The scanner: the C half of the plain-file reader.  ``scan`` reads the lines
+# of ``buf[0:len]``, which ends at the end of a line, skipping blank lines.
+# Per row it writes temp_c, precip_mm and theta_vwc (NaN for no reading) to
+# the three arrays and the timestamp field, then a newline, to ``stamps``,
+# which cannot overflow: a row's timestamp and newline are never longer than
+# the row.  It sets ``used[0]`` to the bytes written to ``stamps`` and returns
+# the rows read, or -1 for a line outside the plain subset or with a value
+# the Python pass would reject.
 _SCAN_SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -373,22 +370,18 @@ static int number(const char *s, long n, double *value)
     return n > 0 && end == s + n;
 }
 
-long scan(const char *buf, long len, long pos, long has_theta, long field_limit,
-          long max_rows, double *temp, double *precip, double *theta, char *stamps,
-          long *ends)
+long scan(const char *buf, long len, long has_theta, long field_limit, double *temp,
+          double *precip, double *theta, char *stamps, long *used)
 {
+    const unsigned char *line = (const unsigned char *)buf, *end = line + len;
     long rows = 0, out = 0;
-    while (rows < max_rows) {
-        const unsigned char *line = (const unsigned char *)buf + pos, *c, *start;
-        const unsigned char *nl = memchr(line, '\n', (size_t)(len - pos));
+    for (; line < end; line++) {  /* line moves to the next line's start */
+        const unsigned char *nl = memchr(line, '\n', (size_t)(end - line)), *c, *start;
         const char *field[4];
         long width[4], n_fields = 0;
         double v;
-        if (nl == NULL) break;
-        if (nl == line) {  /* a blank line */
-            pos++;
-            continue;
-        }
+        if (nl == NULL) return -1;  /* a last line cut off: not a whole line */
+        if (nl == line) continue;  /* a blank line */
         for (c = start = line; ; c++) {
             if (c == nl || *c == ',') {
                 if (c - start > field_limit) return -1;
@@ -418,31 +411,30 @@ long scan(const char *buf, long len, long pos, long has_theta, long field_limit,
         out += width[0];
         stamps[out++] = '\n';
         rows++;
-        pos = (const char *)nl + 1 - buf;
+        line = nl;
     }
-    ends[0] = pos;
-    ends[1] = out;
+    used[0] = out;
     return rows;
 }
 """
 
 _BLOCK = 1 << 16  # bytes read at a time by the plain-file reader
-_ROWS = 4096      # rows per scanner call
 
 
 @functools.cache
 def _scanner():
     """The scanner's ``scan``, built and loaded on the first read; None,
     logged once, where it cannot be."""
-    loaded = _cbuild.load("ingest", _SCAN_SOURCE, {"scan": "lPlllllPPPPP"},
+    loaded = _cbuild.load("ingest", _SCAN_SOURCE, {"scan": "lPlllPPPPP"},
                           "station files are read by the Python pass, the C scanner did "
                           "not build")
     return None if loaded is None else loaded[0]
 
 
 def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":
-    """The records of a plain station file, read ``_BLOCK`` bytes at a time;
-    None for any other file, and for one with a fault.
+    """The records of a plain station file, scanned a chunk at a time: a
+    ``_BLOCK`` and the rest of its last line.  None for any other file, and
+    for one with a fault.
 
     ``scan`` converts the numbers and checks their values; the timestamps
     are parsed and their order checked here, as the Python pass does.
@@ -461,47 +453,40 @@ def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":
             has_theta = _read_header(iter([fields]), path, _HALF_HOURLY_COLUMNS)
         except DataFormatError:
             return None
-        # every buffer is made once; stamps never outgrows buf (see _SCAN_SOURCE)
-        buf, stamps = array("B", [0]) * _BLOCK, array("B", [0]) * _BLOCK
-        temp, precip, theta = (array("d", [0.0]) * _ROWS for _ in range(3))
-        ends = array("l", [0, 0])
-        outputs = [a.buffer_info()[0] for a in (temp, precip, theta, stamps, ends)]
-        records, prev, kept, at_end = [], None, 0, False
+        # made once, for the longest chunk, two blocks and a newline: a row
+        # is at least 3 bytes, and its timestamp never outgrows it.  The
+        # numbers go to numpy's empty arrays, which take memory only where
+        # the scanner writes, read through memoryviews, which give floats.
+        size = 2 * _BLOCK + 1
+        numbers = [np.empty(size // 3) for _ in range(3)]
+        temp, precip, theta = map(memoryview, numbers)
+        stamps, used = array("B", bytes(size)), array("l", [0])
+        outputs = [*(a.__array_interface__["data"][0] for a in numbers),
+                   stamps.buffer_info()[0], used.buffer_info()[0]]
+        records, prev = [], None
         make = functools.partial(tuple.__new__, HalfHourRecord)
         parse_ts = datetime.fromisoformat
-        while not at_end:
-            if kept == _BLOCK:  # a line longer than a block
-                return None
-            with memoryview(buf) as view:
-                size = kept + fh.readinto(view[kept:])
-            if size == kept:
-                at_end = True
-                if kept:  # the last line lacks its newline
-                    buf[size] = ord("\n")
-                    size += 1
-            pos = 0
-            while True:
-                n = scan(buf.buffer_info()[0], size, pos, has_theta, limit, _ROWS, *outputs)
-                if n < 0:
+        while chunk := fh.read(_BLOCK) + fh.readline(_BLOCK):
+            if not chunk.endswith(b"\n"):
+                if fh.read(1):  # a line running on a block past the chunk's block
                     return None
-                if n:
-                    try:
-                        text = stamps[:ends[1] - 1].tobytes().decode("ascii")
-                        stamped = list(map(parse_ts, text.split("\n")))
-                        if not ((prev is None or prev < stamped[0])
-                                and all(map(lt, stamped, islice(stamped, 1, None)))):
-                            return None
-                    except (ValueError, TypeError):  # TypeError: mixed UTC offsets
-                        return None
-                    thetas = ([None if v != v else v for v in islice(theta, n)] if has_theta
-                              else repeat(None))
-                    records.extend(map(make, zip(stamped, temp, precip, thetas)))
-                    prev = stamped[-1]
-                if ends[0] == pos:  # no complete line left
-                    break
-                pos = ends[0]
-            kept = size - pos
-            buf[:kept] = buf[pos:size]
+                chunk += b"\n"  # the last line lacks its newline
+            n = scan(chunk, len(chunk), has_theta, limit, *outputs)
+            if n < 0:
+                return None
+            if not n:
+                continue
+            try:
+                text = stamps[:used[0] - 1].tobytes().decode("ascii")
+                stamped = list(map(parse_ts, text.split("\n")))
+                if not ((prev is None or prev < stamped[0])
+                        and all(map(lt, stamped, islice(stamped, 1, None)))):
+                    return None
+            except (ValueError, TypeError):  # TypeError: mixed UTC offsets
+                return None
+            thetas = [None if v != v else v for v in theta[:n]] if has_theta else repeat(None)
+            records.extend(map(make, zip(stamped, temp, precip, thetas)))
+            prev = stamped[-1]
     return records
 
 

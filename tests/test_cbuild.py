@@ -1,16 +1,23 @@
-"""Loading the package's C shared objects: typing, giving up, and the one
-module that imports ``ctypes``."""
+"""Loading the package's C shared objects: typing, giving up, the one
+module that imports ``ctypes``, and the contract every loaded C function
+keeps."""
 
+import csv
 import ctypes
 import logging
+import math
 import re
 import shutil
 import sys
+from array import array
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from paddymoist import _cbuild
+from paddymoist import _cbuild, ann, hydro, ingest
+from paddymoist.evapo import ra_table
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
 
@@ -80,3 +87,100 @@ def test_only_cbuild_imports_ctypes():
     importing = sorted(path.name for path in package.glob("*.py")
                        if imports.search(path.read_text(encoding="utf-8")))
     assert importing == ["_cbuild.py"]
+
+
+def _addresses(*buffers) -> list:
+    return [b.buffer_info()[0] for b in buffers]
+
+
+def _doubles(n: int) -> array:
+    return array("d", bytes(8 * n))
+
+
+@needs_cc
+class TestContract:
+    """Each of the package's five C functions, called directly, returns the
+    rows it wrote for sound input and -1 for a fault, and nothing else."""
+
+    TOPO = ann.MlpTopology(2, 3, 1)
+
+    @pytest.fixture
+    def ann_loops(self):
+        kernel = ann._c_kernel(self.TOPO)
+        assert kernel is not None
+        return kernel[0].args[0], kernel[2].args[0]  # the ctypes functions
+
+    @pytest.fixture
+    def hydro_loops(self):
+        loops = hydro._c_loops()
+        if loops is None:
+            pytest.skip("the C weather and bucket loops did not build")
+        return loops
+
+    def test_ann_train_loop(self, ann_loops):
+        train_loop = ann_loops[0]
+
+        def run(rows, epochs=3):
+            weights = array("d", [0.1] * 9), array("d", [0.2] * 4), array("d", [1.0])
+            flat = array("d", chain.from_iterable(rows))
+            losses, visits = _doubles(epochs), _doubles(2 * epochs * len(rows))
+            return train_loop(*_addresses(*weights, flat), len(rows), 0.2, epochs,
+                              *_addresses(losses, visits))
+        rows = [(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)]
+        assert run(rows) == 6  # one row per pattern visit
+        assert run([rows[0], (0.4, 0.5, math.nan)]) == -1
+
+    def test_ann_series(self, ann_loops):
+        series = ann_loops[1]
+
+        def run(rows):
+            wh, wo = array("d", [0.1] * 9), array("d", [0.2] * 4)
+            flat, out = array("d", chain.from_iterable(rows)), _doubles(len(rows))
+            lo, span = array("d", [0.0, 0.0]), array("d", [1.0, 1.0])
+            return series(*_addresses(wh, wo), 1.0, flat.buffer_info()[0], len(rows),
+                          *_addresses(lo, span), 0.0, 1.0, 0, None, out.buffer_info()[0])
+        rows = [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6), (0.7, 0.8)]
+        assert run(rows) == 4
+        assert run([*rows[:2], (0.5, math.inf), rows[3]]) == -1
+
+    def test_hydro_weather(self, hydro_loops):
+        weather = hydro_loops[0]
+
+        def run(tavg_mean):
+            bits = np.random.default_rng(1).bit_generator
+            out = [_doubles(10) for _ in range(4)]
+            with bits.lock:
+                return weather(bits.ctypes.bit_generator, 10, 2011, 5, tavg_mean, 0.5, 10.0,
+                               0.5, 15.0, *_addresses(*out))
+        assert run(24.0) == 10
+        assert run(math.inf) == -1  # tmax is not finite
+
+    def test_hydro_truth(self, hydro_loops):
+        truth = hydro_loops[1]
+
+        def run(tmin):
+            n = len(tmin)
+            inputs = [array("d", [30.0] * n), array("d", [25.0] * n), array("d", tmin),
+                      array("l", range(734000, 734000 + n)), array("d", [1.0] * n),
+                      _doubles(n), array("d", [1.05] * n), array("d", ra_table(-0.12)),
+                      array("d", [0.2, 0.55, 0.15, 0.45, 0.52, 3.0])]
+            out = [_doubles(n) for _ in range(5)]
+            return truth(n, *_addresses(*inputs, *out))
+        assert run([20.0, 20.0, 20.0]) == 3
+        assert run([20.0, 31.0, 20.0]) == -1  # tmin above tmax
+
+    def test_ingest_scan(self):
+        scan = ingest._scanner()
+        if scan is None:
+            pytest.skip("the C station-file scanner did not build")
+
+        def run(text):
+            size = len(text)
+            out = [_doubles(size // 3) for _ in range(3)]
+            stamps, used = array("B", bytes(size)), array("l", [0])
+            rows = scan(text, size, 1, csv.field_size_limit(), *_addresses(*out, stamps, used))
+            return rows, stamps[:used[0]].tobytes()
+        sound = b"2011-01-05T00:00:00,20.0,0.0,0.4\n\n2011-01-05T00:30:00,21.0,0.5,\n"
+        assert run(sound) == (2, b"2011-01-05T00:00:00\n2011-01-05T00:30:00\n")
+        assert run(sound.replace(b"0.5", b"-1"))[0] == -1  # a negative precipitation
+        assert run(sound[:-1])[0] == -1  # its last line is not whole

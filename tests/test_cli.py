@@ -1,5 +1,6 @@
 """CLI verbs, wired through main(argv), and the exit-code contract."""
 
+import logging
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -60,6 +61,16 @@ class TestVerbs:
         days, theta = read_daily_csv(out)
         assert len(days) == 1
         assert theta[0] == pytest.approx(0.40)
+
+    @pytest.mark.usefixtures("station_reader")
+    def test_ingest_reports_each_gap_once(self, tmp_path, capsys, caplog):
+        src = tmp_path / "hh.csv"
+        _write_half_hourly(src, n_short=36)
+        with caplog.at_level(logging.DEBUG, logger="paddymoist"):
+            assert main(["ingest", "--input", str(src), "--output", str(tmp_path / "d.csv")]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).count("2011-01-06") == 1
+        assert not any("2011-01-06" in r.getMessage() for r in caplog.records)
 
     def test_train_simulate_evaluate_chain(self, tmp_path, quick_config_path, capsys):
         et0_path = tmp_path / "et0.model"

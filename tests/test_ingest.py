@@ -14,8 +14,8 @@ from paddymoist import ingest, run_experiment
 from paddymoist.ann import left_sum
 from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.evapo import DailyWeather
-from paddymoist.ingest import (INTERVALS_PER_DAY, DailyAggregation, DayGap, HalfHourRecord,
-                               check_consecutive, daily_aggregate, read_columns, read_daily_csv,
+from paddymoist.ingest import (DailyAggregation, DayGap, HalfHourRecord, check_consecutive,
+                               daily_aggregate, read_columns, read_daily_csv,
                                read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
 
 
@@ -265,11 +265,10 @@ class TestHalfHourRecord:
 
 
 # The aggregation that preceded the one-pass version, kept verbatim as the
-# reference it must equal, except that it sums with _plain_sum: on Python
+# reference it must equal, except that it sums with _plain_sum (on Python
 # 3.11 and earlier that is the float the builtin sum() gave, and on 3.12
 # and later, whose sum() is compensated, it is still the float daily_aggregate
-# must give.
-_reference_logger = logging.getLogger("paddymoist.ingest")
+# must give) and no longer logs the days it excludes: they are in ``gaps``.
 
 
 def _plain_sum(values):
@@ -298,8 +297,6 @@ def _reference_daily_aggregate(records, min_coverage=40):
         recs = by_day[day]
         if len(recs) < min_coverage:
             gaps.append(DayGap(day, len(recs)))
-            _reference_logger.warning("excluding %s: only %d of %d intervals present",
-                                      day, len(recs), INTERVALS_PER_DAY)
             continue
         temps = [r.temp for r in recs]
         thetas = [r.theta for r in recs if r.theta is not None]
@@ -346,15 +343,11 @@ class TestOnePassAggregate:
         + _day_records(date(2011, 1, 6), 20.0),
         [],
     ], ids=["gapped-1", "gapped-2", "gapped-400-days", "full", "empty"])
-    def test_equals_the_reference(self, records, min_coverage, caplog):
-        with caplog.at_level(logging.WARNING, logger="paddymoist.ingest"):
-            expected = _reference_daily_aggregate(records, min_coverage)
-            reference_log = caplog.messages[:]
-            caplog.clear()
-            agg = daily_aggregate(records, min_coverage)
+    def test_equals_the_reference(self, records, min_coverage):
+        expected = _reference_daily_aggregate(records, min_coverage)
+        agg = daily_aggregate(records, min_coverage)
         assert agg == expected
         assert repr(agg) == repr(expected)  # bit for bit, the sign of zero too
-        assert caplog.messages == reference_log
 
     @pytest.mark.parametrize("min_coverage", [0, 49, -3])
     def test_coverage_outside_a_day_rejected(self, min_coverage):
@@ -773,17 +766,11 @@ class TestScanner:
         self._check(scan, monkeypatch, path, True)
 
     def test_line_longer_than_a_block_is_declined(self, scan, monkeypatch, tmp_path):
-        path = _write(tmp_path / "hh.csv", [self.HEADER, self.BEFORE + "," + "x" * 80,
+        # the chunk holds a block and at most a block more of its last line
+        path = _write(tmp_path / "hh.csv", [self.HEADER, self.BEFORE + "," + "x" * 200,
                                             self.AFTER])
         monkeypatch.setattr(ingest, "_BLOCK", 64)
         assert len(self._check(scan, monkeypatch, path, False)) == 2
-
-    def test_many_scanner_calls_per_block(self, scan, monkeypatch, tmp_path):
-        records = _station(6, n_days=30)
-        path = tmp_path / "hh.csv"
-        write_half_hourly_csv(path, records)
-        monkeypatch.setattr(ingest, "_ROWS", 7)
-        assert ingest._scan_plain(scan, path) == records
 
     @pytest.mark.parametrize("at", [0, 1, 5, 6, 7, 30])
     def test_order_is_checked_across_scanner_calls(self, scan, monkeypatch, tmp_path, at):
@@ -791,7 +778,6 @@ class TestScanner:
         records[at + 1] = records[at + 1]._replace(timestamp=records[at].timestamp)
         path = tmp_path / "hh.csv"
         write_half_hourly_csv(path, records)
-        monkeypatch.setattr(ingest, "_ROWS", 7)
         monkeypatch.setattr(ingest, "_BLOCK", 300)
         assert ingest._scan_plain(scan, path) is None
         scanned, python = _both_outcomes(path, monkeypatch)
