@@ -7,9 +7,12 @@ moisture model over a season, ``evaluate`` scores two CSV columns,
 and ``run`` executes the whole two-period experiment, writing the report,
 the metrics and the tidy plot CSVs.
 
+The override flags are set over the ``--config`` file's lines in one parse;
+a stepping verb reads ``--data`` as a config ``csv`` period is read.
+
 Exit codes: 0 success, 2 usage, 3 invalid values or dimensions, 4 malformed
-data or config, 5 unsupported artifact version, 6 I/O failure, 1 anything
-unexpected.
+data or config (and a season that misfits the crop calendar), 5 unsupported
+artifact version, 6 I/O failure, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -20,57 +23,34 @@ import sys
 from pathlib import Path
 
 from . import persist
-from .crop import validate_schedule
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
 from .evapo import train_et0_model
-from .experiment import (CELLS, build_forcing, check_theta_obs,
-                         export_plot_data, load_period, parse_config, run_experiment,
-                         write_report_files, write_synth_periods, PeriodData)
-from .ingest import (check_consecutive, daily_aggregate, read_columns, read_daily_csv,
-                     read_half_hourly_csv, write_daily_csv)
+from .experiment import (CELLS, build_forcing, check_theta_obs, export_plot_data,
+                         load_period, parse_config, read_period, run_experiment,
+                         write_report_files, write_synth_periods)
+from .ingest import (daily_aggregate, read_columns, read_daily_csv, read_half_hourly_csv,
+                     write_daily_csv)
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import SimMode, simulate_moisture, train_moisture_model
 
 
 def _load_config(args):
     """The ``--config`` file (or the defaults) with each override flag given
-    appended as a later ``key = value`` line, so one parse checks it and it
-    wins over the file's own line."""
+    set over it, so one parse checks the flag's value and it wins over the
+    file's own line for its key."""
     text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
-    overrides = [f"\n{key} = {value}" for key, value in vars(args).items()
-                 if "." in key and value is not None]
-    return parse_config(text + "".join(overrides))
-
-
-def _period_days(cfg, which: str, data: "str | None", consecutive: bool = True):
-    """Resolve a daily series for a standalone verb: --data wins over config.
-
-    ``consecutive`` rejects a --data file that skips a date or does not fit
-    the crop calendar, as every verb that steps through the series day by
-    day must; :func:`load_period` checks a config period the same way.
-    """
-    if data is not None:
-        days, theta = read_daily_csv(data)
-        if not days:
-            raise DataFormatError(f"{data} holds no days")
-        check_theta_obs(days, theta, cfg.theta_norm, f"{which}: {data}")
-        if consecutive:
-            check_consecutive(days, data)
-            validate_schedule(cfg.kc, len(days))
-        return days, theta
-    spec = cfg.period1 if which == "period1" else cfg.period2
-    period = load_period(cfg, spec, which)
-    return period.days, period.theta_obs
+    return parse_config(text, {key: str(value) for key, value in vars(args).items()
+                               if "." in key and value is not None})
 
 
 def _forcing(cfg, which: str, args):
-    """A stepping verb's daily series and its forcing through the surrogate
-    saved at ``args.et0_model``."""
-    days, theta = _period_days(cfg, which, args.data)
+    """A stepping verb's season, from ``--data`` or else the config period
+    ``which``, and its forcing through the surrogate saved at ``args.et0_model``."""
+    period = (load_period(cfg, getattr(cfg, which), which) if args.data is None
+              else read_period(cfg, args.data, which))
     et0_model = persist.et0_from_artifact(persist.load_model(args.et0_model))
-    forcing = build_forcing(cfg, et0_model, PeriodData(name=which, days=days, theta_obs=theta))
-    return days, theta, forcing
+    return period.days, period.theta_obs, build_forcing(cfg, et0_model, period)
 
 
 def cmd_synth(args) -> int:
@@ -94,7 +74,13 @@ def cmd_ingest(args) -> int:
 
 def cmd_train_et0(args) -> int:
     cfg = _load_config(args)
-    days, _ = _period_days(cfg, "period1", args.data, consecutive=False)
+    if args.data is None:
+        days = load_period(cfg, cfg.period1, "period1").days
+    else:  # the surrogate sees one day at a time: no calendar, gaps and any length
+        days, theta = read_daily_csv(args.data)
+        if not days:
+            raise DataFormatError(f"period1: {args.data} holds no days")
+        check_theta_obs(days, theta, cfg.theta_norm, f"period1: {args.data}")
     model, losses = train_et0_model(days, cfg.site, cfg.et0_train,
                                     temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm)
     digest = persist.data_digest([d.tmax for d in days], [d.tavg for d in days],
@@ -146,17 +132,13 @@ def cmd_simulate(args) -> int:
     estimates = simulate_moisture(moisture_model, forcing, theta_init, cfg.sim_mode,
                                   theta_obs=theta_obs)
     has_obs = all(v is not None for v in theta)
-    lines = ["date,estimated_theta_vwc" + (",observed_theta_vwc" if has_obs else "")]
-    for i, d in enumerate(days):
-        row = f"{d.date.isoformat()},{estimates[i]!r}"
-        if has_obs:
-            row += f",{theta[i]!r}"
-        lines.append(row)
+    lines = ["date,estimated_theta_vwc" + ",observed_theta_vwc" * has_obs]
+    lines += [f"{d.date.isoformat()},{e!r}" + f",{t!r}" * has_obs
+              for d, e, t in zip(days, estimates, theta)]
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"simulated {len(estimates)} days ({cfg.sim_mode.value}); wrote {args.out}")
     if has_obs:
-        print(f"r_squared {r_squared(theta, estimates)!r}  "
-              f"rmse {rmse(theta, estimates)!r}")
+        print(f"r_squared {r_squared(theta, estimates)!r}  rmse {rmse(theta, estimates)!r}")
     return 0
 
 
@@ -210,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="min intervals of 48 to keep a day, 1..48 (default 40)")
 
     p = add("train-et0", cmd_train_et0, "train and save the ET0 surrogate")
-    p.add_argument("--data", help="daily CSV (default: config period 1)")
+    p.add_argument("--data", help="daily CSV of any length, gaps allowed: no crop calendar "
+                                  "(default: config period 1)")
     p.add_argument("--out", required=True, help="model artifact path")
     p.add_argument("--seed", type=int, dest="train.et0.seed", help="training seed")
 

@@ -41,13 +41,14 @@ class KcSchedule:
         return self.len_ini + self.len_dev + self.len_mid + self.len_late
 
 
-def validate_schedule(s: KcSchedule, season_days: int) -> None:
-    """Raise :class:`ScheduleMismatchError` unless the stages sum to ``season_days``."""
+def validate_schedule(s: KcSchedule, season_days: int, source: str = "") -> None:
+    """Raise :class:`ScheduleMismatchError`, naming the config key and any
+    ``source`` of the season, unless the stages sum to ``season_days``."""
     if s.total_days != season_days:
         raise ScheduleMismatchError(
-            f"stage lengths {s.len_ini}+{s.len_dev}+{s.len_mid}+{s.len_late} "
-            f"= {s.total_days} days, but the season has {season_days}"
-        )
+            f"{source}: " * bool(source)
+            + f"kc.stage_lengths: {s.len_ini}+{s.len_dev}+{s.len_mid}+{s.len_late} "
+            f"= {s.total_days} days, but the season has {season_days}")
 
 
 def kc_at(s: KcSchedule, dap: float) -> float:

@@ -22,16 +22,16 @@ class OutOfSeasonError(PaddymoistError):
     """Day index falls outside the crop season covered by the schedule."""
 
 
-class ScheduleMismatchError(PaddymoistError):
-    """Crop-stage lengths do not add up to the season length."""
-
-
 class UndefinedMetricError(PaddymoistError):
     """Metric is undefined for the given series (e.g. constant observations)."""
 
 
 class DataFormatError(PaddymoistError):
     """Malformed CSV or configuration input."""
+
+
+class ScheduleMismatchError(DataFormatError):
+    """Crop-stage lengths do not add up to the season's length of data."""
 
 
 class OrderingError(DataFormatError):

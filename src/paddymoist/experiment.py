@@ -82,6 +82,16 @@ class ExperimentConfig:
     weather: Climate
     field: FieldParams
 
+    def __post_init__(self):
+        # moisture training needs at least one day after the lagged ones
+        if not 1 <= self.lag < self.period1.n_days:
+            raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "
+                                  f"({self.period1.n_days}), got {self.lag}")
+        norm = self.theta_norm
+        if not norm.lo <= self.theta_init_sim <= norm.hi:
+            raise DataFormatError(f"moisture.theta_init, normalizer.theta_vwc: need theta_init "
+                                  f"in [{norm.lo!r}, {norm.hi!r}], got {self.theta_init_sim!r}")
+
     @property
     def moisture_norms(self) -> MoistureNormalizers:
         return MoistureNormalizers(et0=self.et0_norm, precip=self.precip_norm,
@@ -188,9 +198,12 @@ def _keys_of(part: str, message: str) -> str:
     return ", ".join(dict.fromkeys(key for _, key in named or fed))
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse a config document; unknown keys are rejected, missing ones default."""
+def parse_config(text: str, overrides: "dict[str, str] | None" = None) -> ExperimentConfig:
+    """Parse a config document, then set each key of ``overrides`` to its
+    value text over it.  A key may appear once in the document; unknown keys
+    are rejected, missing ones default."""
     values = {key: default for key, default, _, _ in _SCHEMA}
+    set_on: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -201,7 +214,15 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in values:
             raise DataFormatError(f"config line {line_no}: unknown key {key!r}")
+        if key in set_on:
+            raise DataFormatError(f"config line {line_no}: key {key!r} is already set "
+                                  f"on line {set_on[key]}")
+        set_on[key] = line_no
         values[key] = raw.strip()
+    for key, raw in (overrides or {}).items():
+        if key not in values:
+            raise DataFormatError(f"unknown config key {key!r}")
+        values[key] = raw
 
     parts: dict = {}
     for key, _, attrs, (parse, _) in _SCHEMA:
@@ -226,16 +247,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 parts[part] = _PART_TYPES[part](**value)
             except ValueError as exc:
                 raise DataFormatError(f"{_keys_of(part, str(exc))}: {exc}") from exc
-    cfg = ExperimentConfig(**parts)
-    # moisture training needs at least one day after the lagged ones
-    if not 1 <= cfg.lag < cfg.period1.n_days:
-        raise DataFormatError(f"moisture.lag: need 1 <= lag < period1.days "
-                              f"({cfg.period1.n_days}), got {cfg.lag}")
-    norm = cfg.theta_norm
-    if not norm.lo <= cfg.theta_init_sim <= norm.hi:
-        raise DataFormatError(f"moisture.theta_init, normalizer.theta_vwc: need theta_init in "
-                              f"[{norm.lo!r}, {norm.hi!r}], got {cfg.theta_init_sim!r}")
-    return cfg
+    return ExperimentConfig(**parts)
 
 
 def default_config() -> ExperimentConfig:
@@ -275,36 +287,40 @@ class PeriodData:
     ledger: "list[LedgerDay] | None" = None
 
 
-def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
-    """Generate a synthetic period or read a daily CSV with observed theta.
+def read_period(cfg: ExperimentConfig, path, name: str) -> PeriodData:
+    """Read the daily CSV at ``path`` as the season ``name``: at least one
+    day, consecutive and as many as the crop calendar has (the calendar and
+    the moisture lags step one list entry per day), every observed theta
+    inside the theta normalizer.  Each error names ``"{name}: {path}"``."""
+    where = f"{name}: {path}"
+    days, theta = read_daily_csv(path)
+    if not days:
+        raise DataFormatError(f"{where} holds no days")
+    check_consecutive(days, where)
+    validate_schedule(cfg.kc, len(days), where)
+    check_theta_obs(days, theta, cfg.theta_norm, where)
+    return PeriodData(name=name, days=days, theta_obs=theta)
 
-    A CSV period must hold ``spec.n_days`` consecutive days that fit the crop
-    calendar: the calendar and the moisture lags step one list entry per day,
-    and the report echoes the configured length as the one the run used.
-    Either way every observed theta must lie inside the theta normalizer.
-    A synthetic period keeps its ground-truth ledger; a CSV period has none.
-    """
-    ledger = None
+
+def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodData:
+    """Generate a synthetic period, which keeps its ground-truth ledger, or
+    read a :func:`read_period` CSV that holds ``spec.n_days`` days (the
+    report echoes that length as the one the run used) and theta on every
+    day.  Either way the season fits the calendar and its theta the normalizer."""
     if spec.source == "synth":
         days = generate_weather(weather_params_for(cfg, spec))
         theta, ledger = generate_truth(days, cfg.site, cfg.kc, cfg.field)
-    elif not spec.data_path:
+        check_theta_obs(days, theta, cfg.theta_norm, name)
+        return PeriodData(name=name, days=days, theta_obs=theta, ledger=ledger)
+    if not spec.data_path:
         raise DataFormatError(f"{name}: source is csv but no data path was given")
-    else:
-        days, theta = read_daily_csv(spec.data_path)
-        if not days:
-            raise DataFormatError(f"{name}: {spec.data_path} holds no days")
-        check_consecutive(days, f"{name}: {spec.data_path}")
-        if len(days) != spec.n_days:
-            raise DataFormatError(f"{name}: {spec.data_path} holds {len(days)} days, "
-                                  f"but {name}.days is {spec.n_days}")
-        validate_schedule(cfg.kc, len(days))
-        if any(v is None for v in theta):
-            raise DataFormatError(
-                f"{name}: {spec.data_path} must carry theta_vwc on every day"
-            )
-    check_theta_obs(days, theta, cfg.theta_norm, name)
-    return PeriodData(name=name, days=days, theta_obs=theta, ledger=ledger)
+    period = read_period(cfg, spec.data_path, name)
+    if len(period.days) != spec.n_days:
+        raise DataFormatError(f"{name}: {spec.data_path} holds {len(period.days)} days, "
+                              f"but {name}.days is {spec.n_days}")
+    if any(v is None for v in period.theta_obs):
+        raise DataFormatError(f"{name}: {spec.data_path} must carry theta_vwc on every day")
+    return period
 
 
 def check_theta_obs(days: list, theta: list, norm: Normalizer, source: str,

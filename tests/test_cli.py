@@ -415,9 +415,25 @@ class TestConfigOption:
                        encoding="utf-8")
         capsys.readouterr()
         out = tmp_path / "et0.model"
-        assert main(["train-et0", "--config", str(cfg), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == ("error: stage lengths 20+30+40+30 = 120 days, "
-                                           "but the season has 118\n")
+        assert main(["train-et0", "--config", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (f"error: period1: {data}/period1_daily.csv: "
+                                           f"kc.stage_lengths: 20+30+40+30 = 120 days, "
+                                           f"but the season has 118\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "synth"])
+    def test_calendar_misfit_exits_4_before_training_or_writing(self, tmp_path, capsys,
+                                                                monkeypatch, verb):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a season that misfits the calendar must train nothing")
+        monkeypatch.setattr("paddymoist.ann.train", no_training)
+        cfg = tmp_path / "misfit.cfg"
+        cfg.write_text("kc.stage_lengths = 20 30 40 30\n", encoding="utf-8")  # 120 vs 118
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 4
+        tag = "[stage: load period1] " if verb == "run" else ""
+        assert capsys.readouterr().err == (f"error: {tag}kc.stage_lengths: 20+30+40+30 = "
+                                           f"120 days, but the season has 118\n")
         assert not out.exists()
 
 
@@ -487,9 +503,11 @@ class TestDataFileCalendar:
                 "--et0-model", str(et0_path), "--out", str(tmp_path / "out")]
         if verb == "simulate":
             args += ["--model", str(moist_path)]
-        assert main(args) == 3
-        assert capsys.readouterr().err == ("error: stage lengths 20+30+40+28 = 118 days, "
-                                           "but the season has 117\n")
+        assert main(args) == 4
+        which = "period2" if verb == "simulate" else "period1"
+        assert capsys.readouterr().err == (f"error: {which}: {path}: kc.stage_lengths: "
+                                           f"20+30+40+28 = 118 days, but the season has 117\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestThetaNormalizer:
@@ -642,8 +660,10 @@ class TestOverrideFlags:
                                                     key, value):
         base = trained["config"].read_text(encoding="utf-8")
         assert f"\n{key} = " in base and f"\n{key} = {value}\n" not in base
-        by_key = tmp_path / "key.cfg"
-        by_key.write_text(base + f"{key} = {value}\n", encoding="utf-8")
+        by_key = tmp_path / "key.cfg"  # the file's one line for the key, changed
+        by_key.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ")
+                                  else line for line in base.splitlines(keepends=True)),
+                          encoding="utf-8")
         models = _model_args(trained, verb)
         runs = {"key": ["--config", str(by_key)],
                 "flag": ["--config", str(trained["config"]), flag, value],
@@ -653,6 +673,17 @@ class TestOverrideFlags:
         # the flag wins over the file's own line for its key
         assert _written(tmp_path / "flag") == _written(tmp_path / "key")
         assert _written(tmp_path / "flag") != _written(tmp_path / "file")
+
+    def test_a_key_set_twice_in_the_file_exits_4_naming_its_line(self, tmp_path, capsys):
+        # a flag is the one way to set a key over the file's line for it
+        twice = tmp_path / "twice.cfg"
+        twice.write_text("period1.seed = 11\nperiod2.seed = 22\nperiod1.seed = 12\n",
+                         encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(twice), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == ("error: config line 3: key 'period1.seed' is "
+                                           "already set on line 1\n")
+        assert not out.exists()
 
     def test_flags_follow_a_file_without_a_final_newline(self, tmp_path):
         bare, by_key = tmp_path / "bare.cfg", tmp_path / "key.cfg"

@@ -3,7 +3,7 @@
 import pytest
 
 from paddymoist.crop import KcSchedule, kc_at, kc_table, validate_schedule
-from paddymoist.errors import OutOfSeasonError, ScheduleMismatchError
+from paddymoist.errors import DataFormatError, OutOfSeasonError, ScheduleMismatchError
 
 RICE = KcSchedule()  # 20/30/40/30, 1.05/1.20/0.90
 
@@ -56,6 +56,12 @@ class TestValidateSchedule:
         with pytest.raises(ScheduleMismatchError) as exc:
             validate_schedule(RICE, 117)
         assert "117" in str(exc.value) and "120" in str(exc.value)
+        # a misfit is bad data, named by its config key and the season's source
+        assert isinstance(exc.value, DataFormatError)
+        assert str(exc.value) == ("kc.stage_lengths: 20+30+40+30 = 120 days, but the "
+                                  "season has 117")
+        with pytest.raises(ScheduleMismatchError, match=r"^period1: f\.csv: kc\.stage_lengths: "):
+            validate_schedule(RICE, 117, "period1: f.csv")
 
     def test_nonpositive_kc(self):
         with pytest.raises(ValueError):

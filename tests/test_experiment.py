@@ -48,6 +48,22 @@ class TestConfigDocument:
         with pytest.raises(DataFormatError):
             parse_config("no.such.key = 1\n")
 
+    def test_repeated_key_rejected_naming_its_line(self):
+        with pytest.raises(DataFormatError) as exc:
+            parse_config("train.et0.seed = 1\n# again\ntrain.et0.seed = 2\n")
+        assert str(exc.value) == ("config line 3: key 'train.et0.seed' is already set "
+                                  "on line 1")
+
+    def test_override_is_set_over_the_document(self):
+        text = "train.et0.seed = 1\nmoisture.lag = 2\n"
+        cfg = parse_config(text, {"train.et0.seed": "3"})
+        assert (cfg.et0_train.seed, cfg.lag) == (3, 2)
+        assert cfg == parse_config("train.et0.seed = 3\nmoisture.lag = 2\n")
+        with pytest.raises(DataFormatError, match=r"^train\.et0\.seed: "):
+            parse_config(text, {"train.et0.seed": "-1"})
+        with pytest.raises(DataFormatError, match="unknown config key 'no.such.key'"):
+            parse_config(text, {"no.such.key": "1"})
+
     def test_overrides_and_comments(self):
         cfg = parse_config("# comment line\n"
                            "moisture.lag = 2   # trailing comment\n"
@@ -81,6 +97,20 @@ class TestConfigDocument:
         with pytest.raises(DataFormatError, match=r"^moisture\.theta_init, "
                                                   r"normalizer\.theta_vwc: need theta_init in"):
             parse_config(text)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"lag": 118}, "moisture.lag: need 1 <= lag < period1.days (118), got 118"),
+        ({"theta_init_sim": 1.5}, "moisture.theta_init, normalizer.theta_vwc: need "
+                                  "theta_init in [0.0, 1.0], got 1.5"),
+        ({"theta_norm": Normalizer(0.5, 0.6)}, "moisture.theta_init, normalizer.theta_vwc: "
+                                               "need theta_init in [0.5, 0.6], got 0.45"),
+    ], ids=["lag", "theta-init", "theta-normalizer"])
+    def test_replace_runs_the_cross_key_checks(self, change, message):
+        # a config built in code is checked as a parsed one is, so the
+        # experiment never clamps theta_init or trains on no day
+        with pytest.raises(DataFormatError) as exc:
+            replace(default_config(), **change)
+        assert str(exc.value) == message
 
     def test_theta_init_on_a_theta_normalizer_bound_accepted(self):
         assert parse_config("normalizer.theta_vwc = 0.45 0.9\n").theta_init_sim == 0.45
@@ -416,8 +446,8 @@ class TestRunExperiment:
         value, day = self._first_theta_outside(0.5, 0.6)
         with pytest.raises(DataFormatError) as exc:
             load_period(cfg, spec, "period1")
-        assert str(exc.value) == (f"period1: observed theta_vwc {value!r} on {day} is "
-                                  f"outside normalizer.theta_vwc [0.5, 0.6]")
+        assert str(exc.value) == (f"period1: {path}: observed theta_vwc {value!r} on {day} "
+                                  f"is outside normalizer.theta_vwc [0.5, 0.6]")
 
     def test_teacher_forced_validation_mode(self):
         cfg = quick_config(et0_epochs=40, moisture_epochs=40)
@@ -484,8 +514,9 @@ class TestCropCalendar:
         cfg = replace(cfg, period1=spec, kc=replace(cfg.kc, len_late=30))  # 120 days
         with pytest.raises(ScheduleMismatchError) as exc:
             run_experiment(cfg)
-        assert str(exc.value) == ("[stage: load period1] stage lengths 20+30+40+30 = 120 "
-                                  "days, but the season has 118")
+        assert isinstance(exc.value, DataFormatError)
+        assert str(exc.value) == (f"[stage: load period1] period1: {path}: kc.stage_lengths: "
+                                  f"20+30+40+30 = 120 days, but the season has 118")
 
     def test_synthetic_period_must_fit_the_calendar(self):
         cfg = replace(quick_config(), kc=KcSchedule(20, 30, 40, 30))
