@@ -1,9 +1,33 @@
-"""Exception classes shared across the package.
+"""Exception classes shared across the package, and :func:`tagged`, which
+names where an error came from.
 
 Everything derives from both :class:`PaddymoistError` and :class:`ValueError`
 so callers can catch broadly or by error class; the CLI maps classes to exit
 codes.
 """
+
+from contextlib import contextmanager
+
+
+@contextmanager
+def tagged(tag: str):
+    """Tag any failure inside with ``tag``: a pipeline stage, or a file.
+
+    The original exception object is re-raised, so its type and attributes
+    (an OSError's errno and filename, say) survive.  When the message is the
+    exception's only argument, ``tag`` is prefixed to it in place; any other
+    exception, such as an OSError whose text is built from errno and
+    filename, keeps its arguments and carries the tag as ``stage_tag``,
+    which the CLI prints before the message.
+    """
+    try:
+        yield
+    except Exception as exc:
+        if exc.args == (str(exc),):
+            exc.args = (f"{tag} {exc}",)
+        else:
+            exc.stage_tag = tag
+        raise
 
 
 class PaddymoistError(ValueError):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from operator import attrgetter
@@ -28,7 +27,7 @@ from typing import get_type_hints
 
 from .ann import Normalizer, TrainConfig, finite_float, left_sum
 from .crop import KcSchedule, kc_at, kc_table, validate_schedule
-from .errors import DataFormatError
+from .errors import DataFormatError, tagged
 from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
                     predict_et0_series, train_et0_model)
 from .hydro import (Climate, FieldParams, LedgerDay, WeatherGenParams, generate_truth,
@@ -308,6 +307,7 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     report echoes that length as the one the run used) and theta on every
     day.  Either way the season fits the calendar and its theta the normalizer."""
     if spec.source == "synth":
+        validate_schedule(cfg.kc, spec.n_days, name)
         days = generate_weather(weather_params_for(cfg, spec))
         theta, ledger = generate_truth(days, cfg.site, cfg.kc, cfg.field)
         check_theta_obs(days, theta, cfg.theta_norm, name)
@@ -393,28 +393,6 @@ def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) ->
     return [ForcingDay(e, day.precip, kc) for e, day, kc in zip(et0, period.days, kcs)]
 
 
-@contextmanager
-def _stage(name: str):
-    """Tag any failure with the pipeline stage it came from.
-
-    The original exception object is re-raised, so its type and attributes
-    (an OSError's errno and filename, say) survive.  When the message is the
-    exception's only argument, ``[stage: name]`` is prefixed to it in place;
-    any other exception, such as an OSError whose text is built from errno
-    and filename, keeps its arguments and carries the tag as ``stage_tag``,
-    which the CLI prints before the message.
-    """
-    try:
-        yield
-    except Exception as exc:
-        tag = f"[stage: {name}]"
-        if exc.args == (str(exc),):
-            exc.args = (f"{tag} {exc}",)
-        else:
-            exc.stage_tag = tag
-        raise
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full two-period pipeline; deterministic for a fixed config.
 
@@ -422,29 +400,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report's Hargreaves series of a synthetic period is read from its
     ledger, so it is computed once, in ground truth.
     """
-    with _stage("load period1"):
+    with tagged("[stage: load period1]"):
         p1 = load_period(cfg, cfg.period1, "period1")
-    with _stage("load period2"):
+    with tagged("[stage: load period2]"):
         p2 = load_period(cfg, cfg.period2, "period2")
 
-    with _stage("train et0"):
+    with tagged("[stage: train et0]"):
         et0_model, et0_losses = train_et0_model(
             p1.days, cfg.site, cfg.et0_train,
             temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm,
         )
-    with _stage("predict et0"):
+    with tagged("[stage: predict et0]"):
         harg1, harg2 = _hargreaves(cfg, p1), _hargreaves(cfg, p2)
         forcing1 = build_forcing(cfg, et0_model, p1)
         forcing2 = build_forcing(cfg, et0_model, p2)
         pred1 = [f.et0 for f in forcing1]
         pred2 = [f.et0 for f in forcing2]
 
-    with _stage("train moisture"):
+    with tagged("[stage: train moisture]"):
         moisture_model, m_losses = train_moisture_model(
             forcing1, p1.theta_obs, cfg.moisture_train, lag=cfg.lag,
             norms=cfg.moisture_norms,
         )
-    with _stage("simulate moisture"):
+    with tagged("[stage: simulate moisture]"):
         theta_init = [cfg.theta_init_sim] * cfg.lag
         theta_est1 = simulate_moisture(moisture_model, forcing1, theta_init,
                                        SimMode.TEACHER_FORCED, theta_obs=p1.theta_obs)

@@ -329,8 +329,8 @@ def _irrigation_by_day(p: FieldParams) -> dict:
 
 
 # The C loops.  ``weather`` is _python_weather's loop from day 0, whose date
-# is day ``doy`` of ``year``; ``truth`` is _python_truth's, with each day's
-# date as its proleptic Gregorian ordinal and the field as ``field[6]`` =
+# has the proleptic Gregorian ordinal ``first``; ``truth`` is _python_truth's,
+# with each day's date as its ordinal and the field as ``field[6]`` =
 # (root_depth, theta_sat, theta_res, theta_init, runoff_threshold,
 # perc_rate).  Each writes one value per day to each output array and
 # returns n_days, or -1 at the first day that a check rejects.
@@ -351,7 +351,18 @@ double random_standard_normal(bitgen_t *bitgen_state);
 double random_standard_uniform(bitgen_t *bitgen_state);
 double random_standard_exponential(bitgen_t *bitgen_state);
 
-long weather(bitgen_t *rng, long n_days, long year, long doy, double tavg_mean,
+/* The day of the year of an ordinal, found as CPython's _ord2ymd does */
+static long day_of_year(long ordinal)
+{
+    long n = (ordinal - 1) % 146097, n100 = n / 36524, n1;
+    n = n % 36524 % 1461;
+    n1 = n / 365;
+    if (n1 == 4 || n100 == 4)  /* 31 December of a leap year */
+        return 366;
+    return n % 365 + 1;
+}
+
+long weather(bitgen_t *rng, long n_days, long first, double tavg_mean,
              double tavg_amplitude, double range_mean, double wet_day_prob,
              double precip_mean_wet, double *tmax, double *tavg, double *tmin,
              double *precip)
@@ -359,10 +370,7 @@ long weather(bitgen_t *rng, long n_days, long year, long doy, double tavg_mean,
     long d;
     for (d = 0; d < n_days; d++) {
         double noise, up, down, t, hi, lo, p = 0.0;
-        if (d && ++doy > 365 + (year % 4 == 0 && (year % 100 != 0 || year % 400 == 0))) {
-            doy = 1;
-            year++;
-        }
+        long doy = day_of_year(first + d);
         noise = random_standard_normal(rng);
         up = random_standard_normal(rng);
         down = random_standard_normal(rng);
@@ -380,17 +388,6 @@ long weather(bitgen_t *rng, long n_days, long year, long doy, double tavg_mean,
         precip[d] = p;
     }
     return n_days;
-}
-
-/* The day of the year of an ordinal, found as CPython's _ord2ymd does */
-static long day_of_year(long ordinal)
-{
-    long n = (ordinal - 1) % 146097, n100 = n / 36524, n1;
-    n = n % 36524 % 1461;
-    n1 = n / 365;
-    if (n1 == 4 || n100 == 4)  /* 31 December of a leap year */
-        return 366;
-    return n % 365 + 1;
 }
 
 /* Python's min(a, b) and max(a, b): a, unless b is less, or greater */
@@ -456,7 +453,7 @@ def _c_loops():
     """The C loops' ``(weather, truth)``, built and loaded on the first season;
     None, logged once, where they cannot be."""
     return _cbuild.load("hydro", _C_SOURCE,
-                        {"weather": "lPllldddddPPPP", "truth": "ll" + "P" * 14},
+                        {"weather": "lPlldddddPPPP", "truth": "ll" + "P" * 14},
                         "synthetic seasons run the Python loops, the C loops did not build",
                         (_NPYRANDOM,))
 
@@ -477,14 +474,13 @@ def _c_weather(fn, g: WeatherGenParams) -> "list[DailyWeather] | None":
         return None
     rng = np.random.default_rng(g.seed)
     out = [array("d", bytes(8 * n)) for _ in range(4)]
-    bits = rng.bit_generator
+    bits, first = rng.bit_generator, start.toordinal()
     with bits.lock:
-        made = fn(bits.ctypes.bit_generator, n, start.year, day_of_year(start), g.tavg_mean,
-                  g.tavg_amplitude, g.diurnal_range_mean, g.wet_day_prob, g.precip_mean_wet,
+        made = fn(bits.ctypes.bit_generator, n, first, g.tavg_mean, g.tavg_amplitude,
+                  g.diurnal_range_mean, g.wet_day_prob, g.precip_mean_wet,
                   *(a.buffer_info()[0] for a in out))
     if made < 0:
         return None
-    first = start.toordinal()
     dates = map(Date.fromordinal, range(first, first + n))
     # each row built past the constructor's check, which the C loop made
     return list(map(tuple.__new__, repeat(DailyWeather), zip(range(n), dates, *out)))

@@ -18,16 +18,17 @@ steps day by day (the crop calendar, lagged moisture) rejects it with
 
 A :class:`HalfHourRecord` is a ``NamedTuple``: a two-year station file is
 some 35000 of them, and a tuple is several times cheaper to build than a
-frozen dataclass.  The reader checks each row's values inline and builds
-the record straight from them, without the constructor's second check.  A
-row that fails a check is parsed again, cell by cell in column order, by a
-pass that only raises: it names the row's leftmost fault (a timestamp out
-of order only when every cell is sound) and builds nothing.  The daily
+frozen dataclass.  The reader checks each row once, cell by cell in column
+order, and raises at the row's leftmost fault (a timestamp out of order
+only when every cell is sound); a sound row's record is built straight from
+the checked values, without the constructor's second check.  The daily
 reader checks its cells in column order too.
 
-Every fault in a station or daily file is a :class:`DataFormatError` naming
-its line (an :class:`OrderingError` for a repeated or earlier timestamp or
-date), which the CLI maps to exit code 4: a missing or wrong header, a
+Every fault in a station or daily file (and in :func:`read_columns`' file)
+is a :class:`DataFormatError` naming the file and, in a row, its line, as
+``<path>: line N: ...``, whichever pass meets it (an
+:class:`OrderingError` for a repeated or earlier timestamp or date), which
+the CLI maps to exit code 4: a missing or wrong header, a
 header that starts with a byte order mark, a byte that is not UTF-8, a
 field longer than ``csv.field_size_limit()``, too few fields, an
 unparseable or non-finite number, a negative precipitation, a
@@ -62,7 +63,7 @@ of the longest chunk but filled only as far as a chunk's rows, whatever the
 file's size.  Any other file, and a plain one
 with any fault, is declined and read again, whole, by the Python pass
 above, the reference of :mod:`._cbuild`'s contract: it accepts what ``csv``
-and ``float()`` accept, and it names the fault, with its line number.
+and ``float()`` accept, and it names the fault, with its file and line.
 Where the scanner cannot be built, the Python pass reads every file.
 """
 
@@ -77,13 +78,13 @@ from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
 from itertools import islice, repeat
 from operator import lt
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _cbuild
 from .ann import left_sum
-from .errors import DataFormatError, OrderingError
+from .errors import DataFormatError, OrderingError, tagged
 from .evapo import DailyWeather
 
 INTERVALS_PER_DAY = 48
@@ -221,10 +222,11 @@ def _parse_theta(text: str, line_no: int) -> float:
 
 @contextlib.contextmanager
 def _csv_reader(path):
-    """A ``csv.reader`` over the UTF-8 file ``path``.  A byte that is not
-    UTF-8, or a field longer than ``csv.field_size_limit()``, raises
-    :class:`DataFormatError` naming its line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """A ``csv.reader`` over the UTF-8 file ``path``, whose every error once
+    it is open names the file.  A byte that is not UTF-8, or a field longer
+    than ``csv.field_size_limit()``, raises :class:`DataFormatError` naming
+    its line."""
+    with open(path, newline="", encoding="utf-8") as fh, tagged(f"{path}:"):
         reader = csv.reader(fh)
         try:
             yield reader
@@ -246,53 +248,29 @@ def _not_utf8(path) -> str:
         before = data[:exc.start]  # counted as csv counts lines: \n, \r\n or \r
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
         return f"line {line}: byte {data[exc.start]:#04x} is not UTF-8"
-    return f"{path}: not UTF-8"  # the file changed since it failed to decode
+    return "not UTF-8"  # the file changed since it failed to decode
 
 
-def _check_header_start(header: list, path) -> None:
+def _check_header_start(header: list) -> None:
     """Name a byte order mark, which spreadsheets' "CSV UTF-8" puts before the
     header and which would otherwise print as nothing."""
     if header and header[0].startswith("\ufeff"):
-        raise DataFormatError(f"{path}: the header starts with a byte order mark (U+FEFF); "
-                              f"save the file as UTF-8 without one")
+        raise DataFormatError("the header starts with a byte order mark (U+FEFF); "
+                              "save the file as UTF-8 without one")
 
 
-def _read_header(reader, path, columns: "tuple[str, ...]") -> bool:
+def _read_header(reader, columns: "tuple[str, ...]") -> bool:
     """Read the header row, which must start with ``columns``; returns
     whether ``theta_vwc`` follows them."""
     header = next(reader, None)
     if header is None:
-        raise DataFormatError(f"{path}: empty file, header row required")
-    _check_header_start(header, path)
+        raise DataFormatError("empty file, header row required")
+    _check_header_start(header)
     n = len(columns)
     if tuple(header[:n]) != columns:
-        raise DataFormatError(
-            f"{path}: header must start with {','.join(columns)}, got {','.join(header)}"
-        )
+        raise DataFormatError(f"header must start with {','.join(columns)}, "
+                              f"got {','.join(header)}")
     return len(header) > n and header[n] == _THETA_COLUMN
-
-
-def _raise_row_fault(row: list, line_no: int, has_theta: bool,
-                     prev: "datetime | None") -> NoReturn:
-    """Raise the DataFormatError naming the first fault, with its line
-    number, of a station row that :func:`read_half_hourly_csv` rejected."""
-    if len(row) < 3:
-        raise DataFormatError(f"line {line_no}: expected at least 3 fields, got {len(row)}")
-    ts = _parse_cell(row[0], "timestamp", line_no, datetime.fromisoformat)
-    _parse_cell(row[1], "temp_c", line_no)
-    if _parse_cell(row[2], "precip_mm", line_no) < 0.0:
-        raise DataFormatError(f"line {line_no}: precip_mm must be >= 0, got {row[2]!r}")
-    if has_theta and len(row) > 3 and row[3] != "":
-        _parse_theta(row[3], line_no)
-    # every value is sound, so the row was rejected for its timestamp's order
-    try:
-        prev < ts
-    except TypeError:  # one timestamp has a UTC offset, the other has none
-        raise DataFormatError(f"line {line_no}: timestamp {row[0]!r} cannot be ordered "
-                              f"after {prev}: mixed UTC offset and none") from None
-    raise OrderingError(
-        f"line {line_no}: timestamps must be strictly increasing; {ts} follows {prev}"
-    )
 
 
 def read_half_hourly_csv(path) -> list[HalfHourRecord]:
@@ -311,31 +289,33 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
 
 def _read_rows(path) -> list[HalfHourRecord]:
     """The Python pass of :func:`read_half_hourly_csv`: every file it accepts,
-    every fault named."""
+    and each row's leftmost fault named, its order checked only once every
+    cell is sound."""
     with _csv_reader(path) as reader:
-        has_theta = _read_header(reader, path, _HALF_HOURLY_COLUMNS)
-        records = []
-        append, make = records.append, tuple.__new__
-        parse_ts, inf = datetime.fromisoformat, math.inf
-        prev = None
+        has_theta = _read_header(reader, _HALF_HOURLY_COLUMNS)
+        records, prev = [], None
+        append, make, parse_ts = records.append, tuple.__new__, datetime.fromisoformat
         for row in reader:
             if not row:
                 continue
-            # The checks _raise_row_fault makes, inlined; a row that fails any
-            # goes there for its error message.
+            line_no = reader.line_num
+            if len(row) < 3:
+                raise DataFormatError(f"line {line_no}: expected at least 3 fields, got {len(row)}")
+            ts = _parse_cell(row[0], "timestamp", line_no, parse_ts)
+            temp = _parse_cell(row[1], "temp_c", line_no)
+            precip = _parse_cell(row[2], "precip_mm", line_no)
+            if precip < 0.0:
+                raise DataFormatError(f"line {line_no}: precip_mm must be >= 0, got {row[2]!r}")
+            theta = (_parse_theta(row[3], line_no) if has_theta and len(row) > 3 and row[3] != ""
+                     else None)
             try:
-                ts = parse_ts(row[0])
-                temp = float(row[1])
-                precip = float(row[2])
-                theta = (float(row[3]) if has_theta and len(row) > 3 and row[3] != ""
-                         else None)
-                ok = (-inf < temp < inf and 0.0 <= precip < inf
-                      and (theta is None or 0.0 <= theta <= 1.0)
-                      and (prev is None or prev < ts))
-            except (ValueError, IndexError, TypeError):
-                ok = False
-            if not ok:
-                _raise_row_fault(row, reader.line_num, has_theta, prev)
+                ordered = prev is None or prev < ts
+            except TypeError:  # one timestamp has a UTC offset, the other has none
+                raise DataFormatError(f"line {line_no}: timestamp {row[0]!r} cannot be ordered "
+                                      f"after {prev}: mixed UTC offset and none") from None
+            if not ordered:
+                raise OrderingError(f"line {line_no}: timestamps must be strictly increasing; "
+                                    f"{ts} follows {prev}")
             append(make(HalfHourRecord, (ts, temp, precip, theta)))
             prev = ts
     return records
@@ -450,7 +430,7 @@ def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":
         if max(map(len, fields)) > limit:
             return None
         try:
-            has_theta = _read_header(iter([fields]), path, _HALF_HOURLY_COLUMNS)
+            has_theta = _read_header(iter([fields]), _HALF_HOURLY_COLUMNS)
         except DataFormatError:
             return None
         # made once, for the longest chunk, two blocks and a newline: a row
@@ -512,7 +492,7 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
     raises :class:`DataFormatError` with its line number.
     """
     with _csv_reader(path) as reader:
-        has_theta = _read_header(reader, path, _DAILY_COLUMNS)
+        has_theta = _read_header(reader, _DAILY_COLUMNS)
         days, theta = [], []
         for row in reader:
             if not row:
@@ -553,11 +533,11 @@ def read_columns(path, names: "tuple[str, ...]") -> list[list[float]]:
     with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        _check_header_start(header, path)
+            raise DataFormatError("empty file")
+        _check_header_start(header)
         for name in names:
             if name not in header:
-                raise DataFormatError(f"{path}: no column {name!r} (have {header})")
+                raise DataFormatError(f"no column {name!r} (have {header})")
         where = [(name, header.index(name), []) for name in names]
         for row in filter(None, reader):  # blank lines are skipped
             for name, i, column in where:

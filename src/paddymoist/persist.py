@@ -10,7 +10,8 @@ and any number of ``prov`` lines, each key once; :func:`load_model` reads
 them back in that order.  A missing, repeated, unknown or out-of-order
 line, or anything after ``end``, is an :class:`ArtifactParseError` naming
 the file and line; so is a weight or bound that is not finite, a gain
-outside (0, 1] or a normalizer without ``hi > lo``.
+outside (0, 1] or a normalizer without ``hi > lo``.  An unsupported
+version is an :class:`ArtifactVersionError` naming the file.
 
     paddymoist-model 1
     kind et0
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ann import Mlp, MlpTopology, Normalizer, finite_float
-from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError
+from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError, tagged
 from .evapo import Et0Model
 from .moisture import MoistureModel, MoistureNormalizers
 
@@ -203,10 +204,7 @@ def _parse(raw: list) -> ModelArtifact:
 
 
 def load_model(path) -> ModelArtifact:
-    """Parse an artifact file; malformed content reports the file and line."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    try:
-        return _parse(raw)
-    except ArtifactParseError as exc:
-        raise ArtifactParseError(f"{path}: {exc}") from None
+    """Parse an artifact file; an error once it is open names the file, and
+    malformed content its line."""
+    with open(path, encoding="utf-8") as fh, tagged(f"{path}:"):
+        return _parse(fh.read().splitlines())

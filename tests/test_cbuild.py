@@ -10,6 +10,7 @@ import re
 import shutil
 import sys
 from array import array
+from datetime import date
 from itertools import chain
 from pathlib import Path
 
@@ -150,8 +151,8 @@ class TestContract:
             bits = np.random.default_rng(1).bit_generator
             out = [_doubles(10) for _ in range(4)]
             with bits.lock:
-                return weather(bits.ctypes.bit_generator, 10, 2011, 5, tavg_mean, 0.5, 10.0,
-                               0.5, 15.0, *_addresses(*out))
+                return weather(bits.ctypes.bit_generator, 10, date(2011, 1, 5).toordinal(),
+                               tavg_mean, 0.5, 10.0, 0.5, 15.0, *_addresses(*out))
         assert run(24.0) == 10
         assert run(math.inf) == -1  # tmax is not finite
 

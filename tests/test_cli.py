@@ -176,7 +176,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["train-et0", "--config", quick_config_path, "--data", str(path),
                      "--out", str(tmp_path / "et0.model")]) == 4
-        assert "line 6: precip_mm must be finite" in capsys.readouterr().err
+        assert f"{path}: line 6: precip_mm must be finite" in capsys.readouterr().err
 
     def test_unordered_or_gapped_daily_file_is_data_error(self, tmp_path,
                                                           quick_config_path, capsys):
@@ -259,7 +259,7 @@ class TestExitCodes:
                        f"2011-01-05T00:00:00,20.0,0.0,0.4\n{row}\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         assert main(["ingest", "--input", str(src), "--output", str(out)]) == 4
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {src}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cells, message", [
@@ -275,7 +275,7 @@ class TestExitCodes:
                         encoding="utf-8")
         assert main(["train-et0", "--data", str(data),
                      "--out", str(tmp_path / "et0.model")]) == 4
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {data}: {message}" in capsys.readouterr().err
 
     def test_csv_period_of_another_length_is_data_error(self, tmp_path, quick_config_path,
                                                         capsys):
@@ -343,7 +343,7 @@ class TestEvaluateInput:
                         f"{row}\n0.5,0.52\n", encoding="utf-8")
         assert main(["evaluate", "--file", str(path)]) == 4
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
 
     def test_missing_column_is_data_error(self, tmp_path, capsys):
@@ -432,8 +432,8 @@ class TestConfigOption:
         out = tmp_path / "out"
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == 4
         tag = "[stage: load period1] " if verb == "run" else ""
-        assert capsys.readouterr().err == (f"error: {tag}kc.stage_lengths: 20+30+40+30 = "
-                                           f"120 days, but the season has 118\n")
+        assert capsys.readouterr().err == (f"error: {tag}period1: kc.stage_lengths: "
+                                           f"20+30+40+30 = 120 days, but the season has 118\n")
         assert not out.exists()
 
 
@@ -507,6 +507,55 @@ class TestDataFileCalendar:
         which = "period2" if verb == "simulate" else "period1"
         assert capsys.readouterr().err == (f"error: {which}: {path}: kc.stage_lengths: "
                                            f"20+30+40+28 = 118 days, but the season has 117\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestDataFileRows:
+    """A bad row in a daily file is named by its file and line, whichever
+    reader of a season meets it."""
+
+    @pytest.fixture
+    def bad_row(self, tmp_path, quick_config_path, capsys):
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        capsys.readouterr()
+        path = data / "period1_daily.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[5].split(",")
+        cells[5] = "nan"  # precip_mm
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, f"{path}: line 6: precip_mm must be finite, got 'nan'"
+
+    def test_read_period(self, bad_row):
+        from paddymoist.errors import DataFormatError
+        from paddymoist.experiment import read_period
+        path, message = bad_row
+        with pytest.raises(DataFormatError) as exc:
+            read_period(quick_config(), path, "period1")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("verb, models", [("train-moisture", ["--et0-model"]),
+                                              ("simulate", ["--et0-model", "--model"])])
+    def test_data_flag(self, bad_row, tmp_path, quick_config_path, capsys, verb, models):
+        path, message = bad_row
+        args = [verb, "--config", quick_config_path, "--data", str(path),
+                "--out", str(tmp_path / "out")]
+        for flag in models:  # never read: the data file fails first
+            args += [flag, "unused"]
+        assert main(args) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_config_csv_period(self, bad_row, tmp_path, quick_config_path, capsys):
+        path, message = bad_row
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(Path(quick_config_path).read_text(encoding="utf-8")
+                       .replace("period1.source = synth", "period1.source = csv")
+                       .replace("period1.data = ", f"period1.data = {path}"),
+                       encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == f"error: [stage: load period1] {message}\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -17,7 +17,7 @@ from paddymoist import ann
 from paddymoist.ann import Mlp, MlpTopology, Normalizer, TrainConfig
 from paddymoist.crop import KcSchedule, kc_at
 from paddymoist.errors import (DataFormatError, OrderingError, OutOfSeasonError,
-                               ScheduleMismatchError)
+                               ScheduleMismatchError, tagged)
 from paddymoist.evapo import Et0Model, SiteLocation, hargreaves_series, predict_et0_series
 from paddymoist.experiment import (_SCHEMA, ExperimentConfig, PeriodSpec, _keys_of,
                                    build_forcing, default_config, export_plot_data,
@@ -473,6 +473,11 @@ class TestRunExperiment:
         assert exc.value.filename == str(missing)
         assert exc.value.stage_tag == "[stage: load period1]"
 
+    def test_tags_nest_outer_first(self):
+        with pytest.raises(DataFormatError, match=r"^\[stage: s\] f\.csv: line 2: bad$"):
+            with tagged("[stage: s]"), tagged("f.csv:"):
+                raise DataFormatError("line 2: bad")
+
     def test_default_report_is_pinned(self, default_report):
         # the bit-level trajectory of the default experiment: a change that
         # moves any of these has to say so
@@ -522,6 +527,16 @@ class TestCropCalendar:
         cfg = replace(quick_config(), kc=KcSchedule(20, 30, 40, 30))
         with pytest.raises(ScheduleMismatchError, match=r"^\[stage: load period1\] "):
             run_experiment(cfg)
+
+    def test_synthetic_misfit_names_its_period_before_drawing_weather(self, monkeypatch):
+        def no_weather(*args, **kwargs):
+            raise AssertionError("a season that misfits the calendar must draw no weather")
+        monkeypatch.setattr("paddymoist.experiment.generate_weather", no_weather)
+        cfg = replace(quick_config(), kc=KcSchedule(20, 30, 40, 30))
+        with pytest.raises(ScheduleMismatchError) as exc:
+            load_period(cfg, cfg.period2, "period2")
+        assert str(exc.value) == ("period2: kc.stage_lengths: 20+30+40+30 = 120 days, "
+                                  "but the season has 118")
 
 
 class TestSurrogatePasses:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import logging
 import random
+import re
 import shutil
 from datetime import date, datetime, timedelta
 
@@ -451,7 +452,7 @@ class TestBoundaryErrors:
                                             row, "2011-01-05T01:00:00,20.0,0.0,0.4"])
         with pytest.raises(error) as exc:
             read_half_hourly_csv(path)
-        assert str(exc.value).startswith(message)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("row, what", [("2011-01-05T00:30:00,{},0.0,0.4", "temp_c"),
@@ -459,7 +460,8 @@ class TestBoundaryErrors:
     def test_non_finite_temp_or_theta_reports_line(self, tmp_path, row, what, bad):
         path = _write(tmp_path / "hh.csv", [self.HEADER, "2011-01-05T00:00:00,20.0,0.0,0.4",
                                             row.format(bad)])
-        with pytest.raises(DataFormatError, match=f"^line 3: {what} must be finite"):
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}: line 3: {what} must be finite"):
             read_half_hourly_csv(path)
 
     def test_half_hourly_theta_bounds_and_negative_zero_read(self, tmp_path):
@@ -479,7 +481,7 @@ class TestBoundaryErrors:
             "2011-01-05,0,30.0,25.0,19.0,0.0,0.4", f"2011-01-06,1,{cells}"])
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(path)
-        assert str(exc.value).startswith(message)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("row, message", [
         ("2011-01-06,1,30.0", "line 3: expected at least 6 fields, got 3"),
@@ -493,7 +495,7 @@ class TestBoundaryErrors:
             "2011-01-05,0,30.0,25.0,19.0,0.0,0.4", row])
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(path)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_blank_rows_are_skipped(self, tmp_path):
         hh = _write(tmp_path / "hh.csv", [self.HEADER, "", "2011-01-05T00:00:00,20.0,0.0,0.4",
@@ -510,13 +512,13 @@ class TestBoundaryErrors:
                                           "", "2011-01-05T00:30:00,oops,0.0,0.4"])
         with pytest.raises(DataFormatError) as exc:
             read_half_hourly_csv(hh)
-        assert str(exc.value) == "line 5: cannot parse temp_c from 'oops'"
+        assert str(exc.value) == f"{hh}: line 5: cannot parse temp_c from 'oops'"
         daily = _write(tmp_path / "daily.csv", [
             "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm", "", "",
             "2011-01-05,zero,30.0,25.0,19.0,0.0"])
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(daily)
-        assert str(exc.value) == "line 4: cannot parse day_index from 'zero'"
+        assert str(exc.value) == f"{daily}: line 4: cannot parse day_index from 'zero'"
 
 
 @pytest.mark.usefixtures("station_reader")
@@ -530,7 +532,7 @@ class TestPhysicalLineNumbers:
             "2011-01-05T00:30:00,oops,0.0,x"])
         with pytest.raises(DataFormatError) as exc:
             read_half_hourly_csv(path)
-        assert str(exc.value) == "line 4: cannot parse temp_c from 'oops'"
+        assert str(exc.value) == f"{path}: line 4: cannot parse temp_c from 'oops'"
 
     def test_half_hourly_ordering_fault_after_a_multi_line_value(self, tmp_path):
         path = _write(tmp_path / "hh.csv", [
@@ -538,7 +540,8 @@ class TestPhysicalLineNumbers:
             '2011-01-05T00:00:00,20.0,"0.5', '",0.4',
             "2011-01-05T00:30:00,21.0,0.0,0.4",
             "2011-01-05T00:00:00,22.0,0.0,0.4"])
-        with pytest.raises(OrderingError, match="^line 5: timestamps must be strictly"):
+        with pytest.raises(OrderingError,
+                           match=f"^{re.escape(str(path))}: line 5: timestamps must be strictly"):
             read_half_hourly_csv(path)
 
     def test_daily_fault_after_a_multi_line_record(self, tmp_path):
@@ -548,7 +551,7 @@ class TestPhysicalLineNumbers:
             "2011-01-06,1,30.0,oops,19.0,0.0,x"])
         with pytest.raises(DataFormatError) as exc:
             read_daily_csv(path)
-        assert str(exc.value) == "line 5: cannot parse tavg_c from 'oops'"
+        assert str(exc.value) == f"{path}: line 5: cannot parse tavg_c from 'oops'"
 
 
 class TestTextFaults:
@@ -584,14 +587,35 @@ class TestTextFaults:
             for read, path in self._readers(tmp_path, cells):
                 with pytest.raises(DataFormatError) as exc:
                     read(path)
-                assert str(exc.value) == message, read
+                assert str(exc.value) == f"{path}: {message}", read
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.usefixtures("station_reader")
+    @pytest.mark.parametrize("fault", ["header", "row", "not utf-8", "field limit"])
+    def test_each_fault_names_the_file_once(self, tmp_path, fault):
+        cells = {"not utf-8": b"\xff", "field limit": b"x" * 40}.get(fault, b"a")
+        old = csv.field_size_limit(30)
+        try:
+            for read, path in self._readers(tmp_path, cells):
+                lines = path.read_bytes().split(b"\n")
+                if fault == "header":
+                    lines[0] = b"a,b,c"
+                elif fault == "row":  # the first sound row's second cell
+                    lines[1] = lines[1].replace(b",", b",oops", 1)
+                path.write_bytes(b"\n".join(lines))
+                with pytest.raises(DataFormatError) as exc:
+                    read(path)
+                message = str(exc.value)
+                assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, read
         finally:
             csv.field_size_limit(old)
 
     def test_first_bad_byte_is_counted_as_csv_counts_lines(self, tmp_path):
         path = tmp_path / "est.csv"
         path.write_bytes(b"obs,est\r\n0.4,0.41\r0.5,0.52\n\n0.6,\xe9\xff\n")
-        with pytest.raises(DataFormatError, match="^line 5: byte 0xe9 is not UTF-8$"):
+        with pytest.raises(DataFormatError,
+                           match=f"^{re.escape(str(path))}: line 5: byte 0xe9 is not UTF-8$"):
             read_columns(path, ("obs", "est"))
 
     @pytest.mark.usefixtures("station_reader")
@@ -612,10 +636,10 @@ class TestTextFaults:
         from paddymoist.cli import main
         (_, hh), _, (_, columns) = self._readers(tmp_path, b"\xff")
         assert main(["ingest", "--input", str(hh), "--output", str(tmp_path / "o.csv")]) == 4
-        assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+        assert capsys.readouterr().err == f"error: {hh}: line 3: byte 0xff is not UTF-8\n"
         assert main(["evaluate", "--file", str(columns), "--obs-col", "obs",
                      "--est-col", "est"]) == 4
-        assert capsys.readouterr().err == "error: line 3: byte 0xff is not UTF-8\n"
+        assert capsys.readouterr().err == f"error: {columns}: line 3: byte 0xff is not UTF-8\n"
 
 
 def _outcome(path):
@@ -735,7 +759,7 @@ class TestScanner:
         path = tmp_path / "hh.csv"
         path.write_bytes(f"{self.HEADER}\n{self.BEFORE},\xff\n".encode("latin-1"))
         assert self._check(scan, monkeypatch, path, False) == (
-            DataFormatError, "line 2: byte 0xff is not UTF-8")
+            DataFormatError, f"{path}: line 2: byte 0xff is not UTF-8")
 
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_field_over_the_csv_limit_is_declined(self, scan, monkeypatch, tmp_path, where):
@@ -817,7 +841,8 @@ class TestScannerBuild:
         with caplog.at_level(logging.WARNING, logger="paddymoist.ingest"):
             assert read_half_hourly_csv(path) == records
             assert read_half_hourly_csv(path) == records
-            with pytest.raises(DataFormatError, match="^line 3: cannot parse temp_c from"):
+            with pytest.raises(DataFormatError,
+                               match=f"^{re.escape(str(bad))}: line 3: cannot parse temp_c from"):
                 read_half_hourly_csv(bad)
         assert len(caplog.records) == 1
         assert "the C scanner did not build" in caplog.records[0].getMessage()

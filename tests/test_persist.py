@@ -1,5 +1,6 @@
 """Model artifact save/load: bit-exact round trips and format errors."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -86,7 +87,8 @@ class TestFormatErrors:
         text = path.read_text(encoding="utf-8").replace("paddymoist-model 1",
                                                         "paddymoist-model 99")
         path.write_text(text, encoding="utf-8")
-        with pytest.raises(ArtifactVersionError):
+        with pytest.raises(ArtifactVersionError,
+                           match=f"^{re.escape(str(path))}: unsupported artifact version 99;"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
