@@ -26,9 +26,9 @@ from . import persist
 from .errors import (ArtifactParseError, ArtifactVersionError, DataFormatError,
                      PaddymoistError)
 from .evapo import train_et0_model
-from .experiment import (CELLS, build_forcing, check_theta_obs, export_plot_data,
-                         load_period, parse_config, read_period, run_experiment,
-                         write_report_files, write_synth_periods)
+from .experiment import (CELLS, build_forcing, check_theta_every_day, check_theta_obs,
+                         export_plot_data, load_period, parse_config, read_period,
+                         run_experiment, write_report_files, write_synth_periods)
 from .ingest import (daily_aggregate, read_columns, read_daily_csv, read_half_hourly_csv,
                      write_daily_csv)
 from .metrics import nash_sutcliffe, r_squared, rmse
@@ -46,11 +46,13 @@ def _load_config(args):
 
 def _forcing(cfg, which: str, args):
     """A stepping verb's season, from ``--data`` or else the config period
-    ``which``, and its forcing through the surrogate saved at ``args.et0_model``."""
+    ``which``, its forcing through the surrogate saved at ``args.et0_model``,
+    and the name its errors go by."""
     period = (load_period(cfg, getattr(cfg, which), which) if args.data is None
               else read_period(cfg, args.data, which))
     et0_model = persist.et0_from_artifact(persist.load_model(args.et0_model))
-    return period.days, period.theta_obs, build_forcing(cfg, et0_model, period)
+    where = which if args.data is None else f"{which}: {args.data}"
+    return period.days, period.theta_obs, build_forcing(cfg, et0_model, period), where
 
 
 def cmd_synth(args) -> int:
@@ -96,9 +98,8 @@ def cmd_train_et0(args) -> int:
 
 def cmd_train_moisture(args) -> int:
     cfg = _load_config(args)
-    days, theta, forcing = _forcing(cfg, "period1", args)
-    if any(v is None for v in theta):
-        raise DataFormatError("training data must carry theta_vwc on every day")
+    days, theta, forcing, where = _forcing(cfg, "period1", args)
+    check_theta_every_day(days, theta, where, "training")
     model, losses = train_moisture_model(forcing, theta, cfg.moisture_train, lag=cfg.lag,
                                          norms=cfg.moisture_norms)
     digest = persist.data_digest([f.et0 for f in forcing], [f.precip for f in forcing],
@@ -114,7 +115,7 @@ def cmd_train_moisture(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    days, theta, forcing = _forcing(cfg, "period2", args)
+    days, theta, forcing, where = _forcing(cfg, "period2", args)
     moisture_model = persist.moisture_from_artifact(persist.load_model(args.model))
     # the model clamps its theta inputs to its own normalizer, not the config's
     norm, norm_name = moisture_model.norms.theta, f"{args.model} norm theta"
@@ -123,10 +124,8 @@ def cmd_simulate(args) -> int:
                               f"[{norm.lo!r}, {norm.hi!r}], got {cfg.theta_init_sim!r}")
     theta_obs = None
     if cfg.sim_mode is SimMode.TEACHER_FORCED:
-        if any(v is None for v in theta):
-            raise DataFormatError("teacher-forced simulation needs theta_vwc on every day")
-        check_theta_obs(days, theta, norm, f"period2: {args.data}" if args.data else "period2",
-                        norm_name)
+        check_theta_every_day(days, theta, where, "teacher-forced simulation")
+        check_theta_obs(days, theta, norm, where, norm_name)
         theta_obs = theta
     theta_init = [cfg.theta_init_sim] * moisture_model.lag
     estimates = simulate_moisture(moisture_model, forcing, theta_init, cfg.sim_mode,

@@ -1,5 +1,6 @@
-"""Exception classes shared across the package, and :func:`tagged`, which
-names where an error came from.
+"""Exception classes shared across the package; :func:`tagged`, which
+names where an error came from; and :func:`not_utf8`, which names the line
+of a text file's first byte that is not UTF-8.
 
 Everything derives from both :class:`PaddymoistError` and :class:`ValueError`
 so callers can catch broadly or by error class; the CLI maps classes to exit
@@ -28,6 +29,21 @@ def tagged(tag: str):
         else:
             exc.stage_tag = tag
         raise
+
+
+def not_utf8(path) -> str:
+    """What is wrong with ``path``, a file that is not UTF-8: the line of its
+    first byte that is not.  A text reader decodes a block at a time, so
+    its error does not tell."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]  # lines end as csv and text mode end them: \n, \r\n or \r
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return f"line {line}: byte {data[exc.start]:#04x} is not UTF-8"
+    return "not UTF-8"  # the file changed since it failed to decode
 
 
 class PaddymoistError(ValueError):

@@ -9,7 +9,7 @@ ET0 train/validation and moisture train/validation, each carrying the
 squared Pearson correlation, the 1 - SSE/SST variant, and the RMSE.
 
 Everything is driven by a flat ``key = value`` config document.  Any key
-left out falls back to the library default, and the report echoes every
+left out keeps its :class:`ExperimentConfig` default, and the report echoes every
 effective value, so a written report never depends on hidden state.  With
 fixed seeds the whole run, including the written files, is byte-for-byte
 reproducible.
@@ -23,19 +23,19 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
 
 from .ann import Normalizer, TrainConfig, finite_float, left_sum
 from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError, tagged
-from .evapo import (DEFAULT_LATITUDE_RAD, Et0Model, SiteLocation, hargreaves_series,
-                    predict_et0_series, train_et0_model)
+from .evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, Et0Model, SiteLocation,
+                    hargreaves_series, predict_et0_series, train_et0_model)
 from .hydro import (Climate, FieldParams, LedgerDay, WeatherGenParams, generate_truth,
                     generate_weather)
 from .ingest import check_consecutive, read_daily_csv, write_daily_csv
 from .metrics import nash_sutcliffe, r_squared, rmse
-from .moisture import (ForcingDay, MoistureModel, MoistureNormalizers, SimMode,
-                       simulate_moisture, train_moisture_model)
+from .moisture import (DEFAULT_KC_NORM, DEFAULT_PRECIP_NORM, DEFAULT_THETA_NORM, ForcingDay,
+                       MoistureModel, MoistureNormalizers, SimMode, simulate_moisture,
+                       train_moisture_model)
 
 
 @dataclass(frozen=True)
@@ -64,22 +64,27 @@ class PeriodSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    site: SiteLocation
-    temp_norm: Normalizer
-    et0_norm: Normalizer
-    precip_norm: Normalizer
-    kc_norm: Normalizer
-    theta_norm: Normalizer
-    kc: KcSchedule
-    et0_train: TrainConfig
-    moisture_train: TrainConfig
-    lag: int
-    sim_mode: SimMode
-    theta_init_sim: float
-    period1: PeriodSpec
-    period2: PeriodSpec
-    weather: Climate
-    field: FieldParams
+    """Every setting of a run; ``ExperimentConfig()`` is the default run: Table-like planting
+    dates two cultivation periods apart, 118-day seasons, and the library's generator/bucket
+    values, chosen so the synthetic analog lands near the protocol's agreement levels.  Two
+    library defaults differ: a 28-day Kc late stage (118 days in all) and learning rate 0.5."""
+
+    site: SiteLocation = SiteLocation()
+    temp_norm: Normalizer = DEFAULT_TEMP_NORM
+    et0_norm: Normalizer = DEFAULT_ET0_NORM
+    precip_norm: Normalizer = DEFAULT_PRECIP_NORM
+    kc_norm: Normalizer = DEFAULT_KC_NORM
+    theta_norm: Normalizer = DEFAULT_THETA_NORM
+    kc: KcSchedule = KcSchedule(len_late=28)
+    et0_train: TrainConfig = TrainConfig(seed=42, learning_rate=0.5)
+    moisture_train: TrainConfig = TrainConfig(seed=7, learning_rate=0.5)
+    lag: int = 1
+    sim_mode: SimMode = SimMode.CLOSED_LOOP
+    theta_init_sim: float = 0.45
+    period1: PeriodSpec = PeriodSpec(Date(2010, 10, 14), 118, seed=101)
+    period2: PeriodSpec = PeriodSpec(Date(2011, 8, 20), 118, seed=202)
+    weather: Climate = Climate()
+    field: FieldParams = FieldParams()
 
     def __post_init__(self):
         # moisture training needs at least one day after the lagged ones
@@ -101,8 +106,7 @@ def _sim_mode(raw: str) -> SimMode:
     try:
         return SimMode(raw)
     except ValueError:
-        raise ValueError(f"must be one of {[m.value for m in SimMode]}, "
-                         f"got {raw!r}") from None
+        raise ValueError(f"must be one of {[m.value for m in SimMode]}, got {raw!r}") from None
 
 
 def _latitude_text(rad: float) -> str:
@@ -131,64 +135,59 @@ _DATE = (Date.fromisoformat, Date.isoformat)
 _MODE = (_sim_mode, attrgetter("value"))
 _LATITUDE = (lambda raw: math.radians(finite_float(raw)), _latitude_text)
 
-# Every config key: its default text, the ExperimentConfig attribute each of
-# its space-separated words sets, and its value kind.  The defaults are
-# Table-like planting dates two cultivation periods apart, 118-day seasons,
-# and generator/bucket values chosen so the synthetic analog lands near the
-# protocol's expected agreement levels.
+# Every config key: the ExperimentConfig attribute each of its space-separated
+# words sets, and its value kind.
 _SCHEMA = (
-    ("site.latitude_deg", repr(math.degrees(DEFAULT_LATITUDE_RAD)), "site.latitude", _LATITUDE),
-    ("site.altitude_m", "536.0", "site.altitude_m", _FLOAT),
-    ("normalizer.temp_c", "0 50", "temp_norm.lo temp_norm.hi", _FLOAT),
-    ("normalizer.et0_mm", "0 10", "et0_norm.lo et0_norm.hi", _FLOAT),
-    ("normalizer.precip_mm", "0 100", "precip_norm.lo precip_norm.hi", _FLOAT),
-    ("normalizer.kc", "0 1.5", "kc_norm.lo kc_norm.hi", _FLOAT),
-    ("normalizer.theta_vwc", "0 1", "theta_norm.lo theta_norm.hi", _FLOAT),
-    ("kc.stage_lengths", "20 30 40 28", "kc.len_ini kc.len_dev kc.len_mid kc.len_late", _INT),
-    ("kc.values", "1.05 1.2 0.9", "kc.kc_ini kc.kc_mid kc.kc_end", _FLOAT),
-    ("train.et0.epochs", "1000", "et0_train.epochs", _INT),
-    ("train.et0.learning_rate", "0.5", "et0_train.learning_rate", _FLOAT),
-    ("train.et0.seed", "42", "et0_train.seed", _INT),
-    ("train.et0.init_half_width", "0.5", "et0_train.init_half_width", _FLOAT),
-    ("train.moisture.epochs", "1000", "moisture_train.epochs", _INT),
-    ("train.moisture.learning_rate", "0.5", "moisture_train.learning_rate", _FLOAT),
-    ("train.moisture.seed", "7", "moisture_train.seed", _INT),
-    ("train.moisture.init_half_width", "0.5", "moisture_train.init_half_width", _FLOAT),
-    ("moisture.lag", "1", "lag", _INT),
-    ("moisture.sim_mode", "closed_loop", "sim_mode", _MODE),
-    ("moisture.theta_init", "0.45", "theta_init_sim", _FLOAT),
-    ("period1.planting", "2010-10-14", "period1.planting", _DATE),
-    ("period1.days", "118", "period1.n_days", _INT),
-    ("period1.source", "synth", "period1.source", _TEXT),
-    ("period1.seed", "101", "period1.seed", _INT),
-    ("period1.data", "", "period1.data_path", _TEXT),
-    ("period2.planting", "2011-08-20", "period2.planting", _DATE),
-    ("period2.days", "118", "period2.n_days", _INT),
-    ("period2.source", "synth", "period2.source", _TEXT),
-    ("period2.seed", "202", "period2.seed", _INT),
-    ("period2.data", "", "period2.data_path", _TEXT),
-    ("weather.tavg_mean_c", "24.0", "weather.tavg_mean", _FLOAT),
-    ("weather.tavg_amplitude_c", "0.5", "weather.tavg_amplitude", _FLOAT),
-    ("weather.diurnal_range_c", "10.0", "weather.diurnal_range_mean", _FLOAT),
-    ("weather.wet_day_prob", "0.55", "weather.wet_day_prob", _FLOAT),
-    ("weather.precip_mean_wet_mm", "15.0", "weather.precip_mean_wet", _FLOAT),
-    ("field.root_depth_m", "0.2", "field.root_depth", _FLOAT),
-    ("field.theta_sat", "0.55", "field.theta_sat", _FLOAT),
-    ("field.theta_res", "0.15", "field.theta_res", _FLOAT),
-    ("field.theta_init", "0.45", "field.theta_init", _FLOAT),
-    ("field.runoff_threshold", "0.52", "field.runoff_threshold", _FLOAT),
-    ("field.percolation_mm_day", "3.0", "field.perc_rate", _FLOAT),
+    ("site.latitude_deg", "site.latitude", _LATITUDE),
+    ("site.altitude_m", "site.altitude_m", _FLOAT),
+    ("normalizer.temp_c", "temp_norm.lo temp_norm.hi", _FLOAT),
+    ("normalizer.et0_mm", "et0_norm.lo et0_norm.hi", _FLOAT),
+    ("normalizer.precip_mm", "precip_norm.lo precip_norm.hi", _FLOAT),
+    ("normalizer.kc", "kc_norm.lo kc_norm.hi", _FLOAT),
+    ("normalizer.theta_vwc", "theta_norm.lo theta_norm.hi", _FLOAT),
+    ("kc.stage_lengths", "kc.len_ini kc.len_dev kc.len_mid kc.len_late", _INT),
+    ("kc.values", "kc.kc_ini kc.kc_mid kc.kc_end", _FLOAT),
+    ("train.et0.epochs", "et0_train.epochs", _INT),
+    ("train.et0.learning_rate", "et0_train.learning_rate", _FLOAT),
+    ("train.et0.seed", "et0_train.seed", _INT),
+    ("train.et0.init_half_width", "et0_train.init_half_width", _FLOAT),
+    ("train.moisture.epochs", "moisture_train.epochs", _INT),
+    ("train.moisture.learning_rate", "moisture_train.learning_rate", _FLOAT),
+    ("train.moisture.seed", "moisture_train.seed", _INT),
+    ("train.moisture.init_half_width", "moisture_train.init_half_width", _FLOAT),
+    ("moisture.lag", "lag", _INT),
+    ("moisture.sim_mode", "sim_mode", _MODE),
+    ("moisture.theta_init", "theta_init_sim", _FLOAT),
+    ("period1.planting", "period1.planting", _DATE),
+    ("period1.days", "period1.n_days", _INT),
+    ("period1.source", "period1.source", _TEXT),
+    ("period1.seed", "period1.seed", _INT),
+    ("period1.data", "period1.data_path", _TEXT),
+    ("period2.planting", "period2.planting", _DATE),
+    ("period2.days", "period2.n_days", _INT),
+    ("period2.source", "period2.source", _TEXT),
+    ("period2.seed", "period2.seed", _INT),
+    ("period2.data", "period2.data_path", _TEXT),
+    ("weather.tavg_mean_c", "weather.tavg_mean", _FLOAT),
+    ("weather.tavg_amplitude_c", "weather.tavg_amplitude", _FLOAT),
+    ("weather.diurnal_range_c", "weather.diurnal_range_mean", _FLOAT),
+    ("weather.wet_day_prob", "weather.wet_day_prob", _FLOAT),
+    ("weather.precip_mean_wet_mm", "weather.precip_mean_wet", _FLOAT),
+    ("field.root_depth_m", "field.root_depth", _FLOAT),
+    ("field.theta_sat", "field.theta_sat", _FLOAT),
+    ("field.theta_res", "field.theta_res", _FLOAT),
+    ("field.theta_init", "field.theta_init", _FLOAT),
+    ("field.runoff_threshold", "field.runoff_threshold", _FLOAT),
+    ("field.percolation_mm_day", "field.perc_rate", _FLOAT),
 )
-
-# The class each dotted attribute's first part is built as.
-_PART_TYPES = get_type_hints(ExperimentConfig)
+_KEYS = frozenset(key for key, _, _ in _SCHEMA)
 
 
 def _keys_of(part: str, message: str) -> str:
     """The keys behind an error from the constructor of ``part``, an
     ExperimentConfig attribute: those whose attribute the message names, in
     the order it names them, or else every key that feeds the part."""
-    fed = [(name.partition(".")[2], key) for key, _, attrs, _ in _SCHEMA
+    fed = [(name.partition(".")[2], key) for key, attrs, _ in _SCHEMA
            for name in attrs.split() if name.partition(".")[0] == part]
     # only the text before the echoed value, which may spell any word
     named_part = message.partition(", got")[0]
@@ -200,8 +199,8 @@ def _keys_of(part: str, message: str) -> str:
 def parse_config(text: str, overrides: "dict[str, str] | None" = None) -> ExperimentConfig:
     """Parse a config document, then set each key of ``overrides`` to its
     value text over it.  A key may appear once in the document; unknown keys
-    are rejected, missing ones default."""
-    values = {key: default for key, default, _, _ in _SCHEMA}
+    are rejected, and a key not set keeps its :class:`ExperimentConfig` default."""
+    values: dict = {}
     set_on: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -211,7 +210,7 @@ def parse_config(text: str, overrides: "dict[str, str] | None" = None) -> Experi
             raise DataFormatError(f"config line {line_no}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in values:
+        if key not in _KEYS:
             raise DataFormatError(f"config line {line_no}: unknown key {key!r}")
         if key in set_on:
             raise DataFormatError(f"config line {line_no}: key {key!r} is already set "
@@ -219,12 +218,12 @@ def parse_config(text: str, overrides: "dict[str, str] | None" = None) -> Experi
         set_on[key] = line_no
         values[key] = raw.strip()
     for key, raw in (overrides or {}).items():
-        if key not in values:
+        if key not in _KEYS:
             raise DataFormatError(f"unknown config key {key!r}")
         values[key] = raw
 
-    parts: dict = {}
-    for key, _, attrs, (parse, _) in _SCHEMA:
+    changes: dict = {}
+    for key, attrs, (parse, _) in (row for row in _SCHEMA if row[0] in values):
         names = attrs.split()
         raw = values[key]
         words = raw.split() if len(names) > 1 else [raw]
@@ -237,30 +236,27 @@ def parse_config(text: str, overrides: "dict[str, str] | None" = None) -> Experi
                 raise DataFormatError(f"{key}: {exc}") from exc
             part, _, leaf = name.partition(".")
             if leaf:
-                parts.setdefault(part, {})[leaf] = value
+                changes.setdefault(part, {})[leaf] = value
             else:
-                parts[part] = value
-    for part, value in parts.items():
-        if isinstance(value, dict):
+                changes[part] = value
+    for part, value in changes.items():
+        if isinstance(value, dict):  # the default part rebuilt, so its checks run
             try:
-                parts[part] = _PART_TYPES[part](**value)
+                changes[part] = replace(getattr(ExperimentConfig, part), **value)
             except ValueError as exc:
                 raise DataFormatError(f"{_keys_of(part, str(exc))}: {exc}") from exc
-    return ExperimentConfig(**parts)
+    return ExperimentConfig(**changes)
 
 
 def default_config() -> ExperimentConfig:
-    return parse_config("")
+    return ExperimentConfig()
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Echo every effective setting as a canonical config document.
-
-    Parsing the document gives back ``cfg`` exactly when ``cfg`` came from
-    :func:`parse_config`.
-    """
+    """Echo every effective setting as a canonical config document, which
+    :func:`parse_config` reads back as ``cfg`` when ``cfg`` came from it."""
     lines = []
-    for key, _, attrs, (_, fmt) in _SCHEMA:
+    for key, attrs, (_, fmt) in _SCHEMA:
         words = [fmt(attrgetter(name)(cfg)) for name in attrs.split()]
         lines.append(f"{key} = {' '.join(words)}\n")
     return "".join(lines)
@@ -273,12 +269,8 @@ def weather_params_for(cfg: ExperimentConfig, spec: PeriodSpec) -> WeatherGenPar
 
 @dataclass
 class PeriodData:
-    """One period's loaded series.
-
-    ``ledger`` is the :func:`~paddymoist.hydro.generate_truth` ledger of a
-    synthetic period, whose rows carry its Hargreaves ET0, and ``None`` for
-    a CSV period.
-    """
+    """One period's loaded series; ``ledger`` is the :func:`~paddymoist.hydro.generate_truth`
+    ledger of a synthetic period, whose rows carry its Hargreaves ET0, else ``None``."""
 
     name: str
     days: list
@@ -318,8 +310,8 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     if len(period.days) != spec.n_days:
         raise DataFormatError(f"{name}: {spec.data_path} holds {len(period.days)} days, "
                               f"but {name}.days is {spec.n_days}")
-    if any(v is None for v in period.theta_obs):
-        raise DataFormatError(f"{name}: {spec.data_path} must carry theta_vwc on every day")
+    check_theta_every_day(period.days, period.theta_obs, f"{name}: {spec.data_path}",
+                          "a config csv period")
     return period
 
 
@@ -332,6 +324,14 @@ def check_theta_obs(days: list, theta: list, norm: Normalizer, source: str,
         if value is not None and not norm.lo <= value <= norm.hi:
             raise DataFormatError(f"{source}: observed theta_vwc {value!r} on {day.date} is "
                                   f"outside {norm_name} [{norm.lo!r}, {norm.hi!r}]")
+
+
+def check_theta_every_day(days: list, theta: list, source: str, use: str) -> None:
+    """Raise DataFormatError naming the first day without observed theta."""
+    for day, value in zip(days, theta):
+        if value is None:
+            raise DataFormatError(f"{source}: no theta_vwc on {day.date}; "
+                                  f"{use} needs it on every day")
 
 
 #: The report's metric cells, in report order.

@@ -84,7 +84,7 @@ import numpy as np
 
 from . import _cbuild
 from .ann import left_sum
-from .errors import DataFormatError, OrderingError, tagged
+from .errors import DataFormatError, OrderingError, not_utf8, tagged
 from .evapo import DailyWeather
 
 INTERVALS_PER_DAY = 48
@@ -231,24 +231,9 @@ def _csv_reader(path):
         try:
             yield reader
         except UnicodeDecodeError:
-            raise DataFormatError(_not_utf8(path)) from None
+            raise DataFormatError(not_utf8(path)) from None
         except csv.Error as exc:  # a field over the limit
             raise DataFormatError(f"line {reader.line_num}: {exc}") from None
-
-
-def _not_utf8(path) -> str:
-    """What is wrong with ``path``, a file that is not UTF-8: the line of its
-    first byte that is not.  The text reader decodes a block at a time, so
-    its error does not tell."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start]  # counted as csv counts lines: \n, \r\n or \r
-        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        return f"line {line}: byte {data[exc.start]:#04x} is not UTF-8"
-    return "not UTF-8"  # the file changed since it failed to decode
 
 
 def _check_header_start(header: list) -> None:

@@ -9,7 +9,8 @@ order shown, the kind's ``norm`` lines in the order its model takes them
 and any number of ``prov`` lines, each key once; :func:`load_model` reads
 them back in that order.  A missing, repeated, unknown or out-of-order
 line, or anything after ``end``, is an :class:`ArtifactParseError` naming
-the file and line; so is a weight or bound that is not finite, a gain
+the file and line (a line ends at LF, CRLF or CR only); so is a byte
+that is not UTF-8, a weight or bound that is not finite, a gain
 outside (0, 1] or a normalizer without ``hi > lo``.  An unsupported
 version is an :class:`ArtifactVersionError` naming the file.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ann import Mlp, MlpTopology, Normalizer, finite_float
-from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError, tagged
+from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError, not_utf8, tagged
 from .evapo import Et0Model
 from .moisture import MoistureModel, MoistureNormalizers
 
@@ -205,6 +206,12 @@ def _parse(raw: list) -> ModelArtifact:
 
 def load_model(path) -> ModelArtifact:
     """Parse an artifact file; an error once it is open names the file, and
-    malformed content its line."""
+    malformed content, or a byte that is not UTF-8, its line."""
     with open(path, encoding="utf-8") as fh, tagged(f"{path}:"):
-        return _parse(fh.read().splitlines())
+        try:
+            lines = fh.read().split("\n")  # text mode ends every line in \n
+        except UnicodeDecodeError:
+            raise ArtifactParseError(not_utf8(path)) from None
+        if not lines[-1]:
+            lines.pop()  # the final newline starts no line
+        return _parse(lines)

@@ -821,12 +821,11 @@ class TestDataFlag:
         printed = capsys.readouterr().out
         assert "(teacher_forced)" in printed and "r_squared" in printed
 
-    @pytest.mark.parametrize("verb, argv, message", [
-        ("train-moisture", [], "training data must carry theta_vwc on every day"),
-        ("simulate", ["--mode", "teacher_forced"],
-         "teacher-forced simulation needs theta_vwc on every day"),
+    @pytest.mark.parametrize("verb, argv, use", [
+        ("train-moisture", [], "training"),
+        ("simulate", ["--mode", "teacher_forced"], "teacher-forced simulation"),
     ], ids=["train-moisture", "simulate-teacher-forced"])
-    def test_missing_theta_exits_4(self, tmp_path, trained, capsys, verb, argv, message):
+    def test_missing_theta_exits_4(self, tmp_path, trained, capsys, verb, argv, use):
         which = "period1" if verb == "train-moisture" else "period2"
         path = self._period(trained, which, tmp_path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -835,5 +834,7 @@ class TestDataFlag:
         out = tmp_path / "out"
         assert main([verb, "--config", str(trained["config"]), "--data", str(path), *argv,
                      *_model_args(trained, verb), "--out", str(out)]) == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
+        day = lines[20].split(",")[0]
+        assert capsys.readouterr().err == (f"error: {which}: {path}: no theta_vwc on {day}; "
+                                           f"{use} needs it on every day\n")
         assert not out.exists()

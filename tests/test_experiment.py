@@ -44,6 +44,35 @@ class TestConfigDocument:
                     "weather.wet_day_prob", "field.percolation_mm_day"):
             assert any(line.startswith(key + " =") for line in text.splitlines()), key
 
+    def test_no_key_set_is_the_default_run(self):
+        assert parse_config("") == default_config() == ExperimentConfig()
+        # the run departs from two library defaults, which keep their values
+        assert (KcSchedule().len_late, TrainConfig(seed=0).learning_rate) == (30, 0.2)
+        assert (ExperimentConfig().kc, ExperimentConfig().et0_train) == (
+            KcSchedule(len_late=28), TrainConfig(seed=42, learning_rate=0.5))
+
+    @pytest.mark.parametrize("text, message", [
+        # a value no kind parses is reported before any part's own check
+        ("weather.wet_day_prob = x\ntrain.et0.seed = y\n",
+         "train.et0.seed: invalid literal for int() with base 10: 'y'"),
+        ("normalizer.kc = 2 1\nfield.root_depth_m = x\n",
+         "field.root_depth_m: could not convert string to float: 'x'"),
+        ("field.root_depth_m = 0\nnormalizer.kc = 2 1\n",
+         "normalizer.kc: normalizer needs hi > lo, got [2.0, 1.0]"),
+        ("moisture.lag = 500\nperiod1.days = 0\n",
+         "period1.days: period needs n_days >= 1, got 0"),
+    ], ids=["two-values", "value-after-part", "two-parts", "part-before-cross-check"])
+    def test_of_two_bad_keys_the_first_in_the_table_is_reported(self, text, message):
+        with pytest.raises(DataFormatError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
+    def test_override_replaces_a_bad_document_value_unparsed(self):
+        cfg = parse_config("train.et0.seed = -1\nkc.values = 1 1.1 0.8\n",
+                           {"train.et0.seed": "3", "kc.values": "1.05 1.2 0.9"})
+        assert cfg == replace(default_config(), et0_train=replace(
+            default_config().et0_train, seed=3))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(DataFormatError):
             parse_config("no.such.key = 1\n")
@@ -284,9 +313,9 @@ def _moved(word: str, kind) -> str:
 class TestConfigSchema:
 
     def test_every_field_set_by_exactly_one_key(self):
-        keys = [key for key, _, _, _ in _SCHEMA]
+        keys = [key for key, _, _ in _SCHEMA]
         assert len(set(keys)) == len(keys)
-        attrs = Counter(name for _, _, names, _ in _SCHEMA for name in names.split())
+        attrs = Counter(name for _, names, _ in _SCHEMA for name in names.split())
         assert set(attrs.values()) == {1}
         leaves = set(_leaves(default_config()))
         assert set(attrs) <= leaves
@@ -319,7 +348,9 @@ class TestConfigSchema:
         base = default_config()
         base_leaves = _leaves(base)
         base_lines = format_config(base).splitlines()
-        for line_no, (key, default, names, kind) in enumerate(_SCHEMA):
+        for line_no, (key, names, kind) in enumerate(_SCHEMA):
+            echoed_key, default = base_lines[line_no].split(" = ", 1)
+            assert echoed_key == key
             words = default.split() or [""]
             for i, name in enumerate(names.split()):
                 moved = words[:i] + [_moved(words[i], kind)] + words[i + 1:]
@@ -392,8 +423,10 @@ class TestRunExperiment:
         path = tmp_path / "no_theta.csv"
         write_daily_csv(path, weather)  # no theta column
         spec = replace(cfg.period1, source="csv", data_path=str(path))
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError) as exc:
             load_period(cfg, spec, "period1")
+        assert str(exc.value) == (f"period1: {path}: no theta_vwc on 2010-10-14; "
+                                  f"a config csv period needs it on every day")
 
     def _edited_period(self, tmp_path, edit):
         cfg = quick_config()
@@ -412,6 +445,17 @@ class TestRunExperiment:
         with pytest.raises(DataFormatError, match=r"\[stage: load period1\] period1: .*"
                                                   r"no row for 2010-10-25"):
             run_experiment(replace(cfg, period1=spec))
+
+    def test_csv_period_names_its_first_day_without_theta(self, tmp_path):
+        def blank(lines):  # lines[i] is day i - 1 from 2010-10-14
+            for i in (5, 9):
+                lines[i] = lines[i].rsplit(",", 1)[0] + ","
+        cfg, spec = self._edited_period(tmp_path, blank)
+        with pytest.raises(DataFormatError) as exc:
+            run_experiment(replace(cfg, period1=spec))
+        assert str(exc.value) == (f"[stage: load period1] period1: {spec.data_path}: no "
+                                  f"theta_vwc on 2010-10-18; a config csv period needs it "
+                                  f"on every day")
 
     def test_csv_period_with_swapped_days_rejected(self, tmp_path):
         def swap(lines):

@@ -291,6 +291,36 @@ class TestLineOrderGrammar:
             save_model(et0_artifact(_random_et0_model(), {key: value}), path)
         assert not path.exists()
 
+class TestPhysicalLines:
+    """An error names the file's own line: one ends at LF, CRLF or CR only."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("line_no", [1, 9])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, line_no, newline):
+        path, lines = _et0_lines(tmp_path)
+        data = [line.encode() for line in lines]
+        data[line_no - 1] = b"\xff" + data[line_no - 1]
+        path.write_bytes(newline.encode().join(data) + newline.encode())
+        with pytest.raises(ArtifactParseError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: line {line_no}: byte 0xff is not UTF-8"
+
+    @pytest.mark.parametrize("char", ["\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_other_line_break_inside_a_line_is_no_line_end(self, tmp_path, char):
+        path, lines = _et0_lines(tmp_path)
+        at = next(i for i, line in enumerate(lines) if line.startswith("w_hidden 0 "))
+        lines[at] += f"{char}junk"
+        assert _rejected_at(path, lines, at + 1).endswith(f"got {lines[at]!r}")
+
+    def test_last_line_needs_no_newline(self, tmp_path):
+        path, lines = _et0_lines(tmp_path)
+        expected = load_model(path)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded.provenance == expected.provenance
+        assert np.array_equal(loaded.w_output, expected.w_output)
+
+
 class TestDataDigest:
 
     def test_deterministic_and_sensitive(self):
