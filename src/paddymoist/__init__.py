@@ -25,8 +25,8 @@ from .experiment import (ExperimentConfig, ExperimentReport, default_config,
                          run_experiment, write_report_files)
 from .hydro import (Climate, FieldParams, LedgerDay, WaterFluxes, WeatherGenParams,
                     generate_truth, generate_weather, water_balance_step)
-from .ingest import (DailyAggregation, DayGap, HalfHourRecord, daily_aggregate,
-                     read_daily_csv, read_half_hourly_csv, write_daily_csv,
+from .ingest import (DailyAggregation, DayGap, HalfHourRecord, HalfHourRecords,
+                     daily_aggregate, read_daily_csv, read_half_hourly_csv, write_daily_csv,
                      write_half_hourly_csv)
 from .metrics import nash_sutcliffe, r_squared, rmse
 from .moisture import (ForcingDay, MoistureModel, MoistureNormalizers, SimMode,

@@ -18,11 +18,11 @@ steps day by day (the crop calendar, lagged moisture) rejects it with
 
 A :class:`HalfHourRecord` is a ``NamedTuple``: a two-year station file is
 some 35000 of them, and a tuple is several times cheaper to build than a
-frozen dataclass.  The reader checks each row once, cell by cell in column
-order, and raises at the row's leftmost fault (a timestamp out of order
-only when every cell is sound); a sound row's record is built straight from
-the checked values, without the constructor's second check.  The daily
-reader checks its cells in column order too.
+frozen dataclass.  The Python pass checks each row once, cell by cell in
+column order, and raises at the row's leftmost fault (a timestamp out of
+order only when every cell is sound); a sound row's record is built
+straight from the checked values, without the constructor's second check.
+The daily reader checks its cells in column order too.
 
 Every fault in a station or daily file (and in :func:`read_columns`' file)
 is a :class:`DataFormatError` naming the file and, in a row, its line, as
@@ -45,26 +45,31 @@ A plain station file is read by a small C scanner, built and loaded by
 :mod:`._cbuild` on the first read.  Plain means: ASCII text with no ``"``,
 no carriage return and no control character but the line feed; every field
 no longer than ``csv.field_size_limit()`` and every line shorter than a
-block (a longer one is read where it ends within the chunk); each number
-written as
-``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, which ``strtod`` must read to the
-field's end (so a locale whose decimal point is not ``.`` declines every
-file); and no fault.  The scanner copies each timestamp field and converts
+block (a longer one is read where it ends within the chunk); each timestamp
+``YYYY-MM-DDTHH:MM:SS`` with an optional ``.ffffff`` and ``T`` or a space
+between date and time, as ``datetime.isoformat`` writes a naive instant;
+each number written as ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, which
+``strtod`` must read to the field's end (so a locale whose decimal point is
+not ``.`` declines every file); and no fault.  The scanner reads each
+timestamp as its date's ordinal and microsecond of the day, checks the
+calendar (leap years, month lengths, hours 0-23, minutes and seconds 0-59)
+and that the timestamps strictly increase, across chunks too, and converts
 ``temp_c``, ``precip_mm`` and ``theta_vwc`` with ``strtod``, which rounds
-as ``float()`` does, and checks what the Python pass checks: every value
-finite, precipitation >= 0 and theta in [0, 1].  The timestamps are still
-parsed by ``datetime.fromisoformat`` and their order checked in Python, as
-the Python pass does, so their meaning cannot drift from it on any Python
-version.  The file is scanned a chunk at a time: a block of 64 KiB
-(``_BLOCK``) and the rest of its last line, at most another block.  So
-beyond the records themselves the reader holds one chunk, its timestamps
-and three arrays of doubles, made once per file with one double per 3 bytes
-of the longest chunk but filled only as far as a chunk's rows, whatever the
-file's size.  Any other file, and a plain one
-with any fault, is declined and read again, whole, by the Python pass
-above, the reference of :mod:`._cbuild`'s contract: it accepts what ``csv``
-and ``float()`` accept, and it names the fault, with its file and line.
-Where the scanner cannot be built, the Python pass reads every file.
+as ``float()`` does, checking what the Python pass checks: every value
+finite, precipitation >= 0 and theta in [0, 1].  The file is scanned a
+chunk at a time: a block of 64 KiB (``_BLOCK``) and the rest of its last
+line, at most another block, into five columns sized once from the file's
+length, which take memory only as far as the rows written.  The columns
+are the :class:`HalfHourRecords` the reader returns, which builds a record
+only where one is indexed or iterated, and :func:`daily_aggregate` sums
+their days in C in the Python loop's order: each sum from 0.0, left to
+right, and the first of equal maxima and minima, so ``-0.0`` and ``0.0``
+keep their order.  Any other file, and a plain one with any fault, is
+declined and read again, whole, by the Python pass above, the reference of
+:mod:`._cbuild`'s contract: it accepts what ``csv``,
+``datetime.fromisoformat`` and ``float()`` accept, and it names the fault,
+with its file and line.  Where the scanner cannot be built, the Python pass
+reads every file and the Python loop sums its days.
 """
 
 from __future__ import annotations
@@ -73,11 +78,12 @@ import contextlib
 import csv
 import functools
 import math
+import os
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
-from itertools import islice, repeat
-from operator import lt
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -138,7 +144,56 @@ class DailyAggregation:
     gaps: list
 
 
-def _day_runs(records: "list[HalfHourRecord]"):
+class HalfHourRecords(Sequence):
+    """The records of a station file, as :func:`read_half_hourly_csv` returns
+    them: a read-only sequence of :class:`HalfHourRecord`, equal to the list
+    of its records.  One the C scanner read holds its columns (date ordinal,
+    microsecond of the day, temp, precip, and theta with NaN for no reading)
+    and builds a record only where one is indexed or iterated."""
+
+    __slots__ = ("_records", "_columns")
+
+    def __init__(self, records=(), columns=None):
+        self._records, self._columns = list(records), columns
+
+    def __len__(self):
+        return len(self._records) if self._columns is None else len(self._columns[0])
+
+    def __getitem__(self, i):
+        if self._columns is None:
+            return self._records[i]
+        if isinstance(i, slice):
+            return list(_built([column[i] for column in self._columns]))
+        i = range(len(self))[i]  # an IndexError past either end
+        return next(_built([column[i:i + 1] for column in self._columns]))
+
+    def __iter__(self):
+        return iter(self._records) if self._columns is None else _built(self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, HalfHourRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"HalfHourRecords({list(self)!r})"
+
+
+_UNIX_DAY = Date(1970, 1, 1).toordinal()
+
+
+def _built(columns):
+    """The records of scanned columns, built as they are iterated; numpy
+    makes the timestamps from microseconds since 1970, which it converts
+    to ``datetime`` for every year 1-9999."""
+    day, micros, temp, precip, theta = columns
+    stamps = ((day - _UNIX_DAY) * 86_400_000_000 + micros).astype("datetime64[us]").tolist()
+    thetas = [None if v != v else v for v in theta.tolist()]
+    return map(tuple.__new__, repeat(HalfHourRecord),
+               zip(stamps, temp.tolist(), precip.tolist(), thetas))
+
+
+def _day_runs(records: "Sequence[HalfHourRecord]"):
     """Yield (date, that date's records) for each calendar day present.
 
     One pass that also checks the timestamps strictly increase, so each day
@@ -165,7 +220,35 @@ def _day_runs(records: "list[HalfHourRecord]"):
     yield day, records[start:]
 
 
-def daily_aggregate(records: "list[HalfHourRecord]",
+def _day_sums(records: "Sequence[HalfHourRecord]"):
+    """Per day present: (date, rows, tmax, temp sum, tmin, precip sum, theta
+    sum, theta readings).  Summed in C for scanned columns, else by the
+    Python loop, the reference."""
+    if not isinstance(records, HalfHourRecords):
+        return _python_day_sums(records)
+    columns = records._columns
+    c = None if columns is None else _scanner()
+    if c is not None:
+        n = len(columns[0])
+        counts, sums = np.empty((n, 3), "l"), np.empty((n, 5))
+        k = c[1](n, *(a.__array_interface__["data"][0]
+                      for a in (columns[0], *columns[2:], counts, sums)))
+        if k >= 0:
+            return ((Date.fromordinal(day), rows, tmax, tsum, tmin, psum, thsum, n_theta)
+                    for (day, rows, n_theta), (tmax, tsum, tmin, psum, thsum)
+                    in zip(counts[:k].tolist(), sums[:k].tolist()))
+    return _python_day_sums(records._records if columns is None else list(records))
+
+
+def _python_day_sums(records):
+    for day, run in _day_runs(records):
+        _, temps, precips, thetas = zip(*run)
+        present = [v for v in thetas if v is not None]
+        yield (day, len(run), max(temps), left_sum(temps), min(temps), left_sum(precips),
+               left_sum(present), len(present))
+
+
+def daily_aggregate(records: "Sequence[HalfHourRecord]",
                     min_coverage: int = 40) -> DailyAggregation:
     """Collapse half-hourly records into daily weather.
 
@@ -181,23 +264,15 @@ def daily_aggregate(records: "list[HalfHourRecord]",
     days: list[DailyWeather] = []
     theta: list = []
     gaps: list[DayGap] = []
-    first_date = records[0][0].date() if records else None
-    for day, run in _day_runs(records):
-        n = len(run)
+    first_date = None
+    for day, n, tmax, tsum, tmin, psum, thsum, n_theta in _day_sums(records):
+        first_date = first_date or day
         if n < min_coverage:
             gaps.append(DayGap(day, n))
             continue
-        _, temps, precips, thetas = zip(*run)
-        present = [v for v in thetas if v is not None]
-        days.append(DailyWeather(
-            day_index=(day - first_date).days,
-            date=day,
-            tmax=max(temps),
-            tavg=left_sum(temps) / n,
-            tmin=min(temps),
-            precip=left_sum(precips),
-        ))
-        theta.append(left_sum(present) / len(present) if present else None)
+        days.append(DailyWeather(day_index=(day - first_date).days, date=day, tmax=tmax,
+                                 tavg=tsum / n, tmin=tmin, precip=psum))
+        theta.append(thsum / n_theta if n_theta else None)
     return DailyAggregation(days=days, theta=theta, gaps=gaps)
 
 
@@ -258,7 +333,7 @@ def _read_header(reader, columns: "tuple[str, ...]") -> bool:
     return len(header) > n and header[n] == _THETA_COLUMN
 
 
-def read_half_hourly_csv(path) -> list[HalfHourRecord]:
+def read_half_hourly_csv(path) -> HalfHourRecords:
     """Read a half-hourly station file; raises DataFormatError with line context.
 
     Rejects, naming the line, a row :class:`HalfHourRecord` would reject,
@@ -267,9 +342,9 @@ def read_half_hourly_csv(path) -> list[HalfHourRecord]:
     and every file with a fault, by the Python pass (see the module
     docstring); both give the same records.
     """
-    scan = _scanner()
-    records = None if scan is None else _scan_plain(scan, path)
-    return _read_rows(path) if records is None else records
+    c = _scanner()
+    records = None if c is None else _scan_plain(c, path)
+    return HalfHourRecords(_read_rows(path)) if records is None else records
 
 
 def _read_rows(path) -> list[HalfHourRecord]:
@@ -308,12 +383,13 @@ def _read_rows(path) -> list[HalfHourRecord]:
 
 # The scanner: the C half of the plain-file reader.  ``scan`` reads the lines
 # of ``buf[0:len]``, which ends at the end of a line, skipping blank lines.
-# Per row it writes temp_c, precip_mm and theta_vwc (NaN for no reading) to
-# the three arrays and the timestamp field, then a newline, to ``stamps``,
-# which cannot overflow: a row's timestamp and newline are never longer than
-# the row.  It sets ``used[0]`` to the bytes written to ``stamps`` and returns
-# the rows read, or -1 for a line outside the plain subset or with a value
-# the Python pass would reject.
+# Per row it writes the timestamp's date ordinal and microsecond of the day,
+# temp_c, precip_mm and theta_vwc (NaN for no reading) to the five columns,
+# at most ``room`` rows.  ``last`` holds the ordinal and microsecond of the
+# row before, {0, 0} for none, so order is checked across calls.  It returns
+# the rows read, or -1 for a line outside the plain subset, a value the Python
+# pass would reject or a row out of order.  ``sum_days`` adds up the scanned
+# columns per day.
 _SCAN_SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
@@ -335,15 +411,49 @@ static int number(const char *s, long n, double *value)
     return n > 0 && end == s + n;
 }
 
-long scan(const char *buf, long len, long has_theta, long field_limit, double *temp,
-          double *precip, double *theta, char *stamps, long *used)
+/* The n digits at s as a number, or -1 if one is not a digit. */
+static long digits(const char *s, int n)
+{
+    long v = 0;
+    for (; n > 0; n--, s++) {
+        if (*s < '0' || *s > '9') return -1;
+        v = 10 * v + (*s - '0');
+    }
+    return v;
+}
+
+/* The stamp s[0..n), YYYY-MM-DD[T ]HH:MM:SS[.ffffff] naming a real naive
+   instant, as its date's ordinal (0001-01-01 is 1, as date.toordinal) and
+   its microsecond of the day; 0 for any other text. */
+static long stamp(const char *s, long n, long *micros)
+{
+    static const int before[] = {0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365};
+    long y, mo, d, h, mi, sec, us = 0, leap;
+    if (!(n == 19 || (n == 26 && s[19] == '.')) || s[4] != '-' || s[7] != '-'
+        || (s[10] != 'T' && s[10] != ' ') || s[13] != ':' || s[16] != ':')
+        return 0;
+    y = digits(s, 4), mo = digits(s + 5, 2), d = digits(s + 8, 2);
+    h = digits(s + 11, 2), mi = digits(s + 14, 2), sec = digits(s + 17, 2);
+    if (n == 26 && (us = digits(s + 20, 6)) < 0) return 0;
+    if (y < 1 || mo < 1 || mo > 12 || h < 0 || h > 23 || mi < 0 || mi > 59 || sec < 0
+        || sec > 59)
+        return 0;
+    leap = y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
+    if (d < 1 || d > before[mo] - before[mo - 1] + (mo == 2 && leap)) return 0;
+    *micros = ((h * 60 + mi) * 60 + sec) * 1000000 + us;
+    y--;
+    return y * 365 + y / 4 - y / 100 + y / 400 + before[mo - 1] + (mo > 2 && leap) + d;
+}
+
+long scan(const char *buf, long len, long has_theta, long field_limit, long room, long *day,
+          long *micros, double *temp, double *precip, double *theta, long *last)
 {
     const unsigned char *line = (const unsigned char *)buf, *end = line + len;
-    long rows = 0, out = 0;
+    long rows = 0;
     for (; line < end; line++) {  /* line moves to the next line's start */
         const unsigned char *nl = memchr(line, '\n', (size_t)(end - line)), *c, *start;
         const char *field[4];
-        long width[4], n_fields = 0;
+        long width[4], n_fields = 0, t = 0, o;
         double v;
         if (nl == NULL) return -1;  /* a last line cut off: not a whole line */
         if (nl == line) continue;  /* a blank line */
@@ -361,7 +471,11 @@ long scan(const char *buf, long len, long has_theta, long field_limit, double *t
                 return -1;
             }
         }
-        if (n_fields < 3) return -1;
+        if (n_fields < 3 || rows == room) return -1;
+        o = stamp(field[0], width[0], &t);
+        if (o == 0 || o < last[0] || (o == last[0] && t <= last[1])) return -1;
+        day[rows] = last[0] = o;
+        micros[rows] = last[1] = t;
         if (!number(field[1], width[1], &v) || !isfinite(v)) return -1;
         temp[rows] = v;
         if (!number(field[2], width[2], &v) || !(v >= 0.0 && v < INFINITY)) return -1;
@@ -372,38 +486,61 @@ long scan(const char *buf, long len, long has_theta, long field_limit, double *t
         } else {
             theta[rows] = NAN;
         }
-        memcpy(stamps + out, field[0], (size_t)width[0]);
-        out += width[0];
-        stamps[out++] = '\n';
         rows++;
         line = nl;
     }
-    used[0] = out;
     return rows;
+}
+
+/* Per day of the n rows, in order, {ordinal, rows, theta readings} to counts
+   and {tmax, temp sum, tmin, precip sum, theta sum} to sums: each sum from
+   0.0 in row order, and tmax and tmin the first of equal values, as Python's
+   left_sum, max and min give them.  Returns the days, or -1 where a day goes
+   backwards. */
+long sum_days(long n, const long *day, const double *temp, const double *precip,
+              const double *theta, long *counts, double *sums)
+{
+    long i, k = -1, *c = counts;
+    double *s = sums;
+    for (i = 0; i < n; i++) {
+        if (k < 0 || day[i] != c[0]) {
+            if (k >= 0 && day[i] < c[0]) return -1;
+            k++;
+            c = counts + 3 * k, s = sums + 5 * k;
+            c[0] = day[i], c[1] = c[2] = 0;
+            s[0] = s[2] = temp[i], s[1] = s[3] = s[4] = 0.0;
+        }
+        c[1]++;
+        if (temp[i] > s[0]) s[0] = temp[i];
+        if (temp[i] < s[2]) s[2] = temp[i];
+        s[1] += temp[i];
+        s[3] += precip[i];
+        if (theta[i] == theta[i]) s[4] += theta[i], c[2]++;
+    }
+    return k + 1;
 }
 """
 
 _BLOCK = 1 << 16  # bytes read at a time by the plain-file reader
+# the shortest plain row: a 19-byte stamp, two 1-byte numbers, two commas, a newline
+_MIN_ROW = 24
 
 
 @functools.cache
 def _scanner():
-    """The scanner's ``scan``, built and loaded on the first read; None,
-    logged once, where it cannot be."""
-    loaded = _cbuild.load("ingest", _SCAN_SOURCE, {"scan": "lPlllPPPPP"},
-                          "station files are read by the Python pass, the C scanner did "
-                          "not build")
-    return None if loaded is None else loaded[0]
+    """The scanner's ``(scan, sum_days)``, built and loaded on the first read;
+    None, logged once, where it cannot be."""
+    return _cbuild.load("ingest", _SCAN_SOURCE,
+                        {"scan": "lPllllPPPPPP", "sum_days": "llPPPPPP"},
+                        "station files are read by the Python pass, the C scanner did "
+                        "not build")
 
 
-def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":
-    """The records of a plain station file, scanned a chunk at a time: a
-    ``_BLOCK`` and the rest of its last line.  None for any other file, and
-    for one with a fault.
-
-    ``scan`` converts the numbers and checks their values; the timestamps
-    are parsed and their order checked here, as the Python pass does.
-    """
+def _scan_plain(c, path) -> "HalfHourRecords | None":
+    """The columns of a plain station file, scanned by ``c``'s ``scan`` a chunk
+    at a time: a ``_BLOCK`` and the rest of its last line.  None for any other
+    file, and for one with a fault."""
+    scan = c[0]
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         line = fh.readline(_BLOCK).decode("latin-1")
@@ -418,41 +555,23 @@ def _scan_plain(scan, path) -> "list[HalfHourRecord] | None":
             has_theta = _read_header(iter([fields]), _HALF_HOURLY_COLUMNS)
         except DataFormatError:
             return None
-        # made once, for the longest chunk, two blocks and a newline: a row
-        # is at least 3 bytes, and its timestamp never outgrows it.  The
-        # numbers go to numpy's empty arrays, which take memory only where
-        # the scanner writes, read through memoryviews, which give floats.
-        size = 2 * _BLOCK + 1
-        numbers = [np.empty(size // 3) for _ in range(3)]
-        temp, precip, theta = map(memoryview, numbers)
-        stamps, used = array("B", bytes(size)), array("l", [0])
-        outputs = [*(a.__array_interface__["data"][0] for a in numbers),
-                   stamps.buffer_info()[0], used.buffer_info()[0]]
-        records, prev = [], None
-        make = functools.partial(tuple.__new__, HalfHourRecord)
-        parse_ts = datetime.fromisoformat
+        # room for the rows of the file's size; numpy's empty arrays take
+        # memory only where the scanner writes
+        room = os.fstat(fh.fileno()).st_size // _MIN_ROW + 1
+        columns = [np.empty(room, "l"), np.empty(room, "l"), *(np.empty(room) for _ in range(3))]
+        addresses = [a.__array_interface__["data"][0] for a in columns]
+        last, rows = array("l", [0, 0]), 0
         while chunk := fh.read(_BLOCK) + fh.readline(_BLOCK):
             if not chunk.endswith(b"\n"):
                 if fh.read(1):  # a line running on a block past the chunk's block
                     return None
                 chunk += b"\n"  # the last line lacks its newline
-            n = scan(chunk, len(chunk), has_theta, limit, *outputs)
+            n = scan(chunk, len(chunk), has_theta, limit, room - rows,
+                     *(a + 8 * rows for a in addresses), last.buffer_info()[0])
             if n < 0:
                 return None
-            if not n:
-                continue
-            try:
-                text = stamps[:used[0] - 1].tobytes().decode("ascii")
-                stamped = list(map(parse_ts, text.split("\n")))
-                if not ((prev is None or prev < stamped[0])
-                        and all(map(lt, stamped, islice(stamped, 1, None)))):
-                    return None
-            except (ValueError, TypeError):  # TypeError: mixed UTC offsets
-                return None
-            thetas = [None if v != v else v for v in theta[:n]] if has_theta else repeat(None)
-            records.extend(map(make, zip(stamped, temp, precip, thetas)))
-            prev = stamped[-1]
-    return records
+            rows += n
+    return HalfHourRecords(columns=tuple(a[:rows] for a in columns))
 
 
 def write_half_hourly_csv(path, records: "list[HalfHourRecord]") -> None:

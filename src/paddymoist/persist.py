@@ -9,9 +9,10 @@ order shown, the kind's ``norm`` lines in the order its model takes them
 and any number of ``prov`` lines, each key once; :func:`load_model` reads
 them back in that order.  A missing, repeated, unknown or out-of-order
 line, or anything after ``end``, is an :class:`ArtifactParseError` naming
-the file and line (a line ends at LF, CRLF or CR only); so is a byte
-that is not UTF-8, a weight or bound that is not finite, a gain
-outside (0, 1] or a normalizer without ``hi > lo``.  An unsupported
+the file and line (a line ends at LF, CRLF or CR only); so is a line
+whose words are not separated by single spaces, a byte that is not UTF-8,
+a weight or bound that is not finite, a gain outside (0, 1] or a
+normalizer without ``hi > lo``.  An unsupported
 version is an :class:`ArtifactVersionError` naming the file.
 
     paddymoist-model 1
@@ -150,12 +151,21 @@ def _gain(text: str) -> float:
     return value
 
 
+def _words(raw: list, i: int) -> list:
+    """Line ``i + 1``'s words, which single spaces separate, as :func:`save_model`
+    writes them."""
+    words = raw[i].split(" ")
+    if raw[i] and words != raw[i].split():
+        _fail(i + 1, f"words must be separated by single spaces, got {raw[i]!r}")
+    return words
+
+
 def _take(raw: list, i: int, head: str, n_values: int, convert=finite_float, make=None):
     """Line ``i + 1``'s values read with ``convert``, passed to ``make`` if
     given; the line must be ``head`` followed by exactly ``n_values`` values."""
     if i >= len(raw):
         _fail(i + 1, f"expected {head!r}, got the end of the file (truncated?)")
-    parts = raw[i].split()
+    parts = _words(raw, i)
     k = len(parts) - n_values
     if k < 1 or " ".join(parts[:k]) != head:
         _fail(i + 1, f"expected {head!r} followed by {n_values} value(s), got {raw[i]!r}")
@@ -185,7 +195,7 @@ def _parse(raw: list) -> ModelArtifact:
     i = 5 + len(norms)
     provenance = {}
     while i < len(raw) and raw[i].startswith("prov "):
-        parts = raw[i].split()
+        parts = _words(raw, i)
         if len(parts) < 3 or parts[1] in provenance:
             _fail(i + 1, f"expected a 'prov' line with a new key and a value, got {raw[i]!r}")
         provenance[parts[1]] = " ".join(parts[2:])

@@ -100,7 +100,7 @@ def _doubles(n: int) -> array:
 
 @needs_cc
 class TestContract:
-    """Each of the package's five C functions, called directly, returns the
+    """Each of the package's six C functions, called directly, returns the
     rows it wrote for sound input and -1 for a fault, and nothing else."""
 
     TOPO = ann.MlpTopology(2, 3, 1)
@@ -170,18 +170,55 @@ class TestContract:
         assert run([20.0, 20.0, 20.0]) == 3
         assert run([20.0, 31.0, 20.0]) == -1  # tmin above tmax
 
-    def test_ingest_scan(self):
-        scan = ingest._scanner()
-        if scan is None:
+    @pytest.fixture
+    def ingest_functions(self):
+        functions = ingest._scanner()
+        if functions is None:
             pytest.skip("the C station-file scanner did not build")
+        return functions
 
-        def run(text):
-            size = len(text)
-            out = [_doubles(size // 3) for _ in range(3)]
-            stamps, used = array("B", bytes(size)), array("l", [0])
-            rows = scan(text, size, 1, csv.field_size_limit(), *_addresses(*out, stamps, used))
-            return rows, stamps[:used[0]].tobytes()
-        sound = b"2011-01-05T00:00:00,20.0,0.0,0.4\n\n2011-01-05T00:30:00,21.0,0.5,\n"
-        assert run(sound) == (2, b"2011-01-05T00:00:00\n2011-01-05T00:30:00\n")
+    def test_ingest_scan(self, ingest_functions):
+        scan = ingest_functions[0]
+
+        def run(text, room=10, last=(0, 0)):
+            columns = [array("l", bytes(8 * room)) for _ in range(2)]
+            columns += [_doubles(room) for _ in range(3)]
+            before = array("l", last)
+            rows = scan(text, len(text), 1, csv.field_size_limit(), room,
+                        *_addresses(*columns, before))
+            return rows, [list(c[:max(rows, 0)]) for c in columns[:2]], list(before)
+        sound = b"2011-01-05T00:00:00,20.0,0.0,0.4\n\n2011-01-05 00:30:00.000001,21.0,0.5,\n"
+        day = date(2011, 1, 5).toordinal()
+        assert run(sound) == (2, [[day, day], [0, 1800 * 10**6 + 1]],
+                              [day, 1800 * 10**6 + 1])
+        assert run(sound, last=(day - 1, 0))[0] == 2  # after the day before
+        assert run(sound, last=(day, 0))[0] == -1  # not after the row before
+        assert run(sound, room=1)[0] == -1  # no room for its second row
+        assert run(b"0001-01-01T00:00:00,1,0\n9999-12-31T23:59:59.999999,1,0\n")[1] == [
+            [1, date(9999, 12, 31).toordinal()], [0, 86400 * 10**6 - 1]]
+        assert run(b"2012-02-29T00:00:00,1,0\n")[0] == 1  # a leap day
         assert run(sound.replace(b"0.5", b"-1"))[0] == -1  # a negative precipitation
         assert run(sound[:-1])[0] == -1  # its last line is not whole
+        for stamp in (b"2011-01-05T00:30:00", b"2011-02-29T00:00:00", b"2011-01-05T24:00:00",
+                      b"2011-01-05T00:00:00+00:00", b"1900-02-29T00:00:00",
+                      b"0000-01-01T00:00:00", b"2011-01-05T00:00:60", b"2011-01-05T00:00",
+                      b"2011-01-05X00:30:00", b"2011-01-05T00:30:00.123"):
+            text = b"2011-01-05T00:30:00,20.0,0.0\n" + stamp + b",20.0,0.0\n"
+            assert run(text)[0] == -1, stamp  # unordered, not a date or time, an offset
+
+    def test_ingest_sum_days(self, ingest_functions):
+        sum_days = ingest_functions[1]
+
+        def run(day, temp):
+            n = len(day)
+            inputs = [array("l", day), array("d", temp), array("d", [1.0] * n),
+                      array("d", [math.nan] * n)]
+            counts, sums = array("l", bytes(24 * n)), _doubles(5 * n)
+            k = sum_days(n, *_addresses(*inputs, counts, sums))
+            return k, list(counts[:3 * k]), list(sums[:5 * k])
+        k, counts, sums = run([7, 7, 9], [-0.0, 0.0, 2.0])
+        assert (k, counts) == (2, [7, 2, 0, 9, 1, 0])
+        assert [v.hex() for v in sums] == [v.hex() for v in (-0.0, 0.0, -0.0, 2.0, 0.0,
+                                                              2.0, 2.0, 2.0, 1.0, 0.0)]
+        assert run([], [])[0] == 0
+        assert run([7, 9, 8], [1.0, 1.0, 1.0])[0] == -1  # a day goes backwards

@@ -665,6 +665,20 @@ class TestArtifactValues:
         assert not out.exists()
 
 
+    def test_simulate_refuses_words_not_single_spaced(self, tmp_path, capsys):
+        et0_path, moist_path = _zero_models(tmp_path)
+        lines = et0_path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("gain "))
+        lines[at] = lines[at].replace(" ", "\t")
+        et0_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--mode", "teacher_forced", "--model", str(moist_path),
+                     "--et0-model", str(et0_path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {et0_path}: line {at + 1}: words must be separated by single spaces, "
+            f"got {lines[at]!r}\n")
+        assert not out.exists()
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A quick config file, its synthetic periods and both models trained on period 1."""

@@ -15,8 +15,8 @@ from paddymoist import ingest, run_experiment
 from paddymoist.ann import left_sum
 from paddymoist.errors import DataFormatError, OrderingError
 from paddymoist.evapo import DailyWeather
-from paddymoist.ingest import (DailyAggregation, DayGap, HalfHourRecord, check_consecutive,
-                               daily_aggregate, read_columns, read_daily_csv,
+from paddymoist.ingest import (DailyAggregation, DayGap, HalfHourRecord, HalfHourRecords,
+                               check_consecutive, daily_aggregate, read_columns, read_daily_csv,
                                read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
 
 
@@ -110,6 +110,26 @@ class TestHalfHourlyCsv:
         path = tmp_path / "hh.csv"
         write_half_hourly_csv(path, recs)
         assert read_half_hourly_csv(path) == recs
+
+    def test_read_only_sequence_of_records(self, tmp_path, station_reader):
+        recs = _station(4, n_days=3)
+        path = tmp_path / "hh.csv"
+        write_half_hourly_csv(path, recs)
+        back = read_half_hourly_csv(path)
+        assert isinstance(back, HalfHourRecords) and len(back) == len(recs)
+        assert (back._columns is not None) is (station_reader == "scanner")
+        for i in (0, 5, -1, -len(recs)):
+            assert back[i] == recs[i] and type(back[i]) is HalfHourRecord
+        for cut in (slice(2, 9, 3), slice(None, None, -1), slice(-4, None), slice(5, 2)):
+            assert back[cut] == recs[cut]
+        for i in (len(recs), -len(recs) - 1):
+            with pytest.raises(IndexError):
+                back[i]
+        assert back == recs == back and back == read_half_hourly_csv(path)
+        assert back != recs[1:] and back != tuple(recs)
+        assert back.index(recs[7]) == 7 and recs[-1] in back
+        with pytest.raises(TypeError):
+            back[0] = recs[0]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "hh.csv"

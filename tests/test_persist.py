@@ -312,6 +312,25 @@ class TestPhysicalLines:
         lines[at] += f"{char}junk"
         assert _rejected_at(path, lines, at + 1).endswith(f"got {lines[at]!r}")
 
+    @pytest.mark.parametrize("line, text", [
+        ("prov seed 42", "prov seed 42\x0cjunk\tmore"),
+        ("prov seed 42", "prov seed  42"),
+        ("prov seed 42", "prov\tseed 42"),
+        ("prov seed 42", "prov seed 42\u2028"),
+        ("gain ", "gain  1.0"),
+        ("gain ", "gain 1.0 "),
+        ("kind ", " kind et0"),
+        ("w_hidden 0 ", None),
+    ], ids=["ff-and-tab-in-prov", "two-spaces", "tab-after-prov", "u2028", "gain-two-spaces",
+            "trailing-space", "leading-space", "tab-in-weights"])
+    def test_words_not_single_spaced_are_rejected(self, tmp_path, line, text):
+        path, lines = _et0_lines(tmp_path)
+        at = next(i for i, old in enumerate(lines) if old.startswith(line))
+        lines[at] = lines[at].replace(" ", "\t", 3) if text is None else text
+        assert _rejected_at(path, lines, at + 1) == (
+            f"{path}: line {at + 1}: words must be separated by single spaces, "
+            f"got {lines[at]!r}")
+
     def test_last_line_needs_no_newline(self, tmp_path):
         path, lines = _et0_lines(tmp_path)
         expected = load_model(path)

@@ -1,7 +1,7 @@
 """Property tests over random inputs: the bucket's ledger, the weather and
 bucket loops on each rendering, closed-loop bounds, series inference on each
 rendering, the config document's round trip, the half-hourly file's round
-trip and the model artifact's round trip."""
+trip, its day sums and the model artifact's round trip."""
 
 import functools
 import math
@@ -9,7 +9,7 @@ import shutil
 import string
 import tempfile
 from dataclasses import replace
-from datetime import date, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -30,8 +30,9 @@ from paddymoist.evapo import (DailyWeather, Et0Model, SiteLocation,  # noqa: E40
 from paddymoist.experiment import format_config, parse_config  # noqa: E402
 from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_truth,  # noqa: E402
                               generate_weather, water_balance_step)
-from paddymoist.ingest import (HalfHourRecord, read_half_hourly_csv,  # noqa: E402
-                               write_half_hourly_csv)
+from paddymoist.errors import DataFormatError  # noqa: E402
+from paddymoist.ingest import (HalfHourRecord, daily_aggregate,  # noqa: E402
+                               read_half_hourly_csv, write_half_hourly_csv)
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
                                  SimMode, simulate_moisture)
 from paddymoist.persist import ModelArtifact, load_model, save_model  # noqa: E402
@@ -469,6 +470,64 @@ class TestStationScanner:
                 scanned = outcome()
                 with mock.patch.object(ingest, "_scanner", lambda: None):
                     python = outcome()
+        assert scanned == python
+
+
+@st.composite
+def station_days(draw):
+    """``(text, plain)``: a station file over a few consecutive days, each
+    with any of its 48 intervals, at the ends of the calendar too; some days
+    only ``-0.0`` and ``0.0`` in either order, theta on some rows, huge
+    precipitation now and then, and in one file in ten a repeated row.  It
+    is ``plain`` when it has no repeated row."""
+    first = draw(st.sampled_from([date(1, 1, 1), date(9999, 12, 28)])
+                 | st.dates(max_value=date(9999, 12, 28)))
+    theta = draw(st.booleans())
+    lines = ["timestamp_iso8601,temp_c,precip_mm" + (",theta_vwc" if theta else "")]
+    for k in range(draw(st.integers(1, 4))):
+        midnight = datetime.combine(first + timedelta(days=k), datetime.min.time())
+        temps = st.sampled_from([-0.0, 0.0]) if draw(st.booleans()) else _floats(-60.0, 60.0)
+        precip = _floats(0.0, None) if draw(st.integers(0, 9)) == 0 else _floats(0.0, 50.0)
+        for slot in sorted(draw(st.lists(st.integers(0, 47), unique=True, max_size=48))):
+            ts = midnight + timedelta(minutes=30 * slot,
+                                      microseconds=draw(st.sampled_from([0, 0, 1, 999999])))
+            cells = [ts.isoformat(draw(st.sampled_from("T "))), repr(draw(temps)),
+                     repr(draw(precip))]
+            if theta and draw(st.booleans()):
+                cells.append(repr(draw(_floats(0.0, 1.0))))
+            lines.append(",".join(cells))
+    plain = len(lines) < 3 or draw(st.integers(0, 9)) > 0
+    if not plain:
+        lines.insert(draw(st.integers(2, len(lines) - 1)), lines[1])
+    return "\n".join(lines) + "\n", plain
+
+
+class TestDaySums:
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=station_days(), min_coverage=st.integers(1, 48))
+    def test_scanned_days_are_the_python_loops(self, file, min_coverage):
+        """The same float bits, theta, gaps and exceptions with the scanner's
+        columns summed in C as with the records summed by the Python loop."""
+        if ingest._scanner() is None:
+            pytest.skip("the C station-file scanner did not build")
+        text, plain = file
+
+        def outcome():
+            try:
+                records = read_half_hourly_csv(path)
+                assert (records._columns is not None) is (plain and ingest._scanner() is not None)
+                agg = daily_aggregate(records, min_coverage)
+            except (DataFormatError, ValueError) as exc:
+                return type(exc), str(exc)
+            return ([(d.day_index, d.date, *(v.hex() for v in d[2:])) for d in agg.days],
+                    [None if v is None else v.hex() for v in agg.theta], agg.gaps)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "station.csv"
+            path.write_text(text, encoding="utf-8")
+            scanned = outcome()
+            with mock.patch.object(ingest, "_scanner", lambda: None):
+                python = outcome()
         assert scanned == python
 
 
