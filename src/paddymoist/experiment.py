@@ -398,12 +398,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     Any stage failure aborts with the stage name prefixed to the error.  The
     report's Hargreaves series of a synthetic period is read from its
-    ledger, so it is computed once, in ground truth.
+    ledger, so it is computed once, in ground truth.  A period whose observed
+    theta or Hargreaves series is constant, which no metric cell can score,
+    is rejected as it is loaded, before any training.
     """
-    with tagged("[stage: load period1]"):
-        p1 = load_period(cfg, cfg.period1, "period1")
-    with tagged("[stage: load period2]"):
-        p2 = load_period(cfg, cfg.period2, "period2")
+    loaded = []
+    for spec, name in ((cfg.period1, "period1"), (cfg.period2, "period2")):
+        with tagged(f"[stage: load {name}]"):
+            period = load_period(cfg, spec, name)
+            harg = _hargreaves(cfg, period)
+            for what, s in (("observed theta_vwc", period.theta_obs), ("Hargreaves ET0", harg)):
+                if min(s) == max(s):  # its metric cells would be undefined
+                    raise DataFormatError(f"{name}: {what} is {s[0]!r} on every day")
+        loaded.append((period, harg))
+    (p1, harg1), (p2, harg2) = loaded
 
     with tagged("[stage: train et0]"):
         et0_model, et0_losses = train_et0_model(
@@ -411,7 +419,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm,
         )
     with tagged("[stage: predict et0]"):
-        harg1, harg2 = _hargreaves(cfg, p1), _hargreaves(cfg, p2)
         forcing1 = build_forcing(cfg, et0_model, p1)
         forcing2 = build_forcing(cfg, et0_model, p2)
         pred1 = [f.et0 for f in forcing1]
@@ -431,12 +438,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             theta_obs=p2.theta_obs if cfg.sim_mode is SimMode.TEACHER_FORCED else None,
         )
 
-    residuals = [p - h for p, h in zip(pred1, harg1)]
-    order = sorted(range(len(harg1)), key=lambda i: harg1[i])
-    top = order[-max(1, len(order) // 4):]
-    pairs = ((harg1, pred1), (harg2, pred2), (p1.theta_obs, theta_est1),
-             (p2.theta_obs, theta_est2))
-    cells = {name: _cell(obs, est) for name, (obs, est) in zip(CELLS, pairs)}
+    with tagged("[stage: metrics]"):
+        residuals = [p - h for p, h in zip(pred1, harg1)]
+        order = sorted(range(len(harg1)), key=lambda i: harg1[i])
+        top = order[-max(1, len(order) // 4):]
+        pairs = ((harg1, pred1), (harg2, pred2), (p1.theta_obs, theta_est1),
+                 (p2.theta_obs, theta_est2))
+        cells = {name: _cell(obs, est) for name, (obs, est) in zip(CELLS, pairs)}
     return ExperimentReport(
         config_text=format_config(cfg),
         period1=PeriodResult(name="period1", days=p1.days, theta_obs=p1.theta_obs,

@@ -48,15 +48,16 @@ no longer than ``csv.field_size_limit()`` and every line shorter than a
 block (a longer one is read where it ends within the chunk); each timestamp
 ``YYYY-MM-DDTHH:MM:SS`` with an optional ``.ffffff`` and ``T`` or a space
 between date and time, as ``datetime.isoformat`` writes a naive instant;
-each number written as ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``, which
-``strtod`` must read to the field's end (so a locale whose decimal point is
-not ``.`` declines every file); and no fault.  The scanner reads each
-timestamp as its date's ordinal and microsecond of the day, checks the
-calendar (leap years, month lengths, hours 0-23, minutes and seconds 0-59)
-and that the timestamps strictly increase, across chunks too, and converts
-``temp_c``, ``precip_mm`` and ``theta_vwc`` with ``strtod``, which rounds
-as ``float()`` does, checking what the Python pass checks: every value
-finite, precipitation >= 0 and theta in [0, 1].  The file is scanned a
+each number written as ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``; and no
+fault.  The scanner reads each timestamp as its date's ordinal and
+microsecond of the day, checks the calendar (leap years, month lengths,
+hours 0-23, minutes and seconds 0-59) and that the timestamps strictly
+increase, across chunks too, and converts ``temp_c``, ``precip_mm`` and
+``theta_vwc`` to ``float()``'s bits (by Clinger's fast path or Eisel and
+Lemire's algorithm where a number has at most 19 digits, else by
+``strtod``), checking what the Python pass checks: every value finite,
+precipitation >= 0 and theta in [0, 1].  Under a locale whose decimal point
+is not ``.``, only ``strtod`` declines a number.  The file is scanned a
 chunk at a time: a block of 64 KiB (``_BLOCK``) and the rest of its last
 line, at most another block, into five columns sized once from the file's
 length, which take memory only as far as the rows written.  The columns
@@ -391,24 +392,92 @@ def _read_rows(path) -> list[HalfHourRecord]:
 # pass would reject or a row out of order.  ``sum_days`` adds up the scanned
 # columns per day.
 _SCAN_SOURCE = r"""
+#include <float.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Whether s[0..n) is a number, and if so its value.  Its characters are
-   digits, signs, points and exponent marks, and strtod reads it whole: so
-   it is [+-]?(d+[.d*]|.d+)([eE][+-]?d+)?, with no space, hex, inf or nan.
-   The end check also fails where LC_NUMERIC's decimal point is not '.'. */
+#if defined(__SIZEOF_INT128__) && FLT_EVAL_METHOD == 0
+static const double tens[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+                              1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+@POW5@
+
+/* w 10^q, for a w of at most 19 digits, to the nearest double, ties to even;
+   0 for a subnormal or overflowing result, or a q outside pow5.  A w <= 2^53
+   and |q| <= 22 are exact doubles, so one IEEE operation rounds it (Clinger);
+   else Eisel-Lemire, as fast_float's compute_float (Lemire 2021), whose
+   128-bit product always suffices (Mushtak and Lemire 2023). */
+static int nearest(uint64_t w, long q, double *value)
+{
+    unsigned __int128 product;
+    uint64_t hi, lo, m, second;
+    int lz = __builtin_clzll(w), upper, shift;
+    long power2;
+    if (w <= (uint64_t)1 << 53 && q >= -22 && q <= 22) {
+        *value = q < 0 ? (double)w / tens[-q] : (double)w * tens[q];
+        return 1;
+    }
+    if (q < POW5_MIN || q > POW5_MAX) return 0;
+    product = (unsigned __int128)(w <<= lz) * pow5[q - POW5_MIN][0];
+    hi = (uint64_t)(product >> 64), lo = (uint64_t)product;
+    if ((hi & 0x1ff) == 0x1ff) {  /* the truncated low words may carry into hi */
+        second = (uint64_t)(((unsigned __int128)w * pow5[q - POW5_MIN][1]) >> 64);
+        hi += (lo += second) < second;
+    }
+    upper = (int)(hi >> 63);
+    shift = upper + 9;  /* keep 55 bits: 53 and two to round with */
+    m = hi >> shift;
+    power2 = ((217706 * q) >> 16) + 63 + upper - lz + 1023;  /* floor(q log2 10), shifts, bias */
+    if (power2 <= 0) return 0;
+    if (lo <= 1 && q >= -4 && q <= 23 && (m & 3) == 1 && m << shift == hi)
+        m &= ~(uint64_t)1;  /* exactly halfway: round to even, down */
+    m = (m + (m & 1)) >> 1;
+    if (m >= (uint64_t)2 << 52) m = (uint64_t)1 << 52, power2++;
+    if (power2 >= 0x7ff) return 0;
+    m = (m & ~((uint64_t)1 << 52)) | (uint64_t)power2 << 52;
+    memcpy(value, &m, sizeof m);
+    return 1;
+}
+#endif
+
+/* Whether s[0..n) is [+-]?(d+[.d*]|.d+)([eE][+-]?d+)?, and if so its value,
+   rounded as float() rounds it.  One pass checks the text and gathers its
+   significant digits into w and their decimal exponent into q; strtod reads
+   what nearest() cannot, and numbers of more than 19 digits.  Only strtod
+   declines a text where LC_NUMERIC's decimal point is not '.'. */
 static int number(const char *s, long n, double *value)
 {
+    const char *p = s, *e = s + n;
     char *end;
-    long i;
-    for (i = 0; i < n; i++)
-        if (!((s[i] >= '0' && s[i] <= '9') || s[i] == '.' || s[i] == 'e' || s[i] == 'E'
-              || s[i] == '+' || s[i] == '-'))
-            return 0;
+    uint64_t w = 0;
+    long n_digits = 0, q = 0, x = 0;
+    int negative = 0, any = 0, x_negative = 0;
+    if (p < e && (*p == '+' || *p == '-')) negative = *p++ == '-';
+    for (; p < e && *p >= '0' && *p <= '9'; p++, any = 1)
+        if ((w || *p != '0') && ++n_digits <= 19) w = 10 * w + (uint64_t)(*p - '0');
+    if (p < e && *p == '.')
+        for (p++; p < e && *p >= '0' && *p <= '9'; p++, any = 1, q--)
+            if ((w || *p != '0') && ++n_digits <= 19) w = 10 * w + (uint64_t)(*p - '0');
+    if (!any) return 0;
+    if (p < e && (*p == 'e' || *p == 'E')) {
+        if (++p < e && (*p == '+' || *p == '-')) x_negative = *p++ == '-';
+        if (p == e || *p < '0' || *p > '9') return 0;
+        for (; p < e && *p >= '0' && *p <= '9'; p++)
+            if (x < 100000000) x = 10 * x + (*p - '0');  /* beyond, strtod reads it */
+    }
+    if (p != e) return 0;
+    if (w == 0)
+        return *value = negative ? -0.0 : 0.0, 1;
+    q += x_negative ? -x : x;
+#if defined(__SIZEOF_INT128__) && FLT_EVAL_METHOD == 0
+    if (n_digits <= 19 && x < 100000000 && nearest(w, q, value)) {
+        if (negative) *value = -*value;
+        return 1;
+    }
+#endif
     *value = strtod(s, &end);  /* the field ends at ',' or '\n', where strtod stops */
-    return n > 0 && end == s + n;
+    return end == s + n;
 }
 
 /* The n digits at s as a number, or -1 if one is not a digit. */
@@ -526,11 +595,25 @@ _BLOCK = 1 << 16  # bytes read at a time by the plain-file reader
 _MIN_ROW = 24
 
 
+def _powers_of_five() -> str:
+    """C for fast_float's table: ``pow5[q - POW5_MIN]`` is 5^q, q in [-342, 308],
+    truncated to its leading 128 bits, for q < 0 from 2^b // 5^-q + 1."""
+    lo, hi, rows = -342, 308, []
+    for q in range(lo, hi + 1):
+        z = (5 ** -q).bit_length() if q < 0 else 0
+        c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // 5 ** -q + 1 if q < 0 else 5 ** q
+        c = c >> max(c.bit_length() - 128, 0) << max(128 - c.bit_length(), 0)
+        rows.append(f"{{{c >> 64:#x}u, {c & (1 << 64) - 1:#x}u}}")
+    table = ",\n".join(rows)
+    return (f"#define POW5_MIN ({lo})\n#define POW5_MAX {hi}\n"
+            f"static const uint64_t pow5[][2] = {{\n{table}\n}};")
+
+
 @functools.cache
 def _scanner():
     """The scanner's ``(scan, sum_days)``, built and loaded on the first read;
     None, logged once, where it cannot be."""
-    return _cbuild.load("ingest", _SCAN_SOURCE,
+    return _cbuild.load("ingest", _SCAN_SOURCE.replace("@POW5@", _powers_of_five()),
                         {"scan": "lPllllPPPPPP", "sum_days": "llPPPPPP"},
                         "station files are read by the Python pass, the C scanner did "
                         "not build")
@@ -574,8 +657,11 @@ def _scan_plain(c, path) -> "HalfHourRecords | None":
     return HalfHourRecords(columns=tuple(a[:rows] for a in columns))
 
 
-def write_half_hourly_csv(path, records: "list[HalfHourRecord]") -> None:
-    any_theta = any(r.theta is not None for r in records)
+def write_half_hourly_csv(path, records: "Sequence[HalfHourRecord]") -> None:
+    """Write a station file; a scanned record is built once, to be written."""
+    columns = records._columns if isinstance(records, HalfHourRecords) else None
+    any_theta = (any(r.theta is not None for r in records) if columns is None
+                 else not np.isnan(columns[4]).all())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = list(_HALF_HOURLY_COLUMNS) + ([_THETA_COLUMN] if any_theta else [])

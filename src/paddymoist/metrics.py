@@ -25,6 +25,11 @@ def _paired(obs, est, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _constant(a: np.ndarray) -> bool:
+    """Whether ``a``'s values are all equal (118 of 0.3 have a mean that is not)."""
+    return bool(a[0] == a[-1] and a.min() == a.max())
+
+
 def r_squared(obs, est) -> float:
     """Squared Pearson correlation between the two series; in [0, 1]."""
     a, b = _paired(obs, est, 2)
@@ -32,9 +37,9 @@ def r_squared(obs, est) -> float:
     db = b - b.mean()
     ssa = float(da @ da)
     ssb = float(db @ db)
-    if ssa == 0.0:
+    if _constant(a) or ssa == 0.0:
         raise UndefinedMetricError("observed series is constant; correlation undefined")
-    if ssb == 0.0:
+    if _constant(b) or ssb == 0.0:
         return 0.0
     r = float(da @ db) / math.sqrt(ssa * ssb)
     return r * r
@@ -45,7 +50,7 @@ def nash_sutcliffe(obs, est) -> float:
     a, b = _paired(obs, est, 2)
     da = a - a.mean()
     sst = float(da @ da)
-    if sst == 0.0:
+    if _constant(a) or sst == 0.0:
         raise UndefinedMetricError("observed series is constant; SST is zero")
     sse = float(np.sum((a - b) ** 2))
     return 1.0 - sse / sst

@@ -206,6 +206,29 @@ class TestContract:
             text = b"2011-01-05T00:30:00,20.0,0.0\n" + stamp + b",20.0,0.0\n"
             assert run(text)[0] == -1, stamp  # unordered, not a date or time, an offset
 
+        def cells(temp, precip=b"0", theta=b""):
+            """The temp, precip and theta one row stores, in hex, or -1."""
+            text = b"2011-01-05T00:00:00," + b",".join((temp, precip, theta)) + b"\n"
+            columns = [array("l", [0]), array("l", [0]), *(_doubles(1) for _ in range(3))]
+            before = array("l", [0, 0])
+            rows = scan(text, len(text), 1, csv.field_size_limit(), 1,
+                        *_addresses(*columns, before))
+            return -1 if rows < 0 else [c[0].hex() for c in columns[2:]]
+        # Clinger's and Eisel-Lemire's edges, strtod's cases (a subnormal, more
+        # than 19 digits) and the grammar's corners, each as float() reads it
+        for text in (b"9007199254740992", b"9007199254740993", b"1e22", b"1e23",
+                     b"2.2250738585072011e-308", b"2.2250738585072014e-308",
+                     b"4.9406564584124654e-324", b"1.7976931348623157e308",
+                     b"0.30000000000000004441", b"1234567890123456789012345", b"-0.0",
+                     b"+.5", b"5.", b"5.E+0", b"7e" + b"0" * 30, b"7E-" + b"0" * 29 + b"1",
+                     b"000123.4500e-2", b"-1e-400"):
+            assert cells(text) == [float(text).hex(), "0x0.0p+0", "nan"], text
+        assert cells(b"1", b"-1e-400", b"1e-400") == ["0x1.0000000000000p+0", "-0x0.0p+0",
+                                                       "0x0.0p+0"]
+        for row in ((b"1e400",), (b"1", b"1e400"), (b"1", b"0", b"1e400"), (b"1e",), (b".",),
+                    (b"1", b"-1"), (b"1", b"0", b"-0.5")):
+            assert cells(*row) == -1, row  # not finite, not a number, out of range
+
     def test_ingest_sum_days(self, ingest_functions):
         sum_days = ingest_functions[1]
 

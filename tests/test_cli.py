@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import quick_config
+from paddymoist import ann
 from paddymoist.cli import main
 from paddymoist.experiment import format_config
 from paddymoist.ingest import read_daily_csv
@@ -294,6 +295,33 @@ class TestExitCodes:
                 f"but period2.days is 100") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["0.3", "0.1"])
+    def test_constant_observed_theta_is_data_error_before_training(
+            self, tmp_path, quick_config_path, capsys, monkeypatch, value):
+        data = tmp_path / "d"
+        assert main(["synth", "--config", quick_config_path, "--out", str(data)]) == 0
+        path = tmp_path / "constant.csv"
+        lines = (data / "period2_daily.csv").read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([lines[0]] + [line.rsplit(",", 1)[0] + f",{value}"
+                                                for line in lines[1:]]) + "\n",
+                        encoding="utf-8")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(Path(quick_config_path).read_text(encoding="utf-8")
+                       .replace("period2.source = synth", "period2.source = csv")
+                       .replace("period2.data = ", f"period2.data = {path}"),
+                       encoding="utf-8")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a net trained on a run whose metrics are undefined")
+        for name in ("train", "_train_rows"):  # the public loop, and the one both nets use
+            monkeypatch.setattr(ann, name, no_training)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            f"error: [stage: load period2] period2: observed theta_vwc is {value} on every "
+            f"day\n")
+        assert not (tmp_path / "out").exists()
+
     def test_config_part_error_names_its_keys(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("field.theta_res = 0.5\n", encoding="utf-8")
@@ -352,6 +380,21 @@ class TestEvaluateInput:
         assert main(["evaluate", "--file", str(path)]) == 4
         assert (f"error: {path}: no column 'estimated_theta_vwc' "
                 f"(have ['observed_theta_vwc', 'estimate'])") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0.3", "0.1"])
+    def test_constant_column(self, tmp_path, capsys, value):
+        """A constant observed column is undefined, a constant estimate r² 0."""
+        path = tmp_path / "est.csv"
+        rows = [f"{value},{0.2 + i / 1000}" for i in range(118)]
+        path.write_text("observed_theta_vwc,estimated_theta_vwc\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        assert main(["evaluate", "--file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "n 118\n"
+        assert captured.err == "error: observed series is constant; correlation undefined\n"
+        assert main(["evaluate", "--file", str(path), "--obs-col", "estimated_theta_vwc",
+                     "--est-col", "observed_theta_vwc"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "r_squared 0.0"
 
     def test_columns_read_in_any_order(self, tmp_path, capsys):
         path = tmp_path / "est.csv"

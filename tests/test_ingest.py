@@ -111,6 +111,21 @@ class TestHalfHourlyCsv:
         write_half_hourly_csv(path, recs)
         assert read_half_hourly_csv(path) == recs
 
+    @pytest.mark.parametrize("theta", ["some", "none"])
+    def test_writes_a_read_sequence_as_its_list(self, tmp_path, monkeypatch, theta):
+        """The bytes of the list, each scanned record built once."""
+        recs = _station(6, n_days=3)
+        if theta == "none":
+            recs = [r._replace(theta=None) for r in recs]
+        write_half_hourly_csv(tmp_path / "hh.csv", recs)
+        back = read_half_hourly_csv(tmp_path / "hh.csv")
+        write_half_hourly_csv(tmp_path / "list.csv", list(back))
+        built, build = [], ingest._built
+        monkeypatch.setattr(ingest, "_built", lambda columns: built.append(1) or build(columns))
+        write_half_hourly_csv(tmp_path / "back.csv", back)
+        assert (tmp_path / "back.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        assert len(built) == (back._columns is not None)
+
     def test_read_only_sequence_of_records(self, tmp_path, station_reader):
         recs = _station(4, n_days=3)
         path = tmp_path / "hh.csv"

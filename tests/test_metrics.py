@@ -63,6 +63,26 @@ class TestRSquared:
             r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
+class TestConstantSeries:
+    """A series is constant when its values are equal, also where their mean
+    does not round back to them (that of 118 values of 0.3 or 0.1)."""
+
+    @pytest.mark.parametrize("value", [0.3, 0.1, 0.5])
+    def test_constant_obs_is_undefined_and_constant_est_is_zero(self, value):
+        constant = [value] * 118
+        assert np.mean(constant) != value or value == 0.5
+        varying = list(np.random.default_rng(3).uniform(0.2, 0.5, 118))
+        with pytest.raises(UndefinedMetricError, match="observed series is constant"):
+            r_squared(constant, varying)
+        with pytest.raises(UndefinedMetricError, match="observed series is constant"):
+            nash_sutcliffe(constant, varying)
+        assert r_squared(varying, constant) == 0.0
+
+    def test_one_unequal_value_is_not_constant(self):
+        series = [0.3] * 117 + [math.nextafter(0.3, 1.0)]
+        assert nash_sutcliffe(series, series) == r_squared(series, series) == 1.0
+
+
 class TestNashSutcliffe:
 
     def test_perfect_agreement(self):

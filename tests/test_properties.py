@@ -7,9 +7,12 @@ import functools
 import math
 import shutil
 import string
+import struct
+import sys
 import tempfile
 from dataclasses import replace
 from datetime import date, datetime, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -471,6 +474,67 @@ class TestStationScanner:
                 with mock.patch.object(ingest, "_scanner", lambda: None):
                     python = outcome()
         assert scanned == python
+
+
+def _halfway(x: float, digits: int) -> str:
+    """The point halfway between ``x`` and the next double up, its exact
+    decimal expansion cut to ``digits`` significant digits."""
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    k = mid.denominator.bit_length() - 1  # mid is n / 2^k = n 5^k / 10^k
+    n = str(mid.numerator * 5 ** k)
+    return f"{n[0]}.{n[1:digits]}e{len(n) - 1 - k}"
+
+
+@st.composite
+def decimal_texts(draw):
+    """A number in the scanner's grammar: ``repr`` of any bit pattern, a
+    halfway point between neighbouring doubles cut at 17-40 digits, a
+    subnormal, or a mantissa of up to 25 digits with leading zeros and an
+    exponent in [-400, 400]."""
+    kind = draw(st.sampled_from(["bits", "halfway", "subnormal", "digits"]))
+    if kind == "bits":
+        return repr(struct.unpack("<d", struct.pack("<Q", draw(st.integers(0, 2**64 - 1))))[0])
+    if kind in ("halfway", "subnormal"):
+        x = (draw(st.floats(0.0, 2.2250738585072014e-308, exclude_max=True)) if kind == "subnormal"
+             else draw(st.floats(0.0, sys.float_info.max, exclude_max=True)))
+        return draw(st.sampled_from(["", "-"])) + draw(st.sampled_from([
+            repr(x), _halfway(x, draw(st.integers(17, 40)))]))
+    n = draw(st.integers(1, 25) | st.sampled_from([19, 20, 25]))
+    mantissa = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", min_size=n - 1,
+                                                                 max_size=n - 1))
+    point = draw(st.integers(0, n + 1))  # n + 1: no point
+    text = draw(st.sampled_from(["", "0", "000"])) + (
+        mantissa if point > n else f"{mantissa[:point]}.{mantissa[point:]}")
+    exponent = draw(st.none() | st.integers(-400, 400))
+    if exponent is not None:
+        text += draw(st.sampled_from("eE")) + (draw(st.sampled_from(["", "+"])) if exponent >= 0
+                                                else "") + str(exponent)
+    return draw(st.sampled_from(["", "-", "+"])) + text
+
+
+class TestScannedNumbers:
+
+    @settings(max_examples=800, deadline=None)
+    @given(text=decimal_texts())
+    @example(text="9007199254740993")
+    @example(text="1e23")
+    @example(text="2.2250738585072011e-308")
+    @example(text="0.30000000000000004441")
+    def test_scanned_value_is_float(self, text):
+        """The scanner stores float(text)'s bits, or declines a non-finite
+        value."""
+        c = ingest._scanner()
+        if c is None:
+            pytest.skip("the C station-file scanner did not build")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "station.csv"
+            path.write_text(f"timestamp_iso8601,temp_c,precip_mm\n2011-01-01T00:00:00,{text},0\n")
+            records = ingest._scan_plain(c, path)
+        value = float(text)
+        if math.isfinite(value):
+            assert records is not None and records._columns[2][0].hex() == value.hex()
+        else:
+            assert records is None
 
 
 @st.composite
