@@ -2,7 +2,7 @@
 
 The one compile and load path of the package: :mod:`.ann` loads its
 generated train and series loops through :func:`load`, one object per
-network shape, :mod:`.ingest` its station-file scanner and :mod:`.hydro` its
+network shape, :mod:`.ingest` its CSV scanner and :mod:`.hydro` its
 weather and bucket loops.  Each gets its functions typed for ``ctypes``, or
 None, on which it runs its Python code.  All are compiled by the system C
 compiler ``cc`` under one set of flags, :data:`CFLAGS`.  A link input, such

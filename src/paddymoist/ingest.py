@@ -41,36 +41,36 @@ earlier line has another fault: the file is decoded a block at a time.
 Daily means and totals are summed left to right (:func:`ann.left_sum`), so
 the aggregated bits do not depend on the Python version.
 
-A plain station file is read by a small C scanner, built and loaded by
-:mod:`._cbuild` on the first read.  Plain means: ASCII text with no ``"``,
-no carriage return and no control character but the line feed; every field
-no longer than ``csv.field_size_limit()`` and every line shorter than a
-block (a longer one is read where it ends within the chunk); each timestamp
-``YYYY-MM-DDTHH:MM:SS`` with an optional ``.ffffff`` and ``T`` or a space
-between date and time, as ``datetime.isoformat`` writes a naive instant;
-each number written as ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``; and no
-fault.  The scanner reads each timestamp as its date's ordinal and
-microsecond of the day, checks the calendar (leap years, month lengths,
-hours 0-23, minutes and seconds 0-59) and that the timestamps strictly
-increase, across chunks too, and converts ``temp_c``, ``precip_mm`` and
-``theta_vwc`` to ``float()``'s bits (by Clinger's fast path or Eisel and
-Lemire's algorithm where a number has at most 19 digits, else by
-``strtod``), checking what the Python pass checks: every value finite,
-precipitation >= 0 and theta in [0, 1].  Under a locale whose decimal point
-is not ``.``, only ``strtod`` declines a number.  The file is scanned a
-chunk at a time: a block of 64 KiB (``_BLOCK``) and the rest of its last
-line, at most another block, into five columns sized once from the file's
-length, which take memory only as far as the rows written.  The columns
-are the :class:`HalfHourRecords` the reader returns, which builds a record
-only where one is indexed or iterated, and :func:`daily_aggregate` sums
-their days in C in the Python loop's order: each sum from 0.0, left to
-right, and the first of equal maxima and minima, so ``-0.0`` and ``0.0``
-keep their order.  Any other file, and a plain one with any fault, is
-declined and read again, whole, by the Python pass above, the reference of
-:mod:`._cbuild`'s contract: it accepts what ``csv``,
-``datetime.fromisoformat`` and ``float()`` accept, and it names the fault,
-with its file and line.  Where the scanner cannot be built, the Python pass
-reads every file and the Python loop sums its days.
+A plain station or daily file is read by a small C scanner, built and
+loaded by :mod:`._cbuild` on the first read.  Plain means: ASCII text with
+no ``"``, no carriage return and no control character but the line feed;
+every field no longer than ``csv.field_size_limit()`` and every line shorter
+than a block (a longer one is read where it ends within the chunk); each
+timestamp ``YYYY-MM-DDTHH:MM:SS`` with an optional ``.ffffff`` and ``T`` or a
+space between date and time, as ``datetime.isoformat`` writes a naive
+instant; each date ``YYYY-MM-DD``; each ``day_index`` ``[+-]?d+`` of at most
+18 digits; each number ``[+-]?(d+[.d*]|.d+)([eE][+-]?d+)?``; and no fault.
+The scanner reads each byte once: it parses a stamp, date or number where
+its field starts, and checks byte by byte only the fields it does not parse.
+It checks the calendar (leap years, month lengths, hours 0-23, minutes and
+seconds 0-59), that the stamps or dates strictly increase, across chunks
+too, and what the Python pass checks of each value, and reads each number
+to ``float()``'s bits (by Clinger's fast path or Eisel and Lemire's
+algorithm for at most 19 digits, else by ``strtod``, which alone declines
+a number under a locale whose decimal point is not ``.``).  The file is scanned a chunk at a time: a block of 64 KiB
+(``_BLOCK``) and the rest of its last line, at most another block, into
+columns sized once from the file's length, which take memory only as far as
+the rows written.  A station file's columns are the
+:class:`HalfHourRecords` the reader returns, which builds a record only
+where one is indexed or iterated, and :func:`daily_aggregate` sums their
+days in C in the Python loop's order: each sum from 0.0, left to right, and
+the first of equal maxima and minima, so ``-0.0`` and ``0.0`` keep their
+order.  Any other file, and a plain one with any fault, is declined and read
+again, whole, by the Python pass above, the reference of :mod:`._cbuild`'s
+contract, which names the fault with its file and line.  Where the scanner
+cannot be built, the Python pass reads every file and the Python loop sums
+its days.  The writers format each row as one line: no cell they write
+needs ``csv`` quoting.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -382,15 +382,15 @@ def _read_rows(path) -> list[HalfHourRecord]:
     return records
 
 
-# The scanner: the C half of the plain-file reader.  ``scan`` reads the lines
+# The scanner: the C half of the plain-file readers.  ``scan`` reads the lines
 # of ``buf[0:len]``, which ends at the end of a line, skipping blank lines.
 # Per row it writes the timestamp's date ordinal and microsecond of the day,
 # temp_c, precip_mm and theta_vwc (NaN for no reading) to the five columns,
 # at most ``room`` rows.  ``last`` holds the ordinal and microsecond of the
 # row before, {0, 0} for none, so order is checked across calls.  It returns
 # the rows read, or -1 for a line outside the plain subset, a value the Python
-# pass would reject or a row out of order.  ``sum_days`` adds up the scanned
-# columns per day.
+# pass would reject or a row out of order.  ``scan_daily`` does the same for a
+# daily file, and ``sum_days`` adds up the scanned station columns per day.
 _SCAN_SOURCE = r"""
 #include <float.h>
 #include <math.h>
@@ -441,43 +441,57 @@ static int nearest(uint64_t w, long q, double *value)
 }
 #endif
 
-/* Whether s[0..n) is [+-]?(d+[.d*]|.d+)([eE][+-]?d+)?, and if so its value,
-   rounded as float() rounds it.  One pass checks the text and gathers its
-   significant digits into w and their decimal exponent into q; strtod reads
-   what nearest() cannot, and numbers of more than 19 digits.  Only strtod
-   declines a text where LC_NUMERIC's decimal point is not '.'. */
-static int number(const char *s, long n, double *value)
+/* The end of the field at s, [+-]?(d+[.d*]|.d+)([eE][+-]?d+)? of at most limit
+   bytes ending at ',' or '\n', and its value as float() rounds it; NULL for any
+   other field.  One pass checks the text and gathers its significant digits
+   into w and their decimal exponent into q (the line's '\n' stops each loop);
+   strtod reads what nearest() cannot, and numbers of more than 19 digits.
+   Only strtod declines a text where LC_NUMERIC's decimal point is not '.'. */
+static const char *number(const char *s, long limit, double *value)
 {
-    const char *p = s, *e = s + n;
+    const char *p = s;
     char *end;
     uint64_t w = 0;
     long n_digits = 0, q = 0, x = 0;
     int negative = 0, any = 0, x_negative = 0;
-    if (p < e && (*p == '+' || *p == '-')) negative = *p++ == '-';
-    for (; p < e && *p >= '0' && *p <= '9'; p++, any = 1)
+    if (*p == '+' || *p == '-') negative = *p++ == '-';
+    for (; *p >= '0' && *p <= '9'; p++, any = 1)
         if ((w || *p != '0') && ++n_digits <= 19) w = 10 * w + (uint64_t)(*p - '0');
-    if (p < e && *p == '.')
-        for (p++; p < e && *p >= '0' && *p <= '9'; p++, any = 1, q--)
+    if (*p == '.')
+        for (p++; *p >= '0' && *p <= '9'; p++, any = 1, q--)
             if ((w || *p != '0') && ++n_digits <= 19) w = 10 * w + (uint64_t)(*p - '0');
-    if (!any) return 0;
-    if (p < e && (*p == 'e' || *p == 'E')) {
-        if (++p < e && (*p == '+' || *p == '-')) x_negative = *p++ == '-';
-        if (p == e || *p < '0' || *p > '9') return 0;
-        for (; p < e && *p >= '0' && *p <= '9'; p++)
+    if (!any) return NULL;
+    if (*p == 'e' || *p == 'E') {
+        if (*++p == '+' || *p == '-') x_negative = *p++ == '-';
+        if (*p < '0' || *p > '9') return NULL;
+        for (; *p >= '0' && *p <= '9'; p++)
             if (x < 100000000) x = 10 * x + (*p - '0');  /* beyond, strtod reads it */
     }
-    if (p != e) return 0;
+    if (p - s > limit || (*p != ',' && *p != '\n')) return NULL;
     if (w == 0)
-        return *value = negative ? -0.0 : 0.0, 1;
+        return *value = negative ? -0.0 : 0.0, p;
     q += x_negative ? -x : x;
 #if defined(__SIZEOF_INT128__) && FLT_EVAL_METHOD == 0
     if (n_digits <= 19 && x < 100000000 && nearest(w, q, value)) {
         if (negative) *value = -*value;
-        return 1;
+        return p;
     }
 #endif
-    *value = strtod(s, &end);  /* the field ends at ',' or '\n', where strtod stops */
-    return end == s + n;
+    *value = strtod(s, &end);
+    return end == p ? p : NULL;
+}
+
+/* Whether the fields from p, the end of a parsed field, to nl are printable
+   ASCII but '"', each of at most limit bytes: the only bytes checked singly. */
+static int rest(const char *p, const char *nl, long limit)
+{
+    const char *comma = p;
+    for (; p < nl; p++) {
+        unsigned char b = (unsigned char)*p;
+        if (b == ',') comma = p;
+        else if (b < 0x20 || b > 0x7e || b == '"' || p - comma > limit) return 0;
+    }
+    return 1;
 }
 
 /* The n digits at s as a number, or -1 if one is not a digit. */
@@ -491,70 +505,109 @@ static long digits(const char *s, int n)
     return v;
 }
 
-/* The stamp s[0..n), YYYY-MM-DD[T ]HH:MM:SS[.ffffff] naming a real naive
-   instant, as its date's ordinal (0001-01-01 is 1, as date.toordinal) and
-   its microsecond of the day; 0 for any other text. */
-static long stamp(const char *s, long n, long *micros)
+/* The date at s, YYYY-MM-DD naming a real day, as its ordinal (0001-01-01 is
+   1, as date.toordinal); 0 for any other text.  s[0..10) must be readable. */
+static long ordinal(const char *s)
 {
     static const int before[] = {0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365};
-    long y, mo, d, h, mi, sec, us = 0, leap;
-    if (!(n == 19 || (n == 26 && s[19] == '.')) || s[4] != '-' || s[7] != '-'
-        || (s[10] != 'T' && s[10] != ' ') || s[13] != ':' || s[16] != ':')
-        return 0;
-    y = digits(s, 4), mo = digits(s + 5, 2), d = digits(s + 8, 2);
-    h = digits(s + 11, 2), mi = digits(s + 14, 2), sec = digits(s + 17, 2);
-    if (n == 26 && (us = digits(s + 20, 6)) < 0) return 0;
-    if (y < 1 || mo < 1 || mo > 12 || h < 0 || h > 23 || mi < 0 || mi > 59 || sec < 0
-        || sec > 59)
-        return 0;
+    long y = digits(s, 4), mo = digits(s + 5, 2), d = digits(s + 8, 2), leap;
+    if (s[4] != '-' || s[7] != '-' || y < 1 || mo < 1 || mo > 12) return 0;
     leap = y % 4 == 0 && (y % 100 != 0 || y % 400 == 0);
     if (d < 1 || d > before[mo] - before[mo - 1] + (mo == 2 && leap)) return 0;
-    *micros = ((h * 60 + mi) * 60 + sec) * 1000000 + us;
     y--;
     return y * 365 + y / 4 - y / 100 + y / 400 + before[mo - 1] + (mo > 2 && leap) + d;
+}
+
+/* The stamp at the start of the line s..nl, YYYY-MM-DD[T ]HH:MM:SS[.ffffff]
+   naming a real naive instant, as its date's ordinal and its microsecond of
+   the day, with *end just after it; 0 for any other text. */
+static long stamp(const char *s, const char *nl, long *micros, const char **end)
+{
+    long o, h, mi, sec, us = 0;
+    if (nl - s < 19 || (s[10] != 'T' && s[10] != ' ') || s[13] != ':' || s[16] != ':'
+        || (o = ordinal(s)) == 0)
+        return 0;
+    h = digits(s + 11, 2), mi = digits(s + 14, 2), sec = digits(s + 17, 2);
+    if (s[19] == '.' && (us = digits(s + 20, 6)) < 0) return 0;
+    *end = s + (s[19] == '.' ? 26 : 19);
+    if (h < 0 || h > 23 || mi < 0 || mi > 59 || sec < 0 || sec > 59) return 0;
+    *micros = ((h * 60 + mi) * 60 + sec) * 1000000 + us;
+    return o;
+}
+
+/* The end of theta_vwc after p, the end of the field before it: NaN where
+   there is no reading, else a number in [0, 1]; NULL for any other. */
+static const char *reading(const char *p, long has_theta, long limit, double *theta)
+{
+    *theta = NAN;
+    if (!has_theta || *p != ',') return p;  /* no theta column, or no more fields */
+    if (p[1] == ',' || p[1] == '\n') return p + 1;  /* an empty cell */
+    p = number(p + 1, limit, theta);
+    return p != NULL && *theta >= 0.0 && *theta <= 1.0 ? p : NULL;
 }
 
 long scan(const char *buf, long len, long has_theta, long field_limit, long room, long *day,
           long *micros, double *temp, double *precip, double *theta, long *last)
 {
-    const unsigned char *line = (const unsigned char *)buf, *end = line + len;
-    long rows = 0;
+    const char *line = buf, *end = buf + len, *p;
+    long rows = 0, o, t;
     for (; line < end; line++) {  /* line moves to the next line's start */
-        const unsigned char *nl = memchr(line, '\n', (size_t)(end - line)), *c, *start;
-        const char *field[4];
-        long width[4], n_fields = 0, t = 0, o;
-        double v;
+        const char *nl = memchr(line, '\n', (size_t)(end - line));
         if (nl == NULL) return -1;  /* a last line cut off: not a whole line */
         if (nl == line) continue;  /* a blank line */
-        for (c = start = line; ; c++) {
-            if (c == nl || *c == ',') {
-                if (c - start > field_limit) return -1;
-                if (n_fields < 4) {
-                    field[n_fields] = (const char *)start;
-                    width[n_fields] = c - start;
-                }
-                n_fields++;
-                if (c == nl) break;
-                start = c + 1;
-            } else if (*c < 0x20 || *c > 0x7e || *c == '"') {
-                return -1;
-            }
-        }
-        if (n_fields < 3 || rows == room) return -1;
-        o = stamp(field[0], width[0], &t);
-        if (o == 0 || o < last[0] || (o == last[0] && t <= last[1])) return -1;
+        if (rows == room || (o = stamp(line, nl, &t, &p)) == 0 || p - line > field_limit
+            || *p != ',' || o < last[0] || (o == last[0] && t <= last[1]))
+            return -1;
         day[rows] = last[0] = o;
         micros[rows] = last[1] = t;
-        if (!number(field[1], width[1], &v) || !isfinite(v)) return -1;
-        temp[rows] = v;
-        if (!number(field[2], width[2], &v) || !(v >= 0.0 && v < INFINITY)) return -1;
-        precip[rows] = v;
-        if (has_theta && n_fields > 3 && width[3] > 0) {
-            if (!number(field[3], width[3], &v) || !(v >= 0.0 && v <= 1.0)) return -1;
-            theta[rows] = v;
-        } else {
-            theta[rows] = NAN;
-        }
+        if ((p = number(p + 1, field_limit, &temp[rows])) == NULL || *p != ','
+            || !isfinite(temp[rows]))
+            return -1;
+        if ((p = number(p + 1, field_limit, &precip[rows])) == NULL
+            || !(precip[rows] >= 0.0 && precip[rows] < INFINITY))
+            return -1;
+        if ((p = reading(p, has_theta, field_limit, &theta[rows])) == NULL
+            || !rest(p, nl, field_limit))
+            return -1;
+        rows++;
+        line = nl;
+    }
+    return rows;
+}
+
+/* scan for a daily file: per row the date's ordinal, day_index ([+-]?d+ of at
+   most 18 digits), tmax_c, tavg_c, tmin_c, precip_mm and theta_vwc, where
+   last[0] is the ordinal of the row before, 0 for none; -1 also for a date
+   not after it and for tmin <= tavg <= tmax broken. */
+long scan_daily(const char *buf, long len, long has_theta, long field_limit, long room,
+                long *day, long *index, double *tmax, double *tavg, double *tmin,
+                double *precip, double *theta, long *last)
+{
+    const char *line = buf, *end = buf + len, *p, *first;
+    long rows = 0, o, k;
+    for (; line < end; line++) {
+        const char *nl = memchr(line, '\n', (size_t)(end - line));
+        double *value[] = {tmax + rows, tavg + rows, tmin + rows, precip + rows};
+        if (nl == NULL) return -1;
+        if (nl == line) continue;
+        if (rows == room || nl - line < 10 || (o = ordinal(line)) <= last[0] || line[10] != ','
+            || field_limit < 10)
+            return -1;
+        day[rows] = last[0] = o;
+        first = p = line + 11 + (line[11] == '+' || line[11] == '-');
+        for (index[rows] = 0; *p >= '0' && *p <= '9' && p - first < 18; p++)
+            index[rows] = 10 * index[rows] + (*p - '0');
+        if (p == first || *p != ',' || p - (line + 11) > field_limit) return -1;
+        if (line[11] == '-') index[rows] = -index[rows];
+        for (k = 0; k < 4; k++)
+            if ((p = number(p + 1, field_limit, value[k])) == NULL || (k < 3 && *p != ',')
+                || !isfinite(*value[k]))
+                return -1;
+        if (!(tmin[rows] <= tavg[rows] && tavg[rows] <= tmax[rows] && precip[rows] >= 0.0))
+            return -1;
+        if ((p = reading(p, has_theta, field_limit, &theta[rows])) == NULL
+            || !rest(p, nl, field_limit))
+            return -1;
         rows++;
         line = nl;
     }
@@ -591,8 +644,10 @@ long sum_days(long n, const long *day, const double *temp, const double *precip,
 """
 
 _BLOCK = 1 << 16  # bytes read at a time by the plain-file reader
-# the shortest plain row: a 19-byte stamp, two 1-byte numbers, two commas, a newline
-_MIN_ROW = 24
+_BLOCK_ROWS = 1024  # rows formatted at a time by the writers
+# header -> index of its C function in _scanner(), its columns of doubles, and
+# the shortest plain row ("YYYY-MM-DDTHH:MM:SS,1,1\n", "YYYY-MM-DD,1,1,1,1,1\n")
+_KINDS = {_HALF_HOURLY_COLUMNS: (0, 3, 24), _DAILY_COLUMNS: (2, 5, 21)}
 
 
 def _powers_of_five() -> str:
@@ -611,19 +666,21 @@ def _powers_of_five() -> str:
 
 @functools.cache
 def _scanner():
-    """The scanner's ``(scan, sum_days)``, built and loaded on the first read;
-    None, logged once, where it cannot be."""
+    """The scanner's ``(scan, sum_days, scan_daily)``, built and loaded on the
+    first read; None, logged once, where it cannot be."""
     return _cbuild.load("ingest", _SCAN_SOURCE.replace("@POW5@", _powers_of_five()),
-                        {"scan": "lPllllPPPPPP", "sum_days": "llPPPPPP"},
-                        "station files are read by the Python pass, the C scanner did "
-                        "not build")
+                        {"scan": "lPllllPPPPPP", "sum_days": "llPPPPPP",
+                         "scan_daily": "lPllllPPPPPPPP"},
+                        "station and daily files are read by the Python pass, the C "
+                        "scanner did not build")
 
 
-def _scan_plain(c, path) -> "HalfHourRecords | None":
-    """The columns of a plain station file, scanned by ``c``'s ``scan`` a chunk
-    at a time: a ``_BLOCK`` and the rest of its last line.  None for any other
-    file, and for one with a fault."""
-    scan = c[0]
+def _scan_plain(c, path, columns=_HALF_HOURLY_COLUMNS):
+    """The :class:`HalfHourRecords` of a plain station file, or with the daily
+    ``columns`` the ``(days, theta)`` of a plain daily file, scanned by ``c`` a
+    ``_BLOCK`` and the rest of its last line at a time; None for any other file."""
+    function, n_doubles, min_row = _KINDS[columns]
+    scan = c[function]
     limit = csv.field_size_limit()
     with open(path, "rb") as fh:
         line = fh.readline(_BLOCK).decode("latin-1")
@@ -635,14 +692,14 @@ def _scan_plain(c, path) -> "HalfHourRecords | None":
         if max(map(len, fields)) > limit:
             return None
         try:
-            has_theta = _read_header(iter([fields]), _HALF_HOURLY_COLUMNS)
+            has_theta = _read_header(iter([fields]), columns)
         except DataFormatError:
             return None
         # room for the rows of the file's size; numpy's empty arrays take
         # memory only where the scanner writes
-        room = os.fstat(fh.fileno()).st_size // _MIN_ROW + 1
-        columns = [np.empty(room, "l"), np.empty(room, "l"), *(np.empty(room) for _ in range(3))]
-        addresses = [a.__array_interface__["data"][0] for a in columns]
+        room = os.fstat(fh.fileno()).st_size // min_row + 1
+        arrays = [np.empty(room, "l"), np.empty(room, "l"), *map(np.empty, [room] * n_doubles)]
+        addresses = [a.__array_interface__["data"][0] for a in arrays]
         last, rows = array("l", [0, 0]), 0
         while chunk := fh.read(_BLOCK) + fh.readline(_BLOCK):
             if not chunk.endswith(b"\n"):
@@ -654,23 +711,37 @@ def _scan_plain(c, path) -> "HalfHourRecords | None":
             if n < 0:
                 return None
             rows += n
-    return HalfHourRecords(columns=tuple(a[:rows] for a in columns))
+    if columns != _DAILY_COLUMNS:
+        return HalfHourRecords(columns=tuple(a[:rows] for a in arrays))
+    # the days are built past DailyWeather's check, which the scanner made
+    day, index, *values, theta = (a[:rows].tolist() for a in arrays)
+    days = list(map(tuple.__new__, repeat(DailyWeather),
+                    zip(index, map(Date.fromordinal, day), *values)))
+    return days, [None if v != v else v for v in theta]
 
 
 def write_half_hourly_csv(path, records: "Sequence[HalfHourRecord]") -> None:
-    """Write a station file; a scanned record is built once, to be written."""
+    """Write a station file, one formatted line per record (no cell needs
+    quoting); a scanned record is built once, to be written."""
     columns = records._columns if isinstance(records, HalfHourRecords) else None
     any_theta = (any(r.theta is not None for r in records) if columns is None
                  else not np.isnan(columns[4]).all())
+    header = _HALF_HOURLY_COLUMNS + ((_THETA_COLUMN,) if any_theta else ())
+    if any_theta:
+        lines = (f"{ts.isoformat()},{temp!r},{precip!r},{'' if theta is None else repr(theta)}\n"
+                 for ts, temp, precip, theta in records)
+    else:
+        lines = (f"{ts.isoformat()},{temp!r},{precip!r}\n" for ts, temp, precip, _ in records)
+    _write_lines(path, header, lines)
+
+
+def _write_lines(path, header, lines) -> None:
+    """Write a CSV file: the header's names and the formatted lines, joined
+    and written ``_BLOCK_ROWS`` at a time, so no whole file is held as text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(_HALF_HOURLY_COLUMNS) + ([_THETA_COLUMN] if any_theta else [])
-        writer.writerow(header)
-        for r in records:
-            row = [r.timestamp.isoformat(), repr(r.temp), repr(r.precip)]
-            if any_theta:
-                row.append("" if r.theta is None else repr(r.theta))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        while block := "".join(islice(lines, _BLOCK_ROWS)):
+            fh.write(block)
 
 
 def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
@@ -679,8 +750,16 @@ def read_daily_csv(path) -> tuple[list[DailyWeather], list]:
     Dates must be strictly increasing: a repeated or earlier date raises
     :class:`OrderingError` with its line number.  Skipped dates are allowed.
     A day :class:`DailyWeather` rejects, or a ``theta_vwc`` outside [0, 1],
-    raises :class:`DataFormatError` with its line number.
+    raises :class:`DataFormatError` with its line number.  The C scanner or
+    the Python pass reads it, as a station file (see the module docstring).
     """
+    c = _scanner()
+    scanned = None if c is None else _scan_plain(c, path, _DAILY_COLUMNS)
+    return _read_daily_rows(path) if scanned is None else scanned
+
+
+def _read_daily_rows(path) -> tuple[list[DailyWeather], list]:
+    """The Python pass of :func:`read_daily_csv`, which names each fault."""
     with _csv_reader(path) as reader:
         has_theta = _read_header(reader, _DAILY_COLUMNS)
         days, theta = [], []
@@ -748,18 +827,28 @@ def check_consecutive(days: "list[DailyWeather]", source: str) -> None:
 
 
 def write_daily_csv(path, days: "list[DailyWeather]", theta: "list | None" = None) -> None:
-    """Write a daily file; theta, if given, must align with days."""
+    """Write a daily file, one formatted line per day (no cell needs quoting);
+    theta, if given, must align with days.  Raises DataFormatError, writing
+    nothing, for what :func:`read_daily_csv` would reject: dates that do not
+    strictly increase, or a theta that is not in [0, 1]."""
     if theta is not None and len(theta) != len(days):
         raise DataFormatError(
             f"theta has {len(theta)} entries for {len(days)} days"
         )
     any_theta = theta is not None and any(v is not None for v in theta)
+    for prev, day in zip(days, days[1:]):
+        if day.date <= prev.date:
+            raise OrderingError(f"dates must be strictly increasing; {day.date} follows "
+                                f"{prev.date}")
+    for day, v in zip(days, theta if any_theta else ()):
+        if v is not None and not 0.0 <= v <= 1.0:
+            raise DataFormatError(f"{_THETA_COLUMN} must be in [0, 1], got {v!r} on {day.date}")
     # each day unpacked once: a NamedTuple field read is slow on 3.11
-    rows = ([date.isoformat(), str(day_index), repr(tmax), repr(tavg), repr(tmin), repr(precip)]
-            for day_index, date, tmax, tavg, tmin, precip in days)
     if any_theta:
-        rows = ([*row, "" if v is None else repr(v)] for row, v in zip(rows, theta))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(_DAILY_COLUMNS) + ([_THETA_COLUMN] if any_theta else []))
-        writer.writerows(rows)
+        lines = (f"{date.isoformat()},{day_index},{tmax!r},{tavg!r},{tmin!r},{precip!r},"
+                 f"{'' if v is None else repr(v)}\n"
+                 for (day_index, date, tmax, tavg, tmin, precip), v in zip(days, theta))
+    else:
+        lines = (f"{date.isoformat()},{day_index},{tmax!r},{tavg!r},{tmin!r},{precip!r}\n"
+                 for day_index, date, tmax, tavg, tmin, precip in days)
+    _write_lines(path, _DAILY_COLUMNS + ((_THETA_COLUMN,) if any_theta else ()), lines)

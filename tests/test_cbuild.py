@@ -245,3 +245,59 @@ class TestContract:
                                                               2.0, 2.0, 2.0, 1.0, 0.0)]
         assert run([], [])[0] == 0
         assert run([7, 9, 8], [1.0, 1.0, 1.0])[0] == -1  # a day goes backwards
+
+    def test_ingest_scan_daily(self, ingest_functions):
+        scan_daily = ingest_functions[2]
+
+        def run(text, room=10, last=0, limit=None):
+            columns = [array("l", bytes(8 * room)) for _ in range(2)]
+            columns += [_doubles(room) for _ in range(5)]
+            before = array("l", [last, 0])
+            rows = scan_daily(text, len(text), 1, limit or csv.field_size_limit(), room,
+                              *_addresses(*columns, before))
+            kept = max(rows, 0)
+            return (rows, [list(c[:kept]) for c in columns[:2]],
+                    [[v.hex() for v in c[:kept]] for c in columns[2:]], before[0])
+        # blank lines, a skipped date, signed and zero-padded day indices, -0.0
+        sound = (b"2011-01-05,0,30.0,25.0,20.0,1.5,0.4\n\n"
+                 b"2011-01-07,+5,-0.0,-0.0,-0.0,0.0,\n2011-01-08,007,1,1,1,0\n")
+        day = date(2011, 1, 5).toordinal()
+        assert run(sound) == (3, [[day, day + 2, day + 3], [0, 5, 7]], [
+            [v.hex() for v in column] for column in (
+                (30.0, -0.0, 1.0), (25.0, -0.0, 1.0), (20.0, -0.0, 1.0), (1.5, 0.0, 0.0),
+                (0.4, math.nan, math.nan))], day + 3)
+        assert run(sound, last=day - 1)[0] == 3  # after the day before
+        assert run(sound, last=day)[0] == -1  # not after the row before
+        assert run(sound, room=2)[0] == -1  # no room for its third row
+        assert run(b"2011-01-05,-0,1,1,1,0\n2011-01-06,-999999999999999999,1,1,1,0\n")[1] == [
+            [day, day + 1], [0, -999999999999999999]]
+        assert run(sound, limit=10)[0] == 3  # each field within the limit
+        row = b"2011-01-05,0,30.0,25.0,20.0,1.5,0.4"
+        for bad in (row + b"\n" + row, row + b"\n" + row.replace(b"-05", b"-04"),
+                    row.replace(b"2011-01-05", b"2011-02-29"),
+                    row.replace(b"2011-01-05", b"20110105"),
+                    row.replace(b",0,", b"," + b"1" * 30 + b","),
+                    row.replace(b",0,", b"," + b"1" * 19 + b","),
+                    row.replace(b"30.0", b"nan"), row.replace(b"30.0", b"1e400"),
+                    row.replace(b"1.5", b"1.5x"), row.replace(b"0.4", b"0.4 "),
+                    row.replace(b"20.0", b"25.5"),  # tmin above tavg
+                    row.replace(b"1.5", b"-1.5"), row.replace(b"0.4", b"1.5"),
+                    row + b"\r", row.replace(b"1.5", b'"1.5"'), row + b",\xc3\xa9",
+                    row + b"," + b"x" * 11):
+            assert run(bad + b"\n", limit=10)[0] == -1, bad
+        assert run(row)[0] == -1  # its last line is not whole
+
+    def test_ingest_scan_field_limit(self, ingest_functions):
+        """The stamp, date and day_index are held to the limit as every field."""
+        scan, scan_daily = ingest_functions[0], ingest_functions[2]
+
+        def rows(function, text, limit, n_doubles):
+            columns = [array("l", [0]), array("l", [0]), *(_doubles(1) for _ in range(n_doubles))]
+            before = array("l", [0, 0])
+            return function(text, len(text), 1, limit, 1, *_addresses(*columns, before))
+        for stamp in (b"2011-01-05T00:00:00", b"2011-01-05 00:00:00.000001"):
+            assert rows(scan, stamp + b",1,0\n", len(stamp), 3) == 1
+            assert rows(scan, stamp + b",1,0\n", len(stamp) - 1, 3) == -1
+        assert rows(scan_daily, b"2011-01-05,0,1,1,1,0\n", 10, 5) == 1
+        assert rows(scan_daily, b"2011-01-05,0,1,1,1,0\n", 9, 5) == -1
+        assert rows(scan_daily, b"2011-01-05," + b"1" * 11 + b",1,1,1,0\n", 10, 5) == -1

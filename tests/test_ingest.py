@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import logging
+import math
 import random
 import re
 import shutil
@@ -268,6 +269,28 @@ class TestDailyCsv:
         with pytest.raises(DataFormatError, match="^src: no row for 2011-01-06;"):
             check_consecutive(read_daily_csv(path)[0], "src")
         assert check_consecutive([], "empty") is None
+
+    @pytest.mark.parametrize("theta, dates, error, message", [
+        ([0.4, math.nan], (5, 6), DataFormatError,
+         r"^theta_vwc must be in \[0, 1\], got nan on 2011-01-06$"),
+        ([1.5, 0.4], (5, 6), DataFormatError,
+         r"^theta_vwc must be in \[0, 1\], got 1.5 on 2011-01-05$"),
+        ([None, -0.1], (5, 6), DataFormatError,
+         r"^theta_vwc must be in \[0, 1\], got -0.1 on 2011-01-06$"),
+        ([0.4, 0.41], (6, 5), OrderingError,
+         "^dates must be strictly increasing; 2011-01-05 follows 2011-01-06$"),
+        (None, (5, 5), OrderingError,
+         "^dates must be strictly increasing; 2011-01-05 follows 2011-01-05$"),
+    ])
+    def test_write_refuses_what_the_reader_rejects(self, tmp_path, theta, dates, error,
+                                                   message):
+        """Named with its value and date, before the file is opened."""
+        days = [DailyWeather(i, date(2011, 1, d), tmax=30.0, tavg=25.0, tmin=20.0, precip=0.0)
+                for i, d in enumerate(dates)]
+        path = tmp_path / "daily.csv"
+        with pytest.raises(error, match=message):
+            write_daily_csv(path, days, theta)
+        assert not path.exists()
 
     def test_write_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

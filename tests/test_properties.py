@@ -1,8 +1,10 @@
 """Property tests over random inputs: the bucket's ledger, the weather and
 bucket loops on each rendering, closed-loop bounds, series inference on each
 rendering, the config document's round trip, the half-hourly file's round
-trip, its day sums and the model artifact's round trip."""
+trip, its day sums, the daily file's scanner, both writers' bytes and the
+model artifact's round trip."""
 
+import csv
 import functools
 import math
 import shutil
@@ -24,6 +26,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st  
 
 from conftest import rendering_kernel  # noqa: E402
 from test_hydro import _reference_weather  # noqa: E402  the scalar-draw generator
+from test_ingest import _reference_write_daily_csv  # noqa: E402  the csv.writer loop
 from paddymoist import ann, hydro, ingest  # noqa: E402
 from paddymoist.ann import (Mlp, MlpTopology, Normalizer, bind, denormalize,  # noqa: E402
                             normalize)
@@ -34,8 +37,8 @@ from paddymoist.experiment import format_config, parse_config  # noqa: E402
 from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_truth,  # noqa: E402
                               generate_weather, water_balance_step)
 from paddymoist.errors import DataFormatError  # noqa: E402
-from paddymoist.ingest import (HalfHourRecord, daily_aggregate,  # noqa: E402
-                               read_half_hourly_csv, write_half_hourly_csv)
+from paddymoist.ingest import (HalfHourRecord, daily_aggregate, read_daily_csv,  # noqa: E402
+                               read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
                                  SimMode, simulate_moisture)
 from paddymoist.persist import ModelArtifact, load_model, save_model  # noqa: E402
@@ -416,11 +419,16 @@ _ODD_NUMBERS = ["+1", ".5", "5.", "-0.0", "-0", "0e0", "5e-324", "4.940656458412
                 "1.0.0", "1e+", "١"]
 
 
+def _written(values):
+    """A cell's text: a value of ``values`` written one of several ways."""
+    return values.flatmap(lambda v: st.sampled_from(
+        [repr(v), f"{v:.3f}", f"{v:+.17e}", f"{v:.25g}", f"{v:E}"]))
+
+
 def _number(values):
     """A cell's text: a value of ``values`` written one of several ways, or
     an odd cell."""
-    written = values.flatmap(lambda v: st.sampled_from(
-        [repr(v), f"{v:.3f}", f"{v:+.17e}", f"{v:.25g}", f"{v:E}"]))
+    written = _written(values)
     return st.one_of(written, written, st.sampled_from(_ODD_NUMBERS))
 
 
@@ -593,6 +601,139 @@ class TestDaySums:
             with mock.patch.object(ingest, "_scanner", lambda: None):
                 python = outcome()
         assert scanned == python
+
+
+@st.composite
+def daily_texts(draw):
+    """The text of a daily file: mostly well-formed, with CRLF endings, blank
+    lines, extra columns, missing or blank theta and no final newline, and in
+    most files one kind of odd row: a date or day index that is not plain,
+    temperatures of ``_ODD_NUMBERS`` or out of order, a negative
+    precipitation, a theta outside [0, 1], a repeated or earlier date, or a
+    quoted cell, one running on to the next line too."""
+    odd = draw(st.sampled_from([None, None, "date", "index", "number", "temps", "precip",
+                                "theta", "order", "quote"]))
+    theta = odd == "theta" or draw(st.booleans())
+    header = list(ingest._DAILY_COLUMNS) + (["theta_vwc"] if theta else [])
+    extra = draw(st.sampled_from([0, 0, 1, 2]))
+    header += ["note"] * extra
+    dates = sorted(draw(st.lists(st.dates(), unique=True, max_size=30)))
+    if dates and odd == "order":
+        i = draw(st.integers(0, len(dates) - 1))
+        dates[i] = draw(st.sampled_from([dates[0], dates[-1]]))
+    lines = [",".join(header)]
+    for k, day in enumerate(dates):
+        wild = draw(st.integers(0, 2)) == 0 and odd
+        texts, indices = [day.isoformat()], [str(k), f"+{k}", f"-{k}", f"00{k}", "9" * 18]
+        if wild == "date":
+            texts = [f"{day.year:04d}{day.month:02d}{day.day:02d}", f"{day.year}-02-29",
+                     day.isoformat() + " ", f"{day.year:04d}-{day.month}-{day.day:02d}"]
+        if wild == "index":
+            indices = ["9" * 19, "1" * 30, "1_0", f" {k}", "", "x", "+", "0x1"]
+        temps = sorted(draw(_floats(-60.0, 60.0)) for _ in range(3))[::-1]
+        if wild == "temps":
+            temps = draw(st.permutations(temps))
+        cells = [draw(st.sampled_from(texts)), draw(st.sampled_from(indices)),
+                 *(draw((_number if wild == "number" else _written)(st.just(v))) for v in temps),
+                 draw(_written(_floats(-1.0 if wild == "precip" else 0.0, None)))]
+        reading = draw(_written(_floats(-0.5, 1.5) if wild == "theta" else _floats(0.0, 1.0)))
+        if wild == "theta" or draw(st.integers(0, 3)):
+            cells.append(reading if wild == "theta" or draw(st.integers(0, 5)) else "")
+        cells += draw(st.lists(st.sampled_from(["x", "", "a b"]), max_size=extra))
+        if wild == "quote":
+            cells.append(draw(st.sampled_from(['"a', '"a', 'b"', '"q,uoted"', '""'])))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+class TestDailyScanner:
+
+    HEADER = "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc,note\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=daily_texts(), block=st.sampled_from([128, 1 << 18]))
+    @example(text=HEADER + '2011-01-05,0,3,2,1,0,,"a\n2011-01-06,1,3,2,1,0,,b"\n', block=128)
+    @example(text=HEADER + "2011-01-05,0,3,2,1,0,1.5\n", block=128)
+    @example(text=HEADER + "2011-01-05,0,3,2,1,-1,0.5\n", block=128)
+    @example(text=HEADER + "2011-01-05,0,3,1,2,0,0.5\n", block=128)
+    @example(text=HEADER + "2011-01-05," + "9" * 19 + ",3,2,1,0,0.5\n", block=128)
+    def test_scanner_and_python_pass_agree(self, text, block):
+        """Bit-identical days and theta, or the same exception type and
+        message."""
+        if ingest._scanner() is None:
+            pytest.skip("the C station-file scanner did not build")
+
+        def outcome():
+            try:
+                days, theta = read_daily_csv(path)
+            except Exception as exc:  # noqa: BLE001  any exception must match too
+                return type(exc), str(exc)
+            assert all(type(d) is DailyWeather for d in days)
+            return ([(d.day_index, d.date, *(v.hex() for v in d[2:])) for d in days],
+                    [None if v is None else v.hex() for v in theta])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "daily.csv"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(ingest, "_BLOCK", block):
+                scanned = outcome()
+                with mock.patch.object(ingest, "_scanner", lambda: None):
+                    python = outcome()
+        assert scanned == python
+
+
+# write_half_hourly_csv as a csv.writer loop, the reference its bytes must equal
+def _reference_write_half_hourly_csv(path, records):
+    any_theta = any(r.theta is not None for r in records)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["timestamp_iso8601", "temp_c", "precip_mm"]
+                        + (["theta_vwc"] if any_theta else []))
+        for r in records:
+            row = [r.timestamp.isoformat(), repr(r.temp), repr(r.precip)]
+            if any_theta:
+                row.append("" if r.theta is None else repr(r.theta))
+            writer.writerow(row)
+
+
+@st.composite
+def daily_series(draw):
+    """``(days, theta)`` that :func:`write_daily_csv` writes: increasing
+    dates, any finite ordered temperatures and precipitation, and theta
+    absent, all None, or in [0, 1] on some days."""
+    dates = sorted(draw(st.lists(st.dates(), unique=True, max_size=30)))
+    days = []
+    for k, day in enumerate(dates):
+        tmin, tavg, tmax = sorted(draw(st.floats(allow_nan=False, allow_infinity=False))
+                                  for _ in range(3))
+        days.append(DailyWeather(draw(st.integers(-10**6, 10**6) | st.just(k)), day, tmax,
+                                 tavg, tmin, draw(_floats(0.0, None))))
+    theta = draw(st.none() | st.lists(st.none() | _floats(0.0, 1.0), min_size=len(days),
+                                      max_size=len(days)))
+    return days, theta
+
+
+class TestWriterBytes:
+
+    @settings(max_examples=200, deadline=None)
+    @given(series=daily_series())
+    def test_daily_file_is_the_csv_writers(self, series):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            write_daily_csv(new, *series)
+            _reference_write_daily_csv(old, *series)
+            assert new.read_bytes() == old.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=station_records())
+    def test_station_file_is_the_csv_writers(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            write_half_hourly_csv(new, records)
+            _reference_write_half_hourly_csv(old, records)
+            assert new.read_bytes() == old.read_bytes()
 
 
 # one word of a provenance entry: no whitespace, no line break, no control character
