@@ -97,10 +97,10 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import exp
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,8 +236,7 @@ class TrainConfig:
             raise ValueError("init_half_width must be > 0")
 
 
-@dataclass
-class GainTrace:
+class GainTrace(NamedTuple):
     """One per-pattern record of the gain actually applied during training."""
 
     epoch: int
@@ -600,8 +599,10 @@ def _run_c_train_loop(fn, t: MlpTopology, wh, wo, g, rows, lr, epochs, trace):
           None if visits is None else visits.buffer_info()[0]) < 0:
         return _python_kernel(t)[0](wh, wo, g, rows, lr, epochs, trace)
     if visits is not None:
-        trace.extend(GainTrace(v // n_rows, v % n_rows, visits[2 * v], visits[2 * v + 1])
-                     for v in range(epochs * n_rows))
+        epoch = chain.from_iterable(map(repeat, range(epochs), repeat(n_rows)))
+        index = chain.from_iterable(repeat(range(n_rows), epochs))
+        trace.extend(map(tuple.__new__, repeat(GainTrace),
+                         zip(epoch, index, visits[0::2], visits[1::2])))
     return ([w_h[r:r + n + 1].tolist() for r in range(0, len(w_h), n + 1)],
             [w_o[r:r + h + 1].tolist() for r in range(0, len(w_o), h + 1)],
             gain[0], losses.tolist())

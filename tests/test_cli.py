@@ -396,6 +396,17 @@ class TestEvaluateInput:
                      "--est-col", "observed_theta_vwc"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "r_squared 0.0"
 
+    def test_sum_that_overflows_is_a_value_error(self, tmp_path, capsys):
+        """Finite cells whose sums overflow a double exit 3, where numpy
+        printed nan and exited 0."""
+        path = tmp_path / "est.csv"
+        path.write_text("observed_theta_vwc,estimated_theta_vwc\n1e308,1e308\n"
+                        "1.5e308,1.2e308\n1.7e308,1.1e308\n", encoding="utf-8")
+        assert main(["evaluate", "--file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "n 3\n"
+        assert captured.err == "error: r_squared: a sum overflows a double\n"
+
     def test_columns_read_in_any_order(self, tmp_path, capsys):
         path = tmp_path / "est.csv"
         path.write_text("date,estimated_theta_vwc,observed_theta_vwc\n"

@@ -526,11 +526,17 @@ class TestRunExperiment:
         # the bit-level trajectory of the default experiment: a change that
         # moves any of these has to say so
         cells = {name: c.r_squared for name, c in default_report.cells.items()}
-        assert cells == {"et0_train": 0.9872494396757201, "et0_val": 0.9638270366423602,
-                         "theta_train": 0.9854966253204749,
-                         "theta_val": 0.9618766947332298}
+        assert cells == {"et0_train": 0.9872494396757201, "et0_val": 0.9638270366423608,
+                         "theta_train": 0.9854966253204755,
+                         "theta_val": 0.9618766947332293}
         digest = hashlib.sha256(format_report_text(default_report).encode()).hexdigest()
         assert digest == "80fe823d95b2cec74908acef70053d0eb0f667ac44ba91cdede7522862a38555"
+
+    def test_default_metrics_csv_is_pinned(self, default_report):
+        # every cell's repr: its sums are correctly rounded (math.fsum), so
+        # these bits depend on neither the CPU nor the Python version
+        digest = hashlib.sha256(format_metrics_csv(default_report).encode()).hexdigest()
+        assert digest == "b3c84b24364634f427cd7db3bea6a35076b95c2232ecec47f188a0a2c1609b0d"
 
     def test_python_fallback_gives_the_same_report(self, default_report, monkeypatch):
         # every train and series loop on the Python rendering, as when no C

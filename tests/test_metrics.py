@@ -30,6 +30,12 @@ class TestRSquared:
         obs = [1.0, 2.0, 3.0, 5.0]
         assert r_squared(obs, obs) == pytest.approx(1.0, abs=1e-15)
 
+    def test_identical_series_give_exactly_one(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            obs = list(rng.normal(0, 10.0 ** rng.integers(-100, 100), int(rng.integers(2, 60))))
+            assert r_squared(obs, obs) == 1.0
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(42)
         obs = rng.uniform(0, 10, 50)
@@ -50,6 +56,10 @@ class TestRSquared:
             obs = rng.normal(0, 1, 30)
             est = rng.normal(0, 1, 30)
             assert 0.0 <= r_squared(obs, est) <= 1.0
+
+    def test_never_above_one(self):
+        # the sums of this perfectly anti-correlated pair round r * r to 1 + 2 ulps
+        assert r_squared([0.0, 1e-150], [1e150, 0.0]) == 1.0
 
     def test_constant_estimate_gives_zero(self):
         assert r_squared([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) == 0.0
@@ -81,6 +91,57 @@ class TestConstantSeries:
     def test_one_unequal_value_is_not_constant(self):
         series = [0.3] * 117 + [math.nextafter(0.3, 1.0)]
         assert nash_sutcliffe(series, series) == r_squared(series, series) == 1.0
+
+
+class TestRefusals:
+    """What a cell cannot score faithfully raises UndefinedMetricError naming
+    the metric, where numpy returned nan, inf or a wrong 0.0."""
+
+    OBS, EST = [1e308, 1.5e308, 1.7e308], [1e308, 1.2e308, 1.1e308]
+
+    @pytest.mark.parametrize("metric", [r_squared, nash_sutcliffe, rmse])
+    def test_sum_that_overflows(self, metric):
+        with pytest.raises(UndefinedMetricError,
+                           match=f"^{metric.__name__}: a sum overflows a double$"):
+            metric(self.OBS, self.EST)
+
+    @pytest.mark.parametrize("metric", [r_squared, nash_sutcliffe, rmse])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["obs", "est"])
+    def test_value_that_is_not_finite(self, metric, bad, side):
+        good, odd = [1.0, 2.0, 4.0], [1.0, bad, 4.0]
+        obs, est = (odd, good) if side == "obs" else (good, odd)
+        with pytest.raises(UndefinedMetricError,
+                           match=rf"^{metric.__name__}: a value is {bad!r}, not finite$"):
+            metric(obs, est)
+
+    def test_constant_estimate_that_is_not_finite(self):
+        with pytest.raises(UndefinedMetricError, match="^r_squared: a value is nan"):
+            r_squared([1.0, 2.0, 4.0], [math.nan] * 3)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160])  # squares that are 0, or subnormal
+    @pytest.mark.parametrize("tiny, varying", [(0, 1), (1, 0)])
+    def test_squared_deviations_that_underflow(self, scale, tiny, varying):
+        series = ([0.0, scale, 2 * scale], [1.0, 2.0, 4.0])
+        with pytest.raises(UndefinedMetricError, match="^r_squared: a sum of squared "
+                                                       "deviations underflows$"):
+            r_squared(series[tiny], series[varying])
+        if tiny == 0:
+            with pytest.raises(UndefinedMetricError, match="^nash_sutcliffe: SST underflows$"):
+                nash_sutcliffe(series[tiny], series[varying])
+
+    def test_ratio_that_overflows(self):
+        with pytest.raises(UndefinedMetricError,
+                           match="^nash_sutcliffe: SSE/SST overflows a double$"):
+            nash_sutcliffe([0.0, 1e-150], [1e150, 0.0])
+
+    @pytest.mark.parametrize("scale", [500, -300])
+    def test_correlation_of_huge_and_tiny_series(self, scale):
+        # r is exact under a power-of-two scaling, where the product of the
+        # two sums of squares overflows (2^500) or underflows (2^-300)
+        obs, est = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+        scaled = r_squared([math.ldexp(v, scale) for v in obs], [math.ldexp(v, scale) for v in est])
+        assert scaled == r_squared(obs, est) == pytest.approx(27 / 28, rel=1e-15)
 
 
 class TestNashSutcliffe:

@@ -1,12 +1,14 @@
 """Property tests over random inputs: the bucket's ledger, the weather and
 bucket loops on each rendering, closed-loop bounds, series inference on each
 rendering, the config document's round trip, the half-hourly file's round
-trip, its day sums, the daily file's scanner, both writers' bytes and the
-model artifact's round trip."""
+trip, its day sums, the daily file's scanner, both writers' bytes, the
+model artifact's round trip and the metric cells against exact rational
+ones."""
 
 import csv
 import functools
 import math
+import operator
 import shutil
 import string
 import struct
@@ -36,9 +38,10 @@ from paddymoist.evapo import (DailyWeather, Et0Model, SiteLocation,  # noqa: E40
 from paddymoist.experiment import format_config, parse_config  # noqa: E402
 from paddymoist.hydro import (FieldParams, WeatherGenParams, generate_truth,  # noqa: E402
                               generate_weather, water_balance_step)
-from paddymoist.errors import DataFormatError  # noqa: E402
+from paddymoist.errors import DataFormatError, UndefinedMetricError  # noqa: E402
 from paddymoist.ingest import (HalfHourRecord, daily_aggregate, read_daily_csv,  # noqa: E402
                                read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
+from paddymoist.metrics import nash_sutcliffe, r_squared, rmse  # noqa: E402
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,  # noqa: E402
                                  SimMode, simulate_moisture)
 from paddymoist.persist import ModelArtifact, load_model, save_model  # noqa: E402
@@ -435,24 +438,39 @@ def _number(values):
 @st.composite
 def station_texts(draw):
     """The text of a station file: mostly well-formed, with CRLF endings,
-    blank lines, quoted cells, extra columns, missing or empty theta, odd
-    numbers, unordered or offset timestamps and no final newline mixed in."""
-    theta = draw(st.booleans())
+    blank lines, extra columns, missing or empty theta and no final newline,
+    and in most files one kind of odd row: a timestamp that is not plain,
+    numbers of ``_ODD_NUMBERS``, a negative precipitation, a theta outside
+    [0, 1], a repeated, earlier or offset timestamp, or a quoted or non-ASCII
+    cell, a quote running on to the next line too."""
+    odd = draw(st.sampled_from([None, None, "stamp", "number", "precip", "theta", "order",
+                                "quote"]))
+    theta = odd == "theta" or draw(st.booleans())
     header = ["timestamp_iso8601", "temp_c", "precip_mm"] + (["theta_vwc"] if theta else [])
     extra = draw(st.sampled_from([0, 0, 1, 2]))
     header += ["note"] * extra
     stamps = sorted(draw(st.lists(st.datetimes(), unique=True, max_size=30)))
-    if stamps and draw(st.integers(0, 9)) == 0:  # out of order, or offset
+    if stamps and odd == "order":  # repeated, earlier, or offset
         i = draw(st.integers(0, len(stamps) - 1))
-        stamps[i] = draw(st.sampled_from([stamps[0], stamps[i].replace(tzinfo=timezone.utc)]))
+        stamps[i] = draw(st.sampled_from([stamps[0], stamps[-1],
+                                          stamps[i].replace(tzinfo=timezone.utc)]))
     lines = [",".join(header)]
     for ts in stamps:
-        cells = [draw(st.sampled_from([ts.isoformat(), ts.isoformat(" ")])),
-                 draw(_number(_floats(-60.0, 60.0))), draw(_number(_floats(0.0, None)))]
-        if draw(st.integers(0, 3)):
-            cells.append(draw(_number(_floats(0.0, 1.0))))
-        cells += draw(st.lists(st.sampled_from(["x", "", "a b", '"q,uoted"', "é"]),
-                               max_size=extra))
+        wild = draw(st.integers(0, 2)) == 0 and odd
+        texts = [ts.isoformat(), ts.isoformat(" ")]
+        if wild == "stamp":
+            texts = [ts.isoformat(timespec="milliseconds"), ts.isoformat(timespec="minutes"),
+                     ts.date().isoformat(), ts.strftime("%Y%m%dT%H%M%S"), ts.isoformat() + "Z",
+                     ts.isoformat() + " ", ts.isoformat().replace("-", "/")]
+        number = _number if wild == "number" else _written
+        cells = [draw(st.sampled_from(texts)), draw(number(_floats(-60.0, 60.0))),
+                 draw(number(_floats(-1.0, 0.0) if wild == "precip" else _floats(0.0, None)))]
+        reading = draw(number(_floats(-0.5, 1.5) if wild == "theta" else _floats(0.0, 1.0)))
+        if wild == "theta" or draw(st.integers(0, 3)):
+            cells.append(reading if wild == "theta" or draw(st.integers(0, 5)) else "")
+        cells += draw(st.lists(st.sampled_from(["x", "", "a b"]), max_size=extra))
+        if wild == "quote":
+            cells.append(draw(st.sampled_from(['"a', '"a', 'b"', '"q,uoted"', '""', "é"])))
         lines.append(",".join(cells))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
@@ -789,3 +807,177 @@ class TestModelArtifactRoundTrip:
         assert back.w_hidden.tobytes() == art.w_hidden.tobytes()
         assert back.w_output.shape == art.w_output.shape
         assert back.w_output.tobytes() == art.w_output.tobytes()
+
+
+_U = Fraction(1, 2 ** 53)  # the unit roundoff
+_ETA = Fraction(1, 2 ** 1075)  # half the least subnormal
+_GAMMA = (1 + _U) ** 4 - 1
+_OVERFLOW = Fraction(2 ** 1024 - 2 ** 970)  # the least real that rounds to inf
+_LEAST_NORMAL = Fraction(1, 2 ** 1022)
+
+
+def _ulps(x: float, k: int) -> float:
+    """``x`` moved ``k`` doubles up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def metric_pairs(draw):
+    """Observed and estimated series of 1 to 200 values with |x| <= 1e150 (a
+    nearly constant one may step a few doubles past it): any values, tiny ones
+    (whose squares underflow), nearly constant ones (one value, up to three of
+    them moved a few doubles), or an estimate a few doubles off the
+    observation."""
+    n = draw(st.integers(1, 200))
+
+    def series():
+        kind = draw(st.sampled_from(["any", "tiny", "near"]))
+        if kind == "any":
+            return draw(st.lists(_floats(-1e150, 1e150), min_size=n, max_size=n))
+        if kind == "tiny":
+            scale = draw(st.integers(-560, -480))  # squares normal, subnormal or 0
+            return [math.ldexp(v, scale)
+                    for v in draw(st.lists(_floats(-1.0, 1.0), min_size=n, max_size=n))]
+        values = [draw(_floats(-1e150, 1e150))] * n
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, n - 1))
+            values[i] = _ulps(values[i], draw(st.integers(-3, 3)))
+        return values
+    obs = series()
+    if draw(st.booleans()):
+        return obs, series()
+    return obs, list(map(_ulps, obs, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+
+
+def _scaled(v: float) -> int:
+    """``v`` times 2^1074, an integer: every double is a multiple of 2^-1074."""
+    p, q = v.as_integer_ratio()
+    return p * (2 ** 1074 // q)
+
+
+def _sum_bounds(d, e):
+    """Where fsum(fl(d_i) * fl(e_i)) may fall, for exact d and e given as
+    integer multiples of 2^-1074."""
+    total = Fraction(sum(map(operator.mul, d, e)), 2 ** 2148)
+    slack = (_GAMMA * Fraction(sum(abs(x * y) for x, y in zip(d, e)), 2 ** 2148)
+             + (1 + _U) * len(d) * _ETA)
+    return total - slack, total + slack
+
+
+def _grow(lo, hi, rel, absolute=0):
+    """[lo, hi] with each end moved out by ``rel`` of its size plus ``absolute``."""
+    return lo - abs(lo) * rel - absolute, hi + abs(hi) * rel + absolute
+
+
+class TestMetricCells:
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=metric_pairs())
+    @example(pair=([0.3] * 117 + [math.nextafter(0.3, 1.0)], [0.2 + i / 1000 for i in range(118)]))
+    @example(pair=([0.2 + i / 1000 for i in range(118)], [0.3] * 117 + [math.nextafter(0.3, 1.0)]))
+    def test_cells_within_the_rounding_bound_of_the_exact_ones(self, pair):
+        """Each cell against the same formula in exact rational arithmetic.
+
+        With u = 2^-53 and eta = 2^-1075, a rounded product or quotient is
+        z(1 + e) + t with |e| <= u and |t| <= eta (underflow); a rounded
+        difference, a correctly rounded sum (fsum) and a sqrt are z(1 + e),
+        exact in the subnormal range.  With |x| <= 1e150 and n <= 200 no
+        product or sum overflows.  Then, step by step:
+
+        - the mean of x is m = fl(fl(sum x) / n); it is computed here from the
+          exact sum with the same two roundings (float() of a Fraction rounds
+          correctly), so the deviations d_i = x_i - m are exact rationals.
+          They differ from those about the exact mean by delta = m - mean,
+          so sum d_i^2 = A + n delta^2 and sum d_i e_i = C + n delta_x
+          delta_y, where A and C are the exact cell's sums; that is all the
+          mean's rounding costs, which for a nearly constant series is a
+          large part of A;
+        - the code's sum of products, fsum(fl(d_i) * fl(e_i)), is
+          (1 + s) sum(d_i e_i (1 + r_i)(1 + r'_i)(1 + p_i) + t_i), so it is
+          within g sum|d_i e_i| + (1 + u) n eta of sum d_i e_i, with
+          g = (1 + u)^4 - 1 (_sum_bounds); the same holds for the sum of
+          squared differences, with d_i = e_i = x_i - y_i exactly;
+        - r^2 is fl(r * r) with r = fl(Sxy / fl(sqrt(fl(Sxx * Syy)))), the
+          power-of-two scaling that keeps the product in range being exact:
+          Sxy^2 / (Sxx Syy) times a factor in [((1-u)/(1+u))^3,
+          ((1+u)/(1-u))^3].  Where the scaled Sxy underflows, r is below
+          2^-1021 and r * r rounds to 0, within eta.  The cap at 1 keeps r^2
+          in the interval, whose lower end is at most 1 (Cauchy-Schwarz on
+          the d_i and e_i);
+        - NSE is fl(1 - fl(See / Sxx)), RMSE is fl(sqrt(fl(See / n))), so
+          RMSE^2 is fl(See / n) times a factor in [(1-u)^2, (1+u)^2].
+
+        So each cell lies in an interval computed here exactly from the
+        exact sums (and each cell's distance from the exact one is at most
+        that interval's reach from it).  The code refuses a sum of squared
+        deviations below 2^-1022, so only a sum interval that reaches below
+        it allows that refusal, and a sum it did not refuse is at least
+        2^-1022; only a ratio interval that reaches the overflow threshold
+        allows SSE/SST to overflow.
+        """
+        x, y = pair
+        n = len(x)
+        ix, iy = list(map(_scaled, x)), list(map(_scaled, y))
+        # the float means, and their distances from the exact ones
+        mean_x = float(Fraction(sum(ix), 2 ** 1074)) / n
+        mean_y = float(Fraction(sum(iy), 2 ** 1074)) / n
+        delta_x = Fraction(mean_x) - Fraction(sum(ix), n * 2 ** 1074)
+        delta_y = Fraction(mean_y) - Fraction(sum(iy), n * 2 ** 1074)
+        d = [v - _scaled(mean_x) for v in ix]
+        e = [v - _scaled(mean_y) for v in iy]
+        diff = list(map(operator.sub, ix, iy))
+        sxx, syy, sxy, see = (_sum_bounds(d, d), _sum_bounds(e, e), _sum_bounds(d, e),
+                              _sum_bounds(diff, diff))
+        # the exact cell's sums: about the exact means, sum d_i e_i - n delta_x delta_y
+        a_sum = (sxx[0] + sxx[1]) / 2 - n * delta_x ** 2
+        b_sum = (syy[0] + syy[1]) / 2 - n * delta_y ** 2
+        c_sum = (sxy[0] + sxy[1]) / 2 - n * delta_x * delta_y
+        e_sum = (see[0] + see[1]) / 2
+
+        def within(got, exact, lo, hi):
+            got = Fraction(got)
+            reach = max(hi - exact, exact - lo)
+            assert lo <= got <= hi, (float(got), float(exact), float(reach))
+
+        # RMSE: its square against SSE / n
+        lo, hi = _grow(see[0] / n, see[1] / n, _U, _ETA)
+        within(Fraction(rmse(x, y)) ** 2, e_sum / n, max(lo, 0) * (1 - _U) ** 2,
+               hi * (1 + _U) ** 2)
+        if n < 2:
+            return
+
+        if x.count(x[0]) == n:
+            assert a_sum == 0
+            for metric in (r_squared, nash_sutcliffe):
+                with pytest.raises(UndefinedMetricError, match="^observed series is constant"):
+                    metric(x, y)
+            return
+
+        xx_lo, yy_lo = max(sxx[0], _LEAST_NORMAL), max(syy[0], _LEAST_NORMAL)
+        try:
+            got = r_squared(x, y)
+        except UndefinedMetricError as exc:
+            assert str(exc) == "r_squared: a sum of squared deviations underflows"
+            assert min(sxx[0], syy[0]) < _LEAST_NORMAL
+        else:
+            if y.count(y[0]) == n:
+                assert got == 0.0 and b_sum == 0
+            else:
+                c_lo = max(sxy[0], -sxy[1], 0)
+                c_hi = max(abs(sxy[0]), abs(sxy[1]))
+                slack = ((1 + _U) / (1 - _U)) ** 3
+                within(got, c_sum ** 2 / (a_sum * b_sum),
+                       c_lo ** 2 / (sxx[1] * syy[1]) / slack - _ETA,
+                       c_hi ** 2 / (xx_lo * yy_lo) * slack + _ETA)
+
+        q = _grow(max(see[0], 0) / sxx[1], see[1] / xx_lo, _U, _ETA)
+        try:
+            got = nash_sutcliffe(x, y)
+        except UndefinedMetricError as exc:
+            assert (str(exc) == "nash_sutcliffe: SST underflows" and sxx[0] < _LEAST_NORMAL
+                    or str(exc) == "nash_sutcliffe: SSE/SST overflows a double"
+                    and q[1] >= _OVERFLOW)
+        else:
+            within(got, 1 - e_sum / a_sum, *_grow(1 - q[1], 1 - q[0], _U))
