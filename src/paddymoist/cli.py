@@ -143,10 +143,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     obs, est = read_columns(args.file, (args.obs_col, args.est_col))
-    print(f"n {len(obs)}")
-    print(f"r_squared {r_squared(obs, est)!r}")
-    print(f"nash_sutcliffe {nash_sutcliffe(obs, est)!r}")
-    print(f"rmse {rmse(obs, est)!r}")
+    cells = [(metric.__name__, metric(obs, est)) for metric in (r_squared, nash_sutcliffe, rmse)]
+    print(f"n {len(obs)}")  # only once every cell is scored: a refusal prints nothing
+    for name, value in cells:
+        print(f"{name} {value!r}")
     return 0
 
 

@@ -10,11 +10,14 @@ order of its terms: a mean is that sum over n, and each sum of products is
 taken over the deviations from such means (or over the differences).  So a
 cell depends neither on the machine nor on the Python version.  A series is
 constant when all its values are equal, as counted, not when its deviations
-from a rounded mean happen to square to 0.  A cell refuses, with
-:class:`UndefinedMetricError` naming the metric, what it cannot score
-faithfully: a value that is not finite, a sum that overflows a double, and a
-sum of squared deviations below the least normal double (2.2e-308), whose
-squares lost their precision to underflow.
+from a rounded mean happen to square to 0.  Where a sum would overflow or
+underflow, scaling by a power of two (exact away from underflow) keeps a
+mean's sum below the largest double, and ``nash_sutcliffe`` and ``rmse``
+scale each difference into [0.5, 1) before squaring it.  A cell refuses,
+with :class:`UndefinedMetricError` naming the metric, a value that is not
+finite, a result that is not a finite double, a sum in ``r_squared`` that
+overflows one, and a sum of squared deviations below the least normal double
+(2.2e-308).
 """
 
 from __future__ import annotations
@@ -55,9 +58,33 @@ def _sum(metric: str, terms) -> float:
     return total
 
 
-def _deviations(metric: str, a: list[float]) -> list[float]:
-    mean = _sum(metric, a) / len(a)
-    return [v - mean for v in a]
+def _mean(a: list[float]) -> float:
+    """fsum(a) / n; where that sum overflows, over the values scaled by 2^-s
+    so that it stays below 2^1023, and scaled back."""
+    try:
+        return math.fsum(a) / len(a)
+    except OverflowError:
+        s = math.frexp(max(map(abs, a)))[1] + len(a).bit_length() - 1023
+        return math.ldexp(math.fsum([math.ldexp(v, -s) for v in a]) / len(a), s)
+
+
+def _squares(a: list[float], b: list[float]) -> tuple[float, int]:
+    """``(s, e)``: the sum of the squares of a_i - b_i is s 4^e.  Where that
+    sum is not a normal double, each difference (of halves, where it would
+    pass the largest double) is scaled by 2^-e into [0.5, 1) before it is
+    squared."""
+    d = list(map(sub, a, b))
+    try:
+        s = math.fsum(map(mul, d, d))
+    except OverflowError:
+        s = math.inf
+    if sys.float_info.min <= s < math.inf:
+        return s, 0
+    if half := math.inf in map(abs, d):
+        d = [x / 2 - y / 2 for x, y in zip(a, b)]
+    e = math.frexp(max(map(abs, d)))[1]
+    d = [math.ldexp(v, -e) for v in d]
+    return math.fsum(map(mul, d, d)), e + half
 
 
 def r_squared(obs, est) -> float:
@@ -67,7 +94,8 @@ def r_squared(obs, est) -> float:
         raise UndefinedMetricError("observed series is constant; correlation undefined")
     if _constant(b):
         return 0.0
-    da, db = _deviations("r_squared", a), _deviations("r_squared", b)
+    ma, mb = _mean(a), _mean(b)
+    da, db = [v - ma for v in a], [v - mb for v in b]
     ssa = _sum("r_squared", map(mul, da, da))
     ssb = _sum("r_squared", map(mul, db, db))
     if min(ssa, ssb) < sys.float_info.min:
@@ -85,19 +113,21 @@ def nash_sutcliffe(obs, est) -> float:
     a, b = _paired("nash_sutcliffe", obs, est, 2)
     if _constant(a):
         raise UndefinedMetricError("observed series is constant; SST is zero")
-    da = _deviations("nash_sutcliffe", a)
-    sst = _sum("nash_sutcliffe", map(mul, da, da))
-    if sst < sys.float_info.min:
+    sst, i = _squares(a, [_mean(a)] * len(a))
+    if math.frexp(sst)[1] + 2 * i <= -1022:  # below 2^-1022
         raise UndefinedMetricError("nash_sutcliffe: SST underflows")
-    d = list(map(sub, a, b))
-    ratio = _sum("nash_sutcliffe", map(mul, d, d)) / sst
-    if ratio == math.inf:
+    sse, j = _squares(a, b)
+    ratio = sse / sst
+    if ratio == math.inf or math.frexp(ratio)[1] + 2 * (j - i) > 1024:  # or once scaled back
         raise UndefinedMetricError("nash_sutcliffe: SSE/SST overflows a double")
-    return 1.0 - ratio
+    return 1.0 - math.ldexp(ratio, 2 * (j - i))
 
 
 def rmse(obs, est) -> float:
     """Root mean squared difference between the two series."""
     a, b = _paired("rmse", obs, est, 1)
-    d = list(map(sub, a, b))
-    return math.sqrt(_sum("rmse", map(mul, d, d)) / len(a))
+    sse, e = _squares(a, b)
+    try:
+        return math.ldexp(math.sqrt(sse / len(a)), e)
+    except OverflowError:
+        raise UndefinedMetricError("rmse: the result overflows a double") from None

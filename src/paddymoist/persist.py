@@ -1,8 +1,8 @@
 """Versioned plain-text persistence for trained models.
 
 The artifact is line-oriented so it diffs cleanly and survives any
-transport; floats are written with ``repr`` (shortest round-trip form), so
-a loaded model predicts bit-identically to the model that was saved.
+transport; reals are written as ``repr(float(v))`` (shortest round-trip
+form), so a loaded model predicts bit-identically to the model that was saved.
 
 Line order is the grammar: :func:`save_model` writes the lines in the
 order shown, the kind's ``norm`` lines in the order its model takes them
@@ -124,9 +124,9 @@ def save_model(m: ModelArtifact, path) -> None:
              f"kind {m.kind}",
              f"topology {m.topology.n_inputs} {m.topology.n_hidden} {m.topology.n_outputs}",
              f"lag {m.lag}",
-             f"gain {m.gain!r}"]
+             f"gain {float(m.gain)!r}"]
     for name, nz in m.norms.items():
-        lines.append(f"norm {name} {nz.lo!r} {nz.hi!r}")
+        lines.append(f"norm {name} {float(nz.lo)!r} {float(nz.hi)!r}")
     for key, value in m.provenance.items():
         words = str(value).split()
         if str(key).split() != [str(key)] or not words or " ".join(words) != str(value):

@@ -9,6 +9,7 @@ import re
 import shutil
 from datetime import date, datetime, timedelta
 
+import numpy as np
 import pytest
 
 from conftest import quick_config
@@ -435,6 +436,59 @@ class TestOnePassAggregate:
         records = [HalfHourRecord(datetime.fromisoformat(s), 20.0, 0.0) for s in stamps]
         with pytest.raises(OrderingError, match="local dates must not go backwards"):
             daily_aggregate(records, min_coverage=1)
+
+
+class TestMeanOfEqualReadings:
+    """A day of equal readings keeps tmin <= tavg <= tmax: its left-to-right
+    mean can round off them (48 readings of 23.3 give 23.29999999999998), so
+    tavg is bounded by the day's tmin and tmax, on either sum path."""
+
+    @pytest.mark.parametrize("n", [40, 47, 48])
+    @pytest.mark.parametrize("sums", ["Python loop", "sum_days"])
+    def test_every_day_keeps_its_value(self, tmp_path, n, sums):
+        # k / 100 on day k: 868, 894 and 898 of these 999 days rounded off
+        records = [r for k in range(1, 1000)
+                   for r in _day_records(date(2011, 1, 1) + timedelta(days=k), k / 100, n=n)]
+        if sums == "sum_days":
+            if ingest._scanner() is None:
+                pytest.skip("the C station-file scanner did not build")
+            write_half_hourly_csv(tmp_path / "hh.csv", records)
+            records = read_half_hourly_csv(tmp_path / "hh.csv")
+            assert records._columns is not None
+        agg = daily_aggregate(records)
+        assert [(d.tmin, d.tavg, d.tmax) for d in agg.days] == [(k / 100,) * 3
+                                                               for k in range(1, 1000)]
+
+    def test_ingest_writes_the_day(self, tmp_path, capsys):
+        from paddymoist.cli import main
+        station, daily = tmp_path / "hh.csv", tmp_path / "daily.csv"
+        write_half_hourly_csv(station, _day_records(date(2011, 1, 1), 23.3))
+        assert main(["ingest", "--input", str(station), "--output", str(daily)]) == 0
+        assert capsys.readouterr().err == ""
+        assert daily.read_text().splitlines()[1] == "2011-01-01,0,23.3,23.3,23.3,0.0"
+
+
+class TestNumpyScalars:
+    """The writers write a numpy scalar as its float's repr, which reads back."""
+
+    def test_daily_file(self, tmp_path):
+        f = np.float64
+        days = [DailyWeather(0, date(2011, 1, 1), f(30.5), f(25.25), f(20.0), f(0.0)),
+                DailyWeather(1, date(2011, 1, 2), f(31.0), f(26.0), f(21.0), 3)]
+        path = tmp_path / "daily.csv"
+        write_daily_csv(path, days, [f(0.25), None])
+        assert path.read_text().splitlines()[1:] == ["2011-01-01,0,30.5,25.25,20.0,0.0,0.25",
+                                                     "2011-01-02,1,31.0,26.0,21.0,3.0,"]
+        assert read_daily_csv(path) == (days, [0.25, None])
+
+    def test_station_file(self, tmp_path):
+        records = [HalfHourRecord(datetime(2011, 1, 1, 0, 30), np.float64(20.5), np.float64(0.0),
+                                  np.float64(0.5)), HalfHourRecord(datetime(2011, 1, 1, 1), 21, 0)]
+        path = tmp_path / "hh.csv"
+        write_half_hourly_csv(path, records)
+        assert path.read_text().splitlines()[1:] == ["2011-01-01T00:30:00,20.5,0.0,0.5",
+                                                     "2011-01-01T01:00:00,21.0,0.0,"]
+        assert read_half_hourly_csv(path) == records
 
 
 def _compensated_sum(values):
@@ -864,6 +918,29 @@ class TestScanner:
         assert ingest._scan_plain(scan, path) is None
         scanned, python = _both_outcomes(path, monkeypatch)
         assert scanned == python and scanned[0] is OrderingError
+
+    @pytest.mark.parametrize("block", [100, 128, 1 << 16])  # lines of up to 83 bytes
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_digit_runs_at_a_chunks_end(self, scan, monkeypatch, tmp_path, block,
+                                        final_newline):
+        """Runs of 8, 16, 19 and 20 digits, after leading zeros or not, end
+        each line, so each chunk (a block and the rest of its last line): the
+        eight-digit step reads no byte past it, and each value is float()'s."""
+        cells = []
+        for n in (8, 16, 19, 20):
+            run = "".join(str(1 + i % 9) for i in range(n))
+            for zeros in ("", "0", "00000000"):
+                cells += [zeros + run, f"{zeros}{run[:3]}.{run[3:]}", f"{zeros}.{run}",
+                          f"0.{zeros}{run}", f"{zeros}{run}.", f"{zeros}{run}e-7"]
+        stamps = [datetime(2011, 1, 5) + timedelta(minutes=30 * i) for i in range(len(cells))]
+        lines = ["timestamp_iso8601,temp_c,precip_mm"] + [
+            f"{ts.isoformat()},{cell},{cell}" for ts, cell in zip(stamps, cells)]
+        path = tmp_path / "hh.csv"
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        self._check(scan, monkeypatch, path, True)
+        assert [(r.temp, r.precip) for r in read_half_hourly_csv(path)] == [
+            (float(c), float(c)) for c in cells]
 
 
 class TestScannerBuild:

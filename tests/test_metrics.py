@@ -101,9 +101,28 @@ class TestRefusals:
 
     @pytest.mark.parametrize("metric", [r_squared, nash_sutcliffe, rmse])
     def test_sum_that_overflows(self, metric):
-        with pytest.raises(UndefinedMetricError,
-                           match=f"^{metric.__name__}: a sum overflows a double$"):
-            metric(self.OBS, self.EST)
+        """r_squared refuses series whose sums of squared deviations overflow;
+        nash_sutcliffe and rmse scale each difference before squaring it, so
+        they score a finite result (past the largest double, the differences
+        of halves) and refuse only one that is not finite."""
+        if metric is r_squared:
+            with pytest.raises(UndefinedMetricError,
+                               match="^r_squared: a sum overflows a double$"):
+                metric(self.OBS, self.EST)
+            return
+        huge, flipped = [-1.7e308, 1.7e308], [1.7e308, -1.7e308]  # differences overflow
+        if metric is rmse:
+            assert rmse(self.OBS, self.EST) == pytest.approx(math.sqrt(0.15) * 1e308, rel=1e-15)
+            assert rmse(huge + [0.0] * 6, flipped + [0.0] * 6) == 1.7e308
+            with pytest.raises(UndefinedMetricError,
+                               match="^rmse: the result overflows a double$"):
+                rmse(huge, flipped)
+        else:
+            assert nash_sutcliffe(self.OBS, self.EST) == pytest.approx(-19 / 26, rel=1e-15)
+            assert nash_sutcliffe(huge, flipped) == -3.0
+            with pytest.raises(UndefinedMetricError,
+                               match="^nash_sutcliffe: SSE/SST overflows a double$"):
+                nash_sutcliffe([1.0, 2.0], flipped)
 
     @pytest.mark.parametrize("metric", [r_squared, nash_sutcliffe, rmse])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

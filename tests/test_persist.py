@@ -74,6 +74,17 @@ class TestRoundTrip:
         save_model(art, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_numpy_scalars_are_written_as_floats(self, tmp_path):
+        f = np.float64
+        art = replace(et0_artifact(_random_et0_model()), gain=f(0.5),
+                      norms={"temp": Normalizer(f(-5.0), f(55.0)), "et0": Normalizer(0, 12)})
+        path = tmp_path / "et0.model"
+        save_model(art, path)
+        assert path.read_text().splitlines()[4:7] == ["gain 0.5", "norm temp -5.0 55.0",
+                                                      "norm et0 0.0 12.0"]
+        loaded = load_model(path)
+        assert (loaded.gain, loaded.norms) == (art.gain, art.norms)
+
 
 class TestFormatErrors:
 

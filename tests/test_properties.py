@@ -538,6 +538,50 @@ def decimal_texts(draw):
     return draw(st.sampled_from(["", "-", "+"])) + text
 
 
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# named cases: the least subnormal, the least normal and the largest double,
+# signed zeros, powers of two, integers about 2^53, and decimal points 4 and 5
+# places before the first digit, and 16 and 17 after it
+_NAMED_REALS = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0,
+                *(math.ldexp(1.0, k) for k in (-1074, -1060, -1023, -1022, -1, 0, 52, 53, 1023)),
+                *(2.0 ** 53 + k for k in (-2, -1, 0, 2, 4)), -(2.0 ** 53),
+                1e-4, 1.2345e-4, 9.999999999999999e-5, 1e-5, 1.25e-5, -0.000123456789012345,
+                1e15, 9999999999999998.0, 1234567890123456.8, 1e16, 1.2345678901234568e16,
+                12345678901234567.0, 1e17, 1e22, 1e23, 0.1, 1 / 3, 123.456]
+
+
+class TestFormattedReals:
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(0, 2 ** 64 - 1).map(_double).filter(math.isfinite)
+                           | st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k))
+                           | st.integers(1, 2 ** 52 - 1).map(_double)  # subnormals
+                           | st.sampled_from(_NAMED_REALS), min_size=1, max_size=60),
+           dates=st.lists(st.dates(), min_size=1, max_size=12),
+           index=st.integers(-2 ** 63, 2 ** 63 - 1))
+    @example(values=_NAMED_REALS, dates=[date(1, 1, 1), date(9999, 12, 31)], index=-2 ** 63)
+    def test_each_real_is_its_repr(self, values, dates, index):
+        """format_daily writes each finite double as repr does, dates in every
+        year, and any day_index a long holds; five reals a row, the fifth as
+        theta_vwc (NaN for an empty cell)."""
+        c = ingest._scanner()
+        if c is None:
+            pytest.skip("the C station-file scanner did not build")
+        values = values + [0.0] * (-len(values) % 5)
+        rows = [(index + i, dates[i % len(dates)], *values[5 * i:5 * i + 4])
+                for i in range(len(values) // 5) if -2 ** 63 <= index + i < 2 ** 63]
+        theta = [None if i % 3 == 2 else v for i, v in enumerate(values[4::5])][:len(rows)]
+        out = np.empty(len(rows) * ingest._ROW_BYTES, np.uint8)
+        block = ingest._daily_block(c, rows, theta, out)
+        assert isinstance(block, np.ndarray)  # formatted in C, not by the Python lines
+        assert bytes(block).decode().splitlines() == [
+            f"{day.isoformat()},{i}," + ",".join(map(repr, reals)) + ","
+            + ("" if v is None else repr(v)) for (i, day, *reals), v in zip(rows, theta)]
+
+
 class TestScannedNumbers:
 
     @settings(max_examples=800, deadline=None)
@@ -825,17 +869,19 @@ def _ulps(x: float, k: int) -> float:
 
 @st.composite
 def metric_pairs(draw):
-    """Observed and estimated series of 1 to 200 values with |x| <= 1e150 (a
-    nearly constant one may step a few doubles past it): any values, tiny ones
-    (whose squares underflow), nearly constant ones (one value, up to three of
-    them moved a few doubles), or an estimate a few doubles off the
-    observation."""
+    """Observed and estimated series of 1 to 200 values with |x| <= 1e308 (a
+    nearly constant one may step a few doubles past 1e150): any values up to
+    1e150, huge ones up to 1e308 (whose squares, sums and differences may
+    overflow), tiny ones (whose squares underflow), nearly constant ones (one
+    value, up to three of them moved a few doubles), or an estimate a few
+    doubles off the observation."""
     n = draw(st.integers(1, 200))
 
     def series():
-        kind = draw(st.sampled_from(["any", "tiny", "near"]))
-        if kind == "any":
-            return draw(st.lists(_floats(-1e150, 1e150), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(["any", "huge", "tiny", "near"]))
+        if kind in ("any", "huge"):
+            bound = 1e150 if kind == "any" else 1e308
+            return draw(st.lists(_floats(-bound, bound), min_size=n, max_size=n))
         if kind == "tiny":
             scale = draw(st.integers(-560, -480))  # squares normal, subnormal or 0
             return [math.ldexp(v, scale)
@@ -857,13 +903,28 @@ def _scaled(v: float) -> int:
     return p * (2 ** 1074 // q)
 
 
-def _sum_bounds(d, e):
+def _sum_bounds(d, e, scaled=False):
     """Where fsum(fl(d_i) * fl(e_i)) may fall, for exact d and e given as
-    integer multiples of 2^-1074."""
+    integer multiples of 2^-1074; ``scaled``, where each of the d_i = e_i may
+    be scaled by 2^-k before it is squared, k the exponent of the largest (so
+    an underflow costs up to eta max(1, 4^k), k here being at most one more)."""
     total = Fraction(sum(map(operator.mul, d, e)), 2 ** 2148)
+    k = max(0, max(map(abs, d)).bit_length() - 1074 + 1) if scaled else 0
     slack = (_GAMMA * Fraction(sum(abs(x * y) for x, y in zip(d, e)), 2 ** 2148)
-             + (1 + _U) * len(d) * _ETA)
+             + (1 + _U) * len(d) * _ETA * Fraction(4) ** k)
     return total - slack, total + slack
+
+
+def _mean(x) -> float:
+    """The cells' mean of ``x``: fl(fl(sum x) / n) from the exact sum, or
+    where fsum overflows, that of the values scaled by 2^-s, scaled back."""
+    try:
+        math.fsum(x)
+        s = 0
+    except OverflowError:
+        s = math.frexp(max(map(abs, x)))[1] + len(x).bit_length() - 1023
+    total = Fraction(sum(_scaled(math.ldexp(v, -s)) for v in x), 2 ** 1074)
+    return math.ldexp(float(total) / len(x), s)
 
 
 def _grow(lo, hi, rel, absolute=0):
@@ -883,12 +944,14 @@ class TestMetricCells:
         With u = 2^-53 and eta = 2^-1075, a rounded product or quotient is
         z(1 + e) + t with |e| <= u and |t| <= eta (underflow); a rounded
         difference, a correctly rounded sum (fsum) and a sqrt are z(1 + e),
-        exact in the subnormal range.  With |x| <= 1e150 and n <= 200 no
-        product or sum overflows.  Then, step by step:
+        exact in the subnormal range; scaling by a power of two is exact
+        away from underflow.  Then, step by step:
 
-        - the mean of x is m = fl(fl(sum x) / n); it is computed here from the
-          exact sum with the same two roundings (float() of a Fraction rounds
-          correctly), so the deviations d_i = x_i - m are exact rationals.
+        - the mean of x is m = fl(fl(sum x) / n), each x first scaled by 2^-s
+          and m by 2^s where fsum overflows (_mean); it is computed
+          here from the exact sum with the same two roundings (float() of a
+          Fraction rounds correctly), so the deviations d_i = x_i - m are
+          exact rationals.
           They differ from those about the exact mean by delta = m - mean,
           so sum d_i^2 = A + n delta^2 and sum d_i e_i = C + n delta_x
           delta_y, where A and C are the exact cell's sums; that is all the
@@ -897,8 +960,13 @@ class TestMetricCells:
         - the code's sum of products, fsum(fl(d_i) * fl(e_i)), is
           (1 + s) sum(d_i e_i (1 + r_i)(1 + r'_i)(1 + p_i) + t_i), so it is
           within g sum|d_i e_i| + (1 + u) n eta of sum d_i e_i, with
-          g = (1 + u)^4 - 1 (_sum_bounds); the same holds for the sum of
-          squared differences, with d_i = e_i = x_i - y_i exactly;
+          g = (1 + u)^4 - 1 (_sum_bounds).  NSE's SST and both cells' SSE
+          (with d_i = e_i = x_i - y_i exactly) scale each fl(d_i), a
+          difference of halves where one would overflow, by 2^-k into
+          [0.5, 1) before squaring it where their plain sum is not a normal
+          double, so t_i is eta max(1, 4^k) in unscaled units.
+          A sum r^2 refuses as overflowing reached the threshold in a
+          term or a partial sum, so Sxx or Syy reaches it too;
         - r^2 is fl(r * r) with r = fl(Sxy / fl(sqrt(fl(Sxx * Syy)))), the
           power-of-two scaling that keeps the product in range being exact:
           Sxy^2 / (Sxx Syy) times a factor in [((1-u)/(1+u))^3,
@@ -907,7 +975,8 @@ class TestMetricCells:
           in the interval, whose lower end is at most 1 (Cauchy-Schwarz on
           the d_i and e_i);
         - NSE is fl(1 - fl(See / Sxx)), RMSE is fl(sqrt(fl(See / n))), so
-          RMSE^2 is fl(See / n) times a factor in [(1-u)^2, (1+u)^2].
+          RMSE^2 is fl(See / n) times a factor in [(1-u)^2, (1+u)^2], the
+          scalings exact; RMSE refuses only a result past the threshold.
 
         So each cell lies in an interval computed here exactly from the
         exact sums (and each cell's distance from the exact one is at most
@@ -921,15 +990,15 @@ class TestMetricCells:
         n = len(x)
         ix, iy = list(map(_scaled, x)), list(map(_scaled, y))
         # the float means, and their distances from the exact ones
-        mean_x = float(Fraction(sum(ix), 2 ** 1074)) / n
-        mean_y = float(Fraction(sum(iy), 2 ** 1074)) / n
+        mean_x, mean_y = _mean(x), _mean(y)
         delta_x = Fraction(mean_x) - Fraction(sum(ix), n * 2 ** 1074)
         delta_y = Fraction(mean_y) - Fraction(sum(iy), n * 2 ** 1074)
         d = [v - _scaled(mean_x) for v in ix]
         e = [v - _scaled(mean_y) for v in iy]
         diff = list(map(operator.sub, ix, iy))
-        sxx, syy, sxy, see = (_sum_bounds(d, d), _sum_bounds(e, e), _sum_bounds(d, e),
-                              _sum_bounds(diff, diff))
+        sxx, syy, sxy = _sum_bounds(d, d), _sum_bounds(e, e), _sum_bounds(d, e)
+        # nash_sutcliffe's and rmse's sums of scaled squares
+        sst, see = _sum_bounds(d, d, scaled=True), _sum_bounds(diff, diff, scaled=True)
         # the exact cell's sums: about the exact means, sum d_i e_i - n delta_x delta_y
         a_sum = (sxx[0] + sxx[1]) / 2 - n * delta_x ** 2
         b_sum = (syy[0] + syy[1]) / 2 - n * delta_y ** 2
@@ -943,8 +1012,14 @@ class TestMetricCells:
 
         # RMSE: its square against SSE / n
         lo, hi = _grow(see[0] / n, see[1] / n, _U, _ETA)
-        within(Fraction(rmse(x, y)) ** 2, e_sum / n, max(lo, 0) * (1 - _U) ** 2,
-               hi * (1 + _U) ** 2)
+        try:
+            got = rmse(x, y)
+        except UndefinedMetricError as exc:
+            assert str(exc) == "rmse: the result overflows a double"
+            assert hi * (1 + _U) ** 2 >= _OVERFLOW ** 2
+        else:
+            within(Fraction(got) ** 2, e_sum / n, max(lo, 0) * (1 - _U) ** 2,
+                   hi * (1 + _U) ** 2)
         if n < 2:
             return
 
@@ -959,8 +1034,12 @@ class TestMetricCells:
         try:
             got = r_squared(x, y)
         except UndefinedMetricError as exc:
-            assert str(exc) == "r_squared: a sum of squared deviations underflows"
-            assert min(sxx[0], syy[0]) < _LEAST_NORMAL
+            if str(exc) == "r_squared: a sum overflows a double":
+                # a term or partial sum reached the threshold: |d e| <= (d^2 + e^2) / 2
+                assert max(sxx[1], syy[1]) >= _OVERFLOW
+            else:
+                assert str(exc) == "r_squared: a sum of squared deviations underflows"
+                assert min(sxx[0], syy[0]) < _LEAST_NORMAL
         else:
             if y.count(y[0]) == n:
                 assert got == 0.0 and b_sum == 0
@@ -972,11 +1051,11 @@ class TestMetricCells:
                        c_lo ** 2 / (sxx[1] * syy[1]) / slack - _ETA,
                        c_hi ** 2 / (xx_lo * yy_lo) * slack + _ETA)
 
-        q = _grow(max(see[0], 0) / sxx[1], see[1] / xx_lo, _U, _ETA)
+        q = _grow(max(see[0], 0) / sst[1], see[1] / max(sst[0], _LEAST_NORMAL), _U, _ETA)
         try:
             got = nash_sutcliffe(x, y)
         except UndefinedMetricError as exc:
-            assert (str(exc) == "nash_sutcliffe: SST underflows" and sxx[0] < _LEAST_NORMAL
+            assert (str(exc) == "nash_sutcliffe: SST underflows" and sst[0] < _LEAST_NORMAL
                     or str(exc) == "nash_sutcliffe: SSE/SST overflows a double"
                     and q[1] >= _OVERFLOW)
         else:
