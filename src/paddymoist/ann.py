@@ -465,7 +465,7 @@ def _c_source(n: int, h: int, o: int) -> str:
     cols = [*xs, *(f"t{k}" for k in K)]
     temps = [*cols, *(f"{v}{j}" for v in ("s", "h", "back", "dh") for j in H),
              *(f"{v}{k}" for v in ("o", "r", "d") for k in K),
-             "u", "z", "e_p", "d", "ap", "g_new", "sse", "total"]
+             "u", "z", "e_p", *(["d"] if o > 1 else []), "ap", "g_new", "sse", "total"]
     forward_temps = [*xs, *(f"{v}{j}" for v in ("s", "h") for j in H), *(f"o{k}" for k in K)]
     return "\n".join([
         "#include <math.h>",
@@ -818,9 +818,17 @@ def denormalize(u: float, nz: Normalizer) -> float:
     return nz.lo + u * (nz.hi - nz.lo)
 
 
+def ascii_number(text: str, parse=float):
+    """``parse(text)``, or a ValueError where ``text`` holds ``_`` or is not
+    ASCII (``float`` and ``int`` read ``1_0`` as 10, and Arabic-Indic digits)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return parse(text)
+
+
 def finite_float(text: str) -> float:
-    """``float(text)``, or a ValueError when it is not finite."""
-    value = float(text)
+    """``ascii_number(text)``, or a ValueError when it is not finite."""
+    value = ascii_number(text)
     if not math.isfinite(value):
         raise ValueError(f"must be finite, got {text!r}")
     return value

@@ -24,7 +24,7 @@ from datetime import date as Date
 from operator import attrgetter
 from pathlib import Path
 
-from .ann import Normalizer, TrainConfig, finite_float, left_sum
+from .ann import Normalizer, TrainConfig, ascii_number, finite_float, left_sum
 from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError, tagged
 from .evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, Et0Model, SiteLocation,
@@ -128,7 +128,7 @@ def _latitude_text(rad: float) -> str:
 
 # Value kinds: the (parse, format) pair for a value, or for each word of a
 # value that sets several attributes.
-_INT = (int, str)
+_INT = (lambda raw: ascii_number(raw, int), str)
 _FLOAT = (finite_float, repr)
 _TEXT = (str, str)
 _DATE = (Date.fromisoformat, Date.isoformat)

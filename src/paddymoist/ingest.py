@@ -28,10 +28,11 @@ Every fault in a station or daily file (and in :func:`read_columns`' file)
 is a :class:`DataFormatError` naming the file and, in a row, its line, as
 ``<path>: line N: ...``, whichever pass meets it (an
 :class:`OrderingError` for a repeated or earlier timestamp or date), which
-the CLI maps to exit code 4: a missing or wrong header, a
-header that starts with a byte order mark, a byte that is not UTF-8, a
-field longer than ``csv.field_size_limit()``, too few fields, an
-unparseable or non-finite number, a negative precipitation, a
+the CLI maps to exit code 4: a missing or wrong header, a header that
+starts with a byte order mark, a byte that is not UTF-8, a field longer
+than ``csv.field_size_limit()``, too few fields, an unparseable or
+non-finite number (one holding ``_`` or a character that is not ASCII
+does not parse, though ``float()`` reads it), a negative precipitation, a
 ``theta_vwc`` outside [0, 1], and, in a daily file, a day with
 ``tmin <= tavg <= tmax`` broken.  The line is the physical one in the file:
 a record whose quoted field holds a line break is named by its last line.
@@ -97,7 +98,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _cbuild
-from .ann import left_sum
+from .ann import ascii_number, left_sum
 from .errors import DataFormatError, OrderingError, not_utf8, tagged
 from .evapo import DailyWeather
 
@@ -287,10 +288,10 @@ def daily_aggregate(records: "Sequence[HalfHourRecord]",
 
 
 def _parse_cell(text: str, what: str, line_no: int, parse=float):
-    """``parse(text)``, or a DataFormatError naming the line and column; a
-    float must also be finite."""
+    """``ascii_number(text, parse)``, or a DataFormatError naming the line and
+    column; a float must also be finite."""
     try:
-        value = parse(text)
+        value = ascii_number(text, parse)
     except ValueError:
         raise DataFormatError(f"line {line_no}: cannot parse {what} from {text!r}") from None
     if parse is float and not math.isfinite(value):

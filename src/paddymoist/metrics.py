@@ -9,15 +9,14 @@ Every sum is ``math.fsum``, which rounds the exact sum once, whatever the
 order of its terms: a mean is that sum over n, and each sum of products is
 taken over the deviations from such means (or over the differences).  So a
 cell depends neither on the machine nor on the Python version.  A series is
-constant when all its values are equal, as counted, not when its deviations
-from a rounded mean happen to square to 0.  Where a sum would overflow or
-underflow, scaling by a power of two (exact away from underflow) keeps a
-mean's sum below the largest double, and ``nash_sutcliffe`` and ``rmse``
-scale each difference into [0.5, 1) before squaring it.  A cell refuses,
-with :class:`UndefinedMetricError` naming the metric, a value that is not
-finite, a result that is not a finite double, a sum in ``r_squared`` that
-overflows one, and a sum of squared deviations below the least normal double
-(2.2e-308).
+constant when all its values are equal, as counted.  All three cells sum
+their squares through ``_squares``, which scales each deviation by a power
+of two into [0.5, 1) where their sum is not a normal double (as ``_mean``
+scales a mean's values where their sum overflows).  A cell refuses, with
+:class:`UndefinedMetricError` naming the metric: a value that is not finite;
+a constant observed series; in ``r_squared`` and ``nash_sutcliffe``, a sum
+of squared deviations below the least normal double (2^-1022); and
+``nash_sutcliffe``'s SSE/SST, or ``rmse``'s result, past the largest double.
 """
 
 from __future__ import annotations
@@ -47,17 +46,6 @@ def _constant(a: list[float]) -> bool:
     return a.count(a[0]) == len(a)
 
 
-def _sum(metric: str, terms) -> float:
-    """The correctly rounded sum of ``terms``, which must be a finite double."""
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
-        total = math.inf
-    if not math.isfinite(total):  # an infinite term, or inf * 0
-        raise UndefinedMetricError(f"{metric}: a sum overflows a double")
-    return total
-
-
 def _mean(a: list[float]) -> float:
     """fsum(a) / n; where that sum overflows, over the values scaled by 2^-s
     so that it stays below 2^1023, and scaled back."""
@@ -68,23 +56,23 @@ def _mean(a: list[float]) -> float:
         return math.ldexp(math.fsum([math.ldexp(v, -s) for v in a]) / len(a), s)
 
 
-def _squares(a: list[float], b: list[float]) -> tuple[float, int]:
-    """``(s, e)``: the sum of the squares of a_i - b_i is s 4^e.  Where that
-    sum is not a normal double, each difference (of halves, where it would
-    pass the largest double) is scaled by 2^-e into [0.5, 1) before it is
-    squared."""
+def _squares(a: list[float], b: list[float]) -> tuple[list[float], float, int]:
+    """``(d, s, e)``: d_i is (a_i - b_i) 2^-e, and s is the sum of the d_i
+    squared.  e is 0 where that sum is a normal double; otherwise each
+    difference (of halves, where it would pass the largest double) is scaled
+    into [0.5, 1) before it is squared."""
     d = list(map(sub, a, b))
     try:
         s = math.fsum(map(mul, d, d))
     except OverflowError:
         s = math.inf
     if sys.float_info.min <= s < math.inf:
-        return s, 0
+        return d, s, 0
     if half := math.inf in map(abs, d):
         d = [x / 2 - y / 2 for x, y in zip(a, b)]
     e = math.frexp(max(map(abs, d)))[1]
     d = [math.ldexp(v, -e) for v in d]
-    return math.fsum(map(mul, d, d)), e + half
+    return d, math.fsum(map(mul, d, d)), e + half
 
 
 def r_squared(obs, est) -> float:
@@ -94,16 +82,15 @@ def r_squared(obs, est) -> float:
         raise UndefinedMetricError("observed series is constant; correlation undefined")
     if _constant(b):
         return 0.0
-    ma, mb = _mean(a), _mean(b)
-    da, db = [v - ma for v in a], [v - mb for v in b]
-    ssa = _sum("r_squared", map(mul, da, da))
-    ssb = _sum("r_squared", map(mul, db, db))
-    if min(ssa, ssb) < sys.float_info.min:
+    da, ssa, ea = _squares(a, [_mean(a)] * len(a))
+    db, ssb, eb = _squares(b, [_mean(b)] * len(b))
+    if min(math.frexp(ssa)[1] + 2 * ea, math.frexp(ssb)[1] + 2 * eb) <= -1022:
         raise UndefinedMetricError("r_squared: a sum of squared deviations underflows")
     # sab / sqrt(ssa * ssb), each sum scaled by a power of two (exactly) into
-    # [0.5, 2), so that the product neither overflows nor underflows
+    # [0.5, 2), so that the product neither overflows nor underflows (the
+    # scales 2^-ea and 2^-eb that _squares gave da and db cancel in the ratio)
     i, j = math.frexp(ssa)[1] // 2, math.frexp(ssb)[1] // 2
-    r = (math.ldexp(_sum("r_squared", map(mul, da, db)), -i - j)
+    r = (math.ldexp(math.fsum(map(mul, da, db)), -i - j)
          / math.sqrt(math.ldexp(ssa, -2 * i) * math.ldexp(ssb, -2 * j)))
     return min(r * r, 1.0)  # rounding can carry it an ulp or two past 1
 
@@ -113,10 +100,10 @@ def nash_sutcliffe(obs, est) -> float:
     a, b = _paired("nash_sutcliffe", obs, est, 2)
     if _constant(a):
         raise UndefinedMetricError("observed series is constant; SST is zero")
-    sst, i = _squares(a, [_mean(a)] * len(a))
+    _, sst, i = _squares(a, [_mean(a)] * len(a))
     if math.frexp(sst)[1] + 2 * i <= -1022:  # below 2^-1022
         raise UndefinedMetricError("nash_sutcliffe: SST underflows")
-    sse, j = _squares(a, b)
+    _, sse, j = _squares(a, b)
     ratio = sse / sst
     if ratio == math.inf or math.frexp(ratio)[1] + 2 * (j - i) > 1024:  # or once scaled back
         raise UndefinedMetricError("nash_sutcliffe: SSE/SST overflows a double")
@@ -126,7 +113,7 @@ def nash_sutcliffe(obs, est) -> float:
 def rmse(obs, est) -> float:
     """Root mean squared difference between the two series."""
     a, b = _paired("rmse", obs, est, 1)
-    sse, e = _squares(a, b)
+    _, sse, e = _squares(a, b)
     try:
         return math.ldexp(math.sqrt(sse / len(a)), e)
     except OverflowError:

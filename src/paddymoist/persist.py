@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .ann import Mlp, MlpTopology, Normalizer, finite_float
+from .ann import Mlp, MlpTopology, Normalizer, ascii_number, finite_float
 from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError, not_utf8, tagged
 from .evapo import Et0Model
 from .moisture import MoistureModel, MoistureNormalizers
@@ -47,6 +48,7 @@ FORMAT_VERSION = 1
 # Each kind's normalizers, in the order its model takes them and its
 # artifact writes them.
 _NORM_KEYS = {"et0": ("temp", "et0"), "moisture": ("et0", "precip", "kc", "theta")}
+_int = partial(ascii_number, parse=int)  # the version, topology and lag
 
 
 @dataclass
@@ -178,7 +180,7 @@ def _take(raw: list, i: int, head: str, n_values: int, convert=finite_float, mak
 
 def _parse(raw: list) -> ModelArtifact:
     """The artifact in ``raw``'s lines, read in the order :func:`save_model` writes them."""
-    version, = _take(raw, 0, FORMAT_NAME, 1, int)
+    version, = _take(raw, 0, FORMAT_NAME, 1, _int)
     if version != FORMAT_VERSION:
         raise ArtifactVersionError(
             f"unsupported artifact version {version}; this build reads version "
@@ -187,8 +189,8 @@ def _parse(raw: list) -> ModelArtifact:
     kind, = _take(raw, 1, "kind", 1, str)
     if kind not in _NORM_KEYS:
         _fail(2, f"unknown kind {kind!r}, expected one of {list(_NORM_KEYS)}")
-    topo = _take(raw, 2, "topology", 3, int, MlpTopology)
-    lag, = _take(raw, 3, "lag", 1, int)
+    topo = _take(raw, 2, "topology", 3, _int, MlpTopology)
+    lag, = _take(raw, 3, "lag", 1, _int)
     gain, = _take(raw, 4, "gain", 1, _gain)
     norms = {key: _take(raw, 5 + j, f"norm {key}", 2, make=Normalizer)
              for j, key in enumerate(_NORM_KEYS[kind])}

@@ -1122,3 +1122,19 @@ def test_import_needs_no_ctypes(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "training runs the Python loop" in done.stderr
+
+
+class TestRefusedArguments:
+
+    def test_pattern_vector_that_is_not_one_dimensional(self):
+        with pytest.raises(DimensionError, match="^pattern input must be one-dimensional$"):
+            Pattern([[0.1, 0.2, 0.3]], [0.5])
+
+    def test_zero_init_half_width(self):
+        with pytest.raises(ValueError, match="^init_half_width must be > 0$"):
+            TrainConfig(seed=0, init_half_width=0.0)
+
+    def test_negative_learning_rate(self):
+        net = Mlp.zeros(MlpTopology(3, 8, 1))
+        with pytest.raises(ValueError, match="^learning rate must be >= 0, got -0.1$"):
+            backprop_step(net, Pattern([0.1, 0.2, 0.3], [0.5]), -0.1)

@@ -8,6 +8,7 @@ import logging
 import math
 import re
 import shutil
+import subprocess
 import sys
 from array import array
 from datetime import date
@@ -41,6 +42,22 @@ def cache_dir(tmp_path, monkeypatch):
     """An empty cache directory in place of the user's."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     return tmp_path / "xdg" / "paddymoist"
+
+
+@needs_cc
+@pytest.mark.parametrize("source", [
+    lambda: ann._c_source(3, 8, 1), lambda: ann._c_source(4, 8, 1),
+    lambda: ann._c_source(4, 8, 3), lambda: hydro._C_SOURCE,
+    lambda: ingest._SCAN_SOURCE.replace("@POW5@", ingest._powers_of_five())
+    .replace("@RYU@", ingest._ryu_tables()),
+], ids=["ann-3-8-1", "ann-4-8-1", "ann-4-8-3", "hydro", "ingest"])
+def test_generated_c_compiles_without_a_warning(tmp_path, source):
+    """Each C source the package builds, under its flags, with every warning
+    of -Wall -Wextra an error."""
+    done = subprocess.run(["cc", *_cbuild.CFLAGS, "-c", "-Wall", "-Wextra", "-Werror",
+                           "-x", "c", "-", "-o", str(tmp_path / "probe.o")],
+                          input=source(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @needs_cc

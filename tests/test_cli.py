@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import quick_config
-from paddymoist import ann
+from paddymoist import ann, cli
 from paddymoist.cli import main
 from paddymoist.experiment import format_config
 from paddymoist.ingest import read_daily_csv
-from paddymoist.metrics import nash_sutcliffe, rmse
+from paddymoist.metrics import nash_sutcliffe, r_squared, rmse
 from paddymoist.persist import load_model
 
 
@@ -364,7 +364,9 @@ class TestEvaluateInput:
         ("inf,0.3", "line 3: observed_theta_vwc must be finite, got 'inf'"),
         ("0.3,", "line 3: cannot parse estimated_theta_vwc from ''"),
         ("0.3", "line 3: cannot parse estimated_theta_vwc from ''"),
-    ], ids=["nan", "inf", "blank", "short-row"])
+        ("6_0,0.3", "line 3: cannot parse observed_theta_vwc from '6_0'"),
+        ("0.3,٠.٣", "line 3: cannot parse estimated_theta_vwc from '٠.٣'"),
+    ], ids=["nan", "inf", "blank", "short-row", "underscore", "non-ascii"])
     def test_bad_cell_is_data_error(self, tmp_path, capsys, row, message):
         path = tmp_path / "est.csv"
         path.write_text("observed_theta_vwc,estimated_theta_vwc\n0.4,0.41\n"
@@ -396,16 +398,28 @@ class TestEvaluateInput:
                      "--est-col", "observed_theta_vwc"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "r_squared 0.0"
 
-    def test_sum_that_overflows_is_a_value_error(self, tmp_path, capsys):
-        """Finite cells whose sums overflow a double exit 3, where numpy
-        printed nan and exited 0."""
+    def test_sum_that_overflows_is_scored(self, tmp_path, capsys):
+        """Finite cells whose sums of squares overflow a double are scored
+        from scaled deviations, where numpy printed nan."""
         path = tmp_path / "est.csv"
         path.write_text("observed_theta_vwc,estimated_theta_vwc\n1e308,1e308\n"
                         "1.5e308,1.2e308\n1.7e308,1.1e308\n", encoding="utf-8")
+        assert main(["evaluate", "--file", str(path)]) == 0
+        obs, est = [1e308, 1.5e308, 1.7e308], [1e308, 1.2e308, 1.1e308]
+        assert capsys.readouterr().out.splitlines() == [
+            "n 3", f"r_squared {r_squared(obs, est)!r}",
+            f"nash_sutcliffe {nash_sutcliffe(obs, est)!r}", f"rmse {rmse(obs, est)!r}"]
+
+    def test_result_that_overflows_is_a_value_error(self, tmp_path, capsys):
+        """A cell whose result passes the largest double exits 3, where numpy
+        printed nan and exited 0, and prints nothing before it refuses."""
+        path = tmp_path / "est.csv"
+        path.write_text("observed_theta_vwc,estimated_theta_vwc\n-1.7e308,1.7e308\n"
+                        "1.7e308,-1.7e308\n", encoding="utf-8")
         assert main(["evaluate", "--file", str(path)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: r_squared: a sum overflows a double\n"
+        assert captured.err == "error: rmse: the result overflows a double\n"
 
     def test_columns_read_in_any_order(self, tmp_path, capsys):
         path = tmp_path / "est.csv"
@@ -906,3 +920,25 @@ class TestDataFlag:
         assert capsys.readouterr().err == (f"error: {which}: {path}: no theta_vwc on {day}; "
                                            f"{use} needs it on every day\n")
         assert not out.exists()
+
+
+class TestUncoveredRefusals:
+
+    def test_train_et0_on_a_file_that_holds_only_a_header(self, tmp_path, quick_config_path,
+                                                         capsys):
+        path = tmp_path / "daily.csv"
+        path.write_text("date,day_index,tmax_c,tavg_c,tmin_c,precip_mm\n", encoding="utf-8")
+        assert main(["train-et0", "--config", quick_config_path, "--data", str(path),
+                     "--out", str(tmp_path / "et0.model")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: period1: {path} holds no days\n"
+
+    def test_unexpected_exception_in_a_verb(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise RuntimeError("something broke")
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert main(["run", "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: something broke\n"

@@ -262,3 +262,9 @@ class TestCrossPeriodProtocol:
     def test_predictions_inside_bounds(self, default_report):
         for period in (default_report.period1, default_report.period2):
             assert all(0.0 <= v <= 10.0 for v in period.et0_pred)
+
+
+def test_et0_model_refuses_a_net_that_is_not_3_n_1():
+    with pytest.raises(ValueError, match=r"^ET0 surrogate must be 3-n-1, got MlpTopology\("
+                                         r"n_inputs=4, n_hidden=8, n_outputs=1\)$"):
+        Et0Model(Mlp.zeros(MlpTopology(4, 8, 1)))

@@ -154,6 +154,17 @@ class TestConfigDocument:
         with pytest.raises(DataFormatError, match=f"^{key}: must be finite"):
             parse_config(f"{key} = {text.format(value)}\n")
 
+    @pytest.mark.parametrize("key, text, bad", [
+        ("train.et0.epochs", "1_0", "1_0"), ("field.percolation_mm_day", "٣", "٣"),
+        ("normalizer.temp_c", "0 5_0", "5_0"), ("period1.seed", "\u0661", "\u0661"),
+    ])
+    def test_number_float_reads_but_the_schema_does_not(self, key, text, bad):
+        """float() and int() read a '_' between digits and other scripts'
+        digits; a config number is plain ASCII, as format_config writes it."""
+        with pytest.raises(DataFormatError) as exc:
+            parse_config(f"{key} = {text}\n")
+        assert str(exc.value) == f"{key}: not a plain ASCII number: {bad!r}"
+
     def test_data_path_the_echo_cannot_carry_rejected(self):
         cfg = default_config()
         for path in ("data/field#2.csv", "data/a\nb.csv", "data/a\rb.csv",
@@ -772,3 +783,27 @@ class TestSynthOutput:
         csv_cfg = replace(cfg, period1=replace(cfg.period1, source="csv"))
         a, b = write_synth_periods(cfg, tmp_path / "a"), write_synth_periods(csv_cfg, tmp_path / "b")
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+
+
+class TestUncoveredRefusals:
+
+    def test_two_word_key_given_one_word(self):
+        with pytest.raises(DataFormatError) as exc:
+            parse_config("normalizer.temp_c = 0\n")
+        assert str(exc.value) == "normalizer.temp_c: expected 2 values, got '0'"
+
+    def test_csv_period_whose_file_holds_only_a_header(self, tmp_path):
+        path = tmp_path / "period1.csv"
+        path.write_text("date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc\n",
+                        encoding="utf-8")
+        cfg = default_config()
+        spec = replace(cfg.period1, source="csv", data_path=str(path))
+        with pytest.raises(DataFormatError) as exc:
+            load_period(cfg, spec, "period1")
+        assert str(exc.value) == f"period1: {path} holds no days"
+
+    def test_csv_period_with_no_data_path(self):
+        cfg = default_config()
+        with pytest.raises(DataFormatError) as exc:
+            load_period(cfg, replace(cfg.period1, source="csv"), "period1")
+        assert str(exc.value) == "period1: source is csv but no data path was given"

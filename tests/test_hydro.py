@@ -4,6 +4,7 @@ import ast
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -519,3 +520,20 @@ def test_hydro_imports_nothing_from_moisture():
             imported += [alias.name for alias in node.names]
     assert imported
     assert not [name for name in imported if "moisture" in name.split(".")]
+
+
+class TestRefusedArguments:
+
+    def test_negative_percolation_rate(self):
+        with pytest.raises(ValueError, match="^perc_rate must be >= 0, got -1.0$"):
+            FieldParams(perc_rate=-1.0)
+
+    @pytest.mark.parametrize("event", [(3,), (3, -1.0), (3, 1.0, 2.0)])
+    def test_malformed_irrigation_event(self, event):
+        with pytest.raises(ValueError, match=re.escape(
+                f"irrigation events must be (day_index, mm >= 0), got {event}")):
+            FieldParams(irrigation=(event,))
+
+    def test_empty_weather(self):
+        with pytest.raises(ValueError, match="^weather series is empty$"):
+            generate_truth([], SiteLocation(), SEASON_KC, FieldParams())

@@ -15,7 +15,7 @@ import pytest
 from conftest import quick_config
 from paddymoist import ingest, run_experiment
 from paddymoist.ann import left_sum
-from paddymoist.errors import DataFormatError, OrderingError
+from paddymoist.errors import DataFormatError, OrderingError, not_utf8
 from paddymoist.evapo import DailyWeather
 from paddymoist.ingest import (DailyAggregation, DayGap, HalfHourRecord, HalfHourRecords,
                                check_consecutive, daily_aggregate, read_columns, read_daily_csv,
@@ -553,6 +553,13 @@ class TestBoundaryErrors:
          "line 3: expected at least 3 fields, got 2"),
         ("05/01/2011 00:30,20.0,0.0,0.4", DataFormatError,
          "line 3: cannot parse timestamp from '05/01/2011 00:30'"),
+        # float() reads these, the C scanner's grammar does not
+        ("2011-01-05T00:30:00,2_3.5,0.0,0.4", DataFormatError,
+         "line 3: cannot parse temp_c from '2_3.5'"),
+        ("2011-01-05T00:30:00,٣٠,0.0,0.4", DataFormatError,
+         "line 3: cannot parse temp_c from '٣٠'"),
+        ("2011-01-05T00:30:00,20.0,0.0,0.4\u00a0", DataFormatError,
+         "line 3: cannot parse theta_vwc from '0.4\\xa0'"),
         # several faults: the leftmost is named
         ("2011-01-05T00:30:00,oops,0.0,7.5", DataFormatError,
          "line 3: cannot parse temp_c from 'oops'"),
@@ -600,6 +607,11 @@ class TestBoundaryErrors:
         ("06/01/2011,1,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse date from '06/01/2011'"),
         ("2011-01-06,one,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse day_index from 'one'"),
         ("2011-01-06,1.0,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse day_index from '1.0'"),
+        # int() and float() read these, the C scanner's grammar does not
+        ("2011-01-06,1_0,30.0,25.0,19.0,0.0,0.4", "line 3: cannot parse day_index from '1_0'"),
+        ("2011-01-06,1,3_0.5,25.0,19.0,0.0,0.4", "line 3: cannot parse tmax_c from '3_0.5'"),
+        ("2011-01-06,1,30.0,25.0,١٩,0.0,0.4", "line 3: cannot parse tmin_c from '١٩'"),
+        ("2011-01-06,1,30.0,25.0,19.0,1_0,0.4", "line 3: cannot parse precip_mm from '1_0'"),
     ])
     def test_daily_row_that_does_not_parse(self, tmp_path, row, message):
         path = _write(tmp_path / "daily.csv", [
@@ -814,8 +826,8 @@ class TestScanner:
     @pytest.mark.parametrize("row", [
         "2011-01-05T00:30:00,1e400,0.0,0.4",  # overflows: Python names it
         "2011-01-05T00:30:00,20.0,1e400,0.4",
-        "2011-01-05T00:30:00,1_0,0.0,0.4",  # Python reads these three
-        "2011-01-05T00:30:00, 1.5,0.0,0.4",
+        "2011-01-05T00:30:00,1_0,0.0,0.4",
+        "2011-01-05T00:30:00, 1.5,0.0,0.4",  # Python reads these two
         "2011-01-05T00:30:00,20.0 ,0.0,0.4",
         "2011-01-05T00:30:00,nan,0.0,0.4",
         "2011-01-05T00:30:00,20.0,inf,0.4",
@@ -1031,3 +1043,22 @@ class TestDailyBytes:
         assert new.read_bytes() == old.read_bytes()
         digest = hashlib.sha256(new.read_bytes()).hexdigest()
         assert digest == self.PINNED[seed, theta == "aggregated"]
+
+
+class TestUncoveredRefusals:
+
+    def test_read_columns_of_an_empty_file(self, tmp_path):
+        path = tmp_path / "est.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataFormatError) as exc:
+            read_columns(path, ("observed_theta_vwc",))
+        assert str(exc.value) == f"{path}: empty file"
+
+    def test_repr_of_half_hour_records(self):
+        record = HalfHourRecord(datetime(2011, 1, 5), 20.5, 0.0, None)
+        assert repr(HalfHourRecords([record])) == f"HalfHourRecords([{record!r}])"
+
+    def test_not_utf8_on_a_file_that_decodes(self, tmp_path):
+        """The message for a file that changed between its failed read and this look."""
+        path = _write(tmp_path / "hh.csv", ["timestamp_iso8601,temp_c,precip_mm"])
+        assert not_utf8(path) == "not UTF-8"

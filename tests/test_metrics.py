@@ -101,17 +101,15 @@ class TestRefusals:
 
     @pytest.mark.parametrize("metric", [r_squared, nash_sutcliffe, rmse])
     def test_sum_that_overflows(self, metric):
-        """r_squared refuses series whose sums of squared deviations overflow;
-        nash_sutcliffe and rmse scale each difference before squaring it, so
-        they score a finite result (past the largest double, the differences
-        of halves) and refuse only one that is not finite."""
-        if metric is r_squared:
-            with pytest.raises(UndefinedMetricError,
-                               match="^r_squared: a sum overflows a double$"):
-                metric(self.OBS, self.EST)
-            return
+        """Every cell scales each deviation or difference before squaring it
+        where the sum of squares overflows, so it scores a finite result
+        (past the largest double, the differences of halves) and refuses only
+        one that is not finite."""
         huge, flipped = [-1.7e308, 1.7e308], [1.7e308, -1.7e308]  # differences overflow
-        if metric is rmse:
+        if metric is r_squared:
+            assert r_squared(self.OBS, self.EST) == pytest.approx(25 / 52, rel=1e-15)
+            assert r_squared(huge, flipped) == 1.0
+        elif metric is rmse:
             assert rmse(self.OBS, self.EST) == pytest.approx(math.sqrt(0.15) * 1e308, rel=1e-15)
             assert rmse(huge + [0.0] * 6, flipped + [0.0] * 6) == 1.7e308
             with pytest.raises(UndefinedMetricError,
@@ -210,3 +208,11 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             rmse([1.0], [1.0, 2.0])
+
+
+def test_squares_whose_sum_alone_overflows():
+    """Each square of 1.3e154 is finite, their sum is not: the differences
+    are scaled before they are squared, and the root scaled back."""
+    assert (1.3e154 * 1.3e154) * 2 == math.inf
+    assert rmse([1.3e154] * 2, [0.0] * 2) == 1.3e154
+    assert nash_sutcliffe([1.3e154, -1.3e154], [0.0, 0.0]) == 0.0

@@ -367,3 +367,16 @@ class TestCrossPeriodProtocol:
     def test_estimates_inside_theta_bounds(self, default_report):
         for period in (default_report.period1, default_report.period2):
             assert all(0.0 <= v <= 1.0 for v in period.theta_est)
+
+
+class TestRefusedModels:
+
+    def test_lag_below_one(self):
+        with pytest.raises(ValueError, match="^lag must be >= 1, got 0$"):
+            MoistureModel(Mlp.zeros(MlpTopology(3, 8, 1)), lag=0)
+
+    def test_net_inputs_other_than_three_plus_lag(self):
+        with pytest.raises(ValueError, match=r"^moisture net must be \(5\)-n-1 for lag 2, got "
+                                             r"MlpTopology\(n_inputs=4, n_hidden=8, "
+                                             r"n_outputs=1\)$"):
+            MoistureModel(Mlp.zeros(MlpTopology(4, 8, 1)), lag=2)

@@ -251,6 +251,13 @@ class TestLineOrderGrammar:
         (7, "norm et0 0.0 inf", "cannot parse 'norm et0 0.0 inf': must be finite, got 'inf'"),
         (6, "norm temp -inf 50.0",
          "cannot parse 'norm temp -inf 50.0': must be finite, got '-inf'"),
+        # int() and float() read these, which save_model never writes
+        (1, "paddymoist-model ١",
+         "cannot parse 'paddymoist-model ١': not a plain ASCII number: '١'"),
+        (3, "topology 4 8_0 1", "cannot parse 'topology 4 8_0 1': not a plain ASCII number: '8_0'"),
+        (5, "gain 0.1_5", "cannot parse 'gain 0.1_5': not a plain ASCII number: '0.1_5'"),
+        (6, "norm temp -1_0.0 50.0",
+         "cannot parse 'norm temp -1_0.0 50.0': not a plain ASCII number: '-1_0.0'"),
     ])
     def test_non_finite_or_out_of_range_header_value(self, tmp_path, line_no, text, message):
         path, lines = _et0_lines(tmp_path)

@@ -437,14 +437,14 @@ def _number(values):
 
 @st.composite
 def station_texts(draw):
-    """The text of a station file: mostly well-formed, with CRLF endings,
-    blank lines, extra columns, missing or empty theta and no final newline,
-    and in most files one kind of odd row: a timestamp that is not plain,
-    numbers of ``_ODD_NUMBERS``, a negative precipitation, a theta outside
-    [0, 1], a repeated, earlier or offset timestamp, or a quoted or non-ASCII
-    cell, a quote running on to the next line too."""
+    """The text of a station file: mostly well-formed, with blank lines,
+    extra columns, missing or empty theta and no final newline, and in most
+    files one kind of fault: a timestamp that is not plain, numbers of
+    ``_ODD_NUMBERS``, a negative precipitation, a theta outside [0, 1], a
+    repeated, earlier or offset timestamp, a quoted or non-ASCII cell, a
+    quote running on to the next line too, or CRLF line ends."""
     odd = draw(st.sampled_from([None, None, "stamp", "number", "precip", "theta", "order",
-                                "quote"]))
+                                "quote", "crlf"]))
     theta = odd == "theta" or draw(st.booleans())
     header = ["timestamp_iso8601", "temp_c", "precip_mm"] + (["theta_vwc"] if theta else [])
     extra = draw(st.sampled_from([0, 0, 1, 2]))
@@ -466,7 +466,8 @@ def station_texts(draw):
         cells = [draw(st.sampled_from(texts)), draw(number(_floats(-60.0, 60.0))),
                  draw(number(_floats(-1.0, 0.0) if wild == "precip" else _floats(0.0, None)))]
         reading = draw(number(_floats(-0.5, 1.5) if wild == "theta" else _floats(0.0, 1.0)))
-        if wild == "theta" or draw(st.integers(0, 3)):
+        # a row leaves its theta cell out only where no extra cell would take its place
+        if wild == "theta" or extra or draw(st.integers(0, 3)):
             cells.append(reading if wild == "theta" or draw(st.integers(0, 5)) else "")
         cells += draw(st.lists(st.sampled_from(["x", "", "a b"]), max_size=extra))
         if wild == "quote":
@@ -474,11 +475,27 @@ def station_texts(draw):
         lines.append(",".join(cells))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
-    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    end = "\r\n" if odd == "crlf" else "\n"
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+def _read_once_lf(text, columns):
+    """Whether the C scanner reads ``text``, a file drawn with CRLF line ends
+    and so with no other fault, once its line ends are LF."""
+    if ingest._scanner() is None:
+        pytest.skip("the C station-file scanner did not build")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plain.csv"
+        path.write_bytes(text.replace("\r\n", "\n").encode("utf-8"))
+        return ingest._scan_plain(ingest._scanner(), path, columns) is not None
+
+
 class TestStationScanner:
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=station_texts())
+    def test_crlf_is_the_only_fault_of_its_file(self, text):
+        assert "\r\n" not in text or _read_once_lf(text, ingest._HALF_HOURLY_COLUMNS)
 
     @settings(max_examples=400, deadline=None)
     @given(text=station_texts(), block=st.sampled_from([128, 1 << 18]))
@@ -667,14 +684,14 @@ class TestDaySums:
 
 @st.composite
 def daily_texts(draw):
-    """The text of a daily file: mostly well-formed, with CRLF endings, blank
-    lines, extra columns, missing or blank theta and no final newline, and in
-    most files one kind of odd row: a date or day index that is not plain,
-    temperatures of ``_ODD_NUMBERS`` or out of order, a negative
-    precipitation, a theta outside [0, 1], a repeated or earlier date, or a
-    quoted cell, one running on to the next line too."""
+    """The text of a daily file: mostly well-formed, with blank lines, extra
+    columns, missing or blank theta and no final newline, and in most files
+    one kind of fault: a date or day index that is not plain, temperatures
+    of ``_ODD_NUMBERS`` or out of order, a negative precipitation, a theta
+    outside [0, 1], a repeated or earlier date, a quoted cell, one running
+    on to the next line too, or CRLF line ends."""
     odd = draw(st.sampled_from([None, None, "date", "index", "number", "temps", "precip",
-                                "theta", "order", "quote"]))
+                                "theta", "order", "quote", "crlf"]))
     theta = odd == "theta" or draw(st.booleans())
     header = list(ingest._DAILY_COLUMNS) + (["theta_vwc"] if theta else [])
     extra = draw(st.sampled_from([0, 0, 1, 2]))
@@ -692,14 +709,17 @@ def daily_texts(draw):
                      day.isoformat() + " ", f"{day.year:04d}-{day.month}-{day.day:02d}"]
         if wild == "index":
             indices = ["9" * 19, "1" * 30, "1_0", f" {k}", "", "x", "+", "0x1"]
-        temps = sorted(draw(_floats(-60.0, 60.0)) for _ in range(3))[::-1]
+        temps = [draw((_number if wild == "number" else _written)(st.just(v)))
+                 for v in sorted((draw(_floats(-60.0, 60.0)) for _ in range(3)), reverse=True)]
+        if wild != "number":  # a value written to fewer digits may pass its neighbour
+            temps.sort(key=float, reverse=True)
         if wild == "temps":
             temps = draw(st.permutations(temps))
-        cells = [draw(st.sampled_from(texts)), draw(st.sampled_from(indices)),
-                 *(draw((_number if wild == "number" else _written)(st.just(v))) for v in temps),
+        cells = [draw(st.sampled_from(texts)), draw(st.sampled_from(indices)), *temps,
                  draw(_written(_floats(-1.0 if wild == "precip" else 0.0, None)))]
         reading = draw(_written(_floats(-0.5, 1.5) if wild == "theta" else _floats(0.0, 1.0)))
-        if wild == "theta" or draw(st.integers(0, 3)):
+        # a row leaves its theta cell out only where no extra cell would take its place
+        if wild == "theta" or extra or draw(st.integers(0, 3)):
             cells.append(reading if wild == "theta" or draw(st.integers(0, 5)) else "")
         cells += draw(st.lists(st.sampled_from(["x", "", "a b"]), max_size=extra))
         if wild == "quote":
@@ -707,13 +727,18 @@ def daily_texts(draw):
         lines.append(",".join(cells))
         if draw(st.integers(0, 9)) == 0:
             lines.append("")
-    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    end = "\r\n" if odd == "crlf" else "\n"
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
 class TestDailyScanner:
 
     HEADER = "date,day_index,tmax_c,tavg_c,tmin_c,precip_mm,theta_vwc,note\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=daily_texts())
+    def test_crlf_is_the_only_fault_of_its_file(self, text):
+        assert "\r\n" not in text or _read_once_lf(text, ingest._DAILY_COLUMNS)
 
     @settings(max_examples=400, deadline=None)
     @given(text=daily_texts(), block=st.sampled_from([128, 1 << 18]))
@@ -903,15 +928,16 @@ def _scaled(v: float) -> int:
     return p * (2 ** 1074 // q)
 
 
-def _sum_bounds(d, e, scaled=False):
+def _sum_bounds(d, e):
     """Where fsum(fl(d_i) * fl(e_i)) may fall, for exact d and e given as
-    integer multiples of 2^-1074; ``scaled``, where each of the d_i = e_i may
-    be scaled by 2^-k before it is squared, k the exponent of the largest (so
-    an underflow costs up to eta max(1, 4^k), k here being at most one more)."""
+    integer multiples of 2^-1074, where each of the d_i may be scaled by 2^-j
+    and each of the e_i by 2^-k before they are multiplied, j and k the
+    exponents of the largest (so an underflow costs up to eta 2^(max(0, j) +
+    max(0, k)), j and k here being at most one more)."""
     total = Fraction(sum(map(operator.mul, d, e)), 2 ** 2148)
-    k = max(0, max(map(abs, d)).bit_length() - 1074 + 1) if scaled else 0
+    k = sum(max(0, max(map(abs, v)).bit_length() - 1074 + 1) for v in (d, e))
     slack = (_GAMMA * Fraction(sum(abs(x * y) for x, y in zip(d, e)), 2 ** 2148)
-             + (1 + _U) * len(d) * _ETA * Fraction(4) ** k)
+             + (1 + _U) * len(d) * _ETA * Fraction(2) ** k)
     return total - slack, total + slack
 
 
@@ -960,13 +986,13 @@ class TestMetricCells:
         - the code's sum of products, fsum(fl(d_i) * fl(e_i)), is
           (1 + s) sum(d_i e_i (1 + r_i)(1 + r'_i)(1 + p_i) + t_i), so it is
           within g sum|d_i e_i| + (1 + u) n eta of sum d_i e_i, with
-          g = (1 + u)^4 - 1 (_sum_bounds).  NSE's SST and both cells' SSE
-          (with d_i = e_i = x_i - y_i exactly) scale each fl(d_i), a
-          difference of halves where one would overflow, by 2^-k into
-          [0.5, 1) before squaring it where their plain sum is not a normal
-          double, so t_i is eta max(1, 4^k) in unscaled units.
-          A sum r^2 refuses as overflowing reached the threshold in a
-          term or a partial sum, so Sxx or Syy reaches it too;
+          g = (1 + u)^4 - 1 (_sum_bounds).  Every sum of squares (r^2's Sxx
+          and Syy, NSE's SST, and both cells' SSE, with d_i = e_i = x_i - y_i
+          exactly) scales each fl(d_i), a difference of halves where one
+          would overflow, by 2^-k into [0.5, 1) before squaring it where its
+          plain sum is not a normal double, so t_i is eta max(1, 4^k) in
+          unscaled units; r^2's Sxy multiplies the deviations so scaled, so
+          its t_i is eta 2^(max(0, j) + max(0, k));
         - r^2 is fl(r * r) with r = fl(Sxy / fl(sqrt(fl(Sxx * Syy)))), the
           power-of-two scaling that keeps the product in range being exact:
           Sxy^2 / (Sxx Syy) times a factor in [((1-u)/(1+u))^3,
@@ -996,9 +1022,9 @@ class TestMetricCells:
         d = [v - _scaled(mean_x) for v in ix]
         e = [v - _scaled(mean_y) for v in iy]
         diff = list(map(operator.sub, ix, iy))
+        # every cell's sums, of squares or products, each possibly scaled
         sxx, syy, sxy = _sum_bounds(d, d), _sum_bounds(e, e), _sum_bounds(d, e)
-        # nash_sutcliffe's and rmse's sums of scaled squares
-        sst, see = _sum_bounds(d, d, scaled=True), _sum_bounds(diff, diff, scaled=True)
+        sst, see = sxx, _sum_bounds(diff, diff)
         # the exact cell's sums: about the exact means, sum d_i e_i - n delta_x delta_y
         a_sum = (sxx[0] + sxx[1]) / 2 - n * delta_x ** 2
         b_sum = (syy[0] + syy[1]) / 2 - n * delta_y ** 2
@@ -1034,12 +1060,8 @@ class TestMetricCells:
         try:
             got = r_squared(x, y)
         except UndefinedMetricError as exc:
-            if str(exc) == "r_squared: a sum overflows a double":
-                # a term or partial sum reached the threshold: |d e| <= (d^2 + e^2) / 2
-                assert max(sxx[1], syy[1]) >= _OVERFLOW
-            else:
-                assert str(exc) == "r_squared: a sum of squared deviations underflows"
-                assert min(sxx[0], syy[0]) < _LEAST_NORMAL
+            assert str(exc) == "r_squared: a sum of squared deviations underflows"
+            assert min(sxx[0], syy[0]) < _LEAST_NORMAL
         else:
             if y.count(y[0]) == n:
                 assert got == 0.0 and b_sum == 0
