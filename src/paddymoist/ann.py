@@ -771,23 +771,11 @@ def train(net: Mlp, patterns: "list[Pattern]", cfg: TrainConfig,
 def _train_rows(t: MlpTopology, rows: list, cfg: TrainConfig,
                 trace: "list[GainTrace] | None" = None) -> tuple[Mlp, list[float]]:
     """:func:`train` of a ``t`` network on one ``(*input, *target)`` row per
-    pattern, each value normalized, without building a :class:`Pattern`.
-
-    A row is checked as ``Pattern`` checks its vectors, with the same errors,
-    and its length against ``t``.
-    """
+    pattern, without building a :class:`Pattern`.  No row is checked again:
+    :func:`normalize_row` built it, one value in [0, 1] per normalizer, or
+    :func:`train` from a pattern that checked its values and whose shape it checked."""
     if not rows:
         raise ValueError("cannot train on an empty pattern set")
-    n, width = t.n_inputs, t.n_inputs + t.n_outputs
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DimensionError(f"pattern {i} holds {len(row)} value(s), not "
-                                 f"{n} in + {t.n_outputs} out")
-        for v in row:
-            # written so that NaN, whose comparisons are all False, fails too
-            if not 0.0 <= v <= 1.0:
-                name = "target" if all(0.0 <= u <= 1.0 for u in row[:n]) else "input"
-                raise ValueError(f"pattern {name} components must be finite and lie in [0, 1]")
     init = Mlp.random(t, np.random.default_rng(cfg.seed), cfg.init_half_width)
     wh, wo, gain, loss_history = _kernel(t)[0](
         init.w_hidden.ravel().tolist(), init.w_output.ravel().tolist(), init.gain,

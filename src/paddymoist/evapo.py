@@ -175,15 +175,20 @@ def train_et0_model(days: "list[DailyWeather]", site: SiteLocation, cfg: TrainCo
                     et0_norm: Normalizer = DEFAULT_ET0_NORM,
                     trace: "list[ann.GainTrace] | None" = None,
                     ) -> tuple[Et0Model, list[float]]:
-    """Fit the surrogate to the Hargreaves values for a weather series.
+    """Fit the surrogate to the Hargreaves values of a weather series, which
+    it computes; returns the trained model and the per-epoch loss history."""
+    return _train_et0(days, hargreaves_series(days, site), cfg, temp_norm, et0_norm, trace)
 
-    Returns the trained model and the per-epoch loss history.
-    """
+
+def _train_et0(days: "list[DailyWeather]", targets: "list[float]", cfg: TrainConfig,
+               temp_norm: Normalizer, et0_norm: Normalizer,
+               trace=None) -> tuple[Et0Model, list[float]]:
+    """:func:`train_et0_model` on ``targets``, the days' Hargreaves series, for
+    a caller that already holds it, as a synthetic period's ledger does."""
     if not days:
         raise ValueError("cannot train the ET0 surrogate on an empty series")
     norms = [*_input_norms(temp_norm), et0_norm]
-    rows = [ann.normalize_row((*_TEMPS(d), et0), norms)
-            for d, et0 in zip(days, hargreaves_series(days, site))]
+    rows = [ann.normalize_row((*_TEMPS(d), et0), norms) for d, et0 in zip(days, targets)]
     net, losses = ann._train_rows(MlpTopology(3, 8, 1), rows, cfg, trace)
     return Et0Model(net, temp_norm, et0_norm), losses
 

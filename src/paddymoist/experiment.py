@@ -27,8 +27,8 @@ from pathlib import Path
 from .ann import Normalizer, TrainConfig, ascii_number, finite_float, left_sum
 from .crop import KcSchedule, kc_at, kc_table, validate_schedule
 from .errors import DataFormatError, tagged
-from .evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, Et0Model, SiteLocation,
-                    hargreaves_series, predict_et0_series, train_et0_model)
+from .evapo import (DEFAULT_ET0_NORM, DEFAULT_TEMP_NORM, Et0Model, SiteLocation, _train_et0,
+                    hargreaves_series, predict_et0_series)
 from .hydro import (Climate, FieldParams, LedgerDay, WeatherGenParams, generate_truth,
                     generate_weather)
 from .ingest import check_consecutive, read_daily_csv, write_daily_csv
@@ -297,11 +297,16 @@ def load_period(cfg: ExperimentConfig, spec: PeriodSpec, name: str) -> PeriodDat
     """Generate a synthetic period, which keeps its ground-truth ledger, or
     read a :func:`read_period` CSV that holds ``spec.n_days`` days (the
     report echoes that length as the one the run used) and theta on every
-    day.  Either way the season fits the calendar and its theta the normalizer."""
+    day.  Either way the season fits the calendar and its theta the normalizer;
+    a synthetic one that cannot be built is a DataFormatError naming its settings."""
     if spec.source == "synth":
         validate_schedule(cfg.kc, spec.n_days, name)
-        days = generate_weather(weather_params_for(cfg, spec))
-        theta, ledger = generate_truth(days, cfg.site, cfg.kc, cfg.field)
+        try:
+            days = generate_weather(weather_params_for(cfg, spec))
+            theta, ledger = generate_truth(days, cfg.site, cfg.kc, cfg.field)
+        except ValueError as exc:
+            raise DataFormatError(f"{name}: no synthetic season can be built from the "
+                                  f"weather.*, kc.* and field.* settings: {exc}") from exc
         check_theta_obs(days, theta, cfg.theta_norm, name)
         return PeriodData(name=name, days=days, theta_obs=theta, ledger=ledger)
     if not spec.data_path:
@@ -377,13 +382,6 @@ def _cell(obs, est) -> MetricCell:
                       nash_sutcliffe=nash_sutcliffe(obs, est), rmse=rmse(obs, est))
 
 
-def _hargreaves(cfg: ExperimentConfig, period: PeriodData) -> list[float]:
-    """The period's Hargreaves ET0: its ledger's, else computed from its days."""
-    if period.ledger is None:
-        return hargreaves_series(period.days, cfg.site)
-    return [row.et0 for row in period.ledger]
-
-
 def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) -> list[ForcingDay]:
     """Moisture forcing with the surrogate's (not Hargreaves') ET0, as deployed."""
     et0 = predict_et0_series(model, period.days)
@@ -396,9 +394,10 @@ def build_forcing(cfg: ExperimentConfig, model: Et0Model, period: PeriodData) ->
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full two-period pipeline; deterministic for a fixed config.
 
-    Any stage failure aborts with the stage name prefixed to the error.  The
-    report's Hargreaves series of a synthetic period is read from its
-    ledger, so it is computed once, in ground truth.  A period whose observed
+    Any stage failure aborts with the stage name prefixed to the error.  Each
+    period's Hargreaves series is computed once: a synthetic period's is read
+    from its ledger, a csv period's from its days.  Period 1's serves both as
+    the ET0 training targets and in the report.  A period whose observed
     theta or Hargreaves series is constant, which no metric cell can score,
     is rejected as it is loaded, before any training.
     """
@@ -406,7 +405,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for spec, name in ((cfg.period1, "period1"), (cfg.period2, "period2")):
         with tagged(f"[stage: load {name}]"):
             period = load_period(cfg, spec, name)
-            harg = _hargreaves(cfg, period)
+            harg = (hargreaves_series(period.days, cfg.site) if period.ledger is None
+                    else [row.et0 for row in period.ledger])
             for what, s in (("observed theta_vwc", period.theta_obs), ("Hargreaves ET0", harg)):
                 if min(s) == max(s):  # its metric cells would be undefined
                     raise DataFormatError(f"{name}: {what} is {s[0]!r} on every day")
@@ -414,10 +414,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     (p1, harg1), (p2, harg2) = loaded
 
     with tagged("[stage: train et0]"):
-        et0_model, et0_losses = train_et0_model(
-            p1.days, cfg.site, cfg.et0_train,
-            temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm,
-        )
+        et0_model, et0_losses = _train_et0(p1.days, harg1, cfg.et0_train, cfg.temp_norm,
+                                           cfg.et0_norm)
     with tagged("[stage: predict et0]"):
         forcing1 = build_forcing(cfg, et0_model, p1)
         forcing2 = build_forcing(cfg, et0_model, p2)

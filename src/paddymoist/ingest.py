@@ -93,6 +93,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date as Date, datetime, timedelta
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -1030,17 +1031,22 @@ def check_consecutive(days: "list[DailyWeather]", source: str) -> None:
 def write_daily_csv(path, days: "list[DailyWeather]", theta: "list | None" = None) -> None:
     """Write a daily file, one formatted line per day (no cell needs quoting);
     theta, if given, must align with days.  Raises DataFormatError, writing
-    nothing, for what :func:`read_daily_csv` would reject: dates that do not
-    strictly increase, or a theta that is not in [0, 1]."""
+    nothing, for what :func:`read_daily_csv` would reject: a day_index not an
+    ``int`` or a date not a ``datetime.date`` (a bool or a datetime is neither),
+    dates that do not strictly increase, or a theta that is not in [0, 1]."""
     if theta is not None and len(theta) != len(days):
         raise DataFormatError(
             f"theta has {len(theta)} entries for {len(days)} days"
         )
     any_theta = theta is not None and any(v is not None for v in theta)
-    for prev, day in zip(days, days[1:]):
-        if day.date <= prev.date:
-            raise OrderingError(f"dates must be strictly increasing; {day.date} follows "
-                                f"{prev.date}")
+    dates = list(map(itemgetter(1), days))
+    if not ({*map(type, dates)} <= {Date} and {*map(type, map(itemgetter(0), days))} <= {int}):
+        day = next(d for d in days if (type(d[0]), type(d[1])) != (int, Date))
+        raise DataFormatError(f"a day needs an int day_index and a datetime.date date, got "
+                              f"{day[0]!r} and {day[1]!r}")
+    for prev, date in zip(dates, dates[1:]):
+        if date <= prev:
+            raise OrderingError(f"dates must be strictly increasing; {date} follows {prev}")
     for day, v in zip(days, theta if any_theta else ()):
         if v is not None and not 0.0 <= v <= 1.0:
             raise DataFormatError(f"{_THETA_COLUMN} must be in [0, 1], got {v!r} on {day.date}")
@@ -1057,7 +1063,7 @@ def _daily_block(c, days, theta, out):
     ``c`` or it declines the block, the Python lines, its reference."""
     index, dates, *reals = zip(*days)
     n = -1
-    if c is not None and {*map(type, index), *map(type, dates)} == {int, Date}:  # no bool, datetime
+    if c is not None:  # write_daily_csv has refused a bool or float index and a datetime
         with contextlib.suppress(TypeError, OverflowError):  # a cell no long or double holds
             columns = [array("l", map(Date.toordinal, dates)), array("l", index),
                        *(array("d", column) for column in reals),

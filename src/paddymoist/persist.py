@@ -12,8 +12,10 @@ line, or anything after ``end``, is an :class:`ArtifactParseError` naming
 the file and line (a line ends at LF, CRLF or CR only); so is a line
 whose words are not separated by single spaces, a byte that is not UTF-8,
 a weight or bound that is not finite, a gain outside (0, 1] or a
-normalizer without ``hi > lo``.  An unsupported
-version is an :class:`ArtifactVersionError` naming the file.
+normalizer without ``hi > lo``.  The version on the first line is the
+format's, which :func:`save_model` always writes; any other is an
+:class:`ArtifactVersionError` naming the file.  :func:`save_model` refuses,
+writing nothing, a weight matrix whose shape does not fit the topology.
 
     paddymoist-model 1
     kind et0
@@ -63,7 +65,6 @@ class ModelArtifact:
     provenance: dict
     w_hidden: np.ndarray
     w_output: np.ndarray
-    version: int = FORMAT_VERSION
 
     def to_mlp(self) -> Mlp:
         return Mlp(self.topology, np.array(self.w_hidden), np.array(self.w_output),
@@ -122,9 +123,10 @@ def save_model(m: ModelArtifact, path) -> None:
         raise ArtifactError(f"gain must be in (0, 1], got {m.gain!r}")
     if not (np.isfinite(m.w_hidden).all() and np.isfinite(m.w_output).all()):
         raise ArtifactError("a weight that is not finite cannot be saved")
-    lines = [f"{FORMAT_NAME} {m.version}",
+    t = m.topology
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}",
              f"kind {m.kind}",
-             f"topology {m.topology.n_inputs} {m.topology.n_hidden} {m.topology.n_outputs}",
+             f"topology {t.n_inputs} {t.n_hidden} {t.n_outputs}",
              f"lag {m.lag}",
              f"gain {float(m.gain)!r}"]
     for name, nz in m.norms.items():
@@ -134,7 +136,11 @@ def save_model(m: ModelArtifact, path) -> None:
         if str(key).split() != [str(key)] or not words or " ".join(words) != str(value):
             raise ArtifactError(f"provenance {key!r}: {value!r} does not fit one 'prov' line")
         lines.append(f"prov {key} {value}")
-    for label, matrix in (("w_hidden", m.w_hidden), ("w_output", m.w_output)):
+    for label, matrix, shape in (("w_hidden", m.w_hidden, (t.n_hidden, t.n_inputs + 1)),
+                                 ("w_output", m.w_output, (t.n_outputs, t.n_hidden + 1))):
+        if np.shape(matrix) != shape:
+            raise ArtifactError(f"{label} has shape {np.shape(matrix)}, but topology "
+                                f"{t.n_inputs} {t.n_hidden} {t.n_outputs} needs {shape}")
         for i, row in enumerate(matrix):
             lines.append(f"{label} {i} " + " ".join(repr(float(v)) for v in row))
     lines.append("end")
@@ -212,8 +218,7 @@ def _parse(raw: list) -> ModelArtifact:
     if i + 1 < len(raw):
         _fail(i + 2, f"content after 'end': {raw[i + 1]!r}")
     return ModelArtifact(kind=kind, topology=topo, lag=lag, gain=gain, norms=norms,
-                         provenance=provenance, w_hidden=weights[0], w_output=weights[1],
-                         version=version)
+                         provenance=provenance, w_hidden=weights[0], w_output=weights[1])
 
 
 def load_model(path) -> ModelArtifact:

@@ -290,26 +290,10 @@ class TestTrain:
 
 class TestTrainRows:
     """``ann._train_rows``, which ``train`` wraps and the ET0 and moisture
-    trainers call, checks each row as ``Pattern`` and ``train`` do."""
+    trainers call, refuses an empty set as ``train`` does."""
 
     TOPO = MlpTopology(2, 3, 1)
     CFG = TrainConfig(seed=3, epochs=2)
-
-    @pytest.mark.parametrize("inputs, targets", [
-        ([math.nan, 0.5], [0.5]), ([0.5, 1.5], [0.5]), ([0.5, 0.5], [math.inf]),
-        ([0.5, 0.5], [-1e-300]), ([-0.1, 0.5], [math.nan]),  # the input is named first
-    ])
-    def test_a_bad_value_raises_the_pattern_error(self, inputs, targets):
-        with pytest.raises(ValueError) as expected:
-            Pattern(inputs, targets)
-        with pytest.raises(ValueError) as got:
-            ann._train_rows(self.TOPO, [(0.1, 0.2, 0.3), (*inputs, *targets)], self.CFG)
-        assert str(got.value) == str(expected.value)
-
-    def test_a_row_of_another_length_is_named(self):
-        with pytest.raises(DimensionError,
-                           match=r"^pattern 1 holds 4 value\(s\), not 2 in \+ 1 out$"):
-            ann._train_rows(self.TOPO, [(0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 0.4)], self.CFG)
 
     def test_no_rows_rejected_as_by_train(self):
         for call in (lambda: train(Mlp.zeros(self.TOPO), [], self.CFG),

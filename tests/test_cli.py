@@ -322,6 +322,23 @@ class TestExitCodes:
             f"day\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "synth"])
+    @pytest.mark.parametrize("line, fault", [
+        ("weather.precip_mean_wet_mm = 1e308", "precip must be finite, got inf on 2010-10-15"),
+        ("kc.values = 1e308 1e308 1e308", "etc_mm must be finite, got inf"),
+    ], ids=["weather", "kc"])
+    def test_a_season_that_cannot_be_built_names_the_period_and_settings(
+            self, tmp_path, capsys, verb, line, fault):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        stage = "[stage: load period1] " if verb == "run" else ""
+        assert capsys.readouterr() == ("", (
+            f"error: {stage}period1: no synthetic season can be built from the weather.*, "
+            f"kc.* and field.* settings: {fault}\n"))
+        assert not (tmp_path / "out").exists()
+
     def test_config_part_error_names_its_keys(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("field.theta_res = 0.5\n", encoding="utf-8")

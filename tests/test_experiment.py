@@ -659,6 +659,43 @@ class TestHargreavesPasses:
         for period in (report.period1, report.period2):
             assert period.hargreaves == hargreaves_series(period.days, cfg.site)
 
+    @pytest.mark.parametrize("csv_periods, c_loops, passes", [
+        ((), True, 0), (("period1",), True, 1),
+        # without the C season loops, each synthetic period's truth loop makes one
+        ((), False, 2), (("period1",), False, 2),
+    ])
+    def test_one_series_serves_the_targets_and_the_report(self, tmp_path, monkeypatch,
+                                                          csv_periods, c_loops, passes):
+        """Every pass in the run, the truth loop's and the trainer's too, is
+        counted: period 1's one series trains the surrogate and scores it."""
+        import paddymoist.evapo as evapo
+        import paddymoist.experiment as experiment
+        import paddymoist.hydro as hydro
+        if c_loops and hydro._c_loops() is None:
+            pytest.skip("the C season loops did not build")
+        if not c_loops:
+            monkeypatch.setattr(hydro, "_c_loops", lambda: None)
+        cfg = quick_config(et0_epochs=2, moisture_epochs=2)
+        write_synth_periods(cfg, tmp_path)
+        for name in csv_periods:
+            cfg = replace(cfg, **{name: replace(getattr(cfg, name), source="csv",
+                                                data_path=str(tmp_path / f"{name}_daily.csv"))})
+        calls = []
+
+        def counted(days, site):
+            calls.append(len(days))
+            return hargreaves_series(days, site)
+        for module in (evapo, experiment, hydro):
+            monkeypatch.setattr(module, "hargreaves_series", counted)
+        report = run_experiment(cfg)
+        assert len(calls) == passes
+        model, losses = evapo.train_et0_model(report.period1.days, cfg.site, cfg.et0_train,
+                                              temp_norm=cfg.temp_norm, et0_norm=cfg.et0_norm)
+        assert report.period1.hargreaves == hargreaves_series(report.period1.days, cfg.site)
+        np.testing.assert_array_equal(report.et0_model.net.w_hidden, model.net.w_hidden)
+        np.testing.assert_array_equal(report.et0_model.net.w_output, model.net.w_output)
+        assert (report.et0_model.net.gain, report.et0_final_loss) == (model.net.gain, losses[-1])
+
 
 class TestBuildForcing:
 

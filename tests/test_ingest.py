@@ -17,6 +17,7 @@ from paddymoist import ingest, run_experiment
 from paddymoist.ann import left_sum
 from paddymoist.errors import DataFormatError, OrderingError, not_utf8
 from paddymoist.evapo import DailyWeather
+from paddymoist.hydro import WeatherGenParams, generate_weather
 from paddymoist.ingest import (DailyAggregation, DayGap, HalfHourRecord, HalfHourRecords,
                                check_consecutive, daily_aggregate, read_columns, read_daily_csv,
                                read_half_hourly_csv, write_daily_csv, write_half_hourly_csv)
@@ -291,6 +292,31 @@ class TestDailyCsv:
         path = tmp_path / "daily.csv"
         with pytest.raises(error, match=message):
             write_daily_csv(path, days, theta)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("index, day, named", [
+        (1, datetime(2011, 1, 6), "1 and datetime.datetime(2011, 1, 6, 0, 0)"),
+        (0.5, date(2011, 1, 6), "0.5 and datetime.date(2011, 1, 6)"),
+        (True, date(2011, 1, 6), "True and datetime.date(2011, 1, 6)"),
+    ])
+    def test_write_refuses_a_date_or_index_the_reader_cannot_parse(self, tmp_path, index, day,
+                                                                   named):
+        """A datetime would be written with its time, a float or bool index as
+        its text; neither reads back."""
+        days = [DailyWeather(0, date(2011, 1, 5), 30.0, 25.0, 20.0, 0.0),
+                DailyWeather(index, day, 30.0, 25.0, 20.0, 0.0)]
+        path = tmp_path / "daily.csv"
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"a day needs an int day_index and a datetime.date date, got {named}")):
+            write_daily_csv(path, days, [0.4, 0.41])
+        assert not path.exists()
+
+    def test_write_refuses_a_season_generated_from_a_datetime(self, tmp_path):
+        days = generate_weather(WeatherGenParams(seed=1, n_days=3,
+                                                 start_date=datetime(2011, 1, 5)))
+        path = tmp_path / "daily.csv"
+        with pytest.raises(DataFormatError, match="got 0 and datetime.datetime"):
+            write_daily_csv(path, days)
         assert not path.exists()
 
     def test_write_is_deterministic(self, tmp_path):

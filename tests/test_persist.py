@@ -11,7 +11,7 @@ from paddymoist.errors import ArtifactError, ArtifactParseError, ArtifactVersion
 from paddymoist.evapo import Et0Model, predict_et0
 from paddymoist.moisture import (ForcingDay, MoistureModel, MoistureNormalizers,
                                  SimMode, simulate_moisture)
-from paddymoist.persist import (data_digest, et0_artifact, et0_from_artifact,
+from paddymoist.persist import (FORMAT_VERSION, data_digest, et0_artifact, et0_from_artifact,
                                 load_model, moisture_artifact,
                                 moisture_from_artifact, save_model)
 
@@ -287,6 +287,29 @@ class TestLineOrderGrammar:
             with pytest.raises(ArtifactError):
                 save_model(bad, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("field, shape", [
+        ("w_hidden", (8, 5)), ("w_hidden", (7, 4)), ("w_hidden", (32,)),
+        ("w_output", (1, 8)), ("w_output", (2, 9)), ("w_output", (9,)),
+    ])
+    def test_weights_that_misfit_the_topology_are_not_saved(self, tmp_path, field, shape):
+        """What the loader would refuse as a line of the wrong length or count."""
+        art = et0_artifact(_random_et0_model())
+        need = {"w_hidden": (8, 4), "w_output": (1, 9)}[field]
+        path = tmp_path / "m.model"
+        with pytest.raises(ArtifactError, match=re.escape(
+                f"{field} has shape {shape}, but topology 3 8 1 needs {need}")):
+            save_model(replace(art, **{field: np.zeros(shape)}), path)
+        assert not path.exists()
+
+    def test_the_version_line_is_the_formats(self, tmp_path):
+        art = et0_artifact(_random_et0_model())
+        with pytest.raises(TypeError):
+            replace(art, version=2)  # not a field: the format has one version
+        path = tmp_path / "m.model"
+        save_model(art, path)
+        assert path.read_text().splitlines()[0] == f"paddymoist-model {FORMAT_VERSION}"
+        assert load_model(path).kind == "et0"
 
     def test_norms_not_of_the_kind_are_not_saved(self, tmp_path):
         art = et0_artifact(_random_et0_model())

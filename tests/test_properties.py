@@ -866,8 +866,7 @@ class TestModelArtifactRoundTrip:
             back = load_model(path)
             save_model(back, path)
             assert path.read_bytes() == saved
-        assert (back.kind, back.topology, back.lag, back.version) == (
-            art.kind, art.topology, art.lag, art.version)
+        assert (back.kind, back.topology, back.lag) == (art.kind, art.topology, art.lag)
         assert back.gain.hex() == art.gain.hex()
         assert list(back.norms) == list(art.norms)
         assert _norm_bits(back.norms) == _norm_bits(art.norms)
