@@ -48,16 +48,18 @@ The one shared object per topology holds its C rendering beside the train
 loop, built from the same forward statements; the Python rendering calls
 the generated forward pass day by day.  A raw input is scaled into [0, 1]
 by one rule, written twice: in Python as :func:`normalize`, which
-:func:`normalize_row` applies to a whole row for every training pattern,
-single prediction and Python series row, and in C in the ``series``
-template.  A single forward pass stays Python, because a ``ctypes`` call
-costs more than it saves: :func:`bind` converts a net's weight matrices to
-flat float lists once and returns the generated forward pass over plain
-float lists, with the weights and gain bound by ``functools.partial``, so a
-call adds no Python frame of its own, and :func:`forward` is ``bind`` plus
-the numpy conversions of one input and one output.  The bound function
-holds a snapshot of the weights and gain taken at bind time: changing the
-net afterwards does not change it.
+:func:`normalize_row` applies to a whole row for every training pattern
+and Python series row and a single ET0 prediction to each temperature,
+and in C in the ``series`` template.  A single forward pass stays Python,
+because a ``ctypes`` call costs more than it saves: :func:`bind` returns
+the generated forward pass over plain float lists, with the weights and
+gain bound by ``functools.partial``, so a call adds no Python frame of its
+own, and :func:`forward` is ``bind`` plus the numpy conversions of one
+input and one output.  ``bind`` flattens the weight matrices to float lists
+once per distinct float64 weights and gain and memoizes the bound function
+under them, so a per-day caller pays for the flattening once per net.  The
+bound function holds a snapshot of the weights and gain taken at bind time:
+changing the net afterwards does not change it.
 
 Both renderings give what the plain loop gives, bit for bit: every dot
 product is added left to right in the same order, never through BLAS or the
@@ -234,6 +236,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.init_half_width <= 0.0:
             raise ValueError("init_half_width must be > 0")
+        if not math.isfinite(2.0 * self.init_half_width):  # uniform's range, else it raises
+            raise ValueError(f"init_half_width must keep 2 * init_half_width finite, "
+                             f"got {self.init_half_width!r}")
 
 
 class GainTrace(NamedTuple):
@@ -666,17 +671,28 @@ def _check_pattern(t: MlpTopology, p: Pattern, label: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _bound(n: int, h: int, o: int, wh: bytes, wo: bytes, gain: float):
+    """:func:`bind`'s forward pass for one topology's sizes, float64 weight bytes and gain."""
+    return functools.partial(_kernel(MlpTopology(n, h, o))[1], array("d", wh).tolist(),
+                             array("d", wo).tolist(), gain)
+
+
 def bind(net: Mlp) -> "Callable[[list[float]], list[float]]":
     """The forward pass of ``net`` over plain float lists.
 
-    The weights and gain are converted once, here, and the returned function
-    keeps that snapshot: changing ``net`` later does not change it.  It maps
-    a list of ``n_inputs`` floats to a new list of ``n_outputs`` floats, each
-    strictly in (0, 1), bit for bit as :func:`forward` does; an input of the
-    wrong length raises ``ValueError``.
+    The weights are flattened once per distinct float64 weights and gain, and
+    the bound function is memoized under them; it keeps that snapshot, so
+    changing ``net`` later, in place or by reassignment, does not change it.
+    It maps a list of ``n_inputs`` floats to a new list of ``n_outputs``
+    floats, each strictly in (0, 1), bit for bit as :func:`forward` does; an
+    input of the wrong length raises ``ValueError``.
     """
-    return functools.partial(_kernel(net.topology)[1], net.w_hidden.ravel().tolist(),
-                             net.w_output.ravel().tolist(), net.gain)
+    t = net.topology
+    # keyed on values, not stored bits: a '>f8' or float32 matrix is converted first
+    return _bound(t.n_inputs, t.n_hidden, t.n_outputs,
+                  np.asarray(net.w_hidden, dtype=float).tobytes(),
+                  np.asarray(net.w_output, dtype=float).tobytes(), float(net.gain))
 
 
 def forward(net: Mlp, input: "np.ndarray | list[float]") -> np.ndarray:
@@ -795,7 +811,7 @@ def normalize(x: float, nz: Normalizer) -> float:
 
 def normalize_row(row, norms: "list[Normalizer]") -> "list[float]":
     """:func:`normalize` of each raw value of ``row`` against its own normalizer,
-    for training patterns, single predictions and the Python series loop."""
+    for training patterns and the Python series loop."""
     if len(row) != len(norms):
         raise DimensionError(f"{len(row)} value(s) against {len(norms)} normalizer(s)")
     return list(map(normalize, row, norms))

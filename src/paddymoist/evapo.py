@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import ann
-from .ann import Mlp, MlpTopology, Normalizer, TrainConfig
+from .ann import Mlp, MlpTopology, Normalizer, TrainConfig, bind, denormalize, normalize
 
 # FAO-56 fixed-bound defaults: generous tropical ranges so the validation
 # period can never fall outside the training normalization.
@@ -97,9 +97,13 @@ class Et0Model:
     et0_norm: Normalizer = DEFAULT_ET0_NORM
 
     def __post_init__(self):
-        t = self.net.topology
-        if (t.n_inputs, t.n_outputs) != (3, 1):
-            raise ValueError(f"ET0 surrogate must be 3-n-1, got {t}")
+        check_et0_topology(self.net.topology)
+
+
+def check_et0_topology(t: MlpTopology) -> None:
+    """Raise ValueError unless ``t`` is an ET0 surrogate's 3-n-1."""
+    if (t.n_inputs, t.n_outputs) != (3, 1):
+        raise ValueError(f"ET0 surrogate must be 3-n-1, got {t}")
 
 
 @functools.lru_cache(maxsize=None)  # one entry per year seen, and years run 1..9999
@@ -194,12 +198,17 @@ def _train_et0(days: "list[DailyWeather]", targets: "list[float]", cfg: TrainCon
 
 
 def predict_et0(model: Et0Model, tmax: float, tavg: float, tmin: float) -> float:
-    """Surrogate ET0 in mm/day; always inside the model's ET0 bounds."""
+    """Surrogate ET0 in mm/day for one day; always inside the model's ET0 bounds.
+
+    Per-day calls reuse one :func:`ann.bind` per net, so only the first call
+    on a net flattens its weights; :func:`predict_et0_series` is the call for
+    a whole season.
+    """
     if tmax < tmin:
         raise ValueError(f"tmax ({tmax}) must be >= tmin ({tmin})")
-    (u,) = ann.bind(model.net)(ann.normalize_row((tmax, tavg, tmin),
-                                                 _input_norms(model.temp_norm)))
-    return ann.denormalize(u, model.et0_norm)
+    nz = model.temp_norm
+    (u,) = bind(model.net)([normalize(tmax, nz), normalize(tavg, nz), normalize(tmin, nz)])
+    return denormalize(u, model.et0_norm)
 
 
 def predict_et0_series(model: Et0Model, days: "list[DailyWeather]") -> list[float]:

@@ -53,6 +53,9 @@ class PeriodSpec:
             raise DataFormatError(f"period source must be synth or csv, got {self.source!r}")
         if self.n_days < 1:
             raise ValueError(f"period needs n_days >= 1, got {self.n_days}")
+        if self.n_days > Date.max.toordinal() - self.planting.toordinal() + 1:
+            raise ValueError(f"the season's last day, planting + n_days - 1, runs past "
+                             f"{Date.max}, got {self.planting} + {self.n_days} - 1")
         if self.seed < 0:
             raise ValueError(f"period seed must be >= 0, got {self.seed}")
         # A config line ends at a newline and its value at "#", and is stripped.

@@ -97,13 +97,15 @@ class MoistureModel:
     norms: MoistureNormalizers = field(default_factory=MoistureNormalizers)
 
     def __post_init__(self):
-        if self.lag < 1:
-            raise ValueError(f"lag must be >= 1, got {self.lag}")
-        t = self.net.topology
-        if t.n_inputs != 3 + self.lag or t.n_outputs != 1:
-            raise ValueError(
-                f"moisture net must be ({3 + self.lag})-n-1 for lag {self.lag}, got {t}"
-            )
+        check_moisture_topology(self.net.topology, self.lag)
+
+
+def check_moisture_topology(t: MlpTopology, lag: int) -> None:
+    """Raise ValueError unless ``lag >= 1`` and ``t`` is the (3 + lag)-n-1 net it needs."""
+    if lag < 1:
+        raise ValueError(f"lag must be >= 1, got {lag}")
+    if t.n_inputs != 3 + lag or t.n_outputs != 1:
+        raise ValueError(f"moisture net must be ({3 + lag})-n-1 for lag {lag}, got {t}")
 
 
 def _input_norms(norms: MoistureNormalizers, lag: int) -> "list[Normalizer]":

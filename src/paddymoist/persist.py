@@ -15,7 +15,10 @@ a weight or bound that is not finite, a gain outside (0, 1] or a
 normalizer without ``hi > lo``.  The version on the first line is the
 format's, which :func:`save_model` always writes; any other is an
 :class:`ArtifactVersionError` naming the file.  :func:`save_model` refuses,
-writing nothing, a weight matrix whose shape does not fit the topology.
+writing nothing, a weight matrix whose shape does not fit the topology, or
+a topology and ``lag`` that the kind's model does not take (3-n-1 and lag
+0 for ``et0``, (3 + lag)-n-1 and lag >= 1 for ``moisture``), which
+:func:`load_model` refuses too, naming the ``lag`` line.
 
     paddymoist-model 1
     kind et0
@@ -41,8 +44,8 @@ import numpy as np
 
 from .ann import Mlp, MlpTopology, Normalizer, ascii_number, finite_float
 from .errors import ArtifactError, ArtifactParseError, ArtifactVersionError, not_utf8, tagged
-from .evapo import Et0Model
-from .moisture import MoistureModel, MoistureNormalizers
+from .evapo import Et0Model, check_et0_topology
+from .moisture import MoistureModel, MoistureNormalizers, check_moisture_topology
 
 FORMAT_NAME = "paddymoist-model"
 FORMAT_VERSION = 1
@@ -114,6 +117,21 @@ def moisture_from_artifact(a: ModelArtifact) -> MoistureModel:
     return MoistureModel(a.to_mlp(), lag=a.lag, norms=norms)
 
 
+def _topology_misfit(kind: str, t: MlpTopology, lag: int) -> "str | None":
+    """Why a ``kind`` model cannot take a net of topology ``t`` and ``lag``, or
+    None: the rule is the model's own, and an ``et0`` artifact carries lag 0."""
+    try:
+        if kind == "et0":
+            check_et0_topology(t)
+            if lag != 0:
+                raise ValueError(f"an ET0 surrogate takes lag 0, got {lag}")
+        else:
+            check_moisture_topology(t, lag)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def save_model(m: ModelArtifact, path) -> None:
     """Write ``m`` in the artifact's line order; raises ArtifactError, writing
     nothing, for content that :func:`load_model` would not read back as it is."""
@@ -124,6 +142,9 @@ def save_model(m: ModelArtifact, path) -> None:
     if not (np.isfinite(m.w_hidden).all() and np.isfinite(m.w_output).all()):
         raise ArtifactError("a weight that is not finite cannot be saved")
     t = m.topology
+    misfit = _topology_misfit(m.kind, t, m.lag)
+    if misfit:
+        raise ArtifactError(misfit)
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}",
              f"kind {m.kind}",
              f"topology {t.n_inputs} {t.n_hidden} {t.n_outputs}",
@@ -197,6 +218,9 @@ def _parse(raw: list) -> ModelArtifact:
         _fail(2, f"unknown kind {kind!r}, expected one of {list(_NORM_KEYS)}")
     topo = _take(raw, 2, "topology", 3, _int, MlpTopology)
     lag, = _take(raw, 3, "lag", 1, _int)
+    misfit = _topology_misfit(kind, topo, lag)
+    if misfit:
+        _fail(4, misfit)
     gain, = _take(raw, 4, "gain", 1, _gain)
     norms = {key: _take(raw, 5 + j, f"norm {key}", 2, make=Normalizer)
              for j, key in enumerate(_NORM_KEYS[kind])}

@@ -5,6 +5,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -767,6 +768,44 @@ class TestBind:
         assert fwd(x) == before
         assert bind(net)(x) == forward(net, x).tolist() != before
 
+    @pytest.mark.parametrize("dtype", [">f8", "float32"])
+    def test_a_reassigned_matrix_binds_its_values(self, dtype):
+        """Bound by value, not by stored bits: a big-endian or float32 matrix set
+        after construction gives what its flattened values give."""
+        rng = np.random.default_rng(9)
+        x = [0.2, 0.5, 0.7]
+        for _ in range(5):
+            net = Mlp.random(MlpTopology(3, 8, 1), rng, 2.0)
+            before = bind(net)(x)
+            net.w_hidden = net.w_hidden.astype(dtype)
+            net.w_output = net.w_output.astype(dtype)
+            unmemoized = functools.partial(ann._kernel(net.topology)[1],
+                                           net.w_hidden.ravel().tolist(),
+                                           net.w_output.ravel().tolist(), net.gain)
+            assert _bits(bind(net)(x)) == _bits(unmemoized(x))
+            assert (bind(net)(x) == before) == (dtype == ">f8")
+
+    def test_an_unchanged_net_binds_once_and_the_memo_is_bounded(self):
+        rng = np.random.default_rng(10)
+        net = Mlp.random(MlpTopology(3, 8, 1), rng)
+        assert bind(net) is bind(net)
+        assert bind(net) is bind(Mlp(net.topology, net.w_hidden.copy(), net.w_output.copy()))
+        bound = [bind(Mlp.random(MlpTopology(3, 8, 1), rng)) for _ in range(200)]
+        info = ann._bound.cache_info()
+        assert len({id(fwd) for fwd in bound}) == 200 and info.maxsize is not None
+        assert info.currsize <= info.maxsize <= 64
+
+    def test_a_0d_array_gain_binds_as_its_float(self):
+        """``Mlp`` takes a 0-d array gain, since ``0 < np.array(g) <= 1`` holds."""
+        rng = np.random.default_rng(11)
+        x = [0.2, 0.5, 0.7]
+        for _ in range(5):
+            net = Mlp.random(MlpTopology(3, 8, 1), rng, 2.0)
+            as_float = bind(Mlp(net.topology, net.w_hidden, net.w_output, gain=0.75))(x)
+            net = Mlp(net.topology, net.w_hidden, net.w_output, gain=np.array(0.75))
+            assert _bits(bind(net)(x)) == _bits(as_float)
+            assert _bits(forward(net, x).tolist()) == _bits(as_float)
+
     def test_wrong_length_raises(self):
         fwd = bind(Mlp.zeros(MlpTopology(3, 8, 1)))
         for x in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4]):
@@ -1117,6 +1156,13 @@ class TestRefusedArguments:
     def test_zero_init_half_width(self):
         with pytest.raises(ValueError, match="^init_half_width must be > 0$"):
             TrainConfig(seed=0, init_half_width=0.0)
+
+    @pytest.mark.parametrize("half_width", [1e308, math.inf, math.nan])
+    def test_init_half_width_whose_range_overflows(self, half_width):
+        with pytest.raises(ValueError, match=re.escape(
+                f"init_half_width must keep 2 * init_half_width finite, got {half_width!r}")):
+            TrainConfig(seed=0, init_half_width=half_width)
+        TrainConfig(seed=0, init_half_width=8e307)  # 2 * w is finite: uniform draws
 
     def test_negative_learning_rate(self):
         net = Mlp.zeros(MlpTopology(3, 8, 1))

@@ -339,6 +339,33 @@ class TestExitCodes:
             f"kc.* and field.* settings: {fault}\n"))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "synth"])
+    @pytest.mark.parametrize("line, message", [
+        ("train.et0.init_half_width = 1e308", "train.et0.init_half_width: init_half_width "
+         "must keep 2 * init_half_width finite, got 1e+308"),
+        ("train.moisture.init_half_width = 1e308", "train.moisture.init_half_width: "
+         "init_half_width must keep 2 * init_half_width finite, got 1e+308"),
+        ("period1.planting = 9999-12-01", "period1.planting, period1.days: the season's last "
+         "day, planting + n_days - 1, runs past 9999-12-31, got 9999-12-01 + 118 - 1"),
+        ("period2.planting = 9999-12-01", "period2.planting, period2.days: the season's last "
+         "day, planting + n_days - 1, runs past 9999-12-31, got 9999-12-01 + 118 - 1"),
+    ], ids=["et0-half-width", "moisture-half-width", "period1-planting", "period2-planting"])
+    def test_a_value_numpy_or_the_calendar_cannot_take_exits_4_at_parse(
+            self, tmp_path, capsys, verb, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_season_that_ends_on_the_last_date_is_built(self, tmp_path):
+        cfg = tmp_path / "last.cfg"
+        cfg.write_text("period2.planting = 9999-09-05\n", encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        last = (tmp_path / "d" / "period2_daily.csv").read_text(encoding="utf-8").split()[-1]
+        assert ",9999-12-31," in f",{last}"
+
     def test_config_part_error_names_its_keys(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("field.theta_res = 0.5\n", encoding="utf-8")
@@ -749,6 +776,18 @@ class TestArtifactValues:
             f"error: {path}: line {at + 1}: cannot parse {new!r}: {message}\n")
         assert not out.exists()
 
+
+    def test_simulate_refuses_a_lag_that_misfits_the_topology(self, tmp_path, capsys):
+        et0_path, moist_path = _zero_models(tmp_path)
+        text = moist_path.read_text(encoding="utf-8")
+        moist_path.write_text(text.replace("\nlag 1\n", "\nlag 2\n"), encoding="utf-8")
+        out = tmp_path / "est.csv"
+        assert main(["simulate", "--mode", "teacher_forced", "--model", str(moist_path),
+                     "--et0-model", str(et0_path), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: {moist_path}: line 4: moisture net must be (5)-n-1 for lag 2, got "
+            "MlpTopology(n_inputs=4, n_hidden=8, n_outputs=1)\n")
+        assert not out.exists()
 
     def test_simulate_refuses_words_not_single_spaced(self, tmp_path, capsys):
         et0_path, moist_path = _zero_models(tmp_path)

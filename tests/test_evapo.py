@@ -1,13 +1,15 @@
 """Hargreaves oracle, extraterrestrial radiation, and the ET0 surrogate."""
 
+import functools
 import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from paddymoist.ann import (Mlp, MlpTopology, TrainConfig, denormalize, forward,
-                            normalize)
+from paddymoist import ann, evapo
+from paddymoist.ann import (Mlp, MlpTopology, Normalizer, TrainConfig, denormalize, forward,
+                            normalize, normalize_row)
 from paddymoist.errors import DimensionError
 from paddymoist.evapo import (DEFAULT_ET0_NORM, DailyWeather, Et0Model, SiteLocation,
                               day_of_year, extraterrestrial_radiation, hargreaves_et0,
@@ -181,6 +183,66 @@ class TestDailyWeather:
         assert day.tmin == day.tavg == day.tmax and day.precip == 0.0
         big = DailyWeather(0, date(2011, 1, 1), 1e308, 0.0, -1e308, 1e308)
         assert big.tmax == 1e308
+
+
+def _unmemoized_predict(model, tmax, tavg, tmin):
+    """``predict_et0`` as it ran before binds were memoized: a fresh flattening
+    of the weights and a normalizer list on every call."""
+    net = model.net
+    fwd = functools.partial(ann._kernel(net.topology)[1], net.w_hidden.ravel().tolist(),
+                            net.w_output.ravel().tolist(), net.gain)
+    (u,) = fwd(normalize_row((tmax, tavg, tmin), evapo._input_norms(model.temp_norm)))
+    return denormalize(u, model.et0_norm)
+
+
+class TestPredictEt0Bind:
+    """``predict_et0`` through the memoized bind against the unmemoized path."""
+
+    def test_equals_the_unmemoized_path_bit_for_bit(self, rendering):
+        rng = np.random.default_rng(36)
+        temps = [(30.0, 24.0, 20.0), (60.0, 55.0, 51.0), (-2.0, -5.0, -9.0),
+                 (58.0, 20.0, -4.0), (50.0, 0.0, 0.0), (-0.0, -0.0, -0.0)]
+        for half_width in (0.5, 20.0):
+            for k in range(8):
+                net = Mlp.random(MlpTopology(3, 8, 1), rng, half_width)
+                net.gain = float(rng.uniform(0.05, 1.0))
+                net.w_hidden[k % 8, k % 4] = -0.0
+                net.w_output[0, k] = -0.0
+                model = Et0Model(net, Normalizer(-1.0, 52.0), Normalizer(0.0, 11.0))
+                days = temps + [tuple(sorted(rng.uniform(-10.0, 60.0, 3), reverse=True))
+                                for _ in range(10)]
+                for tmax, tavg, tmin in days:
+                    got = predict_et0(model, tmax, tavg, tmin)
+                    assert repr(got) == repr(_unmemoized_predict(model, tmax, tavg, tmin))
+
+    def test_a_changed_net_is_bound_afresh(self):
+        rng = np.random.default_rng(37)
+        model = Et0Model(Mlp.random(MlpTopology(3, 8, 1), rng, 2.0))
+        day = (31.0, 25.0, 20.0)
+        seen = [predict_et0(model, *day)]
+        for change in ("in place", "gain", "swap"):
+            if change == "in place":
+                model.net.w_hidden[2, 1] += 0.5
+            elif change == "gain":
+                model.net.gain = 0.4
+            else:
+                model.net = Mlp.random(MlpTopology(3, 8, 1), rng, 2.0)
+            got = predict_et0(model, *day)
+            assert got == _unmemoized_predict(model, *day) and got not in seen
+            seen.append(got)
+
+    @pytest.mark.parametrize("tmax, tavg, tmin, bad", [
+        (math.nan, 25.0, 20.0, "nan"), (30.0, math.inf, 20.0, "inf"),
+        (30.0, 25.0, -math.inf, "-inf"), (math.inf, math.nan, -math.inf, "inf"),
+        (30.0, math.nan, -math.inf, "nan"), (math.nan, math.nan, 20.0, "nan"),
+    ])
+    def test_the_first_non_finite_temperature_is_named(self, tmax, tavg, tmin, bad):
+        model = Et0Model(Mlp.random(MlpTopology(3, 8, 1), np.random.default_rng(38)))
+        message = f"^cannot normalize the non-finite value {bad}$"
+        with pytest.raises(ValueError, match=message):
+            predict_et0(model, tmax, tavg, tmin)
+        with pytest.raises(ValueError, match=message):
+            _unmemoized_predict(model, tmax, tavg, tmin)
 
 
 class TestEt0Surrogate:

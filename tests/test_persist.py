@@ -302,6 +302,60 @@ class TestLineOrderGrammar:
             save_model(replace(art, **{field: np.zeros(shape)}), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind, n_inputs, n_outputs, lag, message", [
+        ("et0", 3, 1, 1, "an ET0 surrogate takes lag 0, got 1"),
+        ("et0", 3, 1, -1, "an ET0 surrogate takes lag 0, got -1"),
+        ("et0", 4, 1, 0, "ET0 surrogate must be 3-n-1, got MlpTopology(n_inputs=4, "
+         "n_hidden=8, n_outputs=1)"),
+        ("et0", 3, 2, 0, "ET0 surrogate must be 3-n-1, got MlpTopology(n_inputs=3, "
+         "n_hidden=8, n_outputs=2)"),
+        ("moisture", 4, 1, 2, "moisture net must be (5)-n-1 for lag 2, got "
+         "MlpTopology(n_inputs=4, n_hidden=8, n_outputs=1)"),
+        ("moisture", 4, 1, 0, "lag must be >= 1, got 0"),
+        ("moisture", 5, 1, 1, "moisture net must be (4)-n-1 for lag 1, got "
+         "MlpTopology(n_inputs=5, n_hidden=8, n_outputs=1)"),
+        ("moisture", 3, 1, 0, "lag must be >= 1, got 0"),
+        ("moisture", 4, 2, 1, "moisture net must be (4)-n-1 for lag 1, got "
+         "MlpTopology(n_inputs=4, n_hidden=8, n_outputs=2)"),
+    ])
+    def test_a_net_its_model_would_refuse_is_not_saved(self, tmp_path, kind, n_inputs,
+                                                       n_outputs, lag, message):
+        """What ``et0_from_artifact`` or ``moisture_from_artifact`` would refuse
+        with a plain ValueError."""
+        art = (et0_artifact(_random_et0_model()) if kind == "et0"
+               else moisture_artifact(_random_moisture_model(lag=1)))
+        art = replace(art, topology=MlpTopology(n_inputs, 8, n_outputs), lag=lag,
+                      w_hidden=np.zeros((8, n_inputs + 1)), w_output=np.zeros((n_outputs, 9)))
+        path = tmp_path / "m.model"
+        with pytest.raises(ArtifactError, match=f"^{re.escape(message)}$"):
+            save_model(art, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind, line, text, message", [
+        ("et0", 3, "lag 1", "an ET0 surrogate takes lag 0, got 1"),
+        ("et0", 2, "topology 3 8 2", "ET0 surrogate must be 3-n-1, got "
+         "MlpTopology(n_inputs=3, n_hidden=8, n_outputs=2)"),
+        ("moisture", 3, "lag 1", "moisture net must be (4)-n-1 for lag 1, got "
+         "MlpTopology(n_inputs=5, n_hidden=8, n_outputs=1)"),
+        ("moisture", 3, "lag 3", "moisture net must be (6)-n-1 for lag 3, got "
+         "MlpTopology(n_inputs=5, n_hidden=8, n_outputs=1)"),
+        ("moisture", 3, "lag 0", "lag must be >= 1, got 0"),
+        ("moisture", 2, "topology 5 8 2", "moisture net must be (5)-n-1 for lag 2, got "
+         "MlpTopology(n_inputs=5, n_hidden=8, n_outputs=2)"),
+    ])
+    def test_a_net_its_model_would_refuse_is_refused_at_load(self, tmp_path, kind, line,
+                                                              text, message):
+        art = (et0_artifact(_random_et0_model()) if kind == "et0"
+               else moisture_artifact(_random_moisture_model(lag=2)))
+        path = tmp_path / "m.model"
+        save_model(art, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[line].split()[0] == text.split()[0]
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ArtifactParseError, match=f"^{re.escape(f'{path}: line 4: {message}')}$"):
+            load_model(path)
+
     def test_the_version_line_is_the_formats(self, tmp_path):
         art = et0_artifact(_random_et0_model())
         with pytest.raises(TypeError):

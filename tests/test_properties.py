@@ -834,13 +834,15 @@ def _matrix(draw, n_rows, n_cols):
 
 @st.composite
 def model_artifacts(draw):
-    """An artifact of either kind with random sizes, weights and provenance."""
+    """An artifact of either kind with random hidden size, lag, weights and
+    provenance, and the net its kind's model takes: 3-n-1 with lag 0 for et0,
+    (3 + lag)-n-1 for moisture."""
     kind, keys = draw(st.sampled_from([("et0", ("temp", "et0")),
                                        ("moisture", ("et0", "precip", "kc", "theta"))]))
-    topo = MlpTopology(draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 3)))
+    lag = 0 if kind == "et0" else draw(st.integers(1, 10))
+    topo = MlpTopology(3 + lag, draw(st.integers(1, 9)), 1)
     return ModelArtifact(
-        kind=kind, topology=topo,
-        lag=0 if kind == "et0" else draw(st.integers(1, 10)),
+        kind=kind, topology=topo, lag=lag,
         gain=draw(_floats(0.0, 1.0, exclude_min=True)),
         norms={key: draw(normalizers()) for key in keys},
         provenance=draw(st.dictionaries(_WORDS, st.lists(_WORDS, min_size=1, max_size=3).map(
